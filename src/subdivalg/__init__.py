@@ -11,7 +11,7 @@ game shares one image under the row substitution t[i] <- x[i,j], and
 `algebra` covers the symmetric presentation and the forkless basis counts.
 """
 
-from .ring import ALPHA, BETA, Coeff, Rational
+from .ring import ALPHA, BETA, Coeff
 from .poly import (
     PolyParseError,
     TPoly,
@@ -22,11 +22,9 @@ from .poly import (
     is_forkless,
     is_pathless,
     mono_degree,
-    order_cmp,
     parse_monomial,
     parse_poly,
     parse_tpoly,
-    weight_alt,
     weight_pathless,
 )
 from .rewrite import (
@@ -48,8 +46,6 @@ from .groebner import (
     GroebnerBasis,
     buchberger_check,
     generate_basis,
-    head_coeff,
-    head_term,
     ideal_generator,
     ideal_member,
     normal_form,
@@ -66,9 +62,6 @@ from .series import (
     b_map,
     e_image,
     ed_ba_sweep,
-    q_to_r_exponent,
-    r_to_q_exponent,
-    rat_eq,
     verify_a_kills_j,
     verify_e_left_inverse,
     verify_ed_eq_ba,

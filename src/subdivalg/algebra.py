@@ -27,7 +27,7 @@ from math import comb
 from typing import Optional
 
 from .groebner import generate_basis, ideal_generator, ideal_member
-from .poly import XPoly, num_vars, pair_list, var_position
+from .poly import XPoly, num_vars, pair_list, ring_map, var_position
 from .ring import ALPHA, BETA, RationalLike, resolve_param
 
 Permutation = tuple  # images (sigma(1), ..., sigma(n)), 1-based
@@ -82,25 +82,13 @@ def apply_perm(
     """Substitute x[sigma(i),sigma(j)] for every x[i,j] of p."""
     n = p.n
     check_permutation(sigma, n)
-    images: dict = {}
+    pairs = pair_list(n)
 
-    def image_power(pos: int, e: int) -> XPoly:
-        if (pos, e) not in images:
-            if e == 1:
-                i, j = pair_list(n)[pos]
-                images[(pos, e)] = x_general(sigma[i - 1], sigma[j - 1], n, beta)
-            else:
-                images[(pos, e)] = image_power(pos, e - 1) * image_power(pos, 1)
-        return images[(pos, e)]
+    def image(pos: int) -> XPoly:
+        i, j = pairs[pos]
+        return x_general(sigma[i - 1], sigma[j - 1], n, beta)
 
-    total = XPoly.zero(n)
-    for mono, coeff in p.terms.items():
-        term = XPoly.one(n)
-        for pos, e in enumerate(mono):
-            if e:
-                term = term * image_power(pos, e)
-        total = total + term.scale(coeff)
-    return total
+    return ring_map(p, image, XPoly.one(n), XPoly.zero(n))
 
 
 @dataclass

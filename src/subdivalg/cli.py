@@ -9,9 +9,10 @@ Commands:
     d-image  print the image of a polynomial under t[i] <- x[i,j]
 
 Exit codes: 0 success or verified, 1 verification failure or count
-mismatch, 2 usage or parse error.  Parameters b and a stay symbolic
-unless --beta/--alpha give rational values.  Commands that draw random
-samples take --seed (default 0) and always print the seed they used.
+mismatch, 2 usage or parse error, or a reduction that hit its step
+limit.  Parameters b and a stay symbolic unless --beta/--alpha give
+rational values.  Commands that draw random samples take --seed
+(default 0) and always print the seed they used.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .algebra import count_forkless, enumerate_forkless, gf_coeffs, verify_symmetry
-from .groebner import buchberger_check, generate_basis, normal_form
+from .groebner import ResourceLimitError, buchberger_check, generate_basis, normal_form
 from .poly import PolyParseError, d_image, format_monomial, parse_poly
 from .rewrite import (
     FirstByOrder,
@@ -266,7 +267,7 @@ def main(argv: Optional[list] = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except (PolyParseError, RewriteError, ValueError, OSError) as exc:
+    except (PolyParseError, RewriteError, ResourceLimitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -40,6 +40,10 @@ from .ring import ALPHA, BETA, Coeff, RationalLike, resolve_param
 DEFAULT_MAX_STEPS = 500_000
 
 
+class ResourceLimitError(RuntimeError):
+    """A reduction hit its step limit before it finished."""
+
+
 def ideal_generator(
     i: int,
     j: int,
@@ -93,18 +97,11 @@ def generate_basis(
     elements = []
     for i, j, k in combinations(range(1, n + 1), 3):
         poly = -ideal_generator(i, j, k, n, beta, alpha)
-        head, head_coeff = poly.head()
-        assert head_coeff == Coeff.one()
+        head, lead = poly.head()
+        if lead != Coeff.one():
+            raise ValueError(f"basis element {(i, j, k)} is not monic: {poly}")
         elements.append(BasisElement((i, j, k), poly, head))
     return GroebnerBasis(n, elements)
-
-
-def head_term(p: XPoly) -> Monomial:
-    return p.head()[0]
-
-
-def head_coeff(p: XPoly) -> Coeff:
-    return p.head()[1]
 
 
 def _fork_triples(m: Monomial, n: int) -> list:
@@ -168,7 +165,7 @@ def normal_form(
         if reduced is None:
             return current
         current = reduced
-    raise RuntimeError(f"normal form did not terminate within {max_steps} steps")
+    raise ResourceLimitError(f"normal form did not terminate within {max_steps} steps")
 
 
 def random_chooser(rng: random.Random) -> Callable:

@@ -13,9 +13,12 @@ tuple comparison, so `max(p.terms)` is the head monomial of p.
 
 A t-monomial is an exponent tuple of length n, slot i-1 for t[i].
 
-Both polynomial types store {exponent tuple: Coeff} with zero
-coefficients pruned, so `==` is ring equality.  Instances are immutable
-by convention; operations always build new values.
+All four sparse polynomial types derive from `SparsePoly`, defined here:
+`XPoly` (x variables) and `TPoly` (t variables) live in this module,
+`QPoly` and `QTruncSeries` (Laurent exponents in q[1..n]) in `series`.
+Each stores {exponent tuple: Coeff} with zero coefficients pruned, so
+`==` is ring equality.  Instances are immutable by convention;
+operations always build new values.
 
 Text form (used by the parser, the formatter, and the CLI):
 
@@ -35,9 +38,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 from typing import Iterable, Iterator, Optional
 
-from .ring import ALPHA, BETA, Coeff, RationalLike
+from .ring import Coeff, RationalLike, render_terms
 
 Monomial = tuple  # exponent tuple over the x variables, row-major
 TMonomial = tuple  # exponent tuple over t[1..n]
@@ -145,13 +149,6 @@ def mono_pairs(m: Monomial) -> Iterator[tuple]:
             yield pairs[pos], e
 
 
-def order_cmp(a: Monomial, b: Monomial) -> int:
-    """-1, 0, or 1: compare at the largest variable whose exponents differ."""
-    if len(a) != len(b):
-        raise ValueError("monomials from different ambient sizes")
-    return (a > b) - (a < b)
-
-
 def is_pathless(m: Monomial) -> bool:
     """True when no x[i,j]*x[j,k] with i < j < k divides m."""
     n = ambient_size(len(m))
@@ -181,14 +178,6 @@ def weight_pathless(m: Monomial) -> int:
     return sum(e * (n - pairs[pos][1] + pairs[pos][0]) for pos, e in enumerate(m) if e)
 
 
-def weight_alt(m: Monomial) -> int:
-    """Sum of exponent * (j - i); reported for inspection only."""
-    if not m:
-        return 0
-    pairs = pair_list(ambient_size(len(m)))
-    return sum(e * (pairs[pos][1] - pairs[pos][0]) for pos, e in enumerate(m) if e)
-
-
 def all_monomials(n: int, degree: int) -> Iterator[Monomial]:
     """All monomials of exact total degree in the x variables for this n."""
     width = num_vars(n)
@@ -208,58 +197,96 @@ def all_monomials(n: int, degree: int) -> Iterator[Monomial]:
     yield from rec(0, degree, [])
 
 
-class XPoly:
-    """Polynomial in the x variables with Coeff coefficients."""
+def accumulate(out: dict, pairs: Iterable, *, negate: bool) -> dict:
+    """Add each (key, coeff) of pairs into out, or subtract it when negate,
+    dropping every key whose coefficient becomes zero; returns out."""
+    get = out.get
+    for key, coeff in pairs:
+        old = get(key)
+        if old is None:
+            if coeff:
+                out[key] = -coeff if negate else coeff
+        else:
+            coeff = old - coeff if negate else old + coeff
+            if coeff:
+                out[key] = coeff
+            else:
+                del out[key]
+    return out
+
+
+@lru_cache(maxsize=None)
+def variable_names(letter: str, n: int) -> tuple:
+    """The text of each key slot: x[i,j] in row-major order, else letter[i]."""
+    if letter == "x":
+        return tuple(f"x[{i},{j}]" for i, j in pair_list(n))
+    return tuple(f"{letter}[{i}]" for i in range(1, n + 1))
+
+
+def mono_factors(names: tuple, key: tuple) -> list:
+    return [name if e == 1 else f"{name}^{e}" for name, e in zip(names, key) if e]
+
+
+def format_monomial(m: Monomial) -> str:
+    """Bare monomial text, '1' for the empty monomial."""
+    return "*".join(mono_factors(variable_names("x", ambient_size(len(m))), m)) or "1"
+
+
+class SparsePoly:
+    """{exponent tuple: Coeff} over the ambient size n, zero coefficients pruned.
+
+    The base of XPoly and TPoly here and of QPoly and QTruncSeries in
+    `series`.  A subclass fixes the key width (`_width`) and the variable
+    letter (`_letter`); arithmetic takes two values of one class and one
+    ambient size.  Products of nonzero coefficients are nonzero (Q[b,a] is
+    an integral domain), so only merging can create a zero to prune.
+    """
 
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms: Optional[dict] = None):
-        width = num_vars(n)
+        width = self._width(n)
         cleaned = {}
         if terms:
-            for mono, coeff in terms.items():
-                if len(mono) != width:
-                    raise ValueError(f"exponent tuple {mono} does not match n={n}")
+            for key, coeff in terms.items():
+                if len(key) != width:
+                    raise ValueError(f"exponent tuple {key} does not match n={n}")
                 if coeff:
-                    cleaned[mono] = coeff
+                    cleaned[key] = coeff
         self.n = n
         self.terms = cleaned
 
+    @staticmethod
+    def _width(n: int) -> int:
+        return n
+
     @classmethod
-    def _raw(cls, n: int, terms: dict) -> "XPoly":
+    def _raw(cls, n: int, terms: dict):
         # internal: terms already pruned and of the right width
         p = object.__new__(cls)
         p.n = n
         p.terms = terms
         return p
 
+    def _like(self, terms: dict):
+        """A value of the same class and ambient as self."""
+        return self._raw(self.n, terms)
+
     @classmethod
-    def zero(cls, n: int) -> "XPoly":
+    def zero(cls, n: int):
         return cls._raw(n, {})
 
     @classmethod
-    def one(cls, n: int) -> "XPoly":
+    def one(cls, n: int):
         return cls.constant(n, Coeff.one())
 
     @classmethod
-    def constant(cls, n: int, coeff: Coeff) -> "XPoly":
+    def constant(cls, n: int, coeff: Coeff):
         if not coeff:
             return cls.zero(n)
-        return cls._raw(n, {mono_one(n): coeff})
+        return cls._raw(n, {(0,) * cls._width(n): coeff})
 
-    @classmethod
-    def variable(cls, i: int, j: int, n: int) -> "XPoly":
-        exps = [0] * num_vars(n)
-        exps[var_position(i, j, n)] = 1
-        return cls._raw(n, {tuple(exps): Coeff.one()})
-
-    @classmethod
-    def from_monomial(cls, m: Monomial, coeff: Optional[Coeff] = None) -> "XPoly":
-        n = ambient_size(len(m))
-        coeff = Coeff.one() if coeff is None else coeff
-        return cls(n, {m: coeff})
-
-    def _check_ambient(self, other: "XPoly"):
+    def _check_ambient(self, other):
         if self.n != other.n:
             raise ValueError(f"ambient size mismatch: {self.n} vs {other.n}")
 
@@ -270,48 +297,50 @@ class XPoly:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, XPoly):
+        if type(other) is not type(self):
             return NotImplemented
         return self.n == other.n and self.terms == other.terms
 
-    def __neg__(self) -> "XPoly":
-        return XPoly._raw(self.n, {m: -c for m, c in self.terms.items()})
+    def __neg__(self):
+        return self._like({m: -c for m, c in self.terms.items()})
 
-    def __add__(self, other: "XPoly") -> "XPoly":
-        if not isinstance(other, XPoly):
+    def __add__(self, other):
+        if type(other) is not type(self):
             return NotImplemented
         self._check_ambient(other)
-        return XPoly._raw(self.n, _add_terms(self.terms, other.terms))
+        return self._like(accumulate(dict(self.terms), other.terms.items(), negate=False))
 
-    def __sub__(self, other: "XPoly") -> "XPoly":
-        if not isinstance(other, XPoly):
+    def __sub__(self, other):
+        if type(other) is not type(self):
             return NotImplemented
         self._check_ambient(other)
-        return XPoly._raw(self.n, _sub_terms(self.terms, other.terms))
+        return self._like(accumulate(dict(self.terms), other.terms.items(), negate=True))
 
-    def __mul__(self, other: "XPoly") -> "XPoly":
-        if not isinstance(other, XPoly):
+    def __mul__(self, other):
+        if type(other) is not type(self):
             return NotImplemented
         self._check_ambient(other)
-        return XPoly._raw(self.n, _mul_terms(self.terms, other.terms))
+        return self._like(accumulate({}, self._products(other), negate=False))
 
-    def scale(self, coeff: Coeff) -> "XPoly":
+    def _products(self, other):
+        """(m1 + m2, c1 * c2) for every pair of terms, before merging."""
+        right = other.terms.items()
+        for m1, c1 in self.terms.items():
+            for m2, c2 in right:
+                yield tuple(map(add, m1, m2)), c1 * c2
+
+    def scale(self, coeff: Coeff):
         if not coeff:
-            return XPoly.zero(self.n)
-        return XPoly._raw(self.n, _scale_terms(self.terms, coeff))
+            return self._like({})
+        return self._like({m: coeff * c for m, c in self.terms.items()})
 
-    def mul_term(self, mono: Monomial, coeff: Coeff) -> "XPoly":
+    def mul_term(self, mono: tuple, coeff: Coeff):
         """Multiply by a single term coeff * mono."""
         if not coeff:
-            return XPoly.zero(self.n)
-        out = {}
-        for m, c in self.terms.items():
-            product = coeff * c
-            if product:
-                out[mono_mul(m, mono)] = product
-        return XPoly._raw(self.n, out)
+            return self._like({})
+        return self._like({mono_mul(m, mono): coeff * c for m, c in self.terms.items()})
 
-    def coefficient(self, mono: Monomial) -> Coeff:
+    def coefficient(self, mono: tuple) -> Coeff:
         return self.terms.get(mono, Coeff.zero())
 
     def degree(self) -> int:
@@ -327,62 +356,53 @@ class XPoly:
         m = max(self.terms)
         return m, self.terms[m]
 
-    def monomials(self) -> list:
-        return sorted(self.terms, reverse=True)
-
     def substitute(
         self,
         beta: Optional[RationalLike] = None,
         alpha: Optional[RationalLike] = None,
-    ) -> "XPoly":
+    ):
         """Specialize parameters in every coefficient; None keeps the symbol."""
         if beta is None and alpha is None:
             return self
-        return XPoly(self.n, {m: c.substitute(beta, alpha) for m, c in self.terms.items()})
+        return self._like(
+            {m: s for m, c in self.terms.items() if (s := c.substitute(beta, alpha))}
+        )
 
     def __str__(self) -> str:
-        return render_terms(self.terms, _mono_factors_x)
+        names = variable_names(self._letter, self.n)
+        return render_terms(
+            (self.terms[m], mono_factors(names, m)) for m in sorted(self.terms, reverse=True)
+        )
 
     def __repr__(self) -> str:
-        return f"XPoly(n={self.n}, {self!s})"
+        return f"{type(self).__name__}(n={self.n}, {self!s})"
 
 
-class TPoly:
+class XPoly(SparsePoly):
+    """Polynomial in the x variables with Coeff coefficients."""
+
+    __slots__ = ()
+    _letter = "x"
+    _width = staticmethod(num_vars)
+
+    @classmethod
+    def variable(cls, i: int, j: int, n: int) -> "XPoly":
+        exps = [0] * num_vars(n)
+        exps[var_position(i, j, n)] = 1
+        return cls._raw(n, {tuple(exps): Coeff.one()})
+
+    @classmethod
+    def from_monomial(cls, m: Monomial, coeff: Optional[Coeff] = None) -> "XPoly":
+        n = ambient_size(len(m))
+        coeff = Coeff.one() if coeff is None else coeff
+        return cls(n, {m: coeff})
+
+
+class TPoly(SparsePoly):
     """Polynomial in t[1..n] with Coeff coefficients."""
 
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms: Optional[dict] = None):
-        cleaned = {}
-        if terms:
-            for exps, coeff in terms.items():
-                if len(exps) != n:
-                    raise ValueError(f"exponent tuple {exps} does not match n={n}")
-                if coeff:
-                    cleaned[exps] = coeff
-        self.n = n
-        self.terms = cleaned
-
-    @classmethod
-    def _raw(cls, n: int, terms: dict) -> "TPoly":
-        p = object.__new__(cls)
-        p.n = n
-        p.terms = terms
-        return p
-
-    @classmethod
-    def zero(cls, n: int) -> "TPoly":
-        return cls._raw(n, {})
-
-    @classmethod
-    def one(cls, n: int) -> "TPoly":
-        return cls.constant(n, Coeff.one())
-
-    @classmethod
-    def constant(cls, n: int, coeff: Coeff) -> "TPoly":
-        if not coeff:
-            return cls.zero(n)
-        return cls._raw(n, {(0,) * n: coeff})
+    __slots__ = ()
+    _letter = "t"
 
     @classmethod
     def variable(cls, i: int, n: int) -> "TPoly":
@@ -392,192 +412,42 @@ class TPoly:
         exps[i - 1] = 1
         return cls._raw(n, {tuple(exps): Coeff.one()})
 
-    def _check_ambient(self, other: "TPoly"):
-        if self.n != other.n:
-            raise ValueError(f"ambient size mismatch: {self.n} vs {other.n}")
 
-    def is_zero(self) -> bool:
-        return not self.terms
+def ring_map(p: SparsePoly, image, one, zero):
+    """Apply to p the ring map that sends the variable of key slot pos to
+    image(pos); one and zero belong to the target ring.  Each power of an
+    image is built once, as the previous power times the image."""
+    powers: dict = {}
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
+    def power(pos: int, e: int):
+        if (pos, e) not in powers:
+            powers[(pos, e)] = image(pos) if e == 1 else power(pos, e - 1) * power(pos, 1)
+        return powers[(pos, e)]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TPoly):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __neg__(self) -> "TPoly":
-        return TPoly._raw(self.n, {m: -c for m, c in self.terms.items()})
-
-    def __add__(self, other: "TPoly") -> "TPoly":
-        if not isinstance(other, TPoly):
-            return NotImplemented
-        self._check_ambient(other)
-        return TPoly._raw(self.n, _add_terms(self.terms, other.terms))
-
-    def __sub__(self, other: "TPoly") -> "TPoly":
-        if not isinstance(other, TPoly):
-            return NotImplemented
-        self._check_ambient(other)
-        return TPoly._raw(self.n, _sub_terms(self.terms, other.terms))
-
-    def __mul__(self, other: "TPoly") -> "TPoly":
-        if not isinstance(other, TPoly):
-            return NotImplemented
-        self._check_ambient(other)
-        return TPoly._raw(self.n, _mul_terms(self.terms, other.terms))
-
-    def scale(self, coeff: Coeff) -> "TPoly":
-        if not coeff:
-            return TPoly.zero(self.n)
-        return TPoly._raw(self.n, _scale_terms(self.terms, coeff))
-
-    def substitute(
-        self,
-        beta: Optional[RationalLike] = None,
-        alpha: Optional[RationalLike] = None,
-    ) -> "TPoly":
-        if beta is None and alpha is None:
-            return self
-        return TPoly(self.n, {m: c.substitute(beta, alpha) for m, c in self.terms.items()})
-
-    def __str__(self) -> str:
-        return render_terms(self.terms, _mono_factors_t)
-
-    def __repr__(self) -> str:
-        return f"TPoly(n={self.n}, {self!s})"
-
-
-def _add_terms(left: dict, right: dict) -> dict:
-    out = dict(left)
-    for key, coeff in right.items():
-        if key in out:
-            merged = out[key] + coeff
-            if merged:
-                out[key] = merged
-            else:
-                del out[key]
-        else:
-            out[key] = coeff
-    return out
-
-
-def _sub_terms(left: dict, right: dict) -> dict:
-    out = dict(left)
-    for key, coeff in right.items():
-        if key in out:
-            merged = out[key] - coeff
-            if merged:
-                out[key] = merged
-            else:
-                del out[key]
-        else:
-            out[key] = -coeff
-    return out
-
-
-def _mul_terms(left: dict, right: dict) -> dict:
-    out: dict = {}
-    for m1, c1 in left.items():
-        for m2, c2 in right.items():
-            key = tuple(x + y for x, y in zip(m1, m2))
-            product = c1 * c2
-            if key in out:
-                merged = out[key] + product
-                if merged:
-                    out[key] = merged
-                else:
-                    del out[key]
-            elif product:
-                out[key] = product
-    return out
-
-
-def _scale_terms(terms: dict, coeff: Coeff) -> dict:
-    out = {}
-    for key, c in terms.items():
-        product = coeff * c
-        if product:
-            out[key] = product
-    return out
+    total = zero
+    for key, coeff in p.terms.items():
+        term = one
+        for pos, e in enumerate(key):
+            if e:
+                term = term * power(pos, e)
+        total = total + term.scale(coeff)
+    return total
 
 
 def d_image(p: XPoly) -> TPoly:
     """Substitute t[i] for every x[i,j]; a ring homomorphism onto t[1..n-1]."""
     n = p.n
-    out: dict = {}
-    for mono, coeff in p.terms.items():
-        texp = [0] * n
-        for (i, _), e in mono_pairs(mono):
-            texp[i - 1] += e
-        key = tuple(texp)
-        if key in out:
-            merged = out[key] + coeff
-            if merged:
-                out[key] = merged
-            else:
-                del out[key]
-        else:
-            out[key] = coeff
-    return TPoly._raw(n, out)
+    row_of = [i - 1 for i, _ in pair_list(n)]
 
+    def images():
+        for mono, coeff in p.terms.items():
+            texp = [0] * n
+            for pos, e in enumerate(mono):
+                if e:
+                    texp[row_of[pos]] += e
+            yield tuple(texp), coeff
 
-# ---------------------------------------------------------------------------
-# formatting
-
-
-def _mono_factors_x(mono: Monomial) -> list:
-    pairs = pair_list(ambient_size(len(mono)))
-    out = []
-    for pos, e in enumerate(mono):
-        if e:
-            i, j = pairs[pos]
-            out.append(f"x[{i},{j}]" if e == 1 else f"x[{i},{j}]^{e}")
-    return out
-
-
-def _mono_factors_t(exps: TMonomial) -> list:
-    out = []
-    for pos, e in enumerate(exps):
-        if e:
-            out.append(f"t[{pos + 1}]" if e == 1 else f"t[{pos + 1}]^{e}")
-    return out
-
-
-def render_terms(terms: dict, mono_factors) -> str:
-    """Canonical text for {exponent tuple: Coeff}.
-
-    One grammar term per (rational, b-power, a-power, monomial), monomials
-    descending, parameter degrees descending inside each monomial.
-    """
-    if not terms:
-        return "0"
-    parts = []
-    for mono in sorted(terms, reverse=True):
-        var_factors = mono_factors(mono)
-        for (deg_b, deg_a), value in terms[mono].terms():
-            factors = []
-            mag = abs(value)
-            if mag != 1 or (deg_b == 0 and deg_a == 0 and not var_factors):
-                factors.append(str(mag))
-            if deg_b:
-                factors.append("b" if deg_b == 1 else f"b^{deg_b}")
-            if deg_a:
-                factors.append("a" if deg_a == 1 else f"a^{deg_a}")
-            factors.extend(var_factors)
-            text = "*".join(factors)
-            if not parts:
-                parts.append(text if value > 0 else "-" + text)
-            else:
-                parts.append(("+ " if value > 0 else "- ") + text)
-    return " ".join(parts)
-
-
-def format_monomial(m: Monomial) -> str:
-    """Bare monomial text, '1' for the empty monomial."""
-    factors = _mono_factors_x(m)
-    return "*".join(factors) if factors else "1"
+    return TPoly._raw(n, accumulate({}, images(), negate=False))
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +503,6 @@ def _parse_terms(text: str, n: int, family: str) -> dict:
     """Parse the grammar into {exponent tuple: Coeff} for one variable family."""
     width = num_vars(n) if family == "x" else n
     sc = _Scanner(text)
-    terms: dict = {}
 
     def parse_factor(coeff: Coeff, exps: list) -> Coeff:
         ch = sc.peek()
@@ -683,28 +552,21 @@ def _parse_terms(text: str, n: int, family: str) -> dict:
             coeff = parse_factor(coeff, exps)
         return tuple(exps), coeff
 
-    negative = sc.take("-")
-    while True:
-        mono, coeff = parse_term()
-        if negative:
-            coeff = -coeff
-        if mono in terms:
-            merged = terms[mono] + coeff
-            if merged:
-                terms[mono] = merged
+    def signed_terms():
+        negative = sc.take("-")
+        while True:
+            mono, coeff = parse_term()
+            yield mono, -coeff if negative else coeff
+            if sc.done():
+                return
+            if sc.take("+"):
+                negative = False
+            elif sc.take("-"):
+                negative = True
             else:
-                del terms[mono]
-        elif coeff:
-            terms[mono] = coeff
-        if sc.done():
-            break
-        if sc.take("+"):
-            negative = False
-        elif sc.take("-"):
-            negative = True
-        else:
-            raise PolyParseError("expected '+', '-', or end of input", sc.pos)
-    return terms
+                raise PolyParseError("expected '+', '-', or end of input", sc.pos)
+
+    return accumulate({}, signed_terms(), negate=False)
 
 
 def parse_poly(text: str, n: int) -> XPoly:

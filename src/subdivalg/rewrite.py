@@ -12,7 +12,7 @@ What stays invariant is the image of the result under d_image, and
 
 Every step strictly drops the pathless weight of the rewritten monomial
 on all four replacement monomials, which is why the game always ends;
-`pathless_step` asserts the drop on every call.
+`pathless_step` checks the drop on every call.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .poly import (
     Monomial,
     Triple,
     XPoly,
+    accumulate,
     ambient_size,
     col_positions,
     d_image,
@@ -145,20 +146,12 @@ def pathless_step(
         (tuple(base), coeff * alpha_c),
     )
     bound = weight_pathless(mono)
-    assert all(weight_pathless(m) < bound for m, _ in replacement)
+    if any(weight_pathless(m) >= bound for m, _ in replacement):
+        raise RewriteError(f"step at {format_monomial(mono)} does not drop the pathless weight")
 
     terms = dict(p.terms)
     del terms[mono]
-    for m, c in replacement:
-        if m in terms:
-            merged = terms[m] + c
-            if merged:
-                terms[m] = merged
-            else:
-                del terms[m]
-        elif c:
-            terms[m] = c
-    return XPoly._raw(n, terms)
+    return XPoly._raw(n, accumulate(terms, replacement, negate=False))
 
 
 def _reducible_choices(p: XPoly) -> list:
@@ -253,27 +246,29 @@ COEFF_CHOICES = (
 )
 
 
+def random_terms(
+    length: int, slots: int, max_deg: int, max_terms: int, rng: random.Random
+) -> dict:
+    """Up to max_terms random terms {exponent tuple: Coeff}: each key has the
+    given length and degree <= max_deg spread over its first `slots`
+    positions, each coefficient comes from COEFF_CHOICES.  Seed-stable."""
+
+    def draws():
+        for _ in range(rng.randint(1, max_terms)):
+            exps = [0] * length
+            if slots:
+                for _ in range(rng.randint(0, max_deg)):
+                    exps[rng.randrange(slots)] += 1
+            yield tuple(exps), rng.choice(COEFF_CHOICES)
+
+    return accumulate({}, draws(), negate=False)
+
+
 def random_xpoly(n: int, max_deg: int, max_terms: int, rng: random.Random) -> XPoly:
     """Random polynomial: up to max_terms terms of degree <= max_deg each,
     coefficients from {1, -1, 2, -2, b, a, b+1}.  Seed-stable."""
     width = num_vars(n)
-    terms: dict = {}
-    for _ in range(rng.randint(1, max_terms)):
-        exps = [0] * width
-        if width:
-            for _ in range(rng.randint(0, max_deg)):
-                exps[rng.randrange(width)] += 1
-        mono = tuple(exps)
-        coeff = rng.choice(COEFF_CHOICES)
-        if mono in terms:
-            merged = terms[mono] + coeff
-            if merged:
-                terms[mono] = merged
-            else:
-                del terms[mono]
-        else:
-            terms[mono] = coeff
-    return XPoly._raw(n, terms)
+    return XPoly._raw(n, random_terms(width, width, max_deg, max_terms, rng))
 
 
 def derive_seed(seed: int, *parts: int) -> int:

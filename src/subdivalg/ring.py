@@ -13,9 +13,7 @@ values pruned, so structural equality coincides with ring equality.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Optional, Union
-
-Rational = Fraction
+from typing import Iterable, Iterator, Optional, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -136,24 +134,7 @@ class Coeff:
         return self._terms.get((0, 0), _ZERO_FRAC)
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for (deg_b, deg_a), value in self.terms():
-            factors = []
-            mag = abs(value)
-            if mag != 1 or (deg_b == 0 and deg_a == 0):
-                factors.append(str(mag))
-            if deg_b:
-                factors.append("b" if deg_b == 1 else f"b^{deg_b}")
-            if deg_a:
-                factors.append("a" if deg_a == 1 else f"a^{deg_a}")
-            text = "*".join(factors)
-            if not parts:
-                parts.append(text if value > 0 else "-" + text)
-            else:
-                parts.append(("+ " if value > 0 else "- ") + text)
-        return " ".join(parts)
+        return render_terms([(self, [])])
 
     def __repr__(self) -> str:
         return f"Coeff({self!s})"
@@ -165,6 +146,33 @@ ZERO = Coeff.zero()
 ONE = Coeff.one()
 BETA = Coeff.param_term(1, 0)
 ALPHA = Coeff.param_term(0, 1)
+
+
+def render_terms(pairs: Iterable) -> str:
+    """Canonical text of a sum of (Coeff, variable factor texts) pairs.
+
+    One summand per (rational, b-power, a-power) of each coefficient, in
+    the order of pairs and then of descending parameter degrees; "0" for
+    an empty sum.
+    """
+    parts = []
+    for coeff, var_factors in pairs:
+        for (deg_b, deg_a), value in coeff.terms():
+            factors = []
+            mag = abs(value)
+            if mag != 1 or (deg_b == 0 and deg_a == 0 and not var_factors):
+                factors.append(str(mag))
+            if deg_b:
+                factors.append("b" if deg_b == 1 else f"b^{deg_b}")
+            if deg_a:
+                factors.append("a" if deg_a == 1 else f"a^{deg_a}")
+            factors.extend(var_factors)
+            text = "*".join(factors)
+            if not parts:
+                parts.append(text if value > 0 else "-" + text)
+            else:
+                parts.append(("+ " if value > 0 else "- ") + text)
+    return " ".join(parts) if parts else "0"
 
 
 def resolve_param(value: Optional[RationalLike], symbolic: Coeff) -> Coeff:

@@ -1,4 +1,4 @@
-"""Rational and truncated-series realizations of the algebra maps.
+"""Fraction and truncated-series realizations of the algebra maps.
 
 Three coordinate systems appear here:
 
@@ -40,18 +40,21 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from operator import add
 from typing import Iterable, Optional
 
 from .poly import (
     Monomial,
+    SparsePoly,
     TPoly,
     XPoly,
+    accumulate,
     ambient_size,
     d_image,
     format_monomial,
     is_pathless,
     mono_pairs,
-    render_terms,
+    ring_map,
 )
 from .groebner import ideal_generator
 from .ring import ALPHA, BETA, Coeff, RationalLike, resolve_param
@@ -62,146 +65,11 @@ def neg_mass(exponents: tuple) -> int:
     return sum(-e for e in exponents if e < 0)
 
 
-def q_to_r_exponent(a: tuple) -> tuple:
-    """Coordinates q[i] = r[i]*...*r[n] turn q-exponents into prefix sums."""
-    out = []
-    total = 0
-    for e in a:
-        total += e
-        out.append(total)
-    return tuple(out)
-
-
-def r_to_q_exponent(c: tuple) -> tuple:
-    """Inverse of q_to_r_exponent: first differences."""
-    out = []
-    previous = 0
-    for e in c:
-        out.append(e - previous)
-        previous = e
-    return tuple(out)
-
-
-def _mono_factors_q(exponents: tuple) -> list:
-    out = []
-    for pos, e in enumerate(exponents):
-        if e:
-            out.append(f"q[{pos + 1}]" if e == 1 else f"q[{pos + 1}]^{e}")
-    return out
-
-
-class QPoly:
+class QPoly(SparsePoly):
     """Laurent polynomial in q[1..n]; exponents may be negative."""
 
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms: Optional[dict] = None):
-        cleaned = {}
-        if terms:
-            for exps, coeff in terms.items():
-                if len(exps) != n:
-                    raise ValueError(f"exponent tuple {exps} does not match n={n}")
-                if coeff:
-                    cleaned[exps] = coeff
-        self.n = n
-        self.terms = cleaned
-
-    @classmethod
-    def _raw(cls, n: int, terms: dict) -> "QPoly":
-        p = object.__new__(cls)
-        p.n = n
-        p.terms = terms
-        return p
-
-    @classmethod
-    def zero(cls, n: int) -> "QPoly":
-        return cls._raw(n, {})
-
-    @classmethod
-    def one(cls, n: int) -> "QPoly":
-        return cls.constant(n, Coeff.one())
-
-    @classmethod
-    def constant(cls, n: int, coeff: Coeff) -> "QPoly":
-        if not coeff:
-            return cls.zero(n)
-        return cls._raw(n, {(0,) * n: coeff})
-
-    @classmethod
-    def term(cls, n: int, exponents: tuple, coeff: Coeff) -> "QPoly":
-        return cls(n, {tuple(exponents): coeff})
-
-    def _check_ambient(self, other: "QPoly"):
-        if self.n != other.n:
-            raise ValueError(f"ambient size mismatch: {self.n} vs {other.n}")
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QPoly):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __neg__(self) -> "QPoly":
-        return QPoly._raw(self.n, {m: -c for m, c in self.terms.items()})
-
-    def __add__(self, other: "QPoly") -> "QPoly":
-        if not isinstance(other, QPoly):
-            return NotImplemented
-        self._check_ambient(other)
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            if key in out:
-                merged = out[key] + coeff
-                if merged:
-                    out[key] = merged
-                else:
-                    del out[key]
-            else:
-                out[key] = coeff
-        return QPoly._raw(self.n, out)
-
-    def __sub__(self, other: "QPoly") -> "QPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "QPoly") -> "QPoly":
-        if not isinstance(other, QPoly):
-            return NotImplemented
-        self._check_ambient(other)
-        out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                key = tuple(x + y for x, y in zip(m1, m2))
-                product = c1 * c2
-                if key in out:
-                    merged = out[key] + product
-                    if merged:
-                        out[key] = merged
-                    else:
-                        del out[key]
-                elif product:
-                    out[key] = product
-        return QPoly._raw(self.n, out)
-
-    def scale(self, coeff: Coeff) -> "QPoly":
-        if not coeff:
-            return QPoly.zero(self.n)
-        out = {}
-        for key, c in self.terms.items():
-            product = coeff * c
-            if product:
-                out[key] = product
-        return QPoly._raw(self.n, out)
-
-    def __str__(self) -> str:
-        return render_terms(self.terms, _mono_factors_q)
-
-    def __repr__(self) -> str:
-        return f"QPoly(n={self.n}, {self!s})"
+    __slots__ = ()
+    _letter = "q"
 
 
 def q_binomial(i: int, j: int, n: int) -> QPoly:
@@ -226,8 +94,8 @@ def denominator_poly(n: int, factors: dict) -> QPoly:
 class QRatFrac:
     """A formal fraction numerator / prod (q[j] - q[i])^mult, never reduced.
 
-    Mathematical equality is `rat_eq` (cross multiplication); `==` is not
-    defined on purpose.
+    Mathematical equality is `(f - g).is_zero()`; `==` is not defined on
+    purpose.
     """
 
     __slots__ = ("numerator", "denominator")
@@ -302,15 +170,6 @@ class QRatFrac:
 
     def __repr__(self) -> str:
         return f"QRatFrac({self!s})"
-
-
-def rat_eq(f: QRatFrac, g: QRatFrac) -> bool:
-    """Exact equality by cross multiplication; no cancellation is attempted."""
-    if f.n != g.n:
-        raise ValueError(f"ambient size mismatch: {f.n} vs {g.n}")
-    left = f.numerator * denominator_poly(f.n, g.denominator)
-    right = g.numerator * denominator_poly(g.n, f.denominator)
-    return left == right
 
 
 def a_image_rat(
@@ -400,94 +259,45 @@ def verify_a_kills_j(
     return report
 
 
-class QTruncSeries:
-    """Laurent terms kept while neg_mass(exponent) <= order."""
+class QTruncSeries(SparsePoly):
+    """Laurent terms in q[1..n] kept while neg_mass(exponent) <= order."""
 
-    __slots__ = ("n", "order", "terms")
+    __slots__ = ("order",)
+    _letter = "q"
 
     def __init__(self, n: int, order: int, terms: Optional[dict] = None):
         if order < 0:
             raise ValueError("truncation order must be nonnegative")
-        cleaned = {}
-        if terms:
-            for exps, coeff in terms.items():
-                if len(exps) != n:
-                    raise ValueError(f"exponent tuple {exps} does not match n={n}")
-                if coeff and neg_mass(exps) <= order:
-                    cleaned[exps] = coeff
-        self.n = n
+        terms = {k: c for k, c in (terms or {}).items() if neg_mass(k) <= order}
+        super().__init__(n, terms)
         self.order = order
-        self.terms = cleaned
-
-    @classmethod
-    def _raw(cls, n: int, order: int, terms: dict) -> "QTruncSeries":
-        s = object.__new__(cls)
-        s.n = n
-        s.order = order
-        s.terms = terms
-        return s
 
     @classmethod
     def one(cls, n: int, order: int) -> "QTruncSeries":
         return cls(n, order, {(0,) * n: Coeff.one()})
 
-    def _check_compatible(self, other: "QTruncSeries"):
+    def _like(self, terms: dict) -> "QTruncSeries":
+        s = self._raw(self.n, terms)
+        s.order = self.order
+        return s
+
+    def _check_ambient(self, other: "QTruncSeries"):
         if self.n != other.n or self.order != other.order:
             raise ValueError("mismatched ambient size or truncation order")
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, QTruncSeries):
+        if type(other) is not QTruncSeries:
             return NotImplemented
-        return self.n == other.n and self.order == other.order and self.terms == other.terms
+        return self.order == other.order and super().__eq__(other)
 
-    def __add__(self, other: "QTruncSeries") -> "QTruncSeries":
-        if not isinstance(other, QTruncSeries):
-            return NotImplemented
-        self._check_compatible(other)
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            if key in out:
-                merged = out[key] + coeff
-                if merged:
-                    out[key] = merged
-                else:
-                    del out[key]
-            else:
-                out[key] = coeff
-        return QTruncSeries._raw(self.n, self.order, out)
-
-    def __mul__(self, other: "QTruncSeries") -> "QTruncSeries":
-        if not isinstance(other, QTruncSeries):
-            return NotImplemented
-        self._check_compatible(other)
-        bound = self.order
-        out: dict = {}
+    def _products(self, other: "QTruncSeries"):
+        # Skip a pair before multiplying when its exponent is truncated.
+        right = other.terms.items()
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                key = tuple(x + y for x, y in zip(m1, m2))
-                if neg_mass(key) > bound:
-                    continue
-                product = c1 * c2
-                if key in out:
-                    merged = out[key] + product
-                    if merged:
-                        out[key] = merged
-                    else:
-                        del out[key]
-                elif product:
-                    out[key] = product
-        return QTruncSeries._raw(self.n, self.order, out)
-
-    def scale(self, coeff: Coeff) -> "QTruncSeries":
-        out = {}
-        for key, c in self.terms.items():
-            product = coeff * c
-            if product:
-                out[key] = product
-        return QTruncSeries._raw(self.n, self.order, out)
-
-    def __str__(self) -> str:
-        return render_terms(self.terms, _mono_factors_q)
+            for m2, c2 in right:
+                key = tuple(map(add, m1, m2))
+                if neg_mass(key) <= self.order:
+                    yield key, c1 * c2
 
     def __repr__(self) -> str:
         return f"QTruncSeries(n={self.n}, order={self.order}, {self!s})"
@@ -497,17 +307,6 @@ def is_s_friendly(m: Monomial, subset: frozenset) -> bool:
     """Every variable x[i,j] of m has i in the subset and j outside it."""
     for (i, j), _ in mono_pairs(m):
         if i not in subset or j in subset:
-            return False
-    return True
-
-
-def is_s_adequate(exponents: tuple, subset: frozenset) -> bool:
-    """Nonnegative exponents on the subset, nonpositive off it."""
-    for pos, e in enumerate(exponents, start=1):
-        if pos in subset:
-            if e < 0:
-                return False
-        elif e > 0:
             return False
     return True
 
@@ -535,24 +334,20 @@ def a_s_expand(
     alpha_c = resolve_param(alpha, ALPHA)
 
     def factor_series(i: int, j: int) -> QTruncSeries:
-        terms: dict = {}
-        for k in range(order + 1):
+        def exponent(e_i: int, e_j: int) -> tuple:
             exps = [0] * n
-            exps[i - 1] = k + 1
-            exps[j - 1] = -k
-            terms[tuple(exps)] = -Coeff.one()
-            exps = [0] * n
-            exps[i - 1] = k
-            exps[j - 1] = -k
-            key = tuple(exps)
-            terms[key] = terms.get(key, Coeff.zero()) - beta_c
-            if k + 1 <= order:
-                exps = [0] * n
-                exps[i - 1] = k
-                exps[j - 1] = -(k + 1)
-                key = tuple(exps)
-                terms[key] = terms.get(key, Coeff.zero()) - alpha_c
-        return QTruncSeries(n, order, terms)
+            exps[i - 1] = e_i
+            exps[j - 1] = e_j
+            return tuple(exps)
+
+        def summands():
+            for k in range(order + 1):
+                yield exponent(k + 1, -k), Coeff.one()
+                yield exponent(k, -k), beta_c
+                if k + 1 <= order:
+                    yield exponent(k, -(k + 1)), alpha_c
+
+        return QTruncSeries(n, order, accumulate({}, summands(), negate=True))
 
     out = QTruncSeries.one(n, order)
     for (i, j), e in mono_pairs(m):
@@ -646,20 +441,14 @@ class TWSeries:
 
 def b_map(f: QTruncSeries) -> TWSeries:
     """Exponent vector -> t-monomial of its positive part times w^neg_mass."""
-    coeffs = [dict() for _ in range(f.order + 1)]
-    for exps, coeff in f.terms.items():
-        d = neg_mass(exps)
-        key = tuple(max(e, 0) for e in exps)
-        bucket = coeffs[d]
-        if key in bucket:
-            merged = bucket[key] + coeff
-            if merged:
-                bucket[key] = merged
-            else:
-                del bucket[key]
-        else:
-            bucket[key] = coeff
-    return TWSeries(f.n, f.order, [TPoly._raw(f.n, bucket) for bucket in coeffs])
+    images = (
+        ((neg_mass(exps), tuple(max(e, 0) for e in exps)), coeff)
+        for exps, coeff in f.terms.items()
+    )
+    buckets: list = [{} for _ in range(f.order + 1)]
+    for (d, key), coeff in accumulate({}, images, negate=False).items():
+        buckets[d][key] = coeff
+    return TWSeries(f.n, f.order, [TPoly._raw(f.n, bucket) for bucket in buckets])
 
 
 def e_image(
@@ -679,42 +468,20 @@ def e_image(
     beta_c = resolve_param(beta, BETA)
     alpha_c = resolve_param(alpha, ALPHA)
 
-    base: dict = {}
+    def variable_series(pos: int) -> TWSeries:
+        geometric = []
+        power = TPoly.one(n)
+        t_i = TPoly.variable(pos + 1, n)
+        for _ in range(order + 1):
+            geometric.append(power)
+            power = power * t_i
+        front = [TPoly.zero(n)] * (order + 1)
+        front[0] = -(t_i + TPoly.constant(n, beta_c))
+        if order >= 1:
+            front[1] = TPoly.constant(n, -alpha_c)
+        return TWSeries(n, order, front) * TWSeries(n, order, geometric)
 
-    def variable_series(i: int) -> TWSeries:
-        if i not in base:
-            geometric = []
-            power = TPoly.one(n)
-            t_i = TPoly.variable(i, n)
-            for _ in range(order + 1):
-                geometric.append(power)
-                power = power * t_i
-            front = [TPoly.zero(n)] * (order + 1)
-            front[0] = -(t_i + TPoly.constant(n, beta_c))
-            if order >= 1:
-                front[1] = TPoly.constant(n, -alpha_c)
-            series = TWSeries(n, order, front) * TWSeries(n, order, geometric)
-            base[i] = series
-        return base[i]
-
-    powers: dict = {}
-
-    def variable_power(i: int, e: int) -> TWSeries:
-        if (i, e) not in powers:
-            if e == 1:
-                powers[(i, e)] = variable_series(i)
-            else:
-                powers[(i, e)] = variable_power(i, e - 1) * variable_series(i)
-        return powers[(i, e)]
-
-    total = TWSeries.zero(n, order)
-    for exps, coeff in p.terms.items():
-        term = TWSeries.one(n, order)
-        for pos, e in enumerate(exps):
-            if e:
-                term = term * variable_power(pos + 1, e)
-        total = total + term.scale(coeff)
-    return total
+    return ring_map(p, variable_series, TWSeries.one(n, order), TWSeries.zero(n, order))
 
 
 def friendly_rows(m: Monomial) -> frozenset:
@@ -777,49 +544,18 @@ def ed_ba_sweep(
 
 def random_tpoly(n: int, max_deg: int, max_terms: int, rng: random.Random) -> TPoly:
     """Random polynomial in t[1..n-1]; same coefficient pool as random_xpoly."""
-    from .rewrite import COEFF_CHOICES
+    from .rewrite import random_terms
 
-    terms: dict = {}
-    for _ in range(rng.randint(1, max_terms)):
-        exps = [0] * n
-        if n > 1:
-            for _ in range(rng.randint(0, max_deg)):
-                exps[rng.randrange(n - 1)] += 1
-        mono = tuple(exps)
-        coeff = rng.choice(COEFF_CHOICES)
-        if mono in terms:
-            merged = terms[mono] + coeff
-            if merged:
-                terms[mono] = merged
-            else:
-                del terms[mono]
-        else:
-            terms[mono] = coeff
-    return TPoly._raw(n, terms)
+    return TPoly._raw(n, random_terms(n, n - 1, max_deg, max_terms, rng))
 
 
 def g_substitute(p: TPoly, beta: Optional[RationalLike] = None) -> TPoly:
     """Substitute t[i] -> -t[i] - b into p (all rows, including t[n])."""
     n = p.n
-    beta_c = resolve_param(beta, BETA)
-    images = {}
-
-    def image_power(i: int, e: int) -> TPoly:
-        if (i, e) not in images:
-            if e == 1:
-                images[(i, e)] = -(TPoly.variable(i, n) + TPoly.constant(n, beta_c))
-            else:
-                images[(i, e)] = image_power(i, e - 1) * image_power(i, 1)
-        return images[(i, e)]
-
-    total = TPoly.zero(n)
-    for exps, coeff in p.terms.items():
-        term = TPoly.one(n)
-        for pos, e in enumerate(exps):
-            if e:
-                term = term * image_power(pos + 1, e)
-        total = total + term.scale(coeff)
-    return total
+    beta_term = TPoly.constant(n, resolve_param(beta, BETA))
+    return ring_map(
+        p, lambda pos: -(TPoly.variable(pos + 1, n) + beta_term), TPoly.one(n), TPoly.zero(n)
+    )
 
 
 def verify_e_left_inverse(

@@ -1,10 +1,12 @@
 """End-to-end checks of the command line interface via main(argv)."""
 
+import functools
 import json
 
 from conftest import GAME_D_IMAGE, GAME_RESULT, GAME_SCRIPT, GAME_START
 from subdivalg import cli
 from subdivalg.algebra import CountTable
+from subdivalg.groebner import normal_form
 
 
 def run(capsys, *argv):
@@ -264,6 +266,16 @@ def test_count_mismatch_exit_code(capsys, monkeypatch):
     )
     assert code == 1
     assert out[-1].startswith("generating function disagrees")
+
+
+def test_step_limit_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "normal_form", functools.partial(normal_form, max_steps=1))
+    code, out, err = run(
+        capsys, "reduce", "--n", "3", "--mode", "forkless", "x[1,3]*x[1,2]^2"
+    )
+    assert code == 2
+    assert out == []
+    assert err.startswith("error: normal form did not terminate within 1 steps")
 
 
 def test_count_json(capsys):

@@ -11,10 +11,9 @@ from subdivalg.groebner import (
     GroebnerBasis,
     buchberger_check,
     generate_basis,
-    head_coeff,
-    head_term,
     ideal_generator,
     ideal_member,
+    ResourceLimitError,
     normal_form,
     random_chooser,
     reduce_step,
@@ -67,7 +66,16 @@ def test_generate_basis_is_monic_in_triple_order():
     for element in basis:
         i, j, k = element.triple
         assert element.head == mono(5, (i, k), (i, j))
-        assert head_coeff(element.poly) == Coeff.one()
+        assert element.poly.head()[1] == Coeff.one()
+
+
+def test_generate_basis_rejects_non_monic_head(monkeypatch):
+    import subdivalg.groebner
+
+    doubled = lambda *args: ideal_generator(*args).scale(Coeff.rational(2))
+    monkeypatch.setattr(subdivalg.groebner, "ideal_generator", doubled)
+    with pytest.raises(ValueError, match="not monic"):
+        generate_basis(3)
 
 
 def test_ideal_generator_specialization():
@@ -80,16 +88,13 @@ def test_ideal_generator_specialization():
 def test_head_examples():
     basis = generate_basis(3)
     g = basis.element((1, 2, 3)).poly
-    assert head_term(g) == mono(3, (1, 3), (1, 2))
-    assert head_coeff(g) == Coeff.one()
+    assert g.head() == (mono(3, (1, 3), (1, 2)), Coeff.one())
     constant = XPoly.constant(3, Coeff.rational(5))
-    assert head_term(constant) == mono_one(3)
-    assert head_coeff(constant) == Coeff.rational(5)
+    assert constant.head() == (mono_one(3), Coeff.rational(5))
     p = XPoly.variable(2, 3, 3).scale(BETA)
-    assert head_term(p) == mono(3, (2, 3))
-    assert head_coeff(p) == BETA
+    assert p.head() == (mono(3, (2, 3)), BETA)
     with pytest.raises(ValueError):
-        head_term(XPoly.zero(3))
+        XPoly.zero(3).head()
 
 
 def test_reduce_step_examples():
@@ -181,7 +186,7 @@ def test_reduce_step_only_introduces_smaller_monomials():
 def test_normal_form_step_bound():
     basis = generate_basis(4)
     p = parse_poly("x[1,4]*x[1,3]*x[1,2]", 4)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(ResourceLimitError):
         normal_form(p, basis, max_steps=1)
 
 
@@ -208,8 +213,8 @@ def test_spol_examples():
     basis6 = generate_basis(6)
     g1 = basis6.element((1, 2, 3)).poly
     g2 = basis6.element((4, 5, 6)).poly
-    m1 = XPoly.from_monomial(head_term(g1))
-    m2 = XPoly.from_monomial(head_term(g2))
+    m1 = XPoly.from_monomial(g1.head()[0])
+    m2 = XPoly.from_monomial(g2.head()[0])
     assert spol(g1, g2) == m2 * g1 - m1 * g2
 
 
@@ -244,7 +249,7 @@ def test_proof_identity_head_products_distinct():
     for n in (4, 5, 6):
         for a, b, c, d in combinations(range(1, n + 1), 4):
             u1, u2, u3, u4 = u_elements(a, b, c, d, n)
-            heads = [head_term(u) for u in (u1, u2, u3, u4)]
+            heads = [u.head()[0] for u in (u1, u2, u3, u4)]
 
             def shifted(i, j, u_index):
                 exps = [0] * len(heads[0])

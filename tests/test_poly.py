@@ -26,16 +26,15 @@ from subdivalg.poly import (
     mono_mul,
     mono_one,
     num_vars,
-    order_cmp,
     pair_list,
     parse_monomial,
     parse_poly,
     parse_tpoly,
-    weight_alt,
     weight_pathless,
 )
 from subdivalg.rewrite import random_xpoly
 from subdivalg.ring import ALPHA, BETA, Coeff
+from subdivalg.series import QPoly, QTruncSeries
 
 
 def mono(n: int, *pairs) -> tuple:
@@ -105,6 +104,44 @@ def test_poly_ambient_mismatch():
         XPoly.variable(1, 2, 3) + XPoly.variable(1, 2, 4)
 
 
+# name -> (constructor from (n, terms), key width for n)
+SPARSE_CLASSES = {
+    "XPoly": (XPoly, num_vars),
+    "TPoly": (TPoly, lambda n: n),
+    "QPoly": (QPoly, lambda n: n),
+    "QTruncSeries": (lambda n, terms: QTruncSeries(n, 2, terms), lambda n: n),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPARSE_CLASSES))
+def test_sparse_class_contract(name):
+    make, width = SPARSE_CLASSES[name]
+    one = (0,) * width(3)
+    unit = (1,) + one[1:]
+    with pytest.raises(ValueError):
+        make(3, {one + (0,): Coeff.one()})
+    p = make(3, {unit: BETA, one: Coeff.one()})
+    with pytest.raises(ValueError):
+        p + make(4, {(0,) * width(4): Coeff.one()})
+    # XPoly at n=3 and the others at n=3 share the key width 3
+    other_name = "TPoly" if name == "XPoly" else "XPoly"
+    other_make, _ = SPARSE_CLASSES[other_name]
+    other = other_make(3, {one: Coeff.one()})
+    for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+        with pytest.raises(TypeError):
+            op(p, other)
+    assert make(3, {unit: Coeff.zero(), one: Coeff.one()}).terms == {one: Coeff.one()}
+    assert (p - p).terms == {}
+    assert p + make(3, {unit: -BETA}) == make(3, {one: Coeff.one()})
+    assert p != other
+
+
+def test_qtrunc_order_mismatch():
+    with pytest.raises(ValueError):
+        QTruncSeries.one(2, 1) * QTruncSeries.one(2, 2)
+    assert QTruncSeries(2, 1, {}) != QTruncSeries(2, 2, {})
+
+
 def test_is_pathless_examples():
     assert not is_pathless(mono(3, (1, 2), (2, 3)))
     assert is_pathless(mono(3, (1, 3), (2, 3)))
@@ -143,9 +180,6 @@ def test_weight_examples():
     assert weight_pathless(mono_one(4)) == 0
     assert weight_pathless(mono(4, (1, 2), (2, 3), (3, 4))) == 9
     assert weight_pathless(mono(4, (1, 4))) == 1
-    assert weight_alt(mono_one(4)) == 0
-    assert weight_alt(mono(4, (1, 4))) == 3
-    assert weight_alt(mono(3, (1, 2), (2, 3))) == 2
 
 
 def test_weights_are_additive():
@@ -155,19 +189,14 @@ def test_weights_are_additive():
         a = random_monomial(n, 4, rng)
         b = random_monomial(n, 4, rng)
         assert weight_pathless(mono_mul(a, b)) == weight_pathless(a) + weight_pathless(b)
-        assert weight_alt(mono_mul(a, b)) == weight_alt(a) + weight_alt(b)
 
 
 def test_order_examples():
-    assert order_cmp(mono(3, (1, 2)), mono(3, (2, 3))) == 1
+    # the term order is tuple comparison of row-major exponent tuples
+    assert mono(3, (1, 2)) > mono(3, (2, 3))
     m = mono(3, (1, 3), (2, 3))
-    assert order_cmp(m, m) == 0
-    assert order_cmp(mono_one(4), mono(4, (3, 4))) == -1
-
-
-def test_order_mismatched_sizes():
-    with pytest.raises(ValueError):
-        order_cmp(mono_one(3), mono_one(4))
+    assert not m < m and not m > m
+    assert mono_one(4) < mono(4, (3, 4))
 
 
 def test_order_properties_random_triples():
@@ -176,15 +205,16 @@ def test_order_properties_random_triples():
         n = rng.randint(2, 5)
         a, b, c = (random_monomial(n, 4, rng) for _ in range(3))
         # antisymmetry
-        assert order_cmp(a, b) == -order_cmp(b, a)
+        assert (a < b) == (b > a)
+        assert a == b or (a < b) != (b < a)
         # transitivity
-        if order_cmp(a, b) <= 0 and order_cmp(b, c) <= 0:
-            assert order_cmp(a, c) <= 0
+        if a <= b and b <= c:
+            assert a <= c
         # multiplicativity
-        if order_cmp(a, b) <= 0:
-            assert order_cmp(mono_mul(c, a), mono_mul(c, b)) <= 0
+        if a <= b:
+            assert mono_mul(c, a) <= mono_mul(c, b)
         # 1 is minimal
-        assert order_cmp(mono_one(n), a) <= 0
+        assert mono_one(n) <= a
 
 
 def test_d_image_examples():

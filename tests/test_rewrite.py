@@ -100,6 +100,16 @@ def test_step_weight_descent():
         assert weight_pathless(produced) < bound
 
 
+def test_step_without_weight_drop_raises(monkeypatch):
+    # the check must raise even under python -O, where an assert would vanish
+    import subdivalg.rewrite
+
+    monkeypatch.setattr(subdivalg.rewrite, "weight_pathless", lambda m: 0)
+    p = parse_poly(GAME_START, 4)
+    with pytest.raises(RewriteError):
+        pathless_step(p, mono(4, (1, 2), (2, 3), (3, 4)), (1, 2, 3))
+
+
 def test_step_errors():
     p = parse_poly("x[1,2]*x[2,3]", 3)
     m = mono(3, (1, 2), (2, 3))
