@@ -25,12 +25,13 @@ from fractions import Fraction
 from typing import Optional
 
 from .algebra import count_forkless, enumerate_forkless, gf_coeffs, verify_symmetry
-from .groebner import ResourceLimitError, buchberger_check, generate_basis, normal_form
+from .groebner import buchberger_check, generate_basis, normal_form
 from .poly import PolyParseError, d_image, format_monomial, parse_poly
 from .rewrite import (
     FirstByOrder,
     LastByOrder,
     RandomStrategy,
+    ResourceLimitError,
     RewriteError,
     format_trace,
     parse_script,
@@ -205,13 +206,14 @@ def cmd_verify(args) -> int:
         lines.append(f"permutations sampled: {args.samples}")
         lines.extend(f"failure: {f}" for f in report.failures)
     else:
-        ok = verify_e_left_inverse(
+        report = verify_e_left_inverse(
             args.n, args.samples, args.seed, beta=args.beta, alpha=args.alpha
         )
-        payload["samples"] = args.samples
-        payload["seed"] = args.seed
+        ok = report.ok
+        payload.update(asdict(report))
         lines.append(f"seed: {args.seed}")
-        lines.append(f"samples checked: {args.samples}")
+        lines.append(f"samples checked: {report.checked}")
+        lines.extend(f"failure: {f}" for f in report.failures)
     payload["ok"] = ok
     lines.append(f"verify {args.which}: {'PASS' if ok else 'FAIL'}")
     _emit(args, payload, lines)

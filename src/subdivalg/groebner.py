@@ -15,33 +15,32 @@ criterion mechanically and `normal_form` reduces any polynomial to its
 unique forkless representative (the monomials with no x[i,j]*x[i,k]
 divisor are exactly the irreducible ones).
 
-Each reduction step subtracts a multiple of a basis element chosen so the
-rewritten monomial is replaced by strictly smaller ones; a step counter
-guards against defects, not against the math.
+`normal_form` runs the rewriting engine of the rewrite module with the
+fork triples of a monomial and `reduce_step`, which subtracts a multiple of
+a basis element chosen so the rewritten monomial is replaced by strictly
+smaller ones; the engine's step bound guards against defects, not against
+the math.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, combinations_with_replacement
-from typing import Callable, Optional
+from typing import Optional
 
 from .poly import (
     Monomial,
     Triple,
     XPoly,
+    ambient_size,
+    format_monomial,
     mono_div,
     mono_lcm,
     row_positions,
 )
+from .rewrite import DEFAULT_MAX_STEPS, FirstByOrder, RewriteError, Strategy, rewrite
 from .ring import ALPHA, BETA, Coeff, RationalLike, resolve_param
-
-DEFAULT_MAX_STEPS = 500_000
-
-
-class ResourceLimitError(RuntimeError):
-    """A reduction hit its step limit before it finished."""
 
 
 def ideal_generator(
@@ -104,8 +103,9 @@ def generate_basis(
     return GroebnerBasis(n, elements)
 
 
-def _fork_triples(m: Monomial, n: int) -> list:
+def _fork_triples(m: Monomial) -> list:
     """Triples (i, j, k) whose basis head x[i,k]*x[i,j] divides m, lex order."""
+    n = ambient_size(len(m))
     rows = row_positions(n)
     out = []
     for i in range(1, n):
@@ -116,66 +116,31 @@ def _fork_triples(m: Monomial, n: int) -> list:
     return out
 
 
-def _reducible_choices(p: XPoly) -> list:
-    out = []
-    for m in sorted(p.terms, reverse=True):
-        triples = _fork_triples(m, p.n)
-        if triples:
-            out.append((m, triples))
-    return out
-
-
-def reduce_step(
-    p: XPoly,
-    basis: GroebnerBasis,
-    chooser: Optional[Callable] = None,
-) -> Optional[XPoly]:
-    """One reduction p - c*s*g, or None when p is already forkless.
-
-    The default choice is the order-largest reducible monomial and the
-    lexicographically smallest dividing triple; `chooser` may override it
-    (it receives the list built by `_reducible_choices`).
-    """
-    if p.n != basis.n:
-        raise ValueError(f"ambient size mismatch: {p.n} vs {basis.n}")
-    choices = _reducible_choices(p)
-    if not choices:
-        return None
-    if chooser is None:
-        mono, triples = choices[0]
-        triple = triples[0]
-    else:
-        mono, triple = chooser(choices)
-    element = basis.element(triple)
-    shift = mono_div(mono, element.head)
-    coeff = p.terms[mono]
-    return p - element.poly.mul_term(shift, coeff)
+def reduce_step(p: XPoly, mono: Monomial, triple: Triple, basis: GroebnerBasis) -> XPoly:
+    """One reduction p - c*s*g at monomial mono of p, with c its coefficient,
+    g the basis element of triple and s = mono / head(g)."""
+    element = basis._by_triple.get(triple)
+    shift = None if element is None else mono_div(mono, element.head)
+    if shift is None or mono not in p.terms:
+        raise RewriteError(f"basis element {triple} does not reduce {format_monomial(mono)}")
+    return p - element.poly.mul_term(shift, p.terms[mono])
 
 
 def normal_form(
     p: XPoly,
     basis: GroebnerBasis,
-    chooser: Optional[Callable] = None,
+    strategy: Strategy = FirstByOrder(),
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> XPoly:
     """Reduce to the unique forkless representative."""
+    if p.n != basis.n:
+        raise ValueError(f"ambient size mismatch: {p.n} vs {basis.n}")
+    # Callees are looked up per call, so run-time wrappers of them see every call.
+    step = partial(reduce_step, basis=basis)
     current = p
-    for _ in range(max_steps):
-        reduced = reduce_step(current, basis, chooser)
-        if reduced is None:
-            return current
-        current = reduced
-    raise ResourceLimitError(f"normal form did not terminate within {max_steps} steps")
-
-
-def random_chooser(rng: random.Random) -> Callable:
-    """A selection rule drawing uniformly from all (monomial, triple) options."""
-
-    def choose(choices: list) -> tuple:
-        flat = [(m, t) for m, triples in choices for t in triples]
-        return flat[rng.randrange(len(flat))]
-
-    return choose
+    for _, _, current in rewrite(p, "normal form", _fork_triples, step, strategy, max_steps):
+        pass
+    return current
 
 
 def spol(g1: XPoly, g2: XPoly) -> XPoly:

@@ -415,8 +415,9 @@ class TPoly(SparsePoly):
 
 def ring_map(p: SparsePoly, image, one, zero):
     """Apply to p the ring map that sends the variable of key slot pos to
-    image(pos); one and zero belong to the target ring.  Each power of an
-    image is built once, as the previous power times the image."""
+    image(pos); one and zero of the target ring are the empty product and
+    sum.  Each power of an image is built once, as the previous power times
+    the image."""
     powers: dict = {}
 
     def power(pos: int, e: int):
@@ -424,14 +425,15 @@ def ring_map(p: SparsePoly, image, one, zero):
             powers[(pos, e)] = image(pos) if e == 1 else power(pos, e - 1) * power(pos, 1)
         return powers[(pos, e)]
 
-    total = zero
+    total = None
     for key, coeff in p.terms.items():
-        term = one
+        term = None
         for pos, e in enumerate(key):
             if e:
-                term = term * power(pos, e)
-        total = total + term.scale(coeff)
-    return total
+                term = power(pos, e) if term is None else term * power(pos, e)
+        term = (one if term is None else term).scale(coeff)
+        total = term if total is None else total + term
+    return zero if total is None else total
 
 
 def d_image(p: XPoly) -> TPoly:

@@ -1,4 +1,4 @@
-"""The pathless reduction game.
+"""The pathless reduction game and the rewriting engine behind both reductions.
 
 A monomial divisible by x[i,j]*x[j,k] with i < j < k may be rewritten by
 
@@ -13,13 +13,19 @@ What stays invariant is the image of the result under d_image, and
 Every step strictly drops the pathless weight of the rewritten monomial
 on all four replacement monomials, which is why the game always ends;
 `pathless_step` checks the drop on every call.
+
+`rewrite` is the one reduction loop, for this game and for the forkless
+normal form in `groebner`: a rule gives the triples of a monomial and one
+rewrite at a (monomial, triple); a strategy picks each step.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from functools import partial
+from typing import Callable, Iterator, Optional, Union
 
 from .poly import (
     Monomial,
@@ -40,8 +46,15 @@ from .poly import (
 from .ring import ALPHA, BETA, Coeff, RationalLike, resolve_param
 
 
+DEFAULT_MAX_STEPS = 500_000
+
+
 class RewriteError(ValueError):
-    """A step or strategy was asked to do something the game does not allow."""
+    """A step or strategy was asked to do something the rule does not allow."""
+
+
+class ResourceLimitError(RuntimeError):
+    """A reduction hit its step limit before it finished."""
 
 
 @dataclass(frozen=True)
@@ -154,14 +167,46 @@ def pathless_step(
     return XPoly._raw(n, accumulate(terms, replacement, negate=False))
 
 
-def _reducible_choices(p: XPoly) -> list:
-    """(monomial, triples) for every reducible monomial, descending order."""
-    out = []
-    for m in sorted(p.terms, reverse=True):
-        triples = find_path_triples(m)
-        if triples:
-            out.append((m, triples))
-    return out
+def rewrite(
+    p: XPoly,
+    name: str,
+    triples_of: Callable,
+    step: Callable,
+    strategy: Strategy = FirstByOrder(),
+    max_steps: int = DEFAULT_MAX_STEPS,
+) -> Iterator[tuple]:
+    """Rewrite p until no monomial has a triple, yielding (monomial, triple,
+    after) per step.  triples_of(m) lists the triples of m in lex order;
+    step(q, m, t) rewrites q there or raises RewriteError."""
+    rng = random.Random(strategy.seed) if isinstance(strategy, RandomStrategy) else None
+    script = strategy.steps if isinstance(strategy, ScriptStrategy) else None
+    current = p
+    for count in itertools.count(1):
+        if script is not None and count <= len(script):
+            mono, triple = script[count - 1]
+        else:
+            ordered = sorted(current.terms, reverse=True)
+            choices = [(m, ts) for m in ordered if (ts := triples_of(m))]
+            if not choices:
+                return
+            if script is not None:
+                raise RewriteError(f"script exhausted before the {name} finished")
+            if isinstance(strategy, FirstByOrder):
+                mono, triple = choices[0][0], choices[0][1][0]
+            elif isinstance(strategy, LastByOrder):
+                mono, triple = choices[-1][0], choices[-1][1][-1]
+            else:
+                flat = [(m, t) for m, ts in choices for t in ts]
+                mono, triple = flat[rng.randrange(len(flat))]
+        if count > max_steps:
+            raise ResourceLimitError(f"{name} did not terminate within {max_steps} steps")
+        try:
+            current = step(current, mono, triple)
+        except RewriteError as exc:
+            if script is None:
+                raise
+            raise RewriteError(f"script step {count} does not apply: {exc}") from None
+        yield mono, triple, current
 
 
 def reduce_pathless(
@@ -171,40 +216,10 @@ def reduce_pathless(
     alpha: Optional[RationalLike] = None,
 ) -> tuple:
     """Play the game to a pathless polynomial; returns (result, trace)."""
-    trace = []
-    rng = random.Random(strategy.seed) if isinstance(strategy, RandomStrategy) else None
-    script_pos = 0
-    current = p
-    while True:
-        if isinstance(strategy, ScriptStrategy):
-            if script_pos == len(strategy.steps):
-                choices = _reducible_choices(current)
-                if choices:
-                    raise RewriteError("script exhausted before the result is pathless")
-                break
-            mono, triple = strategy.steps[script_pos]
-            script_pos += 1
-        else:
-            choices = _reducible_choices(current)
-            if not choices:
-                break
-            if isinstance(strategy, FirstByOrder):
-                mono, triples = choices[0]
-                triple = triples[0]
-            elif isinstance(strategy, LastByOrder):
-                mono, triples = choices[-1]
-                triple = triples[-1]
-            else:
-                flat = [(m, t) for m, triples in choices for t in triples]
-                mono, triple = flat[rng.randrange(len(flat))]
-        try:
-            current = pathless_step(current, mono, triple, beta, alpha)
-        except RewriteError as exc:
-            if isinstance(strategy, ScriptStrategy):
-                raise RewriteError(f"script step {script_pos} does not apply: {exc}") from None
-            raise
-        trace.append(TraceStep(mono, triple, current))
-    return current, trace
+    # Callees are looked up per call, so run-time wrappers of them see every call.
+    step = partial(pathless_step, beta=beta, alpha=alpha)
+    trace = [TraceStep(*s) for s in rewrite(p, "pathless game", find_path_triples, step, strategy)]
+    return (trace[-1].after if trace else p), trace
 
 
 def format_trace(trace: list) -> str:

@@ -469,12 +469,10 @@ def e_image(
     alpha_c = resolve_param(alpha, ALPHA)
 
     def variable_series(pos: int) -> TWSeries:
-        geometric = []
-        power = TPoly.one(n)
         t_i = TPoly.variable(pos + 1, n)
-        for _ in range(order + 1):
-            geometric.append(power)
-            power = power * t_i
+        geometric = [TPoly.one(n)]
+        for _ in range(order):
+            geometric.append(geometric[-1] * t_i)
         front = [TPoly.zero(n)] * (order + 1)
         front[0] = -(t_i + TPoly.constant(n, beta_c))
         if order >= 1:
@@ -558,6 +556,19 @@ def g_substitute(p: TPoly, beta: Optional[RationalLike] = None) -> TPoly:
     )
 
 
+@dataclass
+class EInverseReport:
+    n: int
+    samples: int
+    seed: int
+    checked: int = 0
+    failures: list = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+
 def verify_e_left_inverse(
     n: int,
     samples: int,
@@ -566,14 +577,17 @@ def verify_e_left_inverse(
     max_terms: int = 4,
     beta: Optional[RationalLike] = None,
     alpha: Optional[RationalLike] = None,
-) -> bool:
-    """g_substitute after the w-constant term of e_image is the identity."""
+) -> EInverseReport:
+    """g_substitute after the w-constant term of e_image is the identity; sample
+    `index` draws its input from random.Random(derive_seed(seed, index))."""
     from .rewrite import derive_seed
 
+    report = EInverseReport(n, samples, seed)
     for index in range(samples):
-        rng = random.Random(derive_seed(seed, index))
-        p = random_tpoly(n, max_deg, max_terms, rng)
+        sample_seed = derive_seed(seed, index)
+        p = random_tpoly(n, max_deg, max_terms, random.Random(sample_seed))
         constant_term = e_image(p, 0, beta, alpha).coeffs[0]
         if g_substitute(constant_term, beta) != p:
-            return False
-    return True
+            report.failures.append(f"sample {index} seed {sample_seed} input {p}")
+        report.checked += 1
+    return report

@@ -2,11 +2,15 @@
 
 import functools
 import json
+import random
 
 from conftest import GAME_D_IMAGE, GAME_RESULT, GAME_SCRIPT, GAME_START
 from subdivalg import cli
 from subdivalg.algebra import CountTable
 from subdivalg.groebner import normal_form
+from subdivalg.poly import TPoly
+from subdivalg.rewrite import derive_seed
+from subdivalg.series import random_tpoly
 
 
 def run(capsys, *argv):
@@ -211,6 +215,27 @@ def test_verify_e_inverse(capsys):
     assert code == 0
     assert out[1] == "samples checked: 10"
     assert out[-1] == "verify e-inverse: PASS"
+
+
+def test_verify_e_inverse_failures_replay(capsys, monkeypatch):
+    from subdivalg import series
+
+    original = series.g_substitute
+    monkeypatch.setattr(
+        series, "g_substitute", lambda p, beta=None: original(p, beta) + TPoly.one(p.n)
+    )
+    code, out, _ = run(capsys, "verify", "--n", "3", "e-inverse", "--samples", "4", "--seed", "9")
+    assert code == 1
+    assert out[:2] == ["seed: 9", "samples checked: 4"]
+    failures = out[2:-1]
+    assert len(failures) == 4
+    for index, line in enumerate(failures):
+        seed = derive_seed(9, index)
+        prefix = f"failure: sample {index} seed {seed} input "
+        assert line.startswith(prefix)
+        replayed = random_tpoly(3, 3, 4, random.Random(seed))
+        assert line[len(prefix):] == str(replayed)
+    assert out[-1] == "verify e-inverse: FAIL"
 
 
 def test_verify_specialized_parameters(capsys):

@@ -13,9 +13,7 @@ from subdivalg.groebner import (
     generate_basis,
     ideal_generator,
     ideal_member,
-    ResourceLimitError,
     normal_form,
-    random_chooser,
     reduce_step,
     spol,
 )
@@ -31,6 +29,9 @@ from subdivalg.rewrite import (
     FirstByOrder,
     LastByOrder,
     RandomStrategy,
+    ResourceLimitError,
+    RewriteError,
+    ScriptStrategy,
     derive_seed,
     parse_script,
     random_xpoly,
@@ -99,13 +100,40 @@ def test_head_examples():
 
 def test_reduce_step_examples():
     basis = generate_basis(3)
-    one_fork = XPoly.from_monomial(mono(3, (1, 3), (1, 2)))
+    fork = mono(3, (1, 3), (1, 2))
     expected = parse_poly("x[1,2]*x[2,3] - x[1,3]*x[2,3] - b*x[1,3] - a", 3)
-    assert reduce_step(one_fork, basis) == expected
-    forkless_poly = parse_poly("x[1,2]*x[2,3] + b*x[1,3]", 3)
-    assert reduce_step(forkless_poly, basis) is None
-    deeper = XPoly.from_monomial(mono(3, (1, 3), (1, 3), (1, 2)))
-    assert reduce_step(deeper, basis) == expected * XPoly.variable(1, 3, 3)
+    assert reduce_step(XPoly.from_monomial(fork), fork, (1, 2, 3), basis) == expected
+    deeper = mono(3, (1, 3), (1, 3), (1, 2))
+    reduced = reduce_step(XPoly.from_monomial(deeper), deeper, (1, 2, 3), basis)
+    assert reduced == expected * XPoly.variable(1, 3, 3)
+    scaled = parse_poly("b*x[1,3]*x[1,2] + x[2,3]", 3)
+    assert reduce_step(scaled, fork, (1, 2, 3), basis) == expected.scale(BETA) + XPoly.variable(2, 3, 3)
+
+
+def test_reduce_step_errors():
+    basis = generate_basis(4)
+    forkless_poly = parse_poly("x[1,2]*x[2,3] + b*x[1,3]", 4)
+    path = mono(4, (1, 2), (2, 3))
+    with pytest.raises(RewriteError):
+        reduce_step(forkless_poly, path, (1, 2, 3), basis)  # head does not divide
+    fork = mono(4, (1, 3), (1, 2))
+    with pytest.raises(RewriteError):
+        reduce_step(XPoly.from_monomial(fork), fork, (1, 2, 4), basis)
+    with pytest.raises(RewriteError):
+        reduce_step(forkless_poly, fork, (1, 2, 3), basis)  # absent monomial
+    with pytest.raises(RewriteError):
+        reduce_step(XPoly.from_monomial(fork), fork, (2, 1, 3), basis)
+
+
+def test_normal_form_script():
+    basis = generate_basis(3)
+    fork = mono(3, (1, 3), (1, 2))
+    p = XPoly.from_monomial(fork)
+    assert normal_form(p, basis, ScriptStrategy(((fork, (1, 2, 3)),))) == normal_form(p, basis)
+    with pytest.raises(RewriteError, match="script exhausted"):
+        normal_form(p, basis, ScriptStrategy(()))
+    with pytest.raises(RewriteError, match="script step 1 does not apply"):
+        normal_form(p, basis, ScriptStrategy(((fork, (1, 2, 4)),)))
 
 
 def test_normal_form_fixes_forkless():
@@ -143,8 +171,8 @@ def test_confluence_random_choosers():
         p = random_xpoly(n, 4, 5, rng)
         reference = normal_form(p, bases[n])
         for s in range(3):
-            chooser = random_chooser(random.Random(derive_seed(17, trial, s)))
-            assert normal_form(p, bases[n], chooser) == reference
+            strategy = RandomStrategy(derive_seed(17, trial, s))
+            assert normal_form(p, bases[n], strategy) == reference
 
 
 def test_consistency_with_pathless_game():
@@ -163,30 +191,21 @@ def test_reduce_step_only_introduces_smaller_monomials():
     rng = random.Random(29)
     for _ in range(100):
         p = random_xpoly(4, 4, 4, rng)
-        reducible = [
-            m
-            for m in p.terms
-            if any(
-                e.head
-                and all(x >= y for x, y in zip(m, e.head))
-                for e in basis
-            )
-        ]
-        reduced = reduce_step(p, basis)
-        if not reducible:
-            assert reduced is None
-            continue
-        target = max(reducible)
-        assert target not in reduced.terms
-        for m in reduced.terms:
-            if m not in p.terms:
-                assert m < target
+        for target in p.terms:
+            for e in basis:
+                if not all(x >= y for x, y in zip(target, e.head)):
+                    continue
+                reduced = reduce_step(p, target, e.triple, basis)
+                assert target not in reduced.terms
+                for m in reduced.terms:
+                    if m not in p.terms:
+                        assert m < target
 
 
 def test_normal_form_step_bound():
     basis = generate_basis(4)
     p = parse_poly("x[1,4]*x[1,3]*x[1,2]", 4)
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match="normal form did not terminate within 1 steps"):
         normal_form(p, basis, max_steps=1)
 
 
@@ -301,4 +320,4 @@ def test_ideal_member_examples():
 
 def test_ambient_mismatch():
     with pytest.raises(ValueError):
-        reduce_step(XPoly.variable(1, 2, 3), generate_basis(4))
+        normal_form(XPoly.variable(1, 2, 3), generate_basis(4))

@@ -3,7 +3,9 @@
 bench/spans.py wraps the functions and methods named in its LAYERS table
 at run time.  A name that no longer resolves breaks the traced run, and a
 wrapped sparse class that inherits from another wrapped one would count
-that class's arithmetic under both names.
+that class's arithmetic under both names.  The wrapping replaces module
+attributes, so the reduction entry points must look their callees up in
+the module on each call rather than bind them at import.
 """
 
 import importlib
@@ -11,6 +13,9 @@ import importlib.util
 from pathlib import Path
 
 import pytest
+
+from subdivalg import groebner, rewrite
+from subdivalg.poly import parse_poly
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -43,3 +48,44 @@ def test_sparse_classes_are_siblings(layers):
     for a in classes:
         for b in classes:
             assert a is b or not issubclass(a, b), (a, b)
+
+
+def counting(monkeypatch, module, name: str) -> list:
+    """Replace module.name by a wrapper that appends to the returned list."""
+    original = getattr(module, name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_reduce_pathless_calls_module_callees(monkeypatch):
+    p = parse_poly("x[1,2]*x[2,3]*x[3,4]*x[4,5] + b*x[1,3]*x[3,5]", 5)
+    scans = counting(monkeypatch, rewrite, "find_path_triples")
+    steps = counting(monkeypatch, rewrite, "pathless_step")
+    for strategy in (rewrite.FirstByOrder(), rewrite.LastByOrder(), rewrite.RandomStrategy(5)):
+        scans.clear()
+        steps.clear()
+        _, trace = rewrite.reduce_pathless(p, strategy)
+        assert len(trace) > 1
+        assert len(steps) == len(trace)
+        assert len(scans) >= len(trace)
+
+
+def test_normal_form_calls_module_callees(monkeypatch):
+    p = parse_poly("x[1,4]*x[1,3]*x[1,2] + x[1,3]^2*x[1,2]", 4)
+    basis = groebner.generate_basis(4)
+    expected = sum(1 for _ in rewrite.rewrite(
+        p,
+        "normal form",
+        groebner._fork_triples,
+        lambda q, mono, triple: groebner.reduce_step(q, mono, triple, basis),
+    ))
+    assert expected > 1
+    steps = counting(monkeypatch, groebner, "reduce_step")
+    groebner.normal_form(p, basis)
+    assert len(steps) == expected

@@ -23,9 +23,11 @@ from subdivalg.poly import (
     weight_pathless,
 )
 from subdivalg.rewrite import (
+    DEFAULT_MAX_STEPS,
     FirstByOrder,
     LastByOrder,
     RandomStrategy,
+    ResourceLimitError,
     RewriteError,
     ScriptStrategy,
     d_invariance_counterexample,
@@ -36,6 +38,7 @@ from subdivalg.rewrite import (
     pathless_step,
     random_xpoly,
     reduce_pathless,
+    rewrite,
     strategy_suite,
     verify_t_unique,
 )
@@ -247,3 +250,22 @@ def test_script_strategy_from_steps():
     result, trace = reduce_pathless(parse_poly("x[1,2]*x[2,3]", 3), ScriptStrategy(steps))
     assert result == parse_poly("x[1,3]*x[1,2] + x[1,3]*x[2,3] + b*x[1,3] + a", 3)
     assert len(trace) == 1
+
+
+def test_engine_step_bound():
+    p = parse_poly(GAME_START, 4)
+    _, trace = reduce_pathless(p)
+    assert len(trace) > 1
+    with pytest.raises(ResourceLimitError) as info:
+        list(rewrite(p, "pathless game", find_path_triples, pathless_step, max_steps=1))
+    assert str(info.value) == "pathless game did not terminate within 1 steps"
+    exact = rewrite(p, "pathless game", find_path_triples, pathless_step, max_steps=len(trace))
+    assert list(exact) == [(s.monomial, s.triple, s.after) for s in trace]
+
+
+def test_reduce_pathless_is_bounded(monkeypatch):
+    # reduce_pathless passes no bound, so the engine's default applies
+    assert rewrite.__defaults__[-1] == DEFAULT_MAX_STEPS
+    monkeypatch.setattr(rewrite, "__defaults__", (FirstByOrder(), 2))
+    with pytest.raises(ResourceLimitError, match="pathless game did not terminate within 2 steps"):
+        reduce_pathless(parse_poly(GAME_START, 4))

@@ -268,8 +268,10 @@ def test_e_left_inverse_manual():
 
 
 def test_verify_e_left_inverse():
-    assert verify_e_left_inverse(4, 50, seed=7)
-    assert verify_e_left_inverse(3, 20, seed=7, beta=2, alpha=3)
+    report = verify_e_left_inverse(4, 50, seed=7)
+    assert report.ok
+    assert report.checked == 50
+    assert verify_e_left_inverse(3, 20, seed=7, beta=2, alpha=3).ok
 
 
 def test_g_substitute_involution():
