@@ -28,6 +28,7 @@ from typing import Optional
 
 from .groebner import generate_basis, ideal_generator, ideal_member
 from .poly import XPoly, num_vars, pair_list, ring_map, var_position
+from .rewrite import Report
 from .ring import ALPHA, BETA, RationalLike, resolve_param
 
 Permutation = tuple  # images (sigma(1), ..., sigma(n)), 1-based
@@ -91,52 +92,28 @@ def apply_perm(
     return ring_map(p, image, XPoly.one(n), XPoly.zero(n))
 
 
-@dataclass
-class SymmetryReport:
-    n: int
-    seed: int
-    samples: int
-    matches_defining_relation: bool = True
-    symmetric_in_indices: bool = True
-    action_permutes_relations: bool = True
-    action_preserves_ideal: bool = True
-    failures: list = None
-
-    def __post_init__(self):
-        if self.failures is None:
-            self.failures = []
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.matches_defining_relation
-            and self.symmetric_in_indices
-            and self.action_permutes_relations
-            and self.action_preserves_ideal
-        )
-
-
 def verify_symmetry(
     n: int,
     seed: int = 0,
     samples: int = 10,
     beta: Optional[RationalLike] = None,
     alpha: Optional[RationalLike] = None,
-) -> SymmetryReport:
+) -> Report:
     """Check the symmetric form against the defining relations and the action."""
     from itertools import permutations as all_orderings
 
-    report = SymmetryReport(n, seed, samples)
     triples = list(combinations(range(1, n + 1), 3))
+    report = Report(
+        dict(n=n, seed=seed, samples=samples, beta=beta, alpha=alpha),
+        {"relations": len(triples), "images": samples * len(triples)},
+    )
 
     for i, j, k in triples:
         if j_generator(i, j, k, n, beta, alpha) != ideal_generator(i, j, k, n, beta, alpha):
-            report.matches_defining_relation = False
             report.failures.append(f"j_generator{(i, j, k)} != defining relation")
         reference = j_generator(i, j, k, n, beta, alpha)
         for ordering in all_orderings((i, j, k)):
             if j_generator(*ordering, n, beta, alpha) != reference:
-                report.symmetric_in_indices = False
                 report.failures.append(f"j_generator{ordering} breaks symmetry")
 
     rng = random.Random(seed)
@@ -149,11 +126,9 @@ def verify_symmetry(
             mapped = apply_perm(sigma, j_generator(i, j, k, n, beta, alpha), beta)
             target = j_generator(sigma[i - 1], sigma[j - 1], sigma[k - 1], n, beta, alpha)
             if mapped != target:
-                report.action_permutes_relations = False
                 report.failures.append(f"sigma={sigma} triple={(i, j, k)} equivariance")
             g = ideal_generator(i, j, k, n, beta, alpha)
             if not ideal_member(apply_perm(sigma, g, beta), basis):
-                report.action_preserves_ideal = False
                 report.failures.append(f"sigma={sigma} triple={(i, j, k)} membership")
     return report
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+import time
 from fractions import Fraction
 from typing import Optional
 
@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(verify_p)
     verify_p.add_argument(
         "which",
-        choices=["groebner", "t-unique", "a-kills-j", "ed-ba", "symmetry", "e-inverse"],
+        choices=list(SWEEPS),
     )
     verify_p.add_argument("--trials", type=int, default=100)
     verify_p.add_argument("--strategies", type=int, default=5)
@@ -112,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(args, payload: dict, text_lines: list) -> None:
     if args.as_json:
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps(payload, sort_keys=True, default=str))
     else:
         for line in text_lines:
             print(line)
@@ -161,63 +161,67 @@ def cmd_reduce(args) -> int:
     return 0
 
 
+# Sweep name -> (sweep, the parsed flags passed to it by name, header template).
+# The template is filled from the report's params and counts and `checked`;
+# a sweep that reads --seed prints it first.  Lambdas look their callees up
+# in this module on each call, so run-time wrappers of them see every call.
+SWEEPS = {
+    "groebner": (
+        lambda n, beta, alpha: buchberger_check(generate_basis(n, beta, alpha)),
+        ("n", "beta", "alpha"),
+        "basis elements: {elements}",
+    ),
+    "t-unique": (
+        verify_t_unique,
+        ("n", "trials", "strategies", "seed", "max_deg", "max_terms", "beta", "alpha"),
+        "trials checked: {checked} with {strategies} strategies",
+    ),
+    "a-kills-j": (
+        verify_a_kills_j,
+        ("n", "samples", "seed", "beta", "alpha"),
+        "generators checked: {generators}, random products checked: {products}",
+    ),
+    "ed-ba": (
+        ed_ba_sweep,
+        ("n", "max_degree", "w_order", "beta", "alpha"),
+        "pathless monomials checked: {checked} (degree <= {max_degree}, order {w_order})",
+    ),
+    "symmetry": (
+        verify_symmetry,
+        ("n", "seed", "samples", "beta", "alpha"),
+        "permutations sampled: {samples}",
+    ),
+    # e-inverse keeps its own input sizes: --max-deg/--max-terms are not passed.
+    "e-inverse": (
+        verify_e_left_inverse,
+        ("n", "samples", "seed", "beta", "alpha"),
+        "samples checked: {checked}",
+    ),
+}
+
+
 def cmd_verify(args) -> int:
-    payload: dict = {"command": "verify", "which": args.which, "n": args.n}
-    lines: list = []
-    if args.which == "groebner":
-        basis = generate_basis(args.n, args.beta, args.alpha)
-        ok = buchberger_check(basis)
-        payload["elements"] = len(basis)
-        lines.append(f"basis elements: {len(basis)}")
-    elif args.which == "t-unique":
-        report = verify_t_unique(
-            args.n, args.trials, args.strategies, args.seed,
-            args.max_deg, args.max_terms, args.beta, args.alpha,
-        )
-        ok = report.ok
-        payload.update(asdict(report))
-        lines.append(f"seed: {args.seed}")
-        lines.append(f"trials checked: {report.checked} with {args.strategies} strategies")
-        lines.extend(f"counterexample: {f}" for f in payload["failures"])
-    elif args.which == "a-kills-j":
-        report = verify_a_kills_j(args.n, args.samples, args.seed, args.beta, args.alpha)
-        ok = report.ok
-        payload.update(asdict(report))
-        lines.append(f"seed: {args.seed}")
-        lines.append(
-            f"generators checked: {report.generators_checked}, "
-            f"random products checked: {report.products_checked}"
-        )
-        lines.extend(f"failure: {f}" for f in report.failures)
-    elif args.which == "ed-ba":
-        report = ed_ba_sweep(args.n, args.max_degree, args.w_order, args.beta, args.alpha)
-        ok = report.ok
-        payload.update(asdict(report))
-        lines.append(
-            f"pathless monomials checked: {report.checked} "
-            f"(degree <= {args.max_degree}, order {args.w_order})"
-        )
-        lines.extend(f"failure: {f}" for f in report.failures)
-    elif args.which == "symmetry":
-        report = verify_symmetry(args.n, args.seed, args.samples, args.beta, args.alpha)
-        ok = report.ok
-        payload.update(asdict(report))
-        lines.append(f"seed: {args.seed}")
-        lines.append(f"permutations sampled: {args.samples}")
-        lines.extend(f"failure: {f}" for f in report.failures)
-    else:
-        report = verify_e_left_inverse(
-            args.n, args.samples, args.seed, beta=args.beta, alpha=args.alpha
-        )
-        ok = report.ok
-        payload.update(asdict(report))
-        lines.append(f"seed: {args.seed}")
-        lines.append(f"samples checked: {report.checked}")
-        lines.extend(f"failure: {f}" for f in report.failures)
-    payload["ok"] = ok
-    lines.append(f"verify {args.which}: {'PASS' if ok else 'FAIL'}")
+    sweep, flags, header = SWEEPS[args.which]
+    start = time.perf_counter()
+    report = sweep(**{flag: getattr(args, flag) for flag in flags})
+    elapsed = time.perf_counter() - start
+    lines = [f"seed: {args.seed}"] if "seed" in flags else []
+    lines.append(header.format_map({**report.params, **report.counts, "checked": report.checked}))
+    lines.extend(f"failure: {f}" for f in report.failures)
+    lines.append(f"verify {args.which}: {'PASS' if report.ok else 'FAIL'}")
+    payload = {
+        "command": "verify",
+        "which": args.which,
+        "n": args.n,
+        "ok": report.ok,
+        "params": report.params,
+        "counts": report.counts,
+        "checked": report.checked,
+        "failures": report.failures,
+        "elapsed_s": elapsed,
+    }
     _emit(args, payload, lines)
-    return 0 if ok else 1
+    return 0 if report.ok else 1
 
 
 def cmd_count(args) -> int:

@@ -39,7 +39,7 @@ from .poly import (
     mono_lcm,
     row_positions,
 )
-from .rewrite import DEFAULT_MAX_STEPS, FirstByOrder, RewriteError, Strategy, rewrite
+from .rewrite import DEFAULT_MAX_STEPS, FirstByOrder, Report, RewriteError, Strategy, rewrite
 from .ring import ALPHA, BETA, Coeff, RationalLike, resolve_param
 
 
@@ -157,17 +157,20 @@ def _heads_disjoint(a: Monomial, b: Monomial) -> bool:
     return all(not (x and y) for x, y in zip(a, b))
 
 
-def buchberger_check(basis: GroebnerBasis, max_steps: int = DEFAULT_MAX_STEPS) -> bool:
-    """Every s-polynomial of a non-disjoint head pair reduces to zero.
+def buchberger_check(basis: GroebnerBasis, max_steps: int = DEFAULT_MAX_STEPS) -> Report:
+    """Every s-polynomial of a non-disjoint head pair reduces to zero; each
+    pair whose s-polynomial does not is one failure, named by its triples.
 
     Pairs with disjoint heads reduce to zero automatically and are skipped.
     """
+    report = Report({"n": basis.n, "elements": len(basis)}, {"pairs": 0})
     for e1, e2 in combinations_with_replacement(basis.elements, 2):
         if _heads_disjoint(e1.head, e2.head):
             continue
         if not normal_form(spol(e1.poly, e2.poly), basis, max_steps=max_steps).is_zero():
-            return False
-    return True
+            report.failures.append(f"pair {e1.triple} {e2.triple}")
+        report.counts["pairs"] += 1
+    return report
 
 
 def ideal_member(p: XPoly, basis: Optional[GroebnerBasis] = None) -> bool:

@@ -305,29 +305,29 @@ def strategy_suite(count: int, seed: int, trial: int) -> list:
 
 
 @dataclass
-class TUniqueFailure:
-    trial: int
-    input_text: str
-    strategy_a: int
-    strategy_b: int
-    image_a: str
-    image_b: str
+class Report:
+    """What a verification sweep checked and which cases failed.
 
+    `params` holds the sweep's inputs (n, seed, sizes, beta, alpha),
+    `counts` the cases checked of each kind, and `failures` one line per
+    failed case, with what it takes to replay it.  A report is truthy
+    exactly when no case failed.
+    """
 
-@dataclass
-class TUniqueReport:
-    n: int
-    trials: int
-    strategies: int
-    seed: int
-    max_deg: int
-    max_terms: int
-    checked: int = 0
+    params: dict
+    counts: dict
     failures: list = field(default_factory=list)
+
+    @property
+    def checked(self) -> int:
+        return sum(self.counts.values())
 
     @property
     def ok(self) -> bool:
         return not self.failures
+
+    def __bool__(self) -> bool:
+        return self.ok
 
 
 def verify_t_unique(
@@ -339,21 +339,28 @@ def verify_t_unique(
     max_terms: int = 5,
     beta: Optional[RationalLike] = None,
     alpha: Optional[RationalLike] = None,
-) -> TUniqueReport:
-    """Reduce random inputs under several strategies; d_images must agree."""
-    report = TUniqueReport(n, trials, strategies, seed, max_deg, max_terms)
+) -> Report:
+    """Reduce random inputs under several strategies; d_images must agree.
+
+    Trial `trial` draws its input from random.Random(derive_seed(seed, trial))."""
+    report = Report(
+        dict(n=n, trials=trials, strategies=strategies, seed=seed, max_deg=max_deg,
+             max_terms=max_terms, beta=beta, alpha=alpha),
+        {"inputs": 0},
+    )
     for trial in range(trials):
-        rng = random.Random(derive_seed(seed, trial))
-        p = random_xpoly(n, max_deg, max_terms, rng)
+        trial_seed = derive_seed(seed, trial)
+        p = random_xpoly(n, max_deg, max_terms, random.Random(trial_seed))
         images = []
         for strat in strategy_suite(strategies, seed, trial):
             result, _ = reduce_pathless(p, strat, beta, alpha)
             images.append(d_image(result))
-        report.checked += 1
+        report.counts["inputs"] += 1
         for idx in range(1, len(images)):
             if images[idx] != images[0]:
                 report.failures.append(
-                    TUniqueFailure(trial, str(p), 0, idx, str(images[0]), str(images[idx]))
+                    f"trial {trial} seed {trial_seed} input {p}; "
+                    f"strategy 0 image {images[0]}; strategy {idx} image {images[idx]}"
                 )
     return report
 

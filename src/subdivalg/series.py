@@ -39,7 +39,6 @@ Three coordinate systems appear here:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from operator import add
 from typing import Iterable, Optional
 
@@ -57,6 +56,7 @@ from .poly import (
     ring_map,
 )
 from .groebner import ideal_generator
+from .rewrite import COEFF_CHOICES, Report, derive_seed, random_terms, random_xpoly
 from .ring import ALPHA, BETA, Coeff, RationalLike, resolve_param
 
 
@@ -213,38 +213,29 @@ def a_image_rat(
     return total
 
 
-@dataclass
-class AKillsReport:
-    n: int
-    samples: int
-    seed: int
-    generators_checked: int = 0
-    products_checked: int = 0
-    failures: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
 def verify_a_kills_j(
     n: int,
     samples: int = 50,
     seed: int = 0,
     beta: Optional[RationalLike] = None,
     alpha: Optional[RationalLike] = None,
-) -> AKillsReport:
-    """Every defining relation, and random multiples of them, map to zero."""
-    from itertools import combinations
-    from .rewrite import COEFF_CHOICES, random_xpoly
+) -> Report:
+    """Every defining relation, and random multiples of them, map to zero.
 
-    report = AKillsReport(n, samples, seed)
+    The products come from one random.Random(seed) stream, so each failure
+    carries the text of the polynomial that did not map to zero."""
+    from itertools import combinations
+
+    report = Report(
+        dict(n=n, samples=samples, seed=seed, beta=beta, alpha=alpha),
+        {"generators": 0, "products": 0},
+    )
     triples = list(combinations(range(1, n + 1), 3))
     for triple in triples:
         g = ideal_generator(*triple, n, beta, alpha)
         if not a_image_rat(g, beta, alpha).is_zero():
-            report.failures.append(f"generator {triple}")
-        report.generators_checked += 1
+            report.failures.append(f"generator {triple}: {g}")
+        report.counts["generators"] += 1
     rng = random.Random(seed)
     for index in range(samples if triples else 0):
         triple = triples[rng.randrange(len(triples))]
@@ -254,8 +245,8 @@ def verify_a_kills_j(
         mono = next(iter(mono)) if mono else None
         product = g.mul_term(mono, coeff) if mono is not None else g.scale(coeff)
         if not a_image_rat(product, beta, alpha).is_zero():
-            report.failures.append(f"product {index} over generator {triple}")
-        report.products_checked += 1
+            report.failures.append(f"product {index} over generator {triple}: {product}")
+        report.counts["products"] += 1
     return report
 
 
@@ -506,44 +497,32 @@ def verify_ed_eq_ba(
     return left == right
 
 
-@dataclass
-class EdBaReport:
-    n: int
-    max_degree: int
-    order: int
-    checked: int = 0
-    failures: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
 def ed_ba_sweep(
     n: int,
     max_degree: int,
-    order: int,
+    w_order: int,
     beta: Optional[RationalLike] = None,
     alpha: Optional[RationalLike] = None,
-) -> EdBaReport:
+) -> Report:
     """Run verify_ed_eq_ba over every pathless monomial of degree <= max_degree."""
     from .poly import all_monomials
 
-    report = EdBaReport(n, max_degree, order)
+    report = Report(
+        dict(n=n, max_degree=max_degree, w_order=w_order, beta=beta, alpha=alpha),
+        {"monomials": 0},
+    )
     for degree in range(max_degree + 1):
         for m in all_monomials(n, degree):
             if not is_pathless(m):
                 continue
-            if not verify_ed_eq_ba(m, order, beta, alpha):
+            if not verify_ed_eq_ba(m, w_order, beta, alpha):
                 report.failures.append(format_monomial(m))
-            report.checked += 1
+            report.counts["monomials"] += 1
     return report
 
 
 def random_tpoly(n: int, max_deg: int, max_terms: int, rng: random.Random) -> TPoly:
     """Random polynomial in t[1..n-1]; same coefficient pool as random_xpoly."""
-    from .rewrite import random_terms
-
     return TPoly._raw(n, random_terms(n, n - 1, max_deg, max_terms, rng))
 
 
@@ -556,19 +535,6 @@ def g_substitute(p: TPoly, beta: Optional[RationalLike] = None) -> TPoly:
     )
 
 
-@dataclass
-class EInverseReport:
-    n: int
-    samples: int
-    seed: int
-    checked: int = 0
-    failures: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
 def verify_e_left_inverse(
     n: int,
     samples: int,
@@ -577,17 +543,19 @@ def verify_e_left_inverse(
     max_terms: int = 4,
     beta: Optional[RationalLike] = None,
     alpha: Optional[RationalLike] = None,
-) -> EInverseReport:
+) -> Report:
     """g_substitute after the w-constant term of e_image is the identity; sample
     `index` draws its input from random.Random(derive_seed(seed, index))."""
-    from .rewrite import derive_seed
-
-    report = EInverseReport(n, samples, seed)
+    report = Report(
+        dict(n=n, samples=samples, seed=seed, max_deg=max_deg, max_terms=max_terms,
+             beta=beta, alpha=alpha),
+        {"inputs": 0},
+    )
     for index in range(samples):
         sample_seed = derive_seed(seed, index)
         p = random_tpoly(n, max_deg, max_terms, random.Random(sample_seed))
         constant_term = e_image(p, 0, beta, alpha).coeffs[0]
         if g_substitute(constant_term, beta) != p:
             report.failures.append(f"sample {index} seed {sample_seed} input {p}")
-        report.checked += 1
+        report.counts["inputs"] += 1
     return report

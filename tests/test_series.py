@@ -105,7 +105,7 @@ def test_verify_a_kills_j():
     assert verify_a_kills_j(3, samples=20, seed=5).ok
     report = verify_a_kills_j(4, samples=20, seed=5)
     assert report.ok
-    assert report.generators_checked == 4
+    assert report.counts == {"generators": 4, "products": 20}
     assert verify_a_kills_j(4, samples=10, seed=5, beta=1, alpha=0).ok
 
 
