@@ -80,13 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
         "which",
         choices=list(SWEEPS),
     )
-    verify_p.add_argument("--trials", type=int, default=100)
-    verify_p.add_argument("--strategies", type=int, default=5)
-    verify_p.add_argument("--samples", type=int, default=50)
-    verify_p.add_argument("--max-deg", type=int, default=4, dest="max_deg")
-    verify_p.add_argument("--max-terms", type=int, default=5, dest="max_terms")
-    verify_p.add_argument("--w-order", type=int, default=4, dest="w_order")
-    verify_p.add_argument("--max-degree", type=int, default=3, dest="max_degree")
+    for dest in SWEEP_FLAGS:
+        verify_p.add_argument(_flag(dest), type=int, dest=dest)
     verify_p.set_defaults(func=cmd_verify)
 
     count_p = commands.add_parser("count", help="count forkless monomials per degree")
@@ -191,7 +186,6 @@ SWEEPS = {
         ("n", "seed", "samples", "beta", "alpha"),
         "permutations sampled: {samples}",
     ),
-    # e-inverse keeps its own input sizes: --max-deg/--max-terms are not passed.
     "e-inverse": (
         verify_e_left_inverse,
         ("n", "samples", "seed", "beta", "alpha"),
@@ -200,8 +194,32 @@ SWEEPS = {
 }
 
 
+# The flags of `verify` that only some sweeps read, with their defaults.
+# They parse to None when absent, so that a given flag the chosen sweep
+# does not read is an error rather than silently ignored.
+SWEEP_FLAGS = {
+    "trials": 100,
+    "strategies": 5,
+    "samples": 50,
+    "max_deg": 4,
+    "max_terms": 5,
+    "w_order": 4,
+    "max_degree": 3,
+}
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
 def cmd_verify(args) -> int:
     sweep, flags, header = SWEEPS[args.which]
+    unread = [_flag(d) for d in SWEEP_FLAGS if getattr(args, d) is not None and d not in flags]
+    if unread:
+        raise ValueError(f"verify {args.which} does not read {', '.join(unread)}")
+    for dest, default in SWEEP_FLAGS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
     start = time.perf_counter()
     report = sweep(**{flag: getattr(args, flag) for flag in flags})
     elapsed = time.perf_counter() - start

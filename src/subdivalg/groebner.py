@@ -18,8 +18,9 @@ divisor are exactly the irreducible ones).
 `normal_form` runs the rewriting engine of the rewrite module with the
 fork triples of a monomial and `reduce_step`, which subtracts a multiple of
 a basis element chosen so the rewritten monomial is replaced by strictly
-smaller ones; the engine's step bound guards against defects, not against
-the math.
+smaller ones; `reduce_writes` names the monomials of that multiple, so the
+engine updates its reducible set without rescanning.  The engine's step
+bound guards against defects, not against the math.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .poly import (
     format_monomial,
     mono_div,
     mono_lcm,
+    mono_mul,
     row_positions,
 )
 from .rewrite import DEFAULT_MAX_STEPS, FirstByOrder, Report, RewriteError, Strategy, rewrite
@@ -116,14 +118,26 @@ def _fork_triples(m: Monomial) -> list:
     return out
 
 
+def _multiplier(mono: Monomial, triple: Triple, basis: GroebnerBasis) -> tuple:
+    """(g, s) with g the basis element of triple and s = mono / head(g);
+    either is None when there is no such element or quotient."""
+    element = basis._by_triple.get(triple)
+    return element, None if element is None else mono_div(mono, element.head)
+
+
 def reduce_step(p: XPoly, mono: Monomial, triple: Triple, basis: GroebnerBasis) -> XPoly:
     """One reduction p - c*s*g at monomial mono of p, with c its coefficient,
     g the basis element of triple and s = mono / head(g)."""
-    element = basis._by_triple.get(triple)
-    shift = None if element is None else mono_div(mono, element.head)
+    element, shift = _multiplier(mono, triple, basis)
     if shift is None or mono not in p.terms:
         raise RewriteError(f"basis element {triple} does not reduce {format_monomial(mono)}")
     return p - element.poly.mul_term(shift, p.terms[mono])
+
+
+def reduce_writes(mono: Monomial, triple: Triple, basis: GroebnerBasis) -> list:
+    """The monomials s*m, m in g, whose coefficients reduce_step changes."""
+    element, shift = _multiplier(mono, triple, basis)
+    return [mono_mul(m, shift) for m in element.poly.terms]
 
 
 def normal_form(
@@ -137,8 +151,10 @@ def normal_form(
         raise ValueError(f"ambient size mismatch: {p.n} vs {basis.n}")
     # Callees are looked up per call, so run-time wrappers of them see every call.
     step = partial(reduce_step, basis=basis)
+    writes = partial(reduce_writes, basis=basis)
     current = p
-    for _, _, current in rewrite(p, "normal form", _fork_triples, step, strategy, max_steps):
+    steps = rewrite(p, "normal form", _fork_triples, writes, step, strategy, max_steps)
+    for _, _, current in steps:
         pass
     return current
 

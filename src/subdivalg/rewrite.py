@@ -15,14 +15,21 @@ on all four replacement monomials, which is why the game always ends;
 `pathless_step` checks the drop on every call.
 
 `rewrite` is the one reduction loop, for this game and for the forkless
-normal form in `groebner`: a rule gives the triples of a monomial and one
-rewrite at a (monomial, triple); a strategy picks each step.
+normal form in `groebner`: a rule gives the triples of a monomial, the
+monomials a rewrite at a (monomial, triple) writes, and the rewrite
+itself; a strategy picks each step.  Within one call the engine finds
+the triples of each monomial once and keeps the reducible monomials in
+sorted order, updating them from the written monomials only, so a step
+costs the size of its replacement rather than a rescan of every term,
+as in the division loop of Monagan & Pearce (CASC 2007), with a sorted
+list in place of their heap.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterator, Optional, Union
@@ -116,6 +123,27 @@ def find_path_triples(m: Monomial) -> list:
     return triples
 
 
+def path_replacement(mono: Monomial, triple: Triple) -> tuple:
+    """The monomials x[i,k]*x[i,j]*r, x[i,k]*x[j,k]*r, x[i,k]*r and r that
+    the step at (mono, (i, j, k)) writes, where r = mono / (x[i,j]*x[j,k])."""
+    i, j, k = triple
+    positions = pair_position(ambient_size(len(mono)))
+    pos_ij = positions[(i, j)]
+    pos_jk = positions[(j, k)]
+    pos_ik = positions[(i, k)]
+    base = list(mono)
+    base[pos_ij] -= 1
+    base[pos_jk] -= 1
+
+    def shifted(*positions_up):
+        out = list(base)
+        for pos in positions_up:
+            out[pos] += 1
+        return tuple(out)
+
+    return shifted(pos_ik, pos_ij), shifted(pos_ik, pos_jk), shifted(pos_ik), tuple(base)
+
+
 def pathless_step(
     p: XPoly,
     mono: Monomial,
@@ -132,31 +160,19 @@ def pathless_step(
     if coeff is None:
         raise RewriteError(f"monomial {format_monomial(mono)} is absent")
     positions = pair_position(n)
-    pos_ij = positions[(i, j)]
-    pos_jk = positions[(j, k)]
-    pos_ik = positions[(i, k)]
-    if not (mono[pos_ij] and mono[pos_jk]):
+    if not (mono[positions[(i, j)]] and mono[positions[(j, k)]]):
         raise RewriteError(
             f"x[{i},{j}]*x[{j},{k}] does not divide {format_monomial(mono)}"
         )
 
-    base = list(mono)
-    base[pos_ij] -= 1
-    base[pos_jk] -= 1
-
-    def shifted(*positions_up):
-        out = list(base)
-        for pos in positions_up:
-            out[pos] += 1
-        return tuple(out)
-
+    m_ij, m_jk, m_ik, rest = path_replacement(mono, triple)
     beta_c = resolve_param(beta, BETA)
     alpha_c = resolve_param(alpha, ALPHA)
     replacement = (
-        (shifted(pos_ik, pos_ij), coeff),
-        (shifted(pos_ik, pos_jk), coeff),
-        (shifted(pos_ik), coeff * beta_c),
-        (tuple(base), coeff * alpha_c),
+        (m_ij, coeff),
+        (m_jk, coeff),
+        (m_ik, coeff * beta_c),
+        (rest, coeff * alpha_c),
     )
     bound = weight_pathless(mono)
     if any(weight_pathless(m) >= bound for m, _ in replacement):
@@ -171,33 +187,57 @@ def rewrite(
     p: XPoly,
     name: str,
     triples_of: Callable,
+    writes: Callable,
     step: Callable,
     strategy: Strategy = FirstByOrder(),
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> Iterator[tuple]:
     """Rewrite p until no monomial has a triple, yielding (monomial, triple,
     after) per step.  triples_of(m) lists the triples of m in lex order;
-    step(q, m, t) rewrites q there or raises RewriteError."""
+    step(q, m, t) rewrites q there or raises RewriteError; writes(m, t)
+    lists every monomial besides m whose coefficient that step may change.
+
+    The triples of each monomial are found once per call, and the reducible
+    monomials are kept in ascending order, updated after each step at m
+    and t from m and writes(m, t) alone, so no step rescans the polynomial.
+    """
     rng = random.Random(strategy.seed) if isinstance(strategy, RandomStrategy) else None
     script = strategy.steps if isinstance(strategy, ScriptStrategy) else None
+    memo: dict = {}
+
+    def triples(m: Monomial) -> list:
+        found = memo.get(m)
+        if found is None:
+            found = memo[m] = triples_of(m)
+        return found
+
+    reducible = sorted(m for m in p.terms if triples(m))
+    # The number of (monomial, triple) pairs, which RandomStrategy draws from.
+    pairs = sum(len(memo[m]) for m in reducible)
     current = p
     for count in itertools.count(1):
         if script is not None and count <= len(script):
             mono, triple = script[count - 1]
         else:
-            ordered = sorted(current.terms, reverse=True)
-            choices = [(m, ts) for m in ordered if (ts := triples_of(m))]
-            if not choices:
+            if not reducible:
                 return
             if script is not None:
                 raise RewriteError(f"script exhausted before the {name} finished")
             if isinstance(strategy, FirstByOrder):
-                mono, triple = choices[0][0], choices[0][1][0]
+                mono = reducible[-1]
+                triple = memo[mono][0]
             elif isinstance(strategy, LastByOrder):
-                mono, triple = choices[-1][0], choices[-1][1][-1]
+                mono = reducible[0]
+                triple = memo[mono][-1]
             else:
-                flat = [(m, t) for m, ts in choices for t in ts]
-                mono, triple = flat[rng.randrange(len(flat))]
+                # Index into the pairs listed by descending monomial.
+                index = rng.randrange(pairs)
+                for mono in reversed(reducible):
+                    found = memo[mono]
+                    if index < len(found):
+                        triple = found[index]
+                        break
+                    index -= len(found)
         if count > max_steps:
             raise ResourceLimitError(f"{name} did not terminate within {max_steps} steps")
         try:
@@ -206,6 +246,16 @@ def rewrite(
             if script is None:
                 raise
             raise RewriteError(f"script step {count} does not apply: {exc}") from None
+        for m in (mono, *writes(mono, triple)):
+            at = bisect_left(reducible, m)
+            listed = at < len(reducible) and reducible[at] == m
+            if m in current.terms and triples(m):
+                if not listed:
+                    reducible.insert(at, m)
+                    pairs += len(memo[m])
+            elif listed:
+                del reducible[at]
+                pairs -= len(memo[m])
         yield mono, triple, current
 
 
@@ -218,7 +268,8 @@ def reduce_pathless(
     """Play the game to a pathless polynomial; returns (result, trace)."""
     # Callees are looked up per call, so run-time wrappers of them see every call.
     step = partial(pathless_step, beta=beta, alpha=alpha)
-    trace = [TraceStep(*s) for s in rewrite(p, "pathless game", find_path_triples, step, strategy)]
+    game = rewrite(p, "pathless game", find_path_triples, path_replacement, step, strategy)
+    trace = [TraceStep(*s) for s in game]
     return (trace[-1].after if trace else p), trace
 
 

@@ -161,6 +161,19 @@ def test_bad_verify_choice(capsys):
     assert "invalid choice" in err
 
 
+def test_verify_rejects_flags_the_sweep_does_not_read(capsys):
+    code, out, err = run(
+        capsys, "verify", "--n", "3", "e-inverse", "--max-deg", "6", "--max-terms", "9"
+    )
+    assert code == 2
+    assert out == []
+    assert err == "error: verify e-inverse does not read --max-deg, --max-terms\n"
+    code, out, err = run(capsys, "verify", "--n", "3", "groebner", "--trials", "4")
+    assert code == 2
+    assert out == []
+    assert err == "error: verify groebner does not read --trials\n"
+
+
 def test_missing_n_flag(capsys):
     code, _, err = run(capsys, "count", "forkless", "--max-degree", "2")
     assert code == 2

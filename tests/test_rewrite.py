@@ -1,6 +1,9 @@
-"""The pathless game: single steps, strategies, traces, and d-image agreement."""
+"""The pathless game: single steps, strategies, traces, and d-image agreement;
+the rewriting engine against a full-rescan reference loop."""
 
+import itertools
 import random
+from functools import partial
 
 import pytest
 
@@ -12,7 +15,13 @@ from conftest import (
     GAME_SCRIPT,
     GAME_START,
 )
-from subdivalg.groebner import generate_basis, normal_form
+from subdivalg.groebner import (
+    _fork_triples,
+    generate_basis,
+    normal_form,
+    reduce_step,
+    reduce_writes,
+)
 from subdivalg.poly import (
     d_image,
     is_pathless,
@@ -30,11 +39,13 @@ from subdivalg.rewrite import (
     ResourceLimitError,
     RewriteError,
     ScriptStrategy,
+    TraceStep,
     d_invariance_counterexample,
     derive_seed,
     find_path_triples,
     format_trace,
     parse_script,
+    path_replacement,
     pathless_step,
     random_xpoly,
     reduce_pathless,
@@ -257,9 +268,13 @@ def test_engine_step_bound():
     _, trace = reduce_pathless(p)
     assert len(trace) > 1
     with pytest.raises(ResourceLimitError) as info:
-        list(rewrite(p, "pathless game", find_path_triples, pathless_step, max_steps=1))
+        list(rewrite(
+            p, "pathless game", find_path_triples, path_replacement, pathless_step, max_steps=1
+        ))
     assert str(info.value) == "pathless game did not terminate within 1 steps"
-    exact = rewrite(p, "pathless game", find_path_triples, pathless_step, max_steps=len(trace))
+    exact = rewrite(
+        p, "pathless game", find_path_triples, path_replacement, pathless_step, max_steps=len(trace)
+    )
     assert list(exact) == [(s.monomial, s.triple, s.after) for s in trace]
 
 
@@ -269,3 +284,111 @@ def test_reduce_pathless_is_bounded(monkeypatch):
     monkeypatch.setattr(rewrite, "__defaults__", (FirstByOrder(), 2))
     with pytest.raises(ResourceLimitError, match="pathless game did not terminate within 2 steps"):
         reduce_pathless(parse_poly(GAME_START, 4))
+
+
+def reference_rewrite(
+    p, name, triples_of, step, strategy=FirstByOrder(), max_steps=DEFAULT_MAX_STEPS
+):
+    """The engine before it kept a reducible set: every step re-sorts all
+    terms and finds the triples of each one again."""
+    rng = random.Random(strategy.seed) if isinstance(strategy, RandomStrategy) else None
+    script = strategy.steps if isinstance(strategy, ScriptStrategy) else None
+    current = p
+    for count in itertools.count(1):
+        if script is not None and count <= len(script):
+            mono, triple = script[count - 1]
+        else:
+            ordered = sorted(current.terms, reverse=True)
+            choices = [(m, ts) for m in ordered if (ts := triples_of(m))]
+            if not choices:
+                return
+            if script is not None:
+                raise RewriteError(f"script exhausted before the {name} finished")
+            if isinstance(strategy, FirstByOrder):
+                mono, triple = choices[0][0], choices[0][1][0]
+            elif isinstance(strategy, LastByOrder):
+                mono, triple = choices[-1][0], choices[-1][1][-1]
+            else:
+                flat = [(m, t) for m, ts in choices for t in ts]
+                mono, triple = flat[rng.randrange(len(flat))]
+        if count > max_steps:
+            raise ResourceLimitError(f"{name} did not terminate within {max_steps} steps")
+        try:
+            current = step(current, mono, triple)
+        except RewriteError as exc:
+            if script is None:
+                raise
+            raise RewriteError(f"script step {count} does not apply: {exc}") from None
+        yield mono, triple, current
+
+
+def run_engine(steps) -> tuple:
+    """(the steps an engine yielded, (error type, text) or None)."""
+    out = []
+    try:
+        for s in steps:
+            out.append(s)
+    except (RewriteError, ResourceLimitError) as exc:
+        return out, (type(exc), str(exc))
+    return out, None
+
+
+# Inputs where a step cancels another reducible monomial to zero: the
+# first in the game, the second in the normal form, both under `first`.
+CANCELLING = (
+    "x[1,2]*x[2,3]*x[3,4] - x[1,3]*x[2,3]*x[3,4]",
+    "x[1,2]*x[1,3]*x[1,4] + x[1,3]*x[1,4]*x[2,3]",
+)
+
+
+def reducible_set_events(p, triples_of, steps) -> tuple:
+    """How many steps cancel a reducible monomial other than their own, and
+    how many re-create a monomial that an earlier step removed."""
+    cancelled = recreated = 0
+    before, removed = p, set()
+    for mono, _, after in steps:
+        cancelled += any(m != mono and m not in after.terms and triples_of(m) for m in before.terms)
+        recreated += any(m in removed and m not in before.terms for m in after.terms)
+        removed.update(m for m in before.terms if m not in after.terms)
+        before = after
+    return cancelled, recreated
+
+
+def test_engine_matches_full_rescan():
+    rng = random.Random(23)
+    inputs = [parse_poly(text, 4) for text in CANCELLING]
+    inputs += [random_xpoly(3 + t % 5, 4 if t % 5 < 3 else 3, 5, rng) for t in range(25)]
+    bases = {n: generate_basis(n) for n in range(3, 8)}
+    events = {}
+    for trial, p in enumerate(inputs):
+        basis = bases[p.n]
+        rules = (
+            ("pathless game", find_path_triples, path_replacement, pathless_step),
+            ("normal form", _fork_triples, partial(reduce_writes, basis=basis),
+             partial(reduce_step, basis=basis)),
+        )
+        for name, triples_of, writes, step in rules:
+            strategies = [FirstByOrder(), LastByOrder()]
+            strategies += [RandomStrategy(derive_seed(23, trial, s)) for s in range(3)]
+            for strategy in strategies:
+                expected, error = run_engine(reference_rewrite(p, name, triples_of, step, strategy))
+                assert error is None
+                got = run_engine(rewrite(p, name, triples_of, writes, step, strategy))
+                assert got == (expected, None)
+                script = parse_script(format_trace([TraceStep(*s) for s in expected]), p.n)
+                # The script in full and cut short, a script whose first step
+                # does not apply, and a step bound one short of the game.
+                replays = [
+                    (script, DEFAULT_MAX_STEPS),
+                    (ScriptStrategy(script.steps[: len(expected) // 2]), DEFAULT_MAX_STEPS),
+                    (ScriptStrategy(script.steps[1:]), DEFAULT_MAX_STEPS),
+                    (strategy, max(len(expected) - 1, 0)),
+                ]
+                for replay, bound in replays:
+                    got = run_engine(rewrite(p, name, triples_of, writes, step, replay, bound))
+                    want = run_engine(reference_rewrite(p, name, triples_of, step, replay, bound))
+                    assert got == want
+                counts = reducible_set_events(p, triples_of, expected)
+                events[name] = [a + b for a, b in zip(events.get(name, (0, 0)), counts)]
+    # Both rules meet both ways a step changes the reducible set besides its own monomial.
+    assert all(cancelled and recreated for cancelled, recreated in events.values()), events
