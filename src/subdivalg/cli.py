@@ -52,11 +52,12 @@ def param_value(text: str) -> Optional[Fraction]:
         ) from None
 
 
-def _common_flags(sub: argparse.ArgumentParser):
+def _common_flags(sub: argparse.ArgumentParser, seed: bool = True):
     sub.add_argument("--n", type=int, required=True, help="ambient size n")
     sub.add_argument("--beta", type=param_value, default=None, metavar="RAT|sym")
     sub.add_argument("--alpha", type=param_value, default=None, metavar="RAT|sym")
-    sub.add_argument("--seed", type=int, default=0)
+    if seed:
+        sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--json", action="store_true", dest="as_json")
 
 
@@ -75,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     reduce_p.set_defaults(func=cmd_reduce)
 
     verify_p = commands.add_parser("verify", help="run a verification sweep")
-    _common_flags(verify_p)
+    _common_flags(verify_p, seed=False)
     verify_p.add_argument(
         "which",
         choices=list(SWEEPS),
@@ -198,6 +199,7 @@ SWEEPS = {
 # They parse to None when absent, so that a given flag the chosen sweep
 # does not read is an error rather than silently ignored.
 SWEEP_FLAGS = {
+    "seed": 0,
     "trials": 100,
     "strategies": 5,
     "samples": 50,

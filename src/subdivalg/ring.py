@@ -6,8 +6,12 @@ symbolic means every verified identity holds for all rational
 specializations at once; `Coeff.specialize` recovers a concrete instance
 when numeric parameters are wanted.
 
-A coefficient is stored sparsely as {(deg_b, deg_a): Fraction} with zero
-values pruned, so structural equality coincides with ring equality.
+A coefficient is stored sparsely as {(deg_b, deg_a): value} with zero
+values pruned.  A rational value is stored as an `int` when it is
+integral and as a `Fraction` otherwise, and every result is normalised
+back to that form, so structural equality coincides with ring equality.
+Symbolic runs on integral input therefore never touch `Fraction`
+arithmetic; `specialize` and `constant_value` still return `Fraction`.
 """
 
 from __future__ import annotations
@@ -27,7 +31,10 @@ class Coeff:
         cleaned = {}
         if terms:
             for key, value in terms.items():
-                value = Fraction(value)
+                if type(value) is not int:
+                    value = Fraction(value)
+                    if value.denominator == 1:
+                        value = value.numerator
                 if value:
                     cleaned[key] = value
         self._terms = cleaned
@@ -42,15 +49,15 @@ class Coeff:
 
     @staticmethod
     def rational(value: RationalLike) -> "Coeff":
-        return Coeff({(0, 0): Fraction(value)})
+        return Coeff({(0, 0): value})
 
     @staticmethod
     def param_term(deg_b: int, deg_a: int, value: RationalLike = 1) -> "Coeff":
         if deg_b < 0 or deg_a < 0:
             raise ValueError("parameter exponents must be nonnegative")
-        return Coeff({(deg_b, deg_a): Fraction(value)})
+        return Coeff({(deg_b, deg_a): value})
 
-    def terms(self) -> Iterator[tuple[tuple[int, int], Fraction]]:
+    def terms(self) -> Iterator[tuple[tuple[int, int], RationalLike]]:
         """Yield ((deg_b, deg_a), value) pairs in descending degree order."""
         return iter(sorted(self._terms.items(), reverse=True))
 
@@ -73,7 +80,7 @@ class Coeff:
             return NotImplemented
         merged = dict(self._terms)
         for key, value in other._terms.items():
-            merged[key] = merged.get(key, _ZERO_FRAC) + value
+            merged[key] = merged.get(key, 0) + value
         return Coeff(merged)
 
     def __sub__(self, other: "Coeff") -> "Coeff":
@@ -81,7 +88,7 @@ class Coeff:
             return NotImplemented
         merged = dict(self._terms)
         for key, value in other._terms.items():
-            merged[key] = merged.get(key, _ZERO_FRAC) - value
+            merged[key] = merged.get(key, 0) - value
         return Coeff(merged)
 
     def __mul__(self, other: "Coeff") -> "Coeff":
@@ -91,14 +98,14 @@ class Coeff:
         for (b1, a1), v1 in self._terms.items():
             for (b2, a2), v2 in other._terms.items():
                 key = (b1 + b2, a1 + a2)
-                product[key] = product.get(key, _ZERO_FRAC) + v1 * v2
+                product[key] = product.get(key, 0) + v1 * v2
         return Coeff(product)
 
     def specialize(self, beta: RationalLike, alpha: RationalLike) -> Fraction:
         """Evaluate at numeric parameter values."""
         beta = Fraction(beta)
         alpha = Fraction(alpha)
-        total = _ZERO_FRAC
+        total = Fraction(0)
         for (deg_b, deg_a), value in self._terms.items():
             total += value * beta**deg_b * alpha**deg_a
         return total
@@ -120,7 +127,7 @@ class Coeff:
                 value *= Fraction(alpha) ** deg_a
                 deg_a = 0
             key = (deg_b, deg_a)
-            out[key] = out.get(key, _ZERO_FRAC) + value
+            out[key] = out.get(key, 0) + value
         return Coeff(out)
 
     def constant_value(self) -> Fraction:
@@ -131,7 +138,7 @@ class Coeff:
         for (deg_b, deg_a), _ in self._terms.items():
             if deg_b or deg_a:
                 raise ValueError("coefficient is not constant")
-        return self._terms.get((0, 0), _ZERO_FRAC)
+        return Fraction(self._terms.get((0, 0), 0))
 
     def __str__(self) -> str:
         return render_terms([(self, [])])
@@ -139,8 +146,6 @@ class Coeff:
     def __repr__(self) -> str:
         return f"Coeff({self!s})"
 
-
-_ZERO_FRAC = Fraction(0)
 
 ZERO = Coeff.zero()
 ONE = Coeff.one()

@@ -52,7 +52,9 @@ from .poly import (
     d_image,
     format_monomial,
     is_pathless,
+    mono_one,
     mono_pairs,
+    pair_list,
     ring_map,
 )
 from .groebner import ideal_generator
@@ -302,6 +304,28 @@ def is_s_friendly(m: Monomial, subset: frozenset) -> bool:
     return True
 
 
+def factor_series(
+    i: int, j: int, n: int, order: int, beta_c: Coeff, alpha_c: Coeff
+) -> QTruncSeries:
+    """The expansion of one factor x[i,j], cut at negative mass order:
+    -sum_k (q[i]^(k+1)*q[j]^-k + b*q[i]^k*q[j]^-k + a*q[i]^k*q[j]^-(k+1))."""
+
+    def exponent(e_i: int, e_j: int) -> tuple:
+        exps = [0] * n
+        exps[i - 1] = e_i
+        exps[j - 1] = e_j
+        return tuple(exps)
+
+    def summands():
+        for k in range(order + 1):
+            yield exponent(k + 1, -k), Coeff.one()
+            yield exponent(k, -k), beta_c
+            if k + 1 <= order:
+                yield exponent(k, -(k + 1)), alpha_c
+
+    return QTruncSeries(n, order, accumulate({}, summands(), negate=True))
+
+
 def a_s_expand(
     m: Monomial,
     subset: Iterable,
@@ -323,26 +347,9 @@ def a_s_expand(
         raise ValueError(f"{format_monomial(m)} is not friendly for {sorted(subset)}")
     beta_c = resolve_param(beta, BETA)
     alpha_c = resolve_param(alpha, ALPHA)
-
-    def factor_series(i: int, j: int) -> QTruncSeries:
-        def exponent(e_i: int, e_j: int) -> tuple:
-            exps = [0] * n
-            exps[i - 1] = e_i
-            exps[j - 1] = e_j
-            return tuple(exps)
-
-        def summands():
-            for k in range(order + 1):
-                yield exponent(k + 1, -k), Coeff.one()
-                yield exponent(k, -k), beta_c
-                if k + 1 <= order:
-                    yield exponent(k, -(k + 1)), alpha_c
-
-        return QTruncSeries(n, order, accumulate({}, summands(), negate=True))
-
     out = QTruncSeries.one(n, order)
     for (i, j), e in mono_pairs(m):
-        factor = factor_series(i, j)
+        factor = factor_series(i, j, n, order, beta_c, alpha_c)
         for _ in range(e):
             out = out * factor
     return out
@@ -442,6 +449,19 @@ def b_map(f: QTruncSeries) -> TWSeries:
     return TWSeries(f.n, f.order, [TPoly._raw(f.n, bucket) for bucket in buckets])
 
 
+def variable_series(pos: int, n: int, order: int, beta_c: Coeff, alpha_c: Coeff) -> TWSeries:
+    """The image of t[pos+1]: -(t + b + a*w)*(1 + t*w + t^2*w^2 + ...) up to order."""
+    t_i = TPoly.variable(pos + 1, n)
+    geometric = [TPoly.one(n)]
+    for _ in range(order):
+        geometric.append(geometric[-1] * t_i)
+    front = [TPoly.zero(n)] * (order + 1)
+    front[0] = -(t_i + TPoly.constant(n, beta_c))
+    if order >= 1:
+        front[1] = TPoly.constant(n, -alpha_c)
+    return TWSeries(n, order, front) * TWSeries(n, order, geometric)
+
+
 def e_image(
     p: TPoly,
     order: int,
@@ -458,19 +478,12 @@ def e_image(
             raise ValueError(f"t[{n}] has no series image")
     beta_c = resolve_param(beta, BETA)
     alpha_c = resolve_param(alpha, ALPHA)
-
-    def variable_series(pos: int) -> TWSeries:
-        t_i = TPoly.variable(pos + 1, n)
-        geometric = [TPoly.one(n)]
-        for _ in range(order):
-            geometric.append(geometric[-1] * t_i)
-        front = [TPoly.zero(n)] * (order + 1)
-        front[0] = -(t_i + TPoly.constant(n, beta_c))
-        if order >= 1:
-            front[1] = TPoly.constant(n, -alpha_c)
-        return TWSeries(n, order, front) * TWSeries(n, order, geometric)
-
-    return ring_map(p, variable_series, TWSeries.one(n, order), TWSeries.zero(n, order))
+    return ring_map(
+        p,
+        lambda pos: variable_series(pos, n, order, beta_c, alpha_c),
+        TWSeries.one(n, order),
+        TWSeries.zero(n, order),
+    )
 
 
 def friendly_rows(m: Monomial) -> frozenset:
@@ -504,20 +517,56 @@ def ed_ba_sweep(
     beta: Optional[RationalLike] = None,
     alpha: Optional[RationalLike] = None,
 ) -> Report:
-    """Run verify_ed_eq_ba over every pathless monomial of degree <= max_degree."""
-    from .poly import all_monomials
+    """Check e.d = b.a, as verify_ed_eq_ba does, on every pathless monomial
+    of degree <= max_degree.
 
+    The walk is depth first.  A child is its parent times one variable whose
+    slot is at least the parent's last occupied slot, so every monomial is
+    reached once, with its variables added in ascending slot order.  A
+    child that is not pathless is cut off with its subtree: every multiple
+    of it has the same path.  Each side of a child is one product away from
+    its parent's: the right side is the parent's times the factor_series of
+    the new variable, the left fold a_s_expand takes (exact, because
+    negative masses only add up on the S-friendly pathless monomials); the
+    left side is the parent's times the variable_series of its row.  The
+    factors are built once per call and only the pairs of series on the
+    current path are held.  Failures come out by degree, then ascending
+    exponent tuple, as all_monomials yields the monomials.
+    """
     report = Report(
         dict(n=n, max_degree=max_degree, w_order=w_order, beta=beta, alpha=alpha),
         {"monomials": 0},
     )
-    for degree in range(max_degree + 1):
-        for m in all_monomials(n, degree):
-            if not is_pathless(m):
+    root = mono_one(n)
+    width = len(root)
+    n = ambient_size(width)  # as verify_ed_eq_ba reads it off a monomial
+    pairs = pair_list(n)
+    beta_c = resolve_param(beta, BETA)
+    alpha_c = resolve_param(alpha, ALPHA)
+    factors: dict = {}
+    rows: dict = {}
+    failures: list = []
+
+    def visit(m: Monomial, last: int, degree: int, left: TWSeries, right: QTruncSeries):
+        if left != b_map(right):
+            failures.append((degree, m))
+        report.counts["monomials"] += 1
+        if degree == max_degree:
+            return
+        for pos in range(last, width):
+            child = m[:pos] + (m[pos] + 1,) + m[pos + 1 :]
+            if not is_pathless(child):
                 continue
-            if not verify_ed_eq_ba(m, w_order, beta, alpha):
-                report.failures.append(format_monomial(m))
-            report.counts["monomials"] += 1
+            i, j = pairs[pos]
+            if pos not in factors:
+                factors[pos] = factor_series(i, j, n, w_order, beta_c, alpha_c)
+            if i not in rows:
+                rows[i] = variable_series(i - 1, n, w_order, beta_c, alpha_c)
+            visit(child, pos, degree + 1, left * rows[i], right * factors[pos])
+
+    if max_degree >= 0:
+        visit(root, 0, 0, TWSeries.one(n, w_order), QTruncSeries.one(n, w_order))
+    report.failures.extend(format_monomial(m) for _, m in sorted(failures))
     return report
 
 

@@ -174,6 +174,22 @@ def test_verify_rejects_flags_the_sweep_does_not_read(capsys):
     assert err == "error: verify groebner does not read --trials\n"
 
 
+def test_verify_rejects_seed_where_no_sweep_draws(capsys):
+    for which in ("groebner", "ed-ba"):
+        code, out, err = run(capsys, "verify", "--n", "3", which, "--seed", "5")
+        assert code == 2
+        assert out == []
+        assert err == f"error: verify {which} does not read --seed\n"
+    code, out, _ = run(capsys, "verify", "--n", "3", "a-kills-j", "--samples", "2")
+    assert code == 0
+    assert out[0] == "seed: 0"
+    code, out, _ = run(
+        capsys, "reduce", "--n", "3", "--mode", "pathless", "--strategy", "random", "x[1,2]"
+    )
+    assert code == 0
+    assert out[0] == "seed: 0"
+
+
 def test_missing_n_flag(capsys):
     code, _, err = run(capsys, "count", "forkless", "--max-degree", "2")
     assert code == 2

@@ -5,7 +5,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import GAME_RESULT, random_monomial
@@ -332,3 +332,41 @@ def test_degenerate_n1():
     assert parse_poly("b - a", 1).n == 1
     assert is_pathless(mono_one(1)) and is_forkless(mono_one(1))
     assert d_image(parse_poly("2", 1)) == parse_tpoly("2", 1)
+
+
+# parse(str(p)) == p over integer, p/q, b and a coefficients; integral values
+# are stored as int and the rest as Fraction, and both must print the same way.
+rational_values = st.one_of(
+    st.integers(-30, 30),
+    st.fractions(min_value=-30, max_value=30, max_denominator=12),
+)
+param_coeffs = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), rational_values, max_size=3
+).map(Coeff)
+
+
+@st.composite
+def sparse_polys(draw, cls):
+    n = draw(st.integers(1, 5))
+    width = num_vars(n) if cls is XPoly else n
+    keys = st.lists(st.integers(0, 3), min_size=width, max_size=width).map(tuple)
+    return cls(n, draw(st.dictionaries(keys, param_coeffs, max_size=4)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(sparse_polys(XPoly), sparse_polys(TPoly))
+def test_parse_round_trip_property(p, q):
+    assert parse_poly(str(p), p.n) == p
+    assert parse_tpoly(str(q), q.n) == q
+    assert str(parse_poly(str(p), p.n)) == str(p)
+    assert str(parse_tpoly(str(q), q.n)) == str(q)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.text(alphabet="xtba[],0123456789/^*+- .", max_size=40), st.integers(1, 5))
+def test_parse_garbage_raises_only_parse_errors(text, n):
+    for parse in (parse_poly, parse_tpoly):
+        try:
+            parse(text, n)
+        except PolyParseError:
+            pass

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subdivalg.ring import ALPHA, BETA, ONE, ZERO, Coeff, resolve_param
@@ -139,3 +139,104 @@ def test_terms_descending():
     c = ALPHA + BETA + BETA * BETA
     keys = [key for key, _ in c.terms()]
     assert keys == [(2, 0), (1, 0), (0, 1)]
+
+
+# Storage: a value is an int when integral and a Fraction otherwise, and
+# arithmetic agrees with plain Fraction arithmetic on the same entries.
+
+
+def reference(c: Coeff) -> dict:
+    return {key: Fraction(value) for key, value in c.terms()}
+
+
+def pruned(terms: dict) -> dict:
+    return {key: value for key, value in terms.items() if value}
+
+
+def ref_combine(x: dict, y: dict, sign: int) -> dict:
+    out = dict(x)
+    for key, value in y.items():
+        out[key] = out.get(key, Fraction(0)) + sign * value
+    return pruned(out)
+
+
+def ref_mul(x: dict, y: dict) -> dict:
+    out: dict = {}
+    for (b1, a1), v1 in x.items():
+        for (b2, a2), v2 in y.items():
+            key = (b1 + b2, a1 + a2)
+            out[key] = out.get(key, Fraction(0)) + v1 * v2
+    return pruned(out)
+
+
+def ref_substitute(x: dict, beta, alpha) -> dict:
+    out: dict = {}
+    for (deg_b, deg_a), value in x.items():
+        if beta is not None:
+            value, deg_b = value * Fraction(beta) ** deg_b, 0
+        if alpha is not None:
+            value, deg_a = value * Fraction(alpha) ** deg_a, 0
+        out[(deg_b, deg_a)] = out.get((deg_b, deg_a), Fraction(0)) + value
+    return pruned(out)
+
+
+def assert_normalised(c: Coeff):
+    for _, value in c.terms():
+        assert type(value) in (int, Fraction)
+        assert type(value) is int or value.denominator != 1
+
+
+mixed_values = st.one_of(st.integers(-50, 50), rationals)
+mixed_coeffs = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), mixed_values, max_size=4
+).map(Coeff)
+params = st.one_of(st.none(), st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+
+
+@settings(derandomize=True, max_examples=150)
+@given(mixed_coeffs, mixed_coeffs, params, params)
+def test_arithmetic_matches_fraction_reference(x, y, beta, alpha):
+    rx, ry = reference(x), reference(y)
+    cases = [
+        (x + y, ref_combine(rx, ry, 1)),
+        (x - y, ref_combine(rx, ry, -1)),
+        (x * y, ref_mul(rx, ry)),
+        (-x, {key: -value for key, value in rx.items()}),
+        (x.substitute(beta, alpha), ref_substitute(rx, beta, alpha)),
+    ]
+    for result, expected in cases:
+        assert reference(result) == expected
+        assert_normalised(result)
+
+
+def test_integral_results_are_stored_as_int():
+    third = Coeff.rational(Fraction(1, 3))
+    assert dict((Coeff.rational(3) * third).terms()) == {(0, 0): 1}
+    assert type(dict((third + third + third).terms())[(0, 0)]) is int
+    assert type(dict(Coeff.rational(Fraction(4, 2)).terms())[(0, 0)]) is int
+    assert type(dict(Coeff.param_term(1, 0, Fraction(1, 2)).terms())[(1, 0)]) is Fraction
+    assert type(dict(BETA.substitute(beta=Fraction(6, 3)).terms())[(0, 0)]) is int
+
+
+def test_specialize_and_constant_value_return_fractions():
+    for c in (ZERO, ONE, BETA * ALPHA + Coeff.rational(3), Coeff.rational(Fraction(1, 3))):
+        assert type(c.specialize(2, 3)) is Fraction
+        assert type(c.substitute(beta=2, alpha=3).constant_value()) is Fraction
+    assert ZERO.specialize(1, 1) == 0
+    assert (BETA - Coeff.rational(2)).specialize(2, 0) == 0
+
+
+def test_symbolic_runs_on_integral_input_store_no_fraction():
+    from subdivalg.poly import mono_from_pairs, parse_poly
+    from subdivalg.rewrite import FirstByOrder, reduce_pathless
+    from subdivalg.series import a_s_expand, friendly_rows
+
+    def values(p):
+        return [value for c in p.terms.values() for _, value in c.terms()]
+
+    result, _ = reduce_pathless(parse_poly("3*x[1,2]*x[2,3]*x[3,4] - b*x[2,3]", 4), FirstByOrder())
+    mono = mono_from_pairs(4, {(1, 3): 2, (1, 4): 1, (2, 4): 1})
+    series = a_s_expand(mono, friendly_rows(mono), 3)
+    for p in (result, series):
+        assert values(p)
+        assert all(type(value) is int for value in values(p))

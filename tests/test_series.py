@@ -1,15 +1,20 @@
 """Fraction substitution, series expansion, and the square e.d = b.a."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from conftest import random_pathless_monomial
+from subdivalg import series
 from subdivalg.groebner import ideal_generator
 from subdivalg.poly import (
     TPoly,
     XPoly,
+    all_monomials,
     d_image,
+    format_monomial,
+    is_pathless,
     mono_from_pairs,
     mono_one,
     parse_tpoly,
@@ -247,6 +252,46 @@ def test_ed_ba_sweep_small():
     report4 = ed_ba_sweep(4, 3, 4)
     assert report4.ok
     assert report4.checked == 59
+
+
+def sweeps_agree(beta, alpha) -> list:
+    """Compare ed_ba_sweep's counts and failures with one verify_ed_eq_ba per
+    monomial, for n = 3..5, every max degree <= 3 and w order 2; return the
+    failures of the largest case."""
+    for n in range(3, 6):
+        count = 0
+        failures = []
+        for max_degree in range(4):
+            for m in all_monomials(n, max_degree):
+                if is_pathless(m):
+                    count += 1
+                    if not verify_ed_eq_ba(m, 2, beta, alpha):
+                        failures.append(format_monomial(m))
+            report = ed_ba_sweep(n, max_degree, 2, beta, alpha)
+            assert report.counts == {"monomials": count}
+            assert report.failures == failures
+    return report.failures
+
+
+@pytest.mark.parametrize("beta, alpha", [(None, None), (Fraction(1, 3), 2)])
+def test_ed_ba_sweep_matches_per_monomial_checks(beta, alpha, monkeypatch):
+    assert sweeps_agree(beta, alpha) == []
+    original = series.factor_series
+
+    def broken(i, j, n, order, beta_c, alpha_c):
+        s = original(i, j, n, order, beta_c, alpha_c)
+        if (i, j) != (1, 3):
+            return s
+        terms = dict(s.terms)
+        key = tuple(1 if pos == i else 0 for pos in range(1, n + 1))
+        terms[key] = terms[key] + terms[key]
+        return QTruncSeries(n, order, terms)
+
+    # Doubling one coefficient of the x[1,3] factor breaks both routes alike.
+    monkeypatch.setattr(series, "factor_series", broken)
+    failures = sweeps_agree(beta, alpha)
+    assert len(failures) >= 5
+    assert all("x[1,3]" in f for f in failures)
 
 
 def test_d_image_agrees_across_games():
