@@ -11,8 +11,8 @@ Commands:
 Exit codes: 0 success or verified, 1 verification failure or count
 mismatch, 2 usage or parse error, or a reduction that hit its step
 limit.  Parameters b and a stay symbolic unless --beta/--alpha give
-rational values.  Commands that draw random samples take --seed
-(default 0) and always print the seed they used.
+rational values.  Only commands that draw random choices take --seed
+(default 0), and they always print the seed they used.
 """
 
 from __future__ import annotations
@@ -52,12 +52,10 @@ def param_value(text: str) -> Optional[Fraction]:
         ) from None
 
 
-def _common_flags(sub: argparse.ArgumentParser, seed: bool = True):
+def _common_flags(sub: argparse.ArgumentParser):
     sub.add_argument("--n", type=int, required=True, help="ambient size n")
     sub.add_argument("--beta", type=param_value, default=None, metavar="RAT|sym")
     sub.add_argument("--alpha", type=param_value, default=None, metavar="RAT|sym")
-    if seed:
-        sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--json", action="store_true", dest="as_json")
 
 
@@ -69,6 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(reduce_p)
     reduce_p.add_argument("--mode", choices=["pathless", "forkless"], required=True)
     reduce_p.add_argument("--strategy", choices=["first", "last", "random", "script"])
+    # None when absent, so that a --seed nothing reads is an error.
+    reduce_p.add_argument("--seed", type=int)
     reduce_p.add_argument("--script-file", dest="script_file")
     reduce_p.add_argument("--trace", action="store_true")
     reduce_p.add_argument("--d-image", action="store_true", dest="with_d_image")
@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     reduce_p.set_defaults(func=cmd_reduce)
 
     verify_p = commands.add_parser("verify", help="run a verification sweep")
-    _common_flags(verify_p, seed=False)
+    _common_flags(verify_p)
     verify_p.add_argument(
         "which",
         choices=list(SWEEPS),
@@ -115,6 +115,9 @@ def _emit(args, payload: dict, text_lines: list) -> None:
 
 
 def cmd_reduce(args) -> int:
+    if args.seed is not None and (args.mode, args.strategy) != ("pathless", "random"):
+        chosen = f"--strategy {args.strategy or 'first'}" if args.mode == "pathless" else "--mode forkless"
+        raise ValueError(f"reduce {chosen} does not read --seed")
     p = parse_poly(args.poly, args.n).substitute(args.beta, args.alpha)
     payload: dict = {"command": "reduce", "mode": args.mode, "n": args.n}
     lines: list = []
@@ -132,9 +135,10 @@ def cmd_reduce(args) -> int:
         elif strategy_name == "last":
             strategy = LastByOrder()
         elif strategy_name == "random":
-            strategy = RandomStrategy(args.seed)
-            payload["seed"] = args.seed
-            lines.append(f"seed: {args.seed}")
+            seed = 0 if args.seed is None else args.seed
+            strategy = RandomStrategy(seed)
+            payload["seed"] = seed
+            lines.append(f"seed: {seed}")
         else:
             if not args.script_file:
                 print("--strategy script needs --script-file", file=sys.stderr)

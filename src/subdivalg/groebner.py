@@ -16,11 +16,11 @@ unique forkless representative (the monomials with no x[i,j]*x[i,k]
 divisor are exactly the irreducible ones).
 
 `normal_form` runs the rewriting engine of the rewrite module with the
-fork triples of a monomial and `reduce_step`, which subtracts a multiple of
-a basis element chosen so the rewritten monomial is replaced by strictly
-smaller ones; `reduce_writes` names the monomials of that multiple, so the
-engine updates its reducible set without rescanning.  The engine's step
-bound guards against defects, not against the math.
+fork triples of a monomial and `reduce_step`, which subtracts in place a
+multiple of a basis element chosen so the rewritten monomial is replaced
+by strictly smaller ones, and returns the monomials of that multiple, so
+the engine updates its reducible set without rescanning.  The engine's
+step bound guards against defects, not against the math.
 """
 
 from __future__ import annotations
@@ -28,18 +28,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, combinations_with_replacement
+from operator import add
 from typing import Optional
 
 from .poly import (
     Monomial,
     Triple,
     XPoly,
-    ambient_size,
+    accumulate,
     format_monomial,
     mono_div,
     mono_lcm,
-    mono_mul,
-    row_positions,
+    present_rows,
 )
 from .rewrite import DEFAULT_MAX_STEPS, FirstByOrder, Report, RewriteError, Strategy, rewrite
 from .ring import ALPHA, BETA, Coeff, RationalLike, resolve_param
@@ -107,37 +107,22 @@ def generate_basis(
 
 def _fork_triples(m: Monomial) -> list:
     """Triples (i, j, k) whose basis head x[i,k]*x[i,j] divides m, lex order."""
-    n = ambient_size(len(m))
-    rows = row_positions(n)
-    out = []
-    for i in range(1, n):
-        cols = [j for j, p in enumerate(rows[i], start=i + 1) if m[p]]
-        for a in range(len(cols)):
-            for b in range(a + 1, len(cols)):
-                out.append((i, cols[a], cols[b]))
-    return out
+    return [(i, j, k) for i, cols in present_rows(m).items() for j, k in combinations(cols, 2)]
 
 
-def _multiplier(mono: Monomial, triple: Triple, basis: GroebnerBasis) -> tuple:
-    """(g, s) with g the basis element of triple and s = mono / head(g);
-    either is None when there is no such element or quotient."""
+def reduce_step(terms: dict, mono: Monomial, triple: Triple, basis: GroebnerBasis) -> list:
+    """One reduction terms - c*s*g in place at monomial mono of the term
+    dict, with c its coefficient, g the basis element of triple and
+    s = mono / head(g); returns the monomials s*m, m in g, that it wrote.
+    A step that does not apply raises RewriteError and changes nothing."""
     element = basis._by_triple.get(triple)
-    return element, None if element is None else mono_div(mono, element.head)
-
-
-def reduce_step(p: XPoly, mono: Monomial, triple: Triple, basis: GroebnerBasis) -> XPoly:
-    """One reduction p - c*s*g at monomial mono of p, with c its coefficient,
-    g the basis element of triple and s = mono / head(g)."""
-    element, shift = _multiplier(mono, triple, basis)
-    if shift is None or mono not in p.terms:
+    shift = None if element is None else mono_div(mono, element.head)
+    coeff = terms.get(mono)
+    if shift is None or coeff is None:
         raise RewriteError(f"basis element {triple} does not reduce {format_monomial(mono)}")
-    return p - element.poly.mul_term(shift, p.terms[mono])
-
-
-def reduce_writes(mono: Monomial, triple: Triple, basis: GroebnerBasis) -> list:
-    """The monomials s*m, m in g, whose coefficients reduce_step changes."""
-    element, shift = _multiplier(mono, triple, basis)
-    return [mono_mul(m, shift) for m in element.poly.terms]
+    written = [tuple(map(add, m, shift)) for m in element.poly.terms]
+    accumulate(terms, zip(written, [coeff * c for c in element.poly.terms.values()]), negate=True)
+    return written
 
 
 def normal_form(
@@ -151,12 +136,10 @@ def normal_form(
         raise ValueError(f"ambient size mismatch: {p.n} vs {basis.n}")
     # Callees are looked up per call, so run-time wrappers of them see every call.
     step = partial(reduce_step, basis=basis)
-    writes = partial(reduce_writes, basis=basis)
-    current = p
-    steps = rewrite(p, "normal form", _fork_triples, writes, step, strategy, max_steps)
-    for _, _, current in steps:
+    terms = None
+    for _, _, terms in rewrite(p, "normal form", _fork_triples, step, strategy, max_steps):
         pass
-    return current
+    return p if terms is None else XPoly._raw(p.n, terms)
 
 
 def spol(g1: XPoly, g2: XPoly) -> XPoly:

@@ -38,7 +38,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
+from itertools import compress
+from operator import add, mul, sub
 from typing import Iterable, Iterator, Optional
 
 from .ring import Coeff, RationalLike, render_terms
@@ -64,22 +65,12 @@ def pair_position(n: int) -> dict:
     return {pair: pos for pos, pair in enumerate(pair_list(n))}
 
 
-@lru_cache(maxsize=None)
-def row_positions(n: int) -> tuple:
-    """row_positions(n)[i] lists the slots of x[i,*] (index 0 unused)."""
-    rows = [[] for _ in range(n + 1)]
-    for pos, (i, _) in enumerate(pair_list(n)):
-        rows[i].append(pos)
-    return tuple(tuple(r) for r in rows)
-
-
-@lru_cache(maxsize=None)
-def col_positions(n: int) -> tuple:
-    """col_positions(n)[j] lists the slots of x[*,j] (index 0 unused)."""
-    cols = [[] for _ in range(n + 1)]
-    for pos, (_, j) in enumerate(pair_list(n)):
-        cols[j].append(pos)
-    return tuple(tuple(c) for c in cols)
+def present_rows(m: Monomial) -> dict:
+    """{i: [j, ...]} over the variables x[i,j] present in m, both ascending."""
+    rows: dict = {}
+    for i, j in compress(pair_list(ambient_size(len(m))), m):
+        rows.setdefault(i, []).append(j)
+    return rows
 
 
 @lru_cache(maxsize=None)
@@ -115,18 +106,21 @@ def mono_from_pairs(n: int, exponents: dict) -> Monomial:
     return tuple(exps)
 
 
+def _check_widths(a: tuple, b: tuple) -> None:
+    if len(a) != len(b):
+        raise ValueError(f"exponent tuples of lengths {len(a)} and {len(b)} do not match")
+
+
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
+    _check_widths(a, b)
+    return tuple(map(add, a, b))
 
 
 def mono_div(a: Monomial, b: Monomial) -> Optional[Monomial]:
     """a / b, or None when b does not divide a."""
-    out = []
-    for x, y in zip(a, b, strict=True):
-        if x < y:
-            return None
-        out.append(x - y)
-    return tuple(out)
+    _check_widths(a, b)
+    out = tuple(map(sub, a, b))
+    return None if out and min(out) < 0 else out
 
 
 def mono_divides(b: Monomial, a: Monomial) -> bool:
@@ -151,31 +145,24 @@ def mono_pairs(m: Monomial) -> Iterator[tuple]:
 
 def is_pathless(m: Monomial) -> bool:
     """True when no x[i,j]*x[j,k] with i < j < k divides m."""
-    n = ambient_size(len(m))
-    rows = row_positions(n)
-    cols = col_positions(n)
-    for j in range(2, n):
-        if any(m[p] for p in cols[j]) and any(m[p] for p in rows[j]):
-            return False
-    return True
+    rows = present_rows(m)
+    return not any(j in rows for cols in rows.values() for j in cols)
 
 
 def is_forkless(m: Monomial) -> bool:
     """True when no x[i,j]*x[i,k] with i < j < k divides m."""
-    n = ambient_size(len(m))
-    for row in row_positions(n)[1:]:
-        if sum(1 for p in row if m[p]) > 1:
-            return False
-    return True
+    return all(len(cols) == 1 for cols in present_rows(m).values())
+
+
+@lru_cache(maxsize=None)
+def _pathless_weights(width: int) -> tuple:
+    n = ambient_size(width)
+    return tuple(n - j + i for i, j in pair_list(n))
 
 
 def weight_pathless(m: Monomial) -> int:
     """Sum of exponent * (n - j + i); drops strictly at every pathless step."""
-    if not m:
-        return 0
-    n = ambient_size(len(m))
-    pairs = pair_list(n)
-    return sum(e * (n - pairs[pos][1] + pairs[pos][0]) for pos, e in enumerate(m) if e)
+    return sum(map(mul, m, _pathless_weights(len(m))))
 
 
 def all_monomials(n: int, degree: int) -> Iterator[Monomial]:
@@ -494,7 +481,11 @@ class _Scanner:
             self.pos += 1
         if self.pos == start:
             raise PolyParseError("expected an unsigned integer", start)
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:
+            # int() refuses more digits than sys.get_int_max_str_digits() allows
+            raise PolyParseError("integer has too many digits", start) from None
 
     def done(self) -> bool:
         self.skip_ws()

@@ -15,14 +15,15 @@ on all four replacement monomials, which is why the game always ends;
 `pathless_step` checks the drop on every call.
 
 `rewrite` is the one reduction loop, for this game and for the forkless
-normal form in `groebner`: a rule gives the triples of a monomial, the
-monomials a rewrite at a (monomial, triple) writes, and the rewrite
-itself; a strategy picks each step.  Within one call the engine finds
-the triples of each monomial once and keeps the reducible monomials in
-sorted order, updating them from the written monomials only, so a step
-costs the size of its replacement rather than a rescan of every term,
-as in the division loop of Monagan & Pearce (CASC 2007), with a sorted
-list in place of their heap.
+normal form in `groebner`.  A rule is two parts: the triples of a
+monomial, and a step that rewrites a term dict in place at a (monomial,
+triple) and returns the monomials it wrote; a strategy picks each step.
+Within one call the engine owns one copy of the input's terms, finds the
+triples of each monomial once and keeps the reducible monomials in sorted
+order, updating them from the written monomials only, so a step costs the
+size of its replacement rather than a copy or rescan of every term, as in
+the in-place division of Monagan & Pearce (CASC 2007), with a sorted list
+in place of their heap.
 """
 
 from __future__ import annotations
@@ -40,14 +41,12 @@ from .poly import (
     XPoly,
     accumulate,
     ambient_size,
-    col_positions,
     d_image,
     format_monomial,
-    mono_one,
     num_vars,
     pair_position,
     parse_monomial,
-    row_positions,
+    present_rows,
     weight_pathless,
 )
 from .ring import ALPHA, BETA, Coeff, RationalLike, resolve_param
@@ -103,24 +102,8 @@ class TraceStep:
 
 def find_path_triples(m: Monomial) -> list:
     """All (i, j, k), i < j < k, with x[i,j]*x[j,k] dividing m, in lex order."""
-    n = ambient_size(len(m))
-    rows = row_positions(n)
-    cols = col_positions(n)
-    pairs_in = {}
-    pairs_out = {}
-    for j in range(2, n):
-        ins = [i for i, p in enumerate(cols[j], start=1) if m[p]]
-        outs = [k for k, p in enumerate(rows[j], start=j + 1) if m[p]]
-        if ins and outs:
-            pairs_in[j] = ins
-            pairs_out[j] = outs
-    triples = []
-    for j, ins in pairs_in.items():
-        for i in ins:
-            for k in pairs_out[j]:
-                triples.append((i, j, k))
-    triples.sort()
-    return triples
+    rows = present_rows(m)
+    return [(i, j, k) for i, cols in rows.items() for j in cols for k in rows.get(j, ())]
 
 
 def path_replacement(mono: Monomial, triple: Triple) -> tuple:
@@ -145,18 +128,20 @@ def path_replacement(mono: Monomial, triple: Triple) -> tuple:
 
 
 def pathless_step(
-    p: XPoly,
+    terms: dict,
     mono: Monomial,
     triple: Triple,
     beta: Optional[RationalLike] = None,
     alpha: Optional[RationalLike] = None,
-) -> XPoly:
-    """Apply one rewrite at the given monomial and triple of p."""
-    n = p.n
+) -> tuple:
+    """Apply one rewrite at the given monomial and triple of the term dict,
+    in place; returns the four monomials it wrote.  A step that does not
+    apply raises RewriteError and leaves terms unchanged."""
+    n = ambient_size(len(mono))
     i, j, k = triple
     if not (1 <= i < j < k <= n):
         raise RewriteError(f"malformed triple {triple} for n={n}")
-    coeff = p.terms.get(mono)
+    coeff = terms.get(mono)
     if coeff is None:
         raise RewriteError(f"monomial {format_monomial(mono)} is absent")
     positions = pair_position(n)
@@ -165,41 +150,37 @@ def pathless_step(
             f"x[{i},{j}]*x[{j},{k}] does not divide {format_monomial(mono)}"
         )
 
-    m_ij, m_jk, m_ik, rest = path_replacement(mono, triple)
-    beta_c = resolve_param(beta, BETA)
-    alpha_c = resolve_param(alpha, ALPHA)
-    replacement = (
-        (m_ij, coeff),
-        (m_jk, coeff),
-        (m_ik, coeff * beta_c),
-        (rest, coeff * alpha_c),
-    )
+    written = path_replacement(mono, triple)
     bound = weight_pathless(mono)
-    if any(weight_pathless(m) >= bound for m, _ in replacement):
+    if any(weight_pathless(m) >= bound for m in written):
         raise RewriteError(f"step at {format_monomial(mono)} does not drop the pathless weight")
 
-    terms = dict(p.terms)
+    coeffs = (coeff, coeff, coeff * resolve_param(beta, BETA), coeff * resolve_param(alpha, ALPHA))
     del terms[mono]
-    return XPoly._raw(n, accumulate(terms, replacement, negate=False))
+    accumulate(terms, zip(written, coeffs), negate=False)
+    return written
 
 
 def rewrite(
     p: XPoly,
     name: str,
     triples_of: Callable,
-    writes: Callable,
     step: Callable,
     strategy: Strategy = FirstByOrder(),
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> Iterator[tuple]:
     """Rewrite p until no monomial has a triple, yielding (monomial, triple,
-    after) per step.  triples_of(m) lists the triples of m in lex order;
-    step(q, m, t) rewrites q there or raises RewriteError; writes(m, t)
-    lists every monomial besides m whose coefficient that step may change.
+    terms) per step.  triples_of(m) lists the triples of m in lex order;
+    step(terms, m, t) rewrites the term dict there in place and returns
+    every monomial besides m whose coefficient it changed, or raises
+    RewriteError before changing anything.
 
-    The triples of each monomial are found once per call, and the reducible
-    monomials are kept in ascending order, updated after each step at m
-    and t from m and writes(m, t) alone, so no step rescans the polynomial.
+    The engine rewrites its own copy of p's terms, so p never changes; the
+    yielded terms are that live copy, which the next step changes again, so
+    a caller that keeps a state copies it.  The triples of each monomial
+    are found once per call, and the reducible monomials are kept in
+    ascending order, updated after each step from m and the monomials the
+    step returned alone, so no step rescans the polynomial.
     """
     rng = random.Random(strategy.seed) if isinstance(strategy, RandomStrategy) else None
     script = strategy.steps if isinstance(strategy, ScriptStrategy) else None
@@ -211,10 +192,10 @@ def rewrite(
             found = memo[m] = triples_of(m)
         return found
 
-    reducible = sorted(m for m in p.terms if triples(m))
+    terms = dict(p.terms)
+    reducible = sorted(m for m in terms if triples(m))
     # The number of (monomial, triple) pairs, which RandomStrategy draws from.
     pairs = sum(len(memo[m]) for m in reducible)
-    current = p
     for count in itertools.count(1):
         if script is not None and count <= len(script):
             mono, triple = script[count - 1]
@@ -241,22 +222,22 @@ def rewrite(
         if count > max_steps:
             raise ResourceLimitError(f"{name} did not terminate within {max_steps} steps")
         try:
-            current = step(current, mono, triple)
+            written = step(terms, mono, triple)
         except RewriteError as exc:
             if script is None:
                 raise
             raise RewriteError(f"script step {count} does not apply: {exc}") from None
-        for m in (mono, *writes(mono, triple)):
+        for m in (mono, *written):
             at = bisect_left(reducible, m)
             listed = at < len(reducible) and reducible[at] == m
-            if m in current.terms and triples(m):
+            if m in terms and triples(m):
                 if not listed:
                     reducible.insert(at, m)
                     pairs += len(memo[m])
             elif listed:
                 del reducible[at]
                 pairs -= len(memo[m])
-        yield mono, triple, current
+        yield mono, triple, terms
 
 
 def reduce_pathless(
@@ -268,8 +249,8 @@ def reduce_pathless(
     """Play the game to a pathless polynomial; returns (result, trace)."""
     # Callees are looked up per call, so run-time wrappers of them see every call.
     step = partial(pathless_step, beta=beta, alpha=alpha)
-    game = rewrite(p, "pathless game", find_path_triples, path_replacement, step, strategy)
-    trace = [TraceStep(*s) for s in game]
+    game = rewrite(p, "pathless game", find_path_triples, step, strategy)
+    trace = [TraceStep(mono, triple, XPoly._raw(p.n, dict(terms))) for mono, triple, terms in game]
     return (trace[-1].after if trace else p), trace
 
 
@@ -424,6 +405,6 @@ def d_invariance_counterexample() -> tuple:
     so agreement of finished games cannot follow from congruence alone.
     """
     p = XPoly.variable(1, 2, 3) * XPoly.variable(2, 3, 3)
-    mono = next(iter(p.terms))
-    q = pathless_step(p, mono, (1, 2, 3))
-    return p, q
+    terms = dict(p.terms)
+    pathless_step(terms, next(iter(terms)), (1, 2, 3))
+    return p, XPoly._raw(3, terms)

@@ -32,7 +32,8 @@ class Coeff:
         if terms:
             for key, value in terms.items():
                 if type(value) is not int:
-                    value = Fraction(value)
+                    if type(value) is not Fraction:
+                        value = Fraction(value)
                     if value.denominator == 1:
                         value = value.numerator
                 if value:

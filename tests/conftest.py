@@ -63,3 +63,11 @@ def random_pathless_monomial(n: int, max_deg: int, rng: random.Random) -> tuple:
         m = random_monomial(n, max_deg, rng)
         if is_pathless(m):
             return m
+
+
+def applied(step, p, *args, **kwargs):
+    """The polynomial an in-place rewriting step makes of a copy of p's terms;
+    p itself is left as it was."""
+    terms = dict(p.terms)
+    step(terms, *args, **kwargs)
+    return type(p)._raw(p.n, terms)

@@ -190,6 +190,30 @@ def test_verify_rejects_seed_where_no_sweep_draws(capsys):
     assert out[0] == "seed: 0"
 
 
+def test_seed_only_where_a_random_choice_reads_it(capsys):
+    for command in (
+        ("count", "--n", "3", "forkless", "--max-degree", "2"),
+        ("basis", "--n", "3", "forkless", "--degree", "2"),
+        ("d-image", "--n", "3", "x[1,2]"),
+    ):
+        code, out, err = run(capsys, *command, "--seed", "5")
+        assert code == 2
+        assert out == []
+        assert "unrecognized arguments: --seed 5" in err
+    for flags, chosen in (
+        (("--mode", "forkless"), "--mode forkless"),
+        (("--mode", "pathless"), "--strategy first"),
+        (("--mode", "pathless", "--strategy", "last"), "--strategy last"),
+    ):
+        code, out, err = run(capsys, "reduce", "--n", "3", *flags, "--seed", "5", "x[1,2]*x[2,3]")
+        assert (code, out) == (2, [])
+        assert err == f"error: reduce {chosen} does not read --seed\n"
+    code, out, _ = run(
+        capsys, "reduce", "--n", "3", "--mode", "pathless", "--strategy", "random", "--seed", "5", "x[1,2]"
+    )
+    assert (code, out) == (0, ["seed: 5", "x[1,2]"])
+
+
 def test_missing_n_flag(capsys):
     code, _, err = run(capsys, "count", "forkless", "--max-degree", "2")
     assert code == 2

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import ALT_SCRIPT, GAME_SCRIPT, GAME_START
+from conftest import ALT_SCRIPT, GAME_SCRIPT, GAME_START, applied
 from subdivalg.groebner import (
     BasisElement,
     GroebnerBasis,
@@ -102,27 +102,31 @@ def test_reduce_step_examples():
     basis = generate_basis(3)
     fork = mono(3, (1, 3), (1, 2))
     expected = parse_poly("x[1,2]*x[2,3] - x[1,3]*x[2,3] - b*x[1,3] - a", 3)
-    assert reduce_step(XPoly.from_monomial(fork), fork, (1, 2, 3), basis) == expected
+    assert applied(reduce_step, XPoly.from_monomial(fork), fork, (1, 2, 3), basis) == expected
     deeper = mono(3, (1, 3), (1, 3), (1, 2))
-    reduced = reduce_step(XPoly.from_monomial(deeper), deeper, (1, 2, 3), basis)
+    reduced = applied(reduce_step, XPoly.from_monomial(deeper), deeper, (1, 2, 3), basis)
     assert reduced == expected * XPoly.variable(1, 3, 3)
     scaled = parse_poly("b*x[1,3]*x[1,2] + x[2,3]", 3)
-    assert reduce_step(scaled, fork, (1, 2, 3), basis) == expected.scale(BETA) + XPoly.variable(2, 3, 3)
+    reduced = applied(reduce_step, scaled, fork, (1, 2, 3), basis)
+    assert reduced == expected.scale(BETA) + XPoly.variable(2, 3, 3)
 
 
 def test_reduce_step_errors():
     basis = generate_basis(4)
     forkless_poly = parse_poly("x[1,2]*x[2,3] + b*x[1,3]", 4)
     path = mono(4, (1, 2), (2, 3))
-    with pytest.raises(RewriteError):
-        reduce_step(forkless_poly, path, (1, 2, 3), basis)  # head does not divide
     fork = mono(4, (1, 3), (1, 2))
-    with pytest.raises(RewriteError):
-        reduce_step(XPoly.from_monomial(fork), fork, (1, 2, 4), basis)
-    with pytest.raises(RewriteError):
-        reduce_step(forkless_poly, fork, (1, 2, 3), basis)  # absent monomial
-    with pytest.raises(RewriteError):
-        reduce_step(XPoly.from_monomial(fork), fork, (2, 1, 3), basis)
+    cases = (
+        (forkless_poly, path, (1, 2, 3)),  # head does not divide
+        (XPoly.from_monomial(fork), fork, (1, 2, 4)),
+        (forkless_poly, fork, (1, 2, 3)),  # absent monomial
+        (XPoly.from_monomial(fork), fork, (2, 1, 3)),
+    )
+    for p, at, triple in cases:
+        terms = dict(p.terms)
+        with pytest.raises(RewriteError):
+            reduce_step(terms, at, triple, basis)
+        assert terms == p.terms
 
 
 def test_normal_form_script():
@@ -195,7 +199,7 @@ def test_reduce_step_only_introduces_smaller_monomials():
             for e in basis:
                 if not all(x >= y for x, y in zip(target, e.head)):
                     continue
-                reduced = reduce_step(p, target, e.triple, basis)
+                reduced = applied(reduce_step, p, target, e.triple, basis)
                 assert target not in reduced.terms
                 for m in reduced.terms:
                     if m not in p.terms:

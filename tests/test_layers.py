@@ -84,8 +84,7 @@ def test_normal_form_calls_module_callees(monkeypatch):
         p,
         "normal form",
         groebner._fork_triples,
-        lambda mono, triple: groebner.reduce_writes(mono, triple, basis),
-        lambda q, mono, triple: groebner.reduce_step(q, mono, triple, basis),
+        lambda terms, mono, triple: groebner.reduce_step(terms, mono, triple, basis),
     ))
     assert expected > 1
     steps = counting(monkeypatch, groebner, "reduce_step")

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -360,6 +361,18 @@ def test_parse_round_trip_property(p, q):
     assert parse_tpoly(str(q), q.n) == q
     assert str(parse_poly(str(p), p.n)) == str(p)
     assert str(parse_tpoly(str(q), q.n)) == str(q)
+
+
+def test_parse_overlong_integer_raises_parse_error():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts integers of any length")
+    digits = "1" * (limit + 1)
+    for text in (f"2*b + {digits}", f"2*b + 3/{digits}", f"2*b + 3*b^{digits}"):
+        for parse in (parse_poly, parse_tpoly):
+            with pytest.raises(PolyParseError) as info:
+                parse(text, 3)
+            assert info.value.position == text.index(digits)
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)

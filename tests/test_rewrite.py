@@ -4,6 +4,7 @@ the rewriting engine against a full-rescan reference loop."""
 import itertools
 import random
 from functools import partial
+from itertools import combinations
 
 import pytest
 
@@ -14,19 +15,22 @@ from conftest import (
     GAME_RESULT,
     GAME_SCRIPT,
     GAME_START,
+    applied,
 )
 from subdivalg.groebner import (
     _fork_triples,
     generate_basis,
     normal_form,
     reduce_step,
-    reduce_writes,
 )
 from subdivalg.poly import (
+    XPoly,
+    all_monomials,
     d_image,
     is_pathless,
     mono_from_pairs,
     mono_one,
+    pair_position,
     parse_poly,
     parse_tpoly,
     weight_pathless,
@@ -45,7 +49,6 @@ from subdivalg.rewrite import (
     find_path_triples,
     format_trace,
     parse_script,
-    path_replacement,
     pathless_step,
     random_xpoly,
     reduce_pathless,
@@ -83,15 +86,35 @@ def test_find_path_triples_matches_pathless():
         assert (not triples) == is_pathless(m)
 
 
+def test_scans_and_weight_match_brute_force():
+    """The triples of both rules and the pathless weight, from their
+    definitions, on every monomial of degree <= 3 at n <= 6."""
+    checked = 0
+    for n in range(1, 7):
+        positions = pair_position(n)
+        triples = list(combinations(range(1, n + 1), 3))
+        for degree in range(4):
+            for m in all_monomials(n, degree):
+                present = {pair for pair, pos in positions.items() if m[pos]}
+                paths = [(i, j, k) for i, j, k in triples if {(i, j), (j, k)} <= present]
+                forks = [(i, j, k) for i, j, k in triples if {(i, j), (i, k)} <= present]
+                weight = sum(m[pos] * (n - j + i) for (i, j), pos in positions.items())
+                assert find_path_triples(m) == paths
+                assert _fork_triples(m) == forks
+                assert weight_pathless(m) == weight
+                checked += 1
+    assert checked == 1211
+
+
 def test_step_generic_example():
     p = parse_poly("x[1,2]*x[2,3]", 3)
-    stepped = pathless_step(p, mono(3, (1, 2), (2, 3)), (1, 2, 3))
+    stepped = applied(pathless_step, p, mono(3, (1, 2), (2, 3)), (1, 2, 3))
     assert stepped == parse_poly("x[1,3]*x[1,2] + x[1,3]*x[2,3] + b*x[1,3] + a", 3)
 
 
 def test_step_worked_example_first_move():
     p = parse_poly(GAME_START, 4)
-    stepped = pathless_step(p, mono(4, (1, 2), (2, 3), (3, 4)), (1, 2, 3), beta=1, alpha=0)
+    stepped = applied(pathless_step, p, mono(4, (1, 2), (2, 3), (3, 4)), (1, 2, 3), beta=1, alpha=0)
     assert stepped == parse_poly(
         "x[1,2]*x[1,3]*x[3,4] + x[1,3]*x[2,3]*x[3,4] + x[1,3]*x[3,4]", 4
     )
@@ -100,7 +123,7 @@ def test_step_worked_example_first_move():
 def test_step_propagates_coefficient():
     m = mono(3, (1, 2), (2, 3))
     p = parse_poly("x[1,2]*x[2,3]", 3).scale(-BETA)
-    stepped = pathless_step(p, m, (1, 2, 3))
+    stepped = applied(pathless_step, p, m, (1, 2, 3))
     expected = parse_poly("x[1,3]*x[1,2] + x[1,3]*x[2,3] + b*x[1,3] + a", 3).scale(-BETA)
     assert stepped == expected
 
@@ -109,7 +132,7 @@ def test_step_weight_descent():
     m = mono(4, (1, 2), (2, 3), (3, 4))
     p = parse_poly(GAME_START, 4)
     bound = weight_pathless(m)
-    stepped = pathless_step(p, m, (1, 2, 3))
+    stepped = applied(pathless_step, p, m, (1, 2, 3))
     for produced in stepped.terms:
         assert weight_pathless(produced) < bound
 
@@ -119,20 +142,26 @@ def test_step_without_weight_drop_raises(monkeypatch):
     import subdivalg.rewrite
 
     monkeypatch.setattr(subdivalg.rewrite, "weight_pathless", lambda m: 0)
-    p = parse_poly(GAME_START, 4)
+    terms = dict(parse_poly(GAME_START, 4).terms)
     with pytest.raises(RewriteError):
-        pathless_step(p, mono(4, (1, 2), (2, 3), (3, 4)), (1, 2, 3))
+        pathless_step(terms, mono(4, (1, 2), (2, 3), (3, 4)), (1, 2, 3))
+    assert terms == parse_poly(GAME_START, 4).terms
 
 
 def test_step_errors():
     p = parse_poly("x[1,2]*x[2,3]", 3)
     m = mono(3, (1, 2), (2, 3))
-    with pytest.raises(RewriteError):
-        pathless_step(p, m, (2, 1, 3))
-    with pytest.raises(RewriteError):
-        pathless_step(p, mono(3, (1, 3)), (1, 2, 3))
-    with pytest.raises(RewriteError):
-        pathless_step(parse_poly("x[1,3]*x[2,3] + x[1,2]*x[2,3]", 3), mono(3, (1, 3), (2, 3)), (1, 2, 3))
+    q = parse_poly("x[1,3]*x[2,3] + x[1,2]*x[2,3]", 3)
+    cases = (
+        (p, m, (2, 1, 3)),
+        (p, mono(3, (1, 3)), (1, 2, 3)),
+        (q, mono(3, (1, 3), (2, 3)), (1, 2, 3)),
+    )
+    for poly, at, triple in cases:
+        terms = dict(poly.terms)
+        with pytest.raises(RewriteError):
+            pathless_step(terms, at, triple)
+        assert terms == poly.terms
 
 
 def test_game_script_reproduces_worked_example():
@@ -268,14 +297,12 @@ def test_engine_step_bound():
     _, trace = reduce_pathless(p)
     assert len(trace) > 1
     with pytest.raises(ResourceLimitError) as info:
-        list(rewrite(
-            p, "pathless game", find_path_triples, path_replacement, pathless_step, max_steps=1
-        ))
+        list(rewrite(p, "pathless game", find_path_triples, pathless_step, max_steps=1))
     assert str(info.value) == "pathless game did not terminate within 1 steps"
-    exact = rewrite(
-        p, "pathless game", find_path_triples, path_replacement, pathless_step, max_steps=len(trace)
-    )
-    assert list(exact) == [(s.monomial, s.triple, s.after) for s in trace]
+    exact = rewrite(p, "pathless game", find_path_triples, pathless_step, max_steps=len(trace))
+    assert [(m, t, XPoly._raw(4, dict(terms))) for m, t, terms in exact] == [
+        (s.monomial, s.triple, s.after) for s in trace
+    ]
 
 
 def test_reduce_pathless_is_bounded(monkeypatch):
@@ -286,19 +313,35 @@ def test_reduce_pathless_is_bounded(monkeypatch):
         reduce_pathless(parse_poly(GAME_START, 4))
 
 
+def checked_step(step, terms: dict, mono, triple) -> dict:
+    """Apply an in-place step to a copy of terms and return the copy, checking
+    that the step changed no coefficient but at mono and the monomials it
+    returned, and that it changed nothing when it raised."""
+    after = dict(terms)
+    try:
+        written = step(after, mono, triple)
+    except RewriteError:
+        assert after == terms
+        raise
+    changed = {m for m in terms.keys() | after.keys() if terms.get(m) != after.get(m)}
+    assert changed <= {mono, *written}
+    return after
+
+
 def reference_rewrite(
     p, name, triples_of, step, strategy=FirstByOrder(), max_steps=DEFAULT_MAX_STEPS
 ):
-    """The engine before it kept a reducible set: every step re-sorts all
-    terms and finds the triples of each one again."""
+    """The engine before it kept a reducible set or rewrote in place: every
+    step copies the terms, re-sorts them all and finds the triples of each
+    one again."""
     rng = random.Random(strategy.seed) if isinstance(strategy, RandomStrategy) else None
     script = strategy.steps if isinstance(strategy, ScriptStrategy) else None
-    current = p
+    current = p.terms
     for count in itertools.count(1):
         if script is not None and count <= len(script):
             mono, triple = script[count - 1]
         else:
-            ordered = sorted(current.terms, reverse=True)
+            ordered = sorted(current, reverse=True)
             choices = [(m, ts) for m in ordered if (ts := triples_of(m))]
             if not choices:
                 return
@@ -314,7 +357,7 @@ def reference_rewrite(
         if count > max_steps:
             raise ResourceLimitError(f"{name} did not terminate within {max_steps} steps")
         try:
-            current = step(current, mono, triple)
+            current = checked_step(step, current, mono, triple)
         except RewriteError as exc:
             if script is None:
                 raise
@@ -323,11 +366,12 @@ def reference_rewrite(
 
 
 def run_engine(steps) -> tuple:
-    """(the steps an engine yielded, (error type, text) or None)."""
+    """(the steps an engine yielded, each with a copy of its term dict,
+    (error type, text) or None)."""
     out = []
     try:
-        for s in steps:
-            out.append(s)
+        for mono, triple, terms in steps:
+            out.append((mono, triple, dict(terms)))
     except (RewriteError, ResourceLimitError) as exc:
         return out, (type(exc), str(exc))
     return out, None
@@ -345,11 +389,11 @@ def reducible_set_events(p, triples_of, steps) -> tuple:
     """How many steps cancel a reducible monomial other than their own, and
     how many re-create a monomial that an earlier step removed."""
     cancelled = recreated = 0
-    before, removed = p, set()
+    before, removed = p.terms, set()
     for mono, _, after in steps:
-        cancelled += any(m != mono and m not in after.terms and triples_of(m) for m in before.terms)
-        recreated += any(m in removed and m not in before.terms for m in after.terms)
-        removed.update(m for m in before.terms if m not in after.terms)
+        cancelled += any(m != mono and m not in after and triples_of(m) for m in before)
+        recreated += any(m in removed and m not in before for m in after)
+        removed.update(m for m in before if m not in after)
         before = after
     return cancelled, recreated
 
@@ -363,17 +407,16 @@ def test_engine_matches_full_rescan():
     for trial, p in enumerate(inputs):
         basis = bases[p.n]
         rules = (
-            ("pathless game", find_path_triples, path_replacement, pathless_step),
-            ("normal form", _fork_triples, partial(reduce_writes, basis=basis),
-             partial(reduce_step, basis=basis)),
+            ("pathless game", find_path_triples, pathless_step),
+            ("normal form", _fork_triples, partial(reduce_step, basis=basis)),
         )
-        for name, triples_of, writes, step in rules:
+        for name, triples_of, step in rules:
             strategies = [FirstByOrder(), LastByOrder()]
             strategies += [RandomStrategy(derive_seed(23, trial, s)) for s in range(3)]
             for strategy in strategies:
                 expected, error = run_engine(reference_rewrite(p, name, triples_of, step, strategy))
                 assert error is None
-                got = run_engine(rewrite(p, name, triples_of, writes, step, strategy))
+                got = run_engine(rewrite(p, name, triples_of, step, strategy))
                 assert got == (expected, None)
                 script = parse_script(format_trace([TraceStep(*s) for s in expected]), p.n)
                 # The script in full and cut short, a script whose first step
@@ -385,10 +428,25 @@ def test_engine_matches_full_rescan():
                     (strategy, max(len(expected) - 1, 0)),
                 ]
                 for replay, bound in replays:
-                    got = run_engine(rewrite(p, name, triples_of, writes, step, replay, bound))
+                    got = run_engine(rewrite(p, name, triples_of, step, replay, bound))
                     want = run_engine(reference_rewrite(p, name, triples_of, step, replay, bound))
                     assert got == want
                 counts = reducible_set_events(p, triples_of, expected)
                 events[name] = [a + b for a, b in zip(events.get(name, (0, 0)), counts)]
     # Both rules meet both ways a step changes the reducible set besides its own monomial.
     assert all(cancelled and recreated for cancelled, recreated in events.values()), events
+
+
+def test_reductions_leave_their_input_unchanged():
+    basis = generate_basis(4)
+    rules = ((find_path_triples, pathless_step), (_fork_triples, partial(reduce_step, basis=basis)))
+    # Each input has both a path and a fork, so both reductions take steps.
+    for text in ("x[1,4]*x[1,3]*x[1,2] + b*x[1,2]*x[2,3]", "x[1,2]*x[1,3]*x[2,3] - a*x[1,3]*x[3,4]"):
+        p = parse_poly(text, 4)
+        before = dict(p.terms)
+        _, trace = reduce_pathless(p)
+        assert trace and normal_form(p, basis) != p
+        for triples_of, step in rules:
+            states = [terms for _, _, terms in rewrite(p, "test", triples_of, step)]
+            assert states and all(terms is not p.terms for terms in states)
+        assert p.terms == before

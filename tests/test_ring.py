@@ -218,6 +218,12 @@ def test_integral_results_are_stored_as_int():
     assert type(dict(BETA.substitute(beta=Fraction(6, 3)).terms())[(0, 0)]) is int
 
 
+def test_non_integral_fraction_is_stored_as_given():
+    half = Fraction(1, 2)
+    assert dict(Coeff.rational(half).terms())[(0, 0)] is half
+    assert dict(Coeff.param_term(2, 1, half).terms())[(2, 1)] is half
+
+
 def test_specialize_and_constant_value_return_fractions():
     for c in (ZERO, ONE, BETA * ALPHA + Coeff.rational(3), Coeff.rational(Fraction(1, 3))):
         assert type(c.specialize(2, 3)) is Fraction
