@@ -52,8 +52,24 @@ def param_value(text: str) -> Optional[Fraction]:
         ) from None
 
 
+def at_least(least: int):
+    """An argparse type for integers >= least; any other value exits 2."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {value}")
+        return value
+
+    return integer
+
+
+COUNT = at_least(0)
+POSITIVE = at_least(1)
+
+
 def _common_flags(sub: argparse.ArgumentParser):
-    sub.add_argument("--n", type=int, required=True, help="ambient size n")
+    sub.add_argument("--n", type=POSITIVE, required=True, help="ambient size n")
     sub.add_argument("--beta", type=param_value, default=None, metavar="RAT|sym")
     sub.add_argument("--alpha", type=param_value, default=None, metavar="RAT|sym")
     sub.add_argument("--json", action="store_true", dest="as_json")
@@ -81,21 +97,21 @@ def build_parser() -> argparse.ArgumentParser:
         "which",
         choices=list(SWEEPS),
     )
-    for dest in SWEEP_FLAGS:
-        verify_p.add_argument(_flag(dest), type=int, dest=dest)
+    for dest, (_, kind) in SWEEP_FLAGS.items():
+        verify_p.add_argument(_flag(dest), type=kind, dest=dest)
     verify_p.set_defaults(func=cmd_verify)
 
     count_p = commands.add_parser("count", help="count forkless monomials per degree")
     _common_flags(count_p)
     count_p.add_argument("what", choices=["forkless"])
-    count_p.add_argument("--max-degree", type=int, required=True, dest="max_degree")
+    count_p.add_argument("--max-degree", type=COUNT, required=True, dest="max_degree")
     count_p.add_argument("--check-gf", action="store_true", dest="check_gf")
     count_p.set_defaults(func=cmd_count)
 
     basis_p = commands.add_parser("basis", help="list forkless monomials of one degree")
     _common_flags(basis_p)
     basis_p.add_argument("what", choices=["forkless"])
-    basis_p.add_argument("--degree", type=int, required=True)
+    basis_p.add_argument("--degree", type=COUNT, required=True)
     basis_p.set_defaults(func=cmd_basis)
 
     d_image_p = commands.add_parser("d-image", help="print d_image of a polynomial")
@@ -199,18 +215,18 @@ SWEEPS = {
 }
 
 
-# The flags of `verify` that only some sweeps read, with their defaults.
-# They parse to None when absent, so that a given flag the chosen sweep
-# does not read is an error rather than silently ignored.
+# The flags of `verify` that only some sweeps read, with their defaults and
+# types.  They parse to None when absent, so that a given flag the chosen
+# sweep does not read is an error rather than silently ignored.
 SWEEP_FLAGS = {
-    "seed": 0,
-    "trials": 100,
-    "strategies": 5,
-    "samples": 50,
-    "max_deg": 4,
-    "max_terms": 5,
-    "w_order": 4,
-    "max_degree": 3,
+    "seed": (0, int),
+    "trials": (100, COUNT),
+    "strategies": (5, int),
+    "samples": (50, COUNT),
+    "max_deg": (4, COUNT),
+    "max_terms": (5, POSITIVE),
+    "w_order": (4, COUNT),
+    "max_degree": (3, COUNT),
 }
 
 
@@ -223,7 +239,7 @@ def cmd_verify(args) -> int:
     unread = [_flag(d) for d in SWEEP_FLAGS if getattr(args, d) is not None and d not in flags]
     if unread:
         raise ValueError(f"verify {args.which} does not read {', '.join(unread)}")
-    for dest, default in SWEEP_FLAGS.items():
+    for dest, (default, _) in SWEEP_FLAGS.items():
         if getattr(args, dest) is None:
             setattr(args, dest, default)
     start = time.perf_counter()

@@ -13,9 +13,10 @@ tuple comparison, so `max(p.terms)` is the head monomial of p.
 
 A t-monomial is an exponent tuple of length n, slot i-1 for t[i].
 
-All four sparse polynomial types derive from `SparsePoly`, defined here:
+All five sparse polynomial types derive from `SparsePoly`, defined here:
 `XPoly` (x variables) and `TPoly` (t variables) live in this module,
-`QPoly` and `QTruncSeries` (Laurent exponents in q[1..n]) in `series`.
+`QPoly` and `QTruncSeries` (Laurent exponents in q[1..n]) and `TWSeries`
+(t[1..n] and w) in `series`.
 Each stores {exponent tuple: Coeff} with zero coefficients pruned, so
 `==` is ring equality.  Instances are immutable by convention;
 operations always build new values.
@@ -222,11 +223,12 @@ def format_monomial(m: Monomial) -> str:
 class SparsePoly:
     """{exponent tuple: Coeff} over the ambient size n, zero coefficients pruned.
 
-    The base of XPoly and TPoly here and of QPoly and QTruncSeries in
-    `series`.  A subclass fixes the key width (`_width`) and the variable
-    letter (`_letter`); arithmetic takes two values of one class and one
-    ambient size.  Products of nonzero coefficients are nonzero (Q[b,a] is
-    an integral domain), so only merging can create a zero to prune.
+    The base of XPoly and TPoly here and of QPoly, QTruncSeries and
+    TWSeries in `series`.  A subclass fixes the key width (`_width`) and
+    the variable letter (`_letter`); arithmetic takes two values of one
+    class and one ambient size.  Products of nonzero coefficients are
+    nonzero (Q[b,a] is an integral domain), so only merging can create a
+    zero to prune.
     """
 
     __slots__ = ("n", "terms")

@@ -24,9 +24,12 @@ Three coordinate systems appear here:
   nonnegative exponents and positions outside S nonpositive ones, so
   negative masses add across factors and nothing pruned can come back.
 
-* Power series in w with t-polynomial coefficients (`TWSeries`).
-  `b_map` sends a q-exponent vector to the t-monomial of its positive
-  part times w^(negative mass); `e_image` substitutes
+* Power series in w with t-polynomial coefficients (`TWSeries`), keyed
+  by (t[1..n] exponents..., w exponent) and kept while the w exponent is
+  at most W.  Both truncated classes share one base that cuts a key by a
+  single hook, its mass: neg_mass for `QTruncSeries`, the power of w
+  here.  `b_map` sends a q-exponent vector to the t-monomial of its
+  positive part times w^(negative mass); `e_image` substitutes
 
       t[i]  ->  -(t[i] + b + a*w) * (1 + t[i]*w + t[i]^2*w^2 + ...)
 
@@ -39,7 +42,7 @@ Three coordinate systems appear here:
 from __future__ import annotations
 
 import random
-from operator import add
+from operator import add, itemgetter
 from typing import Iterable, Optional
 
 from .poly import (
@@ -74,13 +77,14 @@ class QPoly(SparsePoly):
     _letter = "q"
 
 
+def q_exponent(n: int, entries: dict) -> tuple:
+    """The q-exponent vector with entry e in slot i-1 for each {i: e}."""
+    return tuple(entries.get(i, 0) for i in range(1, n + 1))
+
+
 def q_binomial(i: int, j: int, n: int) -> QPoly:
     """The denominator factor q[j] - q[i]."""
-    e_i = [0] * n
-    e_i[i - 1] = 1
-    e_j = [0] * n
-    e_j[j - 1] = 1
-    return QPoly(n, {tuple(e_j): Coeff.one(), tuple(e_i): -Coeff.one()})
+    return QPoly(n, {q_exponent(n, {j: 1}): Coeff.one(), q_exponent(n, {i: 1}): -Coeff.one()})
 
 
 def denominator_poly(n: int, factors: dict) -> QPoly:
@@ -183,36 +187,17 @@ def a_image_rat(
     n = p.n
     beta_c = resolve_param(beta, BETA)
     alpha_c = resolve_param(alpha, ALPHA)
-    numerators = {}
+    pairs = pair_list(n)
 
-    def factor_numerator(i: int, j: int) -> QPoly:
-        if (i, j) not in numerators:
-            e_ij = [0] * n
-            e_ij[i - 1] += 1
-            e_ij[j - 1] += 1
-            e_j = [0] * n
-            e_j[j - 1] = 1
-            numerators[(i, j)] = QPoly(
-                n,
-                {
-                    tuple(e_ij): -Coeff.one(),
-                    tuple(e_j): -beta_c,
-                    (0,) * n: -alpha_c,
-                },
-            )
-        return numerators[(i, j)]
+    def image(pos: int) -> QRatFrac:
+        i, j = pairs[pos]
+        exponents = (q_exponent(n, {i: 1, j: 1}), q_exponent(n, {j: 1}), q_exponent(n, {}))
+        numerator = QPoly(n, dict(zip(exponents, (-Coeff.one(), -beta_c, -alpha_c))))
+        return QRatFrac(numerator, {(i, j): 1})
 
-    total = QRatFrac.from_poly(QPoly.zero(n))
-    for mono, coeff in p.terms.items():
-        numerator = QPoly.constant(n, coeff)
-        denominator: dict = {}
-        for (i, j), e in mono_pairs(mono):
-            factor = factor_numerator(i, j)
-            for _ in range(e):
-                numerator = numerator * factor
-            denominator[(i, j)] = e
-        total = total + QRatFrac(numerator, denominator)
-    return total
+    return ring_map(
+        p, image, QRatFrac.from_poly(QPoly.one(n)), QRatFrac.from_poly(QPoly.zero(n))
+    )
 
 
 def verify_a_kills_j(
@@ -252,48 +237,63 @@ def verify_a_kills_j(
     return report
 
 
-class QTruncSeries(SparsePoly):
-    """Laurent terms in q[1..n] kept while neg_mass(exponent) <= order."""
+class _Truncated(SparsePoly):
+    """Terms kept while _mass(key) <= order: the base of QTruncSeries and
+    TWSeries, which differ only in `_mass`, the key width and how they
+    print.  A product skips a pair whose key is cut before it multiplies
+    the coefficients."""
 
     __slots__ = ("order",)
-    _letter = "q"
 
     def __init__(self, n: int, order: int, terms: Optional[dict] = None):
         if order < 0:
             raise ValueError("truncation order must be nonnegative")
-        terms = {k: c for k, c in (terms or {}).items() if neg_mass(k) <= order}
         super().__init__(n, terms)
+        self.terms = {k: c for k, c in self.terms.items() if self._mass(k) <= order}
         self.order = order
 
     @classmethod
-    def one(cls, n: int, order: int) -> "QTruncSeries":
-        return cls(n, order, {(0,) * n: Coeff.one()})
+    def one(cls, n: int, order: int):
+        return cls(n, order, {(0,) * cls._width(n): Coeff.one()})
 
-    def _like(self, terms: dict) -> "QTruncSeries":
+    @classmethod
+    def zero(cls, n: int, order: int):
+        return cls(n, order)
+
+    def _like(self, terms: dict):
         s = self._raw(self.n, terms)
         s.order = self.order
         return s
 
-    def _check_ambient(self, other: "QTruncSeries"):
+    def _check_ambient(self, other):
         if self.n != other.n or self.order != other.order:
             raise ValueError("mismatched ambient size or truncation order")
 
     def __eq__(self, other) -> bool:
-        if type(other) is not QTruncSeries:
+        if type(other) is not type(self):
             return NotImplemented
         return self.order == other.order and super().__eq__(other)
 
-    def _products(self, other: "QTruncSeries"):
-        # Skip a pair before multiplying when its exponent is truncated.
+    def _products(self, other):
+        # Skip a pair before multiplying when its key is cut.
+        mass, order = self._mass, self.order
         right = other.terms.items()
         for m1, c1 in self.terms.items():
             for m2, c2 in right:
                 key = tuple(map(add, m1, m2))
-                if neg_mass(key) <= self.order:
+                if mass(key) <= order:
                     yield key, c1 * c2
 
     def __repr__(self) -> str:
-        return f"QTruncSeries(n={self.n}, order={self.order}, {self!s})"
+        return f"{type(self).__name__}(n={self.n}, order={self.order}, {self!s})"
+
+
+class QTruncSeries(_Truncated):
+    """Laurent terms in q[1..n] kept while neg_mass(exponent) <= order."""
+
+    __slots__ = ()
+    _letter = "q"
+    _mass = staticmethod(neg_mass)
 
 
 def is_s_friendly(m: Monomial, subset: frozenset) -> bool:
@@ -310,18 +310,12 @@ def factor_series(
     """The expansion of one factor x[i,j], cut at negative mass order:
     -sum_k (q[i]^(k+1)*q[j]^-k + b*q[i]^k*q[j]^-k + a*q[i]^k*q[j]^-(k+1))."""
 
-    def exponent(e_i: int, e_j: int) -> tuple:
-        exps = [0] * n
-        exps[i - 1] = e_i
-        exps[j - 1] = e_j
-        return tuple(exps)
-
     def summands():
         for k in range(order + 1):
-            yield exponent(k + 1, -k), Coeff.one()
-            yield exponent(k, -k), beta_c
+            yield q_exponent(n, {i: k + 1, j: -k}), Coeff.one()
+            yield q_exponent(n, {i: k, j: -k}), beta_c
             if k + 1 <= order:
-                yield exponent(k, -(k + 1)), alpha_c
+                yield q_exponent(n, {i: k, j: -(k + 1)}), alpha_c
 
     return QTruncSeries(n, order, accumulate({}, summands(), negate=True))
 
@@ -347,119 +341,54 @@ def a_s_expand(
         raise ValueError(f"{format_monomial(m)} is not friendly for {sorted(subset)}")
     beta_c = resolve_param(beta, BETA)
     alpha_c = resolve_param(alpha, ALPHA)
-    out = QTruncSeries.one(n, order)
-    for (i, j), e in mono_pairs(m):
-        factor = factor_series(i, j, n, order, beta_c, alpha_c)
-        for _ in range(e):
-            out = out * factor
-    return out
+    pairs = pair_list(n)
+    return ring_map(
+        XPoly.from_monomial(m),
+        lambda pos: factor_series(*pairs[pos], n, order, beta_c, alpha_c),
+        QTruncSeries.one(n, order),
+        QTruncSeries.zero(n, order),
+    )
 
 
-class TWSeries:
-    """Power series in w up to the truncation order, TPoly coefficients."""
+class TWSeries(_Truncated):
+    """Power series in w up to the truncation order, t[1..n] polynomial
+    coefficients; a key is (t[1..n] exponents..., w exponent)."""
 
-    __slots__ = ("n", "order", "coeffs")
+    __slots__ = ()
+    _width = staticmethod(lambda n: n + 1)
+    _mass = itemgetter(-1)
 
-    def __init__(self, n: int, order: int, coeffs: Optional[Iterable] = None):
-        if order < 0:
-            raise ValueError("truncation order must be nonnegative")
-        if coeffs is None:
-            coeffs = [TPoly.zero(n)] * (order + 1)
-        coeffs = tuple(coeffs)
-        if len(coeffs) != order + 1:
-            raise ValueError("need exactly order + 1 coefficients")
-        for c in coeffs:
-            if c.n != n:
-                raise ValueError("coefficient ambient size mismatch")
-        self.n = n
-        self.order = order
-        self.coeffs = coeffs
-
-    @classmethod
-    def zero(cls, n: int, order: int) -> "TWSeries":
-        return cls(n, order)
-
-    @classmethod
-    def one(cls, n: int, order: int) -> "TWSeries":
-        return cls.from_tpoly(TPoly.one(n), order)
-
-    @classmethod
-    def from_tpoly(cls, p: TPoly, order: int) -> "TWSeries":
-        coeffs = [p] + [TPoly.zero(p.n)] * order
-        return cls(p.n, order, coeffs)
-
-    def _check_compatible(self, other: "TWSeries"):
-        if self.n != other.n or self.order != other.order:
-            raise ValueError("mismatched ambient size or truncation order")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TWSeries):
-            return NotImplemented
-        return self.n == other.n and self.order == other.order and self.coeffs == other.coeffs
-
-    def __add__(self, other: "TWSeries") -> "TWSeries":
-        if not isinstance(other, TWSeries):
-            return NotImplemented
-        self._check_compatible(other)
-        return TWSeries(self.n, self.order, [x + y for x, y in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other: "TWSeries") -> "TWSeries":
-        if not isinstance(other, TWSeries):
-            return NotImplemented
-        self._check_compatible(other)
-        return TWSeries(self.n, self.order, [x - y for x, y in zip(self.coeffs, other.coeffs)])
-
-    def __mul__(self, other: "TWSeries") -> "TWSeries":
-        if not isinstance(other, TWSeries):
-            return NotImplemented
-        self._check_compatible(other)
-        out = [TPoly.zero(self.n) for _ in range(self.order + 1)]
-        for d1, c1 in enumerate(self.coeffs):
-            if c1.is_zero():
-                continue
-            for d2 in range(self.order + 1 - d1):
-                c2 = other.coeffs[d2]
-                if not c2.is_zero():
-                    out[d1 + d2] = out[d1 + d2] + c1 * c2
-        return TWSeries(self.n, self.order, out)
-
-    def scale(self, coeff: Coeff) -> "TWSeries":
-        return TWSeries(self.n, self.order, [c.scale(coeff) for c in self.coeffs])
+    @property
+    def coeffs(self) -> tuple:
+        """The TPoly coefficient of each power of w, from w^0 to w^order."""
+        buckets: list = [{} for _ in range(self.order + 1)]
+        for key, coeff in self.terms.items():
+            buckets[key[-1]][key[:-1]] = coeff
+        return tuple(TPoly._raw(self.n, bucket) for bucket in buckets)
 
     def __str__(self) -> str:
-        parts = [f"({self.coeffs[0]})"]
-        for d in range(1, self.order + 1):
-            w = "w" if d == 1 else f"w^{d}"
-            parts.append(f"({self.coeffs[d]})*{w}")
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"TWSeries(n={self.n}, order={self.order}, {self!s})"
+        powers = ["", "*w"] + [f"*w^{d}" for d in range(2, self.order + 1)]
+        return " + ".join(f"({c}){w}" for c, w in zip(self.coeffs, powers))
 
 
 def b_map(f: QTruncSeries) -> TWSeries:
     """Exponent vector -> t-monomial of its positive part times w^neg_mass."""
     images = (
-        ((neg_mass(exps), tuple(max(e, 0) for e in exps)), coeff)
+        (tuple(max(e, 0) for e in exps) + (neg_mass(exps),), coeff)
         for exps, coeff in f.terms.items()
     )
-    buckets: list = [{} for _ in range(f.order + 1)]
-    for (d, key), coeff in accumulate({}, images, negate=False).items():
-        buckets[d][key] = coeff
-    return TWSeries(f.n, f.order, [TPoly._raw(f.n, bucket) for bucket in buckets])
+    return TWSeries(f.n, f.order, accumulate({}, images, negate=False))
 
 
 def variable_series(pos: int, n: int, order: int, beta_c: Coeff, alpha_c: Coeff) -> TWSeries:
     """The image of t[pos+1]: -(t + b + a*w)*(1 + t*w + t^2*w^2 + ...) up to order."""
-    t_i = TPoly.variable(pos + 1, n)
-    geometric = [TPoly.one(n)]
-    for _ in range(order):
-        geometric.append(geometric[-1] * t_i)
-    front = [TPoly.zero(n)] * (order + 1)
-    front[0] = -(t_i + TPoly.constant(n, beta_c))
-    if order >= 1:
-        front[1] = TPoly.constant(n, -alpha_c)
-    return TWSeries(n, order, front) * TWSeries(n, order, geometric)
+
+    def key(t: int, w: int) -> tuple:
+        return tuple(t if s == pos else w if s == n else 0 for s in range(n + 1))
+
+    front = TWSeries(n, order, {key(1, 0): -Coeff.one(), key(0, 0): -beta_c, key(0, 1): -alpha_c})
+    geometric = TWSeries(n, order, {key(k, k): Coeff.one() for k in range(order + 1)})
+    return front * geometric
 
 
 def e_image(

@@ -219,6 +219,34 @@ def test_missing_n_flag(capsys):
     assert code == 2
 
 
+def test_out_of_range_sizes_exit_2(capsys):
+    for argv, flag, least in (
+        (("verify", "--n", "0", "ed-ba"), "--n", 1),
+        (("verify", "--n", "-1", "groebner"), "--n", 1),
+        (("reduce", "--n", "0", "--mode", "forkless", "1"), "--n", 1),
+        (("d-image", "--n", "0", "1"), "--n", 1),
+        (("verify", "--n", "4", "symmetry", "--samples", "-1"), "--samples", 0),
+        (("verify", "--n", "3", "t-unique", "--max-deg", "-1"), "--max-deg", 0),
+        (("verify", "--n", "3", "t-unique", "--max-terms", "0"), "--max-terms", 1),
+        (("verify", "--n", "3", "t-unique", "--trials", "-1"), "--trials", 0),
+        (("verify", "--n", "3", "ed-ba", "--w-order", "-1"), "--w-order", 0),
+        (("verify", "--n", "3", "ed-ba", "--max-degree", "-1"), "--max-degree", 0),
+        (("count", "--n", "3", "forkless", "--max-degree", "-1", "--check-gf"), "--max-degree", 0),
+        (("basis", "--n", "3", "forkless", "--degree", "-1"), "--degree", 0),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, []), argv
+        assert err.startswith("usage:"), argv
+        assert f"argument {flag}: expected an integer >= {least}" in err, argv
+    code, out, err = run(capsys, "basis", "--n", "3", "forkless", "--degree", "two")
+    assert (code, out) == (2, [])
+    assert "argument --degree: invalid integer value: 'two'" in err
+    code, out, _ = run(capsys, "verify", "--n", "1", "ed-ba", "--max-degree", "0", "--w-order", "0")
+    assert (code, out[-1]) == (0, "verify ed-ba: PASS")
+    code, out, _ = run(capsys, "verify", "--n", "3", "t-unique", "--trials", "0", "--max-terms", "1")
+    assert (code, out[-1]) == (0, "verify t-unique: PASS")
+
+
 def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0

@@ -43,9 +43,9 @@ def test_every_layer_target_resolves(layers):
 
 def test_sparse_classes_are_siblings(layers):
     from subdivalg.poly import TPoly, XPoly
-    from subdivalg.series import QPoly, QTruncSeries
+    from subdivalg.series import QPoly, QTruncSeries, TWSeries
 
-    classes = (XPoly, TPoly, QPoly, QTruncSeries)
+    classes = (XPoly, TPoly, QPoly, QTruncSeries, TWSeries)
     for a in classes:
         for b in classes:
             assert a is b or not issubclass(a, b), (a, b)

@@ -333,6 +333,52 @@ def test_qtrunc_pruning():
     assert (deep * deep).terms == {}
 
 
+def test_twseries_pruning():
+    # a key is (t[1], t[2], w exponent)
+    s = TWSeries(2, 1, {(0, 0, 2): Coeff.one(), (1, 0, 0): Coeff.one()})
+    assert s.terms == {(1, 0, 0): Coeff.one()}
+    assert s.coeffs == (parse_tpoly("t[1]", 2), TPoly.zero(2))
+    w = TWSeries(2, 1, {(0, 0, 1): Coeff.one()})
+    assert (w * w).terms == {}
+    with pytest.raises(ValueError):
+        TWSeries(2, 1, {(0, 0): Coeff.one()})
+    with pytest.raises(ValueError):
+        w * TWSeries.one(2, 2)
+    assert TWSeries.zero(2, 1) != TWSeries.zero(2, 2)
+
+
+def dense_mul(x: list, y: list) -> list:
+    """The product of two w-series given as one TPoly per power of w, cut at
+    the last power: the convolution of the coefficient lists."""
+    out = [TPoly.zero(x[0].n) for _ in x]
+    for d1, c1 in enumerate(x):
+        for d2 in range(len(x) - d1):
+            out[d1 + d2] = out[d1 + d2] + c1 * y[d2]
+    return out
+
+
+def test_twseries_arithmetic_matches_dense_reference():
+    rng = random.Random(53)
+
+    def random_series(n: int, order: int) -> tuple:
+        """A random TWSeries and its dense form; the power order + 1 is cut."""
+        dense = [
+            random_tpoly(n, 2, 3, rng) if rng.random() < 0.7 else TPoly.zero(n)
+            for _ in range(order + 2)
+        ]
+        terms = {t + (d,): c for d, p in enumerate(dense) for t, c in p.terms.items()}
+        return TWSeries(n, order, terms), dense[: order + 1]
+
+    for order in range(4):
+        for _ in range(15):
+            n = rng.randint(2, 4)
+            (x, dx), (y, dy) = random_series(n, order), random_series(n, order)
+            assert x.coeffs == tuple(dx)
+            assert (x * y).coeffs == tuple(dense_mul(dx, dy))
+            assert (x + y).coeffs == tuple(a + b for a, b in zip(dx, dy))
+            assert (x - y).coeffs == tuple(a - b for a, b in zip(dx, dy))
+
+
 def test_denominator_poly():
     assert denominator_poly(3, {}) == QPoly.one(3)
     assert denominator_poly(3, {(1, 2): 2}) == q_binomial(1, 2, 3) * q_binomial(
