@@ -43,7 +43,7 @@ from itertools import compress
 from operator import add, mul, sub
 from typing import Iterable, Iterator, Optional
 
-from .ring import Coeff, RationalLike, render_terms
+from .ring import ONE, Coeff, RationalLike, render_terms
 
 Monomial = tuple  # exponent tuple over the x variables, row-major
 TMonomial = tuple  # exponent tuple over t[1..n]
@@ -319,6 +319,8 @@ class SparsePoly:
                 yield tuple(map(add, m1, m2)), c1 * c2
 
     def scale(self, coeff: Coeff):
+        if coeff == ONE:
+            return self
         if not coeff:
             return self._like({})
         return self._like({m: coeff * c for m, c in self.terms.items()})

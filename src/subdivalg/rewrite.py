@@ -326,10 +326,13 @@ def derive_seed(seed: int, *parts: int) -> int:
     return out
 
 
+TOO_FEW_STRATEGIES = "need at least two strategies to compare"
+
+
 def strategy_suite(count: int, seed: int, trial: int) -> list:
     """The two deterministic strategies plus seeded random ones."""
     if count < 2:
-        raise ValueError("need at least two strategies to compare")
+        raise ValueError(TOO_FEW_STRATEGIES)
     suite: list = [FirstByOrder(), LastByOrder()]
     for s in range(count - 2):
         suite.append(RandomStrategy(derive_seed(seed, trial, s)))
@@ -375,6 +378,8 @@ def verify_t_unique(
     """Reduce random inputs under several strategies; d_images must agree.
 
     Trial `trial` draws its input from random.Random(derive_seed(seed, trial))."""
+    if strategies < 2:
+        raise ValueError(TOO_FEW_STRATEGIES)
     report = Report(
         dict(n=n, trials=trials, strategies=strategies, seed=seed, max_deg=max_deg,
              max_terms=max_terms, beta=beta, alpha=alpha),

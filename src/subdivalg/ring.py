@@ -12,6 +12,15 @@ integral and as a `Fraction` otherwise, and every result is normalised
 back to that form, so structural equality coincides with ring equality.
 Symbolic runs on integral input therefore never touch `Fraction`
 arithmetic; `specialize` and `constant_value` still return `Fraction`.
+
+The public constructor `Coeff(dict)` validates and normalises its input.
+Arithmetic builds its results with the internal `Coeff._raw(dict)`,
+which takes the dict as it is: every value nonzero, and an integral
+value stored as an `int`.  `+`, `-` and negation keep that invariant by
+normalising only the values they compute.  `*` has two fast paths: by
+the unit coefficient 1 it returns the other operand unchanged (a
+`Coeff` is never mutated, so sharing it is safe), and one term times
+one term builds its single key directly.
 """
 
 from __future__ import annotations
@@ -20,6 +29,28 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Union
 
 RationalLike = Union[int, Fraction]
+
+
+_UNIT = {(0, 0): 1}
+
+
+def _merge(out: dict, terms: dict, negate: bool) -> dict:
+    """Add terms into out, or subtract them when negate, normalising each
+    value computed and dropping the ones that cancel; returns out."""
+    get = out.get
+    for key, value in terms.items():
+        old = get(key)
+        if old is None:
+            out[key] = -value if negate else value
+            continue
+        value = old - value if negate else old + value
+        if type(value) is not int and value.denominator == 1:
+            value = value.numerator
+        if value:
+            out[key] = value
+        else:
+            del out[key]
+    return out
 
 
 class Coeff:
@@ -39,6 +70,13 @@ class Coeff:
                 if value:
                     cleaned[key] = value
         self._terms = cleaned
+
+    @staticmethod
+    def _raw(terms: dict) -> "Coeff":
+        # internal: terms already pruned and normalised (module docstring)
+        c = object.__new__(Coeff)
+        c._terms = terms
+        return c
 
     @staticmethod
     def zero() -> "Coeff":
@@ -74,30 +112,36 @@ class Coeff:
         return self._terms == other._terms
 
     def __neg__(self) -> "Coeff":
-        return Coeff({k: -v for k, v in self._terms.items()})
+        return Coeff._raw({k: -v for k, v in self._terms.items()})
 
     def __add__(self, other: "Coeff") -> "Coeff":
         if not isinstance(other, Coeff):
             return NotImplemented
-        merged = dict(self._terms)
-        for key, value in other._terms.items():
-            merged[key] = merged.get(key, 0) + value
-        return Coeff(merged)
+        return Coeff._raw(_merge(dict(self._terms), other._terms, False))
 
     def __sub__(self, other: "Coeff") -> "Coeff":
         if not isinstance(other, Coeff):
             return NotImplemented
-        merged = dict(self._terms)
-        for key, value in other._terms.items():
-            merged[key] = merged.get(key, 0) - value
-        return Coeff(merged)
+        return Coeff._raw(_merge(dict(self._terms), other._terms, True))
 
     def __mul__(self, other: "Coeff") -> "Coeff":
         if not isinstance(other, Coeff):
             return NotImplemented
+        left, right = self._terms, other._terms
+        if left == _UNIT:
+            return other
+        if right == _UNIT:
+            return self
+        if len(left) == 1 and len(right) == 1:
+            [((b1, a1), v1)] = left.items()
+            [((b2, a2), v2)] = right.items()
+            value = v1 * v2
+            if type(value) is not int and value.denominator == 1:
+                value = value.numerator
+            return Coeff._raw({(b1 + b2, a1 + a2): value})
         product: dict = {}
-        for (b1, a1), v1 in self._terms.items():
-            for (b2, a2), v2 in other._terms.items():
+        for (b1, a1), v1 in left.items():
+            for (b2, a2), v2 in right.items():
                 key = (b1 + b2, a1 + a2)
                 product[key] = product.get(key, 0) + v1 * v2
         return Coeff(product)

@@ -62,12 +62,12 @@ from .poly import (
 )
 from .groebner import ideal_generator
 from .rewrite import COEFF_CHOICES, Report, derive_seed, random_terms, random_xpoly
-from .ring import ALPHA, BETA, Coeff, RationalLike, resolve_param
+from .ring import ALPHA, BETA, ONE, Coeff, RationalLike, resolve_param
 
 
 def neg_mass(exponents: tuple) -> int:
     """Sum of -e over the negative entries of a q-exponent vector."""
-    return sum(-e for e in exponents if e < 0)
+    return -sum([e for e in exponents if e < 0])
 
 
 class QPoly(SparsePoly):
@@ -141,12 +141,13 @@ class QRatFrac:
         common = dict(self.denominator)
         for key, mult in other.denominator.items():
             common[key] = max(common.get(key, 0), mult)
-        lift_self = {k: m - self.denominator.get(k, 0) for k, m in common.items()}
-        lift_other = {k: m - other.denominator.get(k, 0) for k, m in common.items()}
-        numerator = self.numerator * denominator_poly(self.n, lift_self) + (
-            other.numerator * denominator_poly(self.n, lift_other)
-        )
-        return QRatFrac(numerator, common)
+
+        def lifted(frac: "QRatFrac") -> QPoly:
+            # the numerator over the common denominator; no product by one
+            lift = {k: m - e for k, m in common.items() if (e := frac.denominator.get(k, 0)) < m}
+            return frac.numerator * denominator_poly(self.n, lift) if lift else frac.numerator
+
+        return QRatFrac(lifted(self) + lifted(other), common)
 
     def __sub__(self, other: "QRatFrac") -> "QRatFrac":
         return self + (-other)
@@ -162,6 +163,8 @@ class QRatFrac:
         return QRatFrac(self.numerator * other.numerator, merged)
 
     def scale(self, coeff: Coeff) -> "QRatFrac":
+        if coeff == ONE:
+            return self
         return QRatFrac(self.numerator.scale(coeff), self.denominator)
 
     def __str__(self) -> str:
@@ -253,8 +256,12 @@ class _Truncated(SparsePoly):
         self.order = order
 
     @classmethod
+    def constant(cls, n: int, order: int, coeff: Coeff):
+        return cls(n, order, {(0,) * cls._width(n): coeff})
+
+    @classmethod
     def one(cls, n: int, order: int):
-        return cls(n, order, {(0,) * cls._width(n): Coeff.one()})
+        return cls.constant(n, order, Coeff.one())
 
     @classmethod
     def zero(cls, n: int, order: int):

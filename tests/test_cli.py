@@ -271,6 +271,16 @@ def test_verify_t_unique(capsys):
     assert out[-1] == "verify t-unique: PASS"
 
 
+def test_verify_t_unique_needs_two_strategies(capsys):
+    for trials in ("0", "1"):
+        code, out, err = run(
+            capsys, "verify", "--n", "3", "t-unique", "--trials", trials, "--strategies", "1"
+        )
+        assert code == 2
+        assert out == []
+        assert err == "error: need at least two strategies to compare\n"
+
+
 def test_verify_a_kills_j(capsys):
     code, out, _ = run(capsys, "verify", "--n", "3", "a-kills-j", "--samples", "5")
     assert code == 0

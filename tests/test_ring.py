@@ -246,3 +246,87 @@ def test_symbolic_runs_on_integral_input_store_no_fraction():
     for p in (result, series):
         assert values(p)
         assert all(type(value) is int for value in values(p))
+
+
+# Fast paths: a product by the unit returns the other operand, one term
+# times one term builds its key directly, and +, - and negation normalise
+# only the values they compute.  Operands are drawn to reach each of them:
+# the units, one-term values whose products or sums are integral Fractions
+# (2 * 1/2, 1/2 + 1/2), and second operands that cancel some or all terms
+# of the first.
+
+fast_values = st.sampled_from(
+    [1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(-2, 3),
+     Fraction(1, 3)]
+)
+keys = st.tuples(st.integers(0, 2), st.integers(0, 2))
+one_term = st.builds(lambda key, value: Coeff({key: value}), keys, fast_values)
+fast_operands = st.one_of(
+    st.sampled_from([ONE, -ONE, ZERO, Coeff.rational(2), Coeff.rational(Fraction(1, 2))]),
+    one_term,
+    st.dictionaries(keys, fast_values, max_size=3).map(Coeff),
+    mixed_coeffs,
+)
+
+
+@st.composite
+def operand_pairs(draw):
+    x = draw(fast_operands)
+    if draw(st.booleans()):
+        return x, draw(fast_operands)
+    # y cancels the terms of x that `cancel` marks and adds terms of its own
+    size = len(reference(x))
+    cancel = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    terms = {key: -value for (key, value), drop in zip(x.terms(), cancel) if drop}
+    for key, value in draw(st.one_of(st.just(ZERO), fast_operands)).terms():
+        terms.setdefault(key, value)
+    return x, Coeff(terms)
+
+
+@settings(derandomize=True, max_examples=400)
+@given(operand_pairs())
+def test_fast_paths_match_fraction_reference(pair):
+    x, y = pair
+    before = [list(x.terms()), list(y.terms())]
+    rx, ry = reference(x), reference(y)
+    cases = [
+        (x + y, ref_combine(rx, ry, 1)),
+        (y + x, ref_combine(rx, ry, 1)),
+        (x - y, ref_combine(rx, ry, -1)),
+        (y - x, ref_combine(ry, rx, -1)),
+        (x * y, ref_mul(rx, ry)),
+        (y * x, ref_mul(rx, ry)),
+        (-x, {key: -value for key, value in rx.items()}),
+    ]
+    for result, expected in cases:
+        assert reference(result) == expected
+        assert_normalised(result)
+    assert [list(x.terms()), list(y.terms())] == before
+
+
+def test_scale_and_ring_map_by_unit_coefficients():
+    from subdivalg.poly import TPoly, ring_map
+    from subdivalg.series import random_tpoly
+
+    def general_ring_map(p, image):
+        """ring_map without scale: each term starts from its coefficient."""
+        total = TPoly.zero(p.n)
+        for key, coeff in p.terms.items():
+            term = TPoly.constant(p.n, coeff)
+            for pos, e in enumerate(key):
+                for _ in range(e):
+                    term = term * image(pos)
+            total = total + term
+        return total
+
+    rng = random.Random(61)
+    for _ in range(40):
+        n = rng.randint(2, 4)
+        p = random_tpoly(n, 3, 4, rng)
+        units = TPoly(n, {key: rng.choice([ONE, -ONE]) for key in p.terms})
+        images = [random_tpoly(n, 2, 3, rng) for _ in range(n)]
+        for q in (p, units, TPoly(n, dict.fromkeys(p.terms, ONE))):
+            assert q.scale(ONE) == q
+            assert ring_map(q, images.__getitem__, TPoly.one(n), TPoly.zero(n)) == (
+                general_ring_map(q, images.__getitem__)
+            )

@@ -347,6 +347,18 @@ def test_twseries_pruning():
     assert TWSeries.zero(2, 1) != TWSeries.zero(2, 2)
 
 
+@pytest.mark.parametrize("cls", [QTruncSeries, TWSeries])
+def test_truncated_constant(cls):
+    two = cls.constant(2, 1, Coeff.rational(2))
+    assert two.order == 1
+    assert repr(two).startswith(f"{cls.__name__}(n=2, order=1, ")
+    assert two * cls.one(2, 1) == two
+    assert two * two == cls.constant(2, 1, Coeff.rational(4))
+    assert cls.constant(2, 1, Coeff.one()) == cls.one(2, 1)
+    assert cls.constant(2, 1, Coeff.zero()) == cls.zero(2, 1)
+    assert cls.constant(2, 1, Coeff.zero()).is_zero()
+
+
 def dense_mul(x: list, y: list) -> list:
     """The product of two w-series given as one TPoly per power of w, cut at
     the last power: the convolution of the coefficient lists."""
