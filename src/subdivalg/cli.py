@@ -167,8 +167,9 @@ def cmd_reduce(args) -> int:
         payload["trace"] = trace_text.splitlines()
         if trace_text:
             lines.extend(trace_text.splitlines())
-    payload["result"] = str(result)
-    lines.append(str(result))
+    text = str(result)
+    payload["result"] = text
+    lines.append(text)
     if args.with_d_image:
         image = str(d_image(result))
         payload["d_image"] = image

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, combinations_with_replacement
-from operator import add
+from itertools import combinations, combinations_with_replacement, compress
+from operator import add, mul
 from typing import Optional
 
 from .poly import (
@@ -39,7 +39,7 @@ from .poly import (
     format_monomial,
     mono_div,
     mono_lcm,
-    present_rows,
+    slot_partners,
 )
 from .rewrite import DEFAULT_MAX_STEPS, FirstByOrder, Report, RewriteError, Strategy, rewrite
 from .ring import ALPHA, BETA, Coeff, RationalLike, resolve_param
@@ -107,7 +107,8 @@ def generate_basis(
 
 def _fork_triples(m: Monomial) -> list:
     """Triples (i, j, k) whose basis head x[i,k]*x[i,j] divides m, lex order."""
-    return [(i, j, k) for i, cols in present_rows(m).items() for j, k in combinations(cols, 2)]
+    partners = slot_partners(len(m), True)
+    return [t for row in compress(partners, m) for pos, t in row if m[pos]]
 
 
 def reduce_step(terms: dict, mono: Monomial, triple: Triple, basis: GroebnerBasis) -> list:
@@ -153,7 +154,7 @@ def spol(g1: XPoly, g2: XPoly) -> XPoly:
 
 
 def _heads_disjoint(a: Monomial, b: Monomial) -> bool:
-    return all(not (x and y) for x, y in zip(a, b))
+    return not any(map(mul, a, b))
 
 
 def buchberger_check(basis: GroebnerBasis, max_steps: int = DEFAULT_MAX_STEPS) -> Report:

@@ -75,6 +75,21 @@ def present_rows(m: Monomial) -> dict:
 
 
 @lru_cache(maxsize=None)
+def slot_partners(width: int, same_row: bool) -> tuple:
+    """Per slot x[i,j], the pairs (slot of its partner, (i, j, k)) for
+    k > j, ascending: the partner is x[i,k] when same_row, else x[j,k].
+
+    So the triples of a monomial m in lex order are the (i, j, k) of its
+    present slots' pairs whose partner is present too."""
+    n = ambient_size(width)
+    positions = pair_position(n)
+    return tuple(
+        tuple((positions[(i, k) if same_row else (j, k)], (i, j, k)) for k in range(j + 1, n + 1))
+        for i, j in pair_list(n)
+    )
+
+
+@lru_cache(maxsize=None)
 def ambient_size(width: int) -> int:
     """Recover n from the length of an exponent tuple."""
     n = 1
@@ -211,13 +226,17 @@ def variable_names(letter: str, n: int) -> tuple:
     return tuple(f"{letter}[{i}]" for i in range(1, n + 1))
 
 
-def mono_factors(names: tuple, key: tuple) -> list:
-    return [name if e == 1 else f"{name}^{e}" for name, e in zip(names, key) if e]
+def mono_text(names: tuple, key: tuple) -> str:
+    """Text of the key over the slot names, "" for the empty monomial."""
+    present = list(compress(names, key))
+    if len(present) == key.count(1):  # squarefree
+        return "*".join(present)
+    return "*".join([name if e == 1 else f"{name}^{e}" for name, e in zip(names, key) if e])
 
 
 def format_monomial(m: Monomial) -> str:
     """Bare monomial text, '1' for the empty monomial."""
-    return "*".join(mono_factors(variable_names("x", ambient_size(len(m))), m)) or "1"
+    return mono_text(variable_names("x", ambient_size(len(m))), m) or "1"
 
 
 class SparsePoly:
@@ -361,9 +380,8 @@ class SparsePoly:
 
     def __str__(self) -> str:
         names = variable_names(self._letter, self.n)
-        return render_terms(
-            (self.terms[m], mono_factors(names, m)) for m in sorted(self.terms, reverse=True)
-        )
+        terms = self.terms
+        return render_terms((terms[m], mono_text(names, m)) for m in sorted(terms, reverse=True))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(n={self.n}, {self!s})"

@@ -46,7 +46,7 @@ from .poly import (
     num_vars,
     pair_position,
     parse_monomial,
-    present_rows,
+    slot_partners,
     weight_pathless,
 )
 from .ring import ALPHA, BETA, Coeff, RationalLike, resolve_param
@@ -102,8 +102,8 @@ class TraceStep:
 
 def find_path_triples(m: Monomial) -> list:
     """All (i, j, k), i < j < k, with x[i,j]*x[j,k] dividing m, in lex order."""
-    rows = present_rows(m)
-    return [(i, j, k) for i, cols in rows.items() for j in cols for k in rows.get(j, ())]
+    partners = slot_partners(len(m), False)
+    return [t for row in itertools.compress(partners, m) for pos, t in row if m[pos]]
 
 
 def path_replacement(mono: Monomial, triple: Triple) -> tuple:

@@ -17,15 +17,16 @@ The public constructor `Coeff(dict)` validates and normalises its input.
 Arithmetic builds its results with the internal `Coeff._raw(dict)`,
 which takes the dict as it is: every value nonzero, and an integral
 value stored as an `int`.  `+`, `-` and negation keep that invariant by
-normalising only the values they compute.  `*` has two fast paths: by
-the unit coefficient 1 it returns the other operand unchanged (a
-`Coeff` is never mutated, so sharing it is safe), and one term times
-one term builds its single key directly.
+normalising only the values they compute, and so does `*`, which has
+two fast paths besides: by the unit coefficient 1 it returns the other
+operand unchanged (a `Coeff` is never mutated, so sharing it is safe),
+and one term times one term builds its single key directly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Union
 
 RationalLike = Union[int, Fraction]
@@ -140,11 +141,18 @@ class Coeff:
                 value = value.numerator
             return Coeff._raw({(b1 + b2, a1 + a2): value})
         product: dict = {}
+        get = product.get
         for (b1, a1), v1 in left.items():
             for (b2, a2), v2 in right.items():
                 key = (b1 + b2, a1 + a2)
-                product[key] = product.get(key, 0) + v1 * v2
-        return Coeff(product)
+                product[key] = get(key, 0) + v1 * v2
+        out = {}
+        for key, value in product.items():
+            if type(value) is not int and value.denominator == 1:
+                value = value.numerator
+            if value:
+                out[key] = value
+        return Coeff._raw(out)
 
     def specialize(self, beta: RationalLike, alpha: RationalLike) -> Fraction:
         """Evaluate at numeric parameter values."""
@@ -186,7 +194,7 @@ class Coeff:
         return Fraction(self._terms.get((0, 0), 0))
 
     def __str__(self) -> str:
-        return render_terms([(self, [])])
+        return render_terms([(self, "")])
 
     def __repr__(self) -> str:
         return f"Coeff({self!s})"
@@ -198,31 +206,63 @@ BETA = Coeff.param_term(1, 0)
 ALPHA = Coeff.param_term(0, 1)
 
 
+# (deg_b, deg_a) -> its text, "b^2*a", "" for (0, 0); filled as met
+_PARAM_TEXT: dict = {}
+
+
+def _param_text(deg_b: int, deg_a: int) -> str:
+    factors = []
+    if deg_b:
+        factors.append("b" if deg_b == 1 else f"b^{deg_b}")
+    if deg_a:
+        factors.append("a" if deg_a == 1 else f"a^{deg_a}")
+    return "*".join(factors)
+
+
 def render_terms(pairs: Iterable) -> str:
-    """Canonical text of a sum of (Coeff, variable factor texts) pairs.
+    """Canonical text of a sum of (Coeff, monomial text) pairs, where the
+    text of the empty monomial is "".
 
     One summand per (rational, b-power, a-power) of each coefficient, in
     the order of pairs and then of descending parameter degrees; "0" for
     an empty sum.
     """
     parts = []
-    for coeff, var_factors in pairs:
-        for (deg_b, deg_a), value in coeff.terms():
-            factors = []
-            mag = abs(value)
-            if mag != 1 or (deg_b == 0 and deg_a == 0 and not var_factors):
-                factors.append(str(mag))
-            if deg_b:
-                factors.append("b" if deg_b == 1 else f"b^{deg_b}")
-            if deg_a:
-                factors.append("a" if deg_a == 1 else f"a^{deg_a}")
-            factors.extend(var_factors)
-            text = "*".join(factors)
-            if not parts:
-                parts.append(text if value > 0 else "-" + text)
+    param_text = _PARAM_TEXT
+    for coeff, mono in pairs:
+        items = coeff._terms.items()
+        if len(items) > 1:
+            items = sorted(items, reverse=True)
+        for key, value in items:
+            params = param_text.get(key)
+            if params is None:
+                params = param_text[key] = _param_text(*key)
+            num = value.numerator
+            negative = num < 0
+            if negative:
+                num = -num
+            den = value.denominator
+            if den != 1:
+                text = f"{num}/{den}"
+            elif num != 1 or not (params or mono):
+                text = str(num)
             else:
-                parts.append(("+ " if value > 0 else "- ") + text)
+                text = ""
+            if params:
+                text = f"{text}*{params}" if text else params
+            if mono:
+                text = f"{text}*{mono}" if text else mono
+            if parts:
+                parts.append(("- " if negative else "+ ") + text)
+            else:
+                parts.append("-" + text if negative else text)
     return " ".join(parts) if parts else "0"
+
+
+@lru_cache(maxsize=64)
+def _numeric(value: RationalLike) -> Coeff:
+    # Coeffs are immutable by convention, so one instance serves every caller.
+    return Coeff.rational(value)
 
 
 def resolve_param(value: Optional[RationalLike], symbolic: Coeff) -> Coeff:
@@ -232,4 +272,4 @@ def resolve_param(value: Optional[RationalLike], symbolic: Coeff) -> Coeff:
     """
     if value is None:
         return symbolic
-    return Coeff.rational(value)
+    return _numeric(value)

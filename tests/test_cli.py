@@ -68,6 +68,31 @@ def test_reduce_script_with_trace_and_d_image(capsys, tmp_path):
     assert out[6] == f"d-image: {GAME_D_IMAGE}"
 
 
+def test_reduce_formats_each_result_once(capsys, monkeypatch):
+    """`reduce --d-image` turns one XPoly and one TPoly into text, in both
+    output formats, and forkless mode likewise."""
+    from subdivalg.poly import XPoly
+
+    formatted = []
+    for cls in (XPoly, TPoly):
+        original = cls.__str__
+
+        def counted(self, original=original):
+            formatted.append(type(self).__name__)
+            return original(self)
+
+        monkeypatch.setattr(cls, "__str__", counted)
+    pathless = ["--mode", "pathless", "--strategy", "random", "--beta", "1/3"]
+    for options in (pathless, [*pathless, "--json"], [*pathless, "--trace"], ["--mode", "forkless"]):
+        formatted.clear()
+        code, out, _ = run(
+            capsys, "reduce", "--n", "4", "--d-image", *options,
+            "x[1,2]*x[2,3]*x[3,4] + x[1,3]*x[1,2]",
+        )
+        assert code == 0 and out
+        assert sorted(formatted) == ["TPoly", "XPoly"], options
+
+
 def test_reduce_random_prints_seed(capsys):
     code, out, _ = run(
         capsys,

@@ -7,6 +7,8 @@ from functools import partial
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     ALT_RESULT,
@@ -33,6 +35,7 @@ from subdivalg.poly import (
     pair_position,
     parse_poly,
     parse_tpoly,
+    present_rows,
     weight_pathless,
 )
 from subdivalg.rewrite import (
@@ -104,6 +107,41 @@ def test_scans_and_weight_match_brute_force():
                 assert weight_pathless(m) == weight
                 checked += 1
     assert checked == 1211
+
+
+def scans_by_definition(m: tuple) -> tuple:
+    """Path and fork triples of m from the rows of its present variables."""
+    rows = present_rows(m)
+    paths = [(i, j, k) for i, cols in rows.items() for j in cols for k in rows.get(j, ())]
+    forks = [(i, j, k) for i, cols in rows.items() for j, k in combinations(cols, 2)]
+    return paths, forks
+
+
+def test_scans_match_present_rows_exhaustively():
+    """Every monomial with exponents <= 2 at n <= 4."""
+    checked = 0
+    for n in range(1, 5):
+        for m in itertools.product(range(3), repeat=n * (n - 1) // 2):
+            assert (find_path_triples(m), _fork_triples(m)) == scans_by_definition(m)
+            checked += 1
+    assert checked == 1 + 3 + 27 + 729
+
+
+@st.composite
+def sparse_monomials(draw):
+    n = draw(st.integers(1, 10))
+    width = n * (n - 1) // 2
+    exps = [0] * width
+    if width:
+        for pos in draw(st.lists(st.integers(0, width - 1), max_size=12)):
+            exps[pos] += draw(st.integers(1, 3))
+    return tuple(exps)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(sparse_monomials())
+def test_scans_match_present_rows(m):
+    assert (find_path_triples(m), _fork_triples(m)) == scans_by_definition(m)
 
 
 def test_step_generic_example():

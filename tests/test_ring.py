@@ -135,6 +135,97 @@ def test_rendering():
     assert str(Coeff.param_term(1, 1, -2)) == "-2*b*a"
 
 
+def test_render_terms_edge_cases():
+    """Canonical text of edge cases; the expected strings were printed by
+    the earlier factor-list formatter, so they pin the text across
+    rewrites of it."""
+    from subdivalg.poly import TPoly, XPoly, mono_from_pairs
+    from subdivalg.series import QPoly
+
+    def x(*pairs):
+        exps: dict = {}
+        for pair in pairs:
+            exps[pair] = exps.get(pair, 0) + 1
+        return mono_from_pairs(3, exps)
+
+    half = Fraction(1, 2)
+    table = [
+        (ZERO, "0"),
+        (Coeff.rational(-1), "-1"),
+        (ONE, "1"),
+        (Coeff.rational(-half), "-1/2"),
+        (-BETA, "-b"),
+        (Coeff({(0, 3): Fraction(5, 7), (1, 0): -1}), "-b + 5/7*a^3"),
+        (Coeff({(0, 0): Fraction(-3, 2), (1, 0): -1, (0, 2): half}), "-b + 1/2*a^2 - 3/2"),
+        (XPoly.zero(3), "0"),
+        (XPoly.zero(1), "0"),
+        (XPoly.constant(3, Coeff.rational(-1)), "-1"),
+        (XPoly.one(3), "1"),
+        (XPoly.constant(1, Coeff.rational(5)), "5"),
+        (XPoly(3, {x((1, 2)): Coeff.param_term(1, 0, -half)}), "-1/2*b*x[1,2]"),
+        (XPoly.constant(3, Coeff.param_term(2, 1)), "b^2*a"),
+        (XPoly(3, {x((1, 2), (1, 2), (1, 2)): ONE}), "x[1,2]^3"),
+        (
+            XPoly(3, {
+                x((1, 3)): Coeff.rational(Fraction(-3, 2)),
+                x((2, 3)): Coeff.param_term(1, 0, Fraction(2, 3)),
+                x(): Coeff.rational(Fraction(-1, 5)),
+            }),
+            "-3/2*x[1,3] + 2/3*b*x[2,3] - 1/5",
+        ),
+        (XPoly(3, {x((1, 2), (2, 3)): -ONE, x((1, 3)): ONE}), "-x[1,2]*x[2,3] + x[1,3]"),
+        (
+            XPoly(3, {
+                x((1, 2), (1, 2), (2, 3)): -BETA,
+                x(): Coeff.param_term(1, 0, 2) + Coeff.param_term(0, 2, Fraction(7, 3)) - ONE,
+            }),
+            "-b*x[1,2]^2*x[2,3] + 2*b + 7/3*a^2 - 1",
+        ),
+        (XPoly(3, {x((1, 2)): BETA + ONE, x(): Coeff.rational(-4)}), "b*x[1,2] + x[1,2] - 4"),
+        (
+            XPoly(3, {
+                x((1, 3), (1, 3)): Coeff.param_term(3, 2, -1),
+                x(): Coeff.param_term(0, 1, half),
+            }),
+            "-b^3*a^2*x[1,3]^2 + 1/2*a",
+        ),
+        (
+            TPoly(3, {(0, 2, 0): Coeff.param_term(1, 0, -half), (1, 0, 1): ONE}),
+            "t[1]*t[3] - 1/2*b*t[2]^2",
+        ),
+        (TPoly.constant(3, Coeff.rational(Fraction(-7, 3))), "-7/3"),
+        (
+            QPoly(2, {
+                (-1, 0): ONE,
+                (3, -1): Coeff.rational(Fraction(-2, 3)),
+                (1, 1): -BETA,
+            }),
+            "-2/3*q[1]^3*q[2]^-1 - b*q[1]*q[2] + q[1]^-1",
+        ),
+        (QPoly(3, {(1, -1, 1): ONE}), "q[1]*q[2]^-1*q[3]"),
+    ]
+    for value, expected in table:
+        assert str(value) == expected, (repr(value), expected)
+
+
+def test_general_product_normalises_and_prunes():
+    """Products of multi-term coefficients: a cross term that cancels is
+    dropped, and an integral Fraction is stored as an int."""
+    product = (BETA + ONE) * (BETA - ONE)
+    assert product == BETA * BETA - ONE
+    assert sorted(product._terms) == [(0, 0), (2, 0)]
+    half = Coeff.rational(Fraction(1, 2))
+    product = (half * BETA + half) * (BETA + ONE)
+    assert product._terms == {(2, 0): Fraction(1, 2), (1, 0): 1, (0, 0): Fraction(1, 2)}
+    assert type(product._terms[(1, 0)]) is int
+
+
+def test_resolve_param_reuses_numeric_coefficients():
+    assert resolve_param(Fraction(1, 3), BETA) is resolve_param(Fraction(1, 3), ALPHA)
+    assert resolve_param(2, BETA) == Coeff.rational(2)
+    assert resolve_param(Fraction(4, 2), BETA)._terms == {(0, 0): 2}
+
+
 def test_terms_descending():
     c = ALPHA + BETA + BETA * BETA
     keys = [key for key, _ in c.terms()]
