@@ -13,6 +13,11 @@ mismatch, 2 usage or parse error, or a reduction that hit its step
 limit.  Parameters b and a stay symbolic unless --beta/--alpha give
 rational values.  Only commands that draw random choices take --seed
 (default 0), and they always print the seed they used.
+
+`build_parser()` builds the parser once per process and returns that one
+shared instance on every call, `main` included; callers must not mutate
+it.  `main` looks each `cmd_*` handler up in this module when it runs,
+so a handler replaced at run time takes effect on the next call.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 from typing import Optional
 
 from .algebra import count_forkless, enumerate_forkless, gf_coeffs, verify_symmetry
@@ -75,6 +81,7 @@ def _common_flags(sub: argparse.ArgumentParser):
     sub.add_argument("--json", action="store_true", dest="as_json")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="subdivalg", description=__doc__.strip().splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
@@ -89,7 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     reduce_p.add_argument("--trace", action="store_true")
     reduce_p.add_argument("--d-image", action="store_true", dest="with_d_image")
     reduce_p.add_argument("poly")
-    reduce_p.set_defaults(func=cmd_reduce)
 
     verify_p = commands.add_parser("verify", help="run a verification sweep")
     _common_flags(verify_p)
@@ -99,25 +105,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     for dest, (_, kind) in SWEEP_FLAGS.items():
         verify_p.add_argument(_flag(dest), type=kind, dest=dest)
-    verify_p.set_defaults(func=cmd_verify)
 
     count_p = commands.add_parser("count", help="count forkless monomials per degree")
     _common_flags(count_p)
     count_p.add_argument("what", choices=["forkless"])
     count_p.add_argument("--max-degree", type=COUNT, required=True, dest="max_degree")
     count_p.add_argument("--check-gf", action="store_true", dest="check_gf")
-    count_p.set_defaults(func=cmd_count)
 
     basis_p = commands.add_parser("basis", help="list forkless monomials of one degree")
     _common_flags(basis_p)
     basis_p.add_argument("what", choices=["forkless"])
     basis_p.add_argument("--degree", type=COUNT, required=True)
-    basis_p.set_defaults(func=cmd_basis)
 
     d_image_p = commands.add_parser("d-image", help="print d_image of a polynomial")
     _common_flags(d_image_p)
     d_image_p.add_argument("poly")
-    d_image_p.set_defaults(func=cmd_d_image)
 
     return parser
 
@@ -307,13 +309,13 @@ def cmd_d_image(args) -> int:
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except (PolyParseError, RewriteError, ResourceLimitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,20 +13,25 @@ of the poly module:
 This family is a Groebner basis; `buchberger_check` confirms the
 criterion mechanically and `normal_form` reduces any polynomial to its
 unique forkless representative (the monomials with no x[i,j]*x[i,k]
-divisor are exactly the irreducible ones).
+divisor are exactly the irreducible ones).  `ideal_generator` writes the
+five terms of a relation straight from their monomials, leaving out the
+b and a terms where those parameters are zero.
 
 `normal_form` runs the rewriting engine of the rewrite module with the
 fork triples of a monomial and `reduce_step`, which subtracts in place a
 multiple of a basis element chosen so the rewritten monomial is replaced
 by strictly smaller ones, and returns the monomials of that multiple, so
-the engine updates its reducible set without rescanning.  The engine's
-step bound guards against defects, not against the math.
+the engine updates its reducible set without rescanning.  Each
+`BasisElement` carries its tail pre-negated, head - g, in which a monic
+head cancels; a step deletes the rewritten monomial outright and adds
+the shifted tail times its coefficient.  The engine's step bound guards
+against defects, not against the math.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from itertools import combinations, combinations_with_replacement, compress
 from operator import add, mul
 from typing import Optional
@@ -38,11 +43,28 @@ from .poly import (
     accumulate,
     format_monomial,
     mono_div,
+    mono_from_pairs,
     mono_lcm,
     slot_partners,
 )
 from .rewrite import DEFAULT_MAX_STEPS, FirstByOrder, Report, RewriteError, Strategy, rewrite
-from .ring import ALPHA, BETA, Coeff, RationalLike, resolve_param
+from .ring import ALPHA, BETA, ONE, RationalLike, resolve_param
+
+
+_MINUS_ONE = -ONE
+
+
+@lru_cache(maxsize=None)
+def _relation_monomials(n: int) -> dict:
+    """Per triple (i, j, k), the monomials of its relation's five terms:
+    x[i,j]*x[j,k], x[i,k]*x[i,j], x[i,k]*x[j,k], x[i,k] and 1."""
+    return {
+        (i, j, k): tuple(
+            mono_from_pairs(n, dict.fromkeys(pairs, 1))
+            for pairs in (((i, j), (j, k)), ((i, k), (i, j)), ((i, k), (j, k)), ((i, k),), ())
+        )
+        for i, j, k in combinations(range(1, n + 1), 3)
+    }
 
 
 def ideal_generator(
@@ -53,22 +75,37 @@ def ideal_generator(
     beta: Optional[RationalLike] = None,
     alpha: Optional[RationalLike] = None,
 ) -> XPoly:
-    """The defining relation x[i,j]*x[j,k] - x[i,k]*(x[i,j]+x[j,k]+b) - a."""
+    """The defining relation x[i,j]*x[j,k] - x[i,k]*(x[i,j]+x[j,k]+b) - a,
+    its terms written from their monomials; a zero b or a term is left out."""
     if not (1 <= i < j < k <= n):
         raise ValueError(f"need 1 <= i < j < k <= n, got ({i},{j},{k}) with n={n}")
-    x_ij = XPoly.variable(i, j, n)
-    x_jk = XPoly.variable(j, k, n)
-    x_ik = XPoly.variable(i, k, n)
-    beta_term = XPoly.constant(n, resolve_param(beta, BETA))
-    alpha_term = XPoly.constant(n, resolve_param(alpha, ALPHA))
-    return x_ij * x_jk - x_ik * (x_ij + x_jk + beta_term) - alpha_term
+    path, fork, ik_jk, ik, one = _relation_monomials(n)[(i, j, k)]
+    terms = {path: ONE, fork: _MINUS_ONE, ik_jk: _MINUS_ONE}
+    b = resolve_param(beta, BETA)
+    if b:
+        terms[ik] = -b
+    a = resolve_param(alpha, ALPHA)
+    if a:
+        terms[one] = -a
+    return XPoly._raw(n, terms)
 
 
 @dataclass(frozen=True)
 class BasisElement:
+    """The basis element poly of triple, with head monomial head.
+
+    tail is derived: the monomials and coefficients of head - poly.  A
+    monic head cancels in it, leaving poly's other terms negated in
+    poly's order; any other head stays, with coefficient 1 - lead."""
+
     triple: Triple
     poly: XPoly
     head: Monomial
+    tail: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        tail = accumulate({self.head: ONE}, self.poly.terms.items(), negate=True)
+        object.__setattr__(self, "tail", (tuple(tail), tuple(tail.values())))
 
 
 class GroebnerBasis:
@@ -99,7 +136,7 @@ def generate_basis(
     for i, j, k in combinations(range(1, n + 1), 3):
         poly = -ideal_generator(i, j, k, n, beta, alpha)
         head, lead = poly.head()
-        if lead != Coeff.one():
+        if lead != ONE:
             raise ValueError(f"basis element {(i, j, k)} is not monic: {poly}")
         elements.append(BasisElement((i, j, k), poly, head))
     return GroebnerBasis(n, elements)
@@ -114,15 +151,21 @@ def _fork_triples(m: Monomial) -> list:
 def reduce_step(terms: dict, mono: Monomial, triple: Triple, basis: GroebnerBasis) -> list:
     """One reduction terms - c*s*g in place at monomial mono of the term
     dict, with c its coefficient, g the basis element of triple and
-    s = mono / head(g); returns the monomials s*m, m in g, that it wrote.
+    s = mono / head(g); returns the monomials of c*s*tail that it wrote.
+
+    Since c*s*head(g) is the term c*mono, the step deletes mono and adds
+    c*s times g's pre-negated tail, head(g) - g; for a monic g that tail
+    leaves mono out, and for any other g it puts c*(1 - lead) back there.
     A step that does not apply raises RewriteError and changes nothing."""
     element = basis._by_triple.get(triple)
     shift = None if element is None else mono_div(mono, element.head)
     coeff = terms.get(mono)
     if shift is None or coeff is None:
         raise RewriteError(f"basis element {triple} does not reduce {format_monomial(mono)}")
-    written = [tuple(map(add, m, shift)) for m in element.poly.terms]
-    accumulate(terms, zip(written, [coeff * c for c in element.poly.terms.values()]), negate=True)
+    monos, coeffs = element.tail
+    del terms[mono]
+    written = [tuple(map(add, m, shift)) for m in monos]
+    accumulate(terms, zip(written, [coeff * c for c in coeffs]), negate=False)
     return written
 
 

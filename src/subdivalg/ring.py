@@ -20,7 +20,9 @@ value stored as an `int`.  `+`, `-` and negation keep that invariant by
 normalising only the values they compute, and so does `*`, which has
 two fast paths besides: by the unit coefficient 1 it returns the other
 operand unchanged (a `Coeff` is never mutated, so sharing it is safe),
-and one term times one term builds its single key directly.
+and by a one-term operand it shifts the other operand's keys and scales
+its values, with nothing to merge or prune (Q is a field, so no product
+of nonzero values vanishes).
 """
 
 from __future__ import annotations
@@ -133,13 +135,17 @@ class Coeff:
             return other
         if right == _UNIT:
             return self
-        if len(left) == 1 and len(right) == 1:
-            [((b1, a1), v1)] = left.items()
+        if len(right) != 1:
+            left, right = right, left
+        if len(right) == 1:
             [((b2, a2), v2)] = right.items()
-            value = v1 * v2
-            if type(value) is not int and value.denominator == 1:
-                value = value.numerator
-            return Coeff._raw({(b1 + b2, a1 + a2): value})
+            out = {}
+            for (b1, a1), v1 in left.items():
+                value = v1 * v2
+                if type(value) is not int and value.denominator == 1:
+                    value = value.numerator
+                out[(b1 + b2, a1 + a2)] = value
+            return Coeff._raw(out)
         product: dict = {}
         get = product.get
         for (b1, a1), v1 in left.items():

@@ -93,6 +93,51 @@ def test_reduce_formats_each_result_once(capsys, monkeypatch):
         assert sorted(formatted) == ["TPoly", "XPoly"], options
 
 
+# Alternating commands, with argparse errors (exit 2), --help (exit 0), a
+# --seed rejection and a flag the sweep does not read between good calls.
+PARSER_SEQUENCE = (
+    ("reduce", "--n", "3", "--mode", "forkless", "x[1,3]*x[1,2]"),
+    ("count", "--n", "4", "forkless", "--max-degree", "3"),
+    ("reduce", "--n", "3", "--mode", "bogus", "x[1,2]"),
+    ("reduce", "--n", "4", "--mode", "pathless", "--strategy", "random", "--seed", "4", GAME_START),
+    ("reduce", "--n", "3", "--mode", "forkless", "--seed", "3", "x[1,2]"),
+    ("verify", "--n", "3", "groebner", "--beta", "1/2"),
+    (),
+    ("basis", "--n", "3", "forkless", "--degree", "2", "--json"),
+    ("verify", "--n", "3", "symmetry", "--trials", "5"),
+    ("d-image", "--n", "3", "--alpha", "2", "x[1,2]*x[2,3] + a"),
+    ("count", "--n", "0", "forkless", "--max-degree", "3"),
+    ("reduce", "--help"),
+    ("reduce", "--n", "4", "--mode", "pathless", "--trace", GAME_START),
+)
+
+
+def test_shared_parser_answers_like_a_fresh_one(capsys, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    shared = [run(capsys, *argv) for argv in PARSER_SEQUENCE]
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0, 2, 0, 2, 0, 2, 0, 2, 0, 0]
+    # main with a new parser on every call, as before the parser was shared
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [run(capsys, *argv) for argv in PARSER_SEQUENCE]
+    assert shared == fresh
+
+
+def test_handlers_are_looked_up_per_call(capsys, monkeypatch):
+    assert run(capsys, "count", "--n", "3", "forkless", "--max-degree", "1")[0] == 0
+    seen = []
+
+    def fake_count(args):
+        seen.append((args.n, args.max_degree))
+        print("replaced")
+        return 7
+
+    monkeypatch.setattr(cli, "cmd_count", fake_count)
+    assert run(capsys, "count", "--n", "5", "forkless", "--max-degree", "2") == (7, ["replaced"], "")
+    assert seen == [(5, 2)]
+    monkeypatch.undo()
+    assert run(capsys, "count", "--n", "3", "forkless", "--max-degree", "1")[1] == ["0,1", "1,3"]
+
+
 def test_reduce_random_prints_seed(capsys):
     code, out, _ = run(
         capsys,

@@ -1,6 +1,7 @@
 """Basis family, reduction, Buchberger criterion, and ideal membership."""
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -21,6 +22,7 @@ from subdivalg.poly import (
     XPoly,
     all_monomials,
     is_forkless,
+    mono_div,
     mono_from_pairs,
     mono_one,
     parse_poly,
@@ -37,7 +39,7 @@ from subdivalg.rewrite import (
     random_xpoly,
     reduce_pathless,
 )
-from subdivalg.ring import ALPHA, BETA, Coeff
+from subdivalg.ring import ALPHA, BETA, Coeff, resolve_param
 
 
 def mono(n: int, *pairs) -> tuple:
@@ -58,6 +60,102 @@ def test_generate_basis_shape():
         "x[1,3]*x[1,2] - x[1,2]*x[2,3] + x[1,3]*x[2,3] + b*x[1,3] + a", 3
     )
     assert element.poly == -ideal_generator(1, 2, 3, 3)
+
+
+# (beta, alpha) pairs: symbolic, integer, rational, and each of them zero.
+PARAMS = ((None, None), (3, -2), (Fraction(2, 3), Fraction(-3, 2)), (0, None), (None, 0), (0, 0))
+
+
+def reference_generator(i, j, k, n, beta, alpha):
+    """The relation built with XPoly arithmetic."""
+    x_ij, x_jk, x_ik = (XPoly.variable(*pair, n) for pair in ((i, j), (j, k), (i, k)))
+    b = XPoly.constant(n, resolve_param(beta, BETA))
+    a = XPoly.constant(n, resolve_param(alpha, ALPHA))
+    return x_ij * x_jk - x_ik * (x_ij + x_jk + b) - a
+
+
+@pytest.mark.parametrize("beta, alpha", PARAMS)
+def test_basis_matches_arithmetic_reference(beta, alpha):
+    for n in range(3, 8):
+        basis = generate_basis(n, beta, alpha)
+        assert [e.triple for e in basis] == list(combinations(range(1, n + 1), 3))
+        for element in basis:
+            i, j, k = element.triple
+            expected = reference_generator(i, j, k, n, beta, alpha)
+            relation = ideal_generator(i, j, k, n, beta, alpha)
+            assert relation == expected
+            assert element.poly == -expected
+            assert element.head == mono(n, (i, k), (i, j))
+            # A zero parameter leaves its term out rather than storing a zero.
+            assert len(relation.terms) == 3 + (beta != 0) + (alpha != 0)
+            assert all(relation.terms.values()) and all(element.poly.terms.values())
+            assert (mono(n, (i, k)) in relation.terms) == (beta != 0)
+            assert (mono_one(n) in relation.terms) == (alpha != 0)
+            # The tail is head - poly: the relation without its head term.
+            monos, coeffs = element.tail
+            assert dict(zip(monos, coeffs)) == {
+                m: c for m, c in expected.terms.items() if m != element.head
+            }
+
+
+def fork_rich(n: int, rng: random.Random) -> XPoly:
+    """A random polynomial times a random fork x[i,j]*x[i,k]."""
+    i, j, k = sorted(rng.sample(range(1, n + 1), 3))
+    return random_xpoly(n, 3, 4, rng) * XPoly.from_monomial(mono(n, (i, j), (i, k)))
+
+
+def check_steps_match_reference(p: XPoly, basis: GroebnerBasis) -> int:
+    """Every step that applies to p equals p - c*s*g built with XPoly
+    arithmetic, and names every monomial it changed; returns the count."""
+    steps = 0
+    for m, c in p.terms.items():
+        for element in basis:
+            shift = mono_div(m, element.head)
+            if shift is None:
+                continue
+            expected = p - element.poly.mul_term(shift, c)
+            terms = dict(p.terms)
+            written = reduce_step(terms, m, element.triple, basis)
+            assert XPoly._raw(p.n, terms) == expected
+            assert all(terms.values())
+            changed = {
+                key for key in set(p.terms) | set(terms) if p.terms.get(key) != terms.get(key)
+            }
+            assert changed <= {m, *written}
+            steps += 1
+    return steps
+
+
+@pytest.mark.parametrize("beta, alpha", PARAMS)
+def test_reduce_step_matches_arithmetic_reference(beta, alpha):
+    rng = random.Random(derive_seed(11, PARAMS.index((beta, alpha))))
+    steps = 0
+    for n in (3, 4, 5, 6):
+        basis = generate_basis(n, beta, alpha)
+        for _ in range(10):
+            steps += check_steps_match_reference(fork_rich(n, rng).substitute(beta, alpha), basis)
+    assert steps >= 100
+
+
+def test_reduce_step_non_monic_head():
+    n = 4
+    basis = generate_basis(n)
+    assert all(element.head not in element.tail[0] for element in basis)
+    doubled = GroebnerBasis(
+        n, [BasisElement(e.triple, e.poly.scale(Coeff.rational(2)), e.head) for e in basis]
+    )
+    # head - 2*head leaves the head in the tail with coefficient -1.
+    for element in doubled:
+        tail = dict(zip(*element.tail))
+        assert tail.pop(element.head) == -Coeff.one()
+        assert tail == {m: -c for m, c in element.poly.terms.items() if m != element.head}
+    rng = random.Random(5)
+    steps = sum(check_steps_match_reference(fork_rich(n, rng), doubled) for _ in range(5))
+    assert steps > 10
+    # The head no longer cancels: c - 2c leaves -c at the rewritten monomial.
+    fork = mono(n, (1, 3), (1, 2))
+    reduced = applied(reduce_step, XPoly.from_monomial(fork, BETA), fork, (1, 2, 3), doubled)
+    assert reduced.terms[fork] == -BETA
 
 
 def test_generate_basis_is_monic_in_triple_order():

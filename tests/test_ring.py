@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subdivalg.ring import ALPHA, BETA, ONE, ZERO, Coeff, resolve_param
@@ -282,16 +282,33 @@ mixed_coeffs = st.dictionaries(
     st.tuples(st.integers(0, 3), st.integers(0, 3)), mixed_values, max_size=4
 ).map(Coeff)
 params = st.one_of(st.none(), st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+# One nonzero term, as the tail coefficients 1, -1, -b, -a of a basis
+# element are: such an operand takes the one-term path of `*` on either side.
+one_term = st.builds(
+    lambda key, value: Coeff({key: value}),
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    mixed_values.filter(bool),
+)
 
 
 @settings(derandomize=True, max_examples=150)
-@given(mixed_coeffs, mixed_coeffs, params, params)
-def test_arithmetic_matches_fraction_reference(x, y, beta, alpha):
-    rx, ry = reference(x), reference(y)
+@given(mixed_coeffs, mixed_coeffs, one_term, params, params)
+@example(  # 3/2 * 2/3 is integral, so the product stores the int 1
+    x=Coeff({(0, 0): Fraction(3, 2), (1, 0): Fraction(-4, 3), (2, 1): Fraction(1, 5)}),
+    y=ZERO,
+    z=Coeff({(1, 1): Fraction(2, 3)}),
+    beta=None,
+    alpha=None,
+)
+def test_arithmetic_matches_fraction_reference(x, y, z, beta, alpha):
+    rx, ry, rz = reference(x), reference(y), reference(z)
     cases = [
         (x + y, ref_combine(rx, ry, 1)),
         (x - y, ref_combine(rx, ry, -1)),
         (x * y, ref_mul(rx, ry)),
+        (x * z, ref_mul(rx, rz)),
+        (z * x, ref_mul(rz, rx)),
+        (z * y, ref_mul(rz, ry)),
         (-x, {key: -value for key, value in rx.items()}),
         (x.substitute(beta, alpha), ref_substitute(rx, beta, alpha)),
     ]
