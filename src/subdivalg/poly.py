@@ -422,11 +422,17 @@ class TPoly(SparsePoly):
         return cls._raw(n, {tuple(exps): Coeff.one()})
 
 
-def ring_map(p: SparsePoly, image, one, zero):
-    """Apply to p the ring map that sends the variable of key slot pos to
-    image(pos); one and zero of the target ring are the empty product and
-    sum.  Each power of an image is built once, as the previous power times
-    the image."""
+def ring_map(image, one, zero):
+    """The ring map that sends the variable of key slot pos to image(pos),
+    as a function applied to each polynomial p; one and zero of the target
+    ring are the empty product and sum.
+
+    Each power of an image is built once, as the previous power times the
+    image, and kept in this map for every later input: the memo is per map,
+    so a sweep builds one map and applies it to each of its inputs, and the
+    memo goes when the sweep drops the map.  image(pos) is called at most
+    once per slot, when a first input uses that slot.
+    """
     powers: dict = {}
 
     def power(pos: int, e: int):
@@ -434,15 +440,18 @@ def ring_map(p: SparsePoly, image, one, zero):
             powers[(pos, e)] = image(pos) if e == 1 else power(pos, e - 1) * power(pos, 1)
         return powers[(pos, e)]
 
-    total = None
-    for key, coeff in p.terms.items():
-        term = None
-        for pos, e in enumerate(key):
-            if e:
-                term = power(pos, e) if term is None else term * power(pos, e)
-        term = (one if term is None else term).scale(coeff)
-        total = term if total is None else total + term
-    return zero if total is None else total
+    def apply(p: SparsePoly):
+        total = None
+        for key, coeff in p.terms.items():
+            term = None
+            for pos, e in enumerate(key):
+                if e:
+                    term = power(pos, e) if term is None else term * power(pos, e)
+            term = (one if term is None else term).scale(coeff)
+            total = term if total is None else total + term
+        return zero if total is None else total
+
+    return apply
 
 
 def d_image(p: XPoly) -> TPoly:

@@ -28,15 +28,22 @@ Three coordinate systems appear here:
   by (t[1..n] exponents..., w exponent) and kept while the w exponent is
   at most W.  Both truncated classes share one base that cuts a key by a
   single hook, its mass: neg_mass for `QTruncSeries`, the power of w
-  here.  `b_map` sends a q-exponent vector to the t-monomial of its
-  positive part times w^(negative mass); `e_image` substitutes
+  here.  A product groups each operand's terms by mass and visits the
+  groups in ascending mass, so the pairs past the order are cut a group at
+  a time.  Powers of w always add; negative masses add unless a slot is
+  positive in one operand and negative in the other (their sign masks
+  clash), and only then is each pair's key checked on its own.  `b_map`
+  sends a q-exponent vector to the t-monomial of its positive part times
+  w^(negative mass); `e_image` substitutes
 
       t[i]  ->  -(t[i] + b + a*w) * (1 + t[i]*w + t[i]^2*w^2 + ...)
 
   truncated at order W.  `verify_ed_eq_ba` checks, per pathless monomial,
   that the two routes into w-series agree; `verify_e_left_inverse` checks
   that taking the w-constant term of e_image and substituting
-  t[i] -> -t[i] - b recovers the input.
+  t[i] -> -t[i] - b recovers the input.  A sweep builds each substitution
+  once (`e_map`, `g_map`, on `poly.ring_map`), so the powers of the
+  variables' images are built once for all of its inputs.
 """
 
 from __future__ import annotations
@@ -68,6 +75,18 @@ from .ring import ALPHA, BETA, ONE, Coeff, RationalLike, resolve_param
 def neg_mass(exponents: tuple) -> int:
     """Sum of -e over the negative entries of a q-exponent vector."""
     return -sum([e for e in exponents if e < 0])
+
+
+def sign_masks(keys: Iterable) -> tuple:
+    """(positive, negative) as int bitmasks: bit s is set when slot s is
+    positive, or negative, in some key."""
+    positive = negative = 0
+    for slot, column in enumerate(zip(*keys)):
+        if max(column) > 0:
+            positive |= 1 << slot
+        if min(column) < 0:
+            negative |= 1 << slot
+    return positive, negative
 
 
 class QPoly(SparsePoly):
@@ -198,9 +217,7 @@ def a_image_rat(
         numerator = QPoly(n, dict(zip(exponents, (-Coeff.one(), -beta_c, -alpha_c))))
         return QRatFrac(numerator, {(i, j): 1})
 
-    return ring_map(
-        p, image, QRatFrac.from_poly(QPoly.one(n)), QRatFrac.from_poly(QPoly.zero(n))
-    )
+    return ring_map(image, QRatFrac.from_poly(QPoly.one(n)), QRatFrac.from_poly(QPoly.zero(n)))(p)
 
 
 def verify_a_kills_j(
@@ -242,9 +259,17 @@ def verify_a_kills_j(
 
 class _Truncated(SparsePoly):
     """Terms kept while _mass(key) <= order: the base of QTruncSeries and
-    TWSeries, which differ only in `_mass`, the key width and how they
-    print.  A product skips a pair whose key is cut before it multiplies
-    the coefficients."""
+    TWSeries, which differ only in `_mass`, `_masses_add`, the key width and
+    how they print.
+
+    A product groups each operand's terms by mass and visits the pairs of
+    groups in ascending mass.  The mass of a product key is at most the sum
+    of its factors' masses, so a pair of groups whose masses sum to at most
+    the order is kept whole, with no mass taken per pair.  Past that sum,
+    when `_masses_add` holds for the two operands (the masses sum exactly),
+    every pair is cut and so is every heavier group of the right operand;
+    otherwise each pair's key is checked before its coefficients are
+    multiplied."""
 
     __slots__ = ("order",)
 
@@ -281,15 +306,33 @@ class _Truncated(SparsePoly):
             return NotImplemented
         return self.order == other.order and super().__eq__(other)
 
+    def _masses_add(self, other) -> bool:
+        """Whether _mass(m1 + m2) == _mass(m1) + _mass(m2) for every key m1
+        of self and m2 of other."""
+        return True
+
+    def _mass_groups(self) -> list:
+        """[(mass, [(key, coeff), ...]), ...] in ascending mass."""
+        groups: dict = {}
+        mass = self._mass
+        for item in self.terms.items():
+            groups.setdefault(mass(item[0]), []).append(item)
+        return sorted(groups.items())
+
     def _products(self, other):
-        # Skip a pair before multiplying when its key is cut.
         mass, order = self._mass, self.order
-        right = other.terms.items()
-        for m1, c1 in self.terms.items():
-            for m2, c2 in right:
-                key = tuple(map(add, m1, m2))
-                if mass(key) <= order:
-                    yield key, c1 * c2
+        exact = self._masses_add(other)
+        right = other._mass_groups()
+        for mass1, group1 in self._mass_groups():
+            for mass2, group2 in right:
+                cut = mass1 + mass2 > order
+                if cut and exact:
+                    break
+                for m1, c1 in group1:
+                    for m2, c2 in group2:
+                        key = tuple(map(add, m1, m2))
+                        if not cut or mass(key) <= order:
+                            yield key, c1 * c2
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(n={self.n}, order={self.order}, {self!s})"
@@ -301,6 +344,13 @@ class QTruncSeries(_Truncated):
     __slots__ = ()
     _letter = "q"
     _mass = staticmethod(neg_mass)
+
+    def _masses_add(self, other) -> bool:
+        # neg_mass adds unless some slot is positive in one operand and
+        # negative in the other; then it is only subadditive.
+        pos1, neg1 = sign_masks(self.terms)
+        pos2, neg2 = sign_masks(other.terms)
+        return not (pos1 & neg2 or neg1 & pos2)
 
 
 def is_s_friendly(m: Monomial, subset: frozenset) -> bool:
@@ -350,11 +400,10 @@ def a_s_expand(
     alpha_c = resolve_param(alpha, ALPHA)
     pairs = pair_list(n)
     return ring_map(
-        XPoly.from_monomial(m),
         lambda pos: factor_series(*pairs[pos], n, order, beta_c, alpha_c),
         QTruncSeries.one(n, order),
         QTruncSeries.zero(n, order),
-    )
+    )(XPoly.from_monomial(m))
 
 
 class TWSeries(_Truncated):
@@ -380,11 +429,13 @@ class TWSeries(_Truncated):
 
 def b_map(f: QTruncSeries) -> TWSeries:
     """Exponent vector -> t-monomial of its positive part times w^neg_mass."""
-    images = (
-        (tuple(max(e, 0) for e in exps) + (neg_mass(exps),), coeff)
-        for exps, coeff in f.terms.items()
-    )
-    return TWSeries(f.n, f.order, accumulate({}, images, negate=False))
+
+    def images():
+        for exps, coeff in f.terms.items():
+            pos = tuple([e if e > 0 else 0 for e in exps])
+            yield pos + (sum(pos) - sum(exps),), coeff  # sum(pos) - sum(exps) == neg_mass(exps)
+
+    return TWSeries(f.n, f.order, accumulate({}, images(), negate=False))
 
 
 def variable_series(pos: int, n: int, order: int, beta_c: Coeff, alpha_c: Coeff) -> TWSeries:
@@ -398,6 +449,18 @@ def variable_series(pos: int, n: int, order: int, beta_c: Coeff, alpha_c: Coeff)
     return front * geometric
 
 
+def e_map(n: int, order: int, beta_c: Coeff, alpha_c: Coeff):
+    """The ring map t[i] -> variable_series of t[i], built once and applied to
+    each input; t[n] has no image, and an input that uses it raises."""
+
+    def image(pos: int) -> TWSeries:
+        if pos == n - 1:
+            raise ValueError(f"t[{n}] has no series image")
+        return variable_series(pos, n, order, beta_c, alpha_c)
+
+    return ring_map(image, TWSeries.one(n, order), TWSeries.zero(n, order))
+
+
 def e_image(
     p: TPoly,
     order: int,
@@ -408,18 +471,7 @@ def e_image(
 
     The input may use t[1..n-1] only; t[n] has no image.
     """
-    n = p.n
-    for exps in p.terms:
-        if exps[n - 1]:
-            raise ValueError(f"t[{n}] has no series image")
-    beta_c = resolve_param(beta, BETA)
-    alpha_c = resolve_param(alpha, ALPHA)
-    return ring_map(
-        p,
-        lambda pos: variable_series(pos, n, order, beta_c, alpha_c),
-        TWSeries.one(n, order),
-        TWSeries.zero(n, order),
-    )
+    return e_map(p.n, order, resolve_param(beta, BETA), resolve_param(alpha, ALPHA))(p)
 
 
 def friendly_rows(m: Monomial) -> frozenset:
@@ -511,13 +563,18 @@ def random_tpoly(n: int, max_deg: int, max_terms: int, rng: random.Random) -> TP
     return TPoly._raw(n, random_terms(n, n - 1, max_deg, max_terms, rng))
 
 
+def g_map(n: int, beta_c: Coeff):
+    """The ring map t[i] -> -t[i] - b on all rows, built once and applied to
+    each input."""
+    beta_term = TPoly.constant(n, beta_c)
+    return ring_map(
+        lambda pos: -(TPoly.variable(pos + 1, n) + beta_term), TPoly.one(n), TPoly.zero(n)
+    )
+
+
 def g_substitute(p: TPoly, beta: Optional[RationalLike] = None) -> TPoly:
     """Substitute t[i] -> -t[i] - b into p (all rows, including t[n])."""
-    n = p.n
-    beta_term = TPoly.constant(n, resolve_param(beta, BETA))
-    return ring_map(
-        p, lambda pos: -(TPoly.variable(pos + 1, n) + beta_term), TPoly.one(n), TPoly.zero(n)
-    )
+    return g_map(p.n, resolve_param(beta, BETA))(p)
 
 
 def verify_e_left_inverse(
@@ -530,17 +587,22 @@ def verify_e_left_inverse(
     alpha: Optional[RationalLike] = None,
 ) -> Report:
     """g_substitute after the w-constant term of e_image is the identity; sample
-    `index` draws its input from random.Random(derive_seed(seed, index))."""
+    `index` draws its input from random.Random(derive_seed(seed, index)).
+
+    The e map (order 0) and the g map are built once per call, so each
+    power of a variable's image is built once for all the samples."""
     report = Report(
         dict(n=n, samples=samples, seed=seed, max_deg=max_deg, max_terms=max_terms,
              beta=beta, alpha=alpha),
         {"inputs": 0},
     )
+    beta_c = resolve_param(beta, BETA)
+    e_of = e_map(n, 0, beta_c, resolve_param(alpha, ALPHA))
+    g_of = g_map(n, beta_c)
     for index in range(samples):
         sample_seed = derive_seed(seed, index)
         p = random_tpoly(n, max_deg, max_terms, random.Random(sample_seed))
-        constant_term = e_image(p, 0, beta, alpha).coeffs[0]
-        if g_substitute(constant_term, beta) != p:
+        if g_of(e_of(p).coeffs[0]) != p:
             report.failures.append(f"sample {index} seed {sample_seed} input {p}")
         report.counts["inputs"] += 1
     return report

@@ -23,7 +23,9 @@ from subdivalg.poly import (
     mono_degree,
     mono_from_pairs,
     mono_one,
+    pair_list,
     parse_poly,
+    ring_map,
 )
 from subdivalg.rewrite import random_xpoly
 from subdivalg.ring import BETA
@@ -88,6 +90,26 @@ def test_apply_perm_is_multiplicative():
         q = random_xpoly(n, 3, 3, rng)
         assert apply_perm(sigma, p * q) == apply_perm(sigma, p) * apply_perm(sigma, q)
         assert apply_perm(sigma, p + q) == apply_perm(sigma, p) + apply_perm(sigma, q)
+
+
+def test_perm_map_reused_across_inputs():
+    """One ring map of a permutation, applied to input after input in either
+    order, gives what apply_perm, which builds a map per call, gives."""
+    rng = random.Random(71)
+    for beta in (None, 3):
+        for n in (3, 4, 5):
+            sigma = tuple(rng.sample(range(1, n + 1), n))
+            images = [x_general(sigma[i - 1], sigma[j - 1], n, beta) for i, j in pair_list(n)]
+
+            def build():
+                return ring_map(images.__getitem__, XPoly.one(n), XPoly.zero(n))
+
+            inputs = [random_xpoly(n, 3, 3, rng) for _ in range(12)]
+            fresh = [apply_perm(sigma, p, beta) for p in inputs]
+            forward = build()
+            assert [forward(p) for p in inputs] == fresh
+            backward = build()
+            assert [backward(p) for p in reversed(inputs)] == fresh[::-1]
 
 
 def test_apply_perm_composition():

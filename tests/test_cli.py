@@ -383,10 +383,13 @@ def test_verify_e_inverse(capsys):
 def test_verify_e_inverse_failures_replay(capsys, monkeypatch):
     from subdivalg import series
 
-    original = series.g_substitute
-    monkeypatch.setattr(
-        series, "g_substitute", lambda p, beta=None: original(p, beta) + TPoly.one(p.n)
-    )
+    original = series.g_map
+
+    def broken_g_map(n, beta_c):
+        g = original(n, beta_c)
+        return lambda p: g(p) + TPoly.one(n)
+
+    monkeypatch.setattr(series, "g_map", broken_g_map)
     code, out, _ = run(capsys, "verify", "--n", "3", "e-inverse", "--samples", "4", "--seed", "9")
     assert code == 1
     assert out[:2] == ["seed: 9", "samples checked: 4"]

@@ -435,6 +435,6 @@ def test_scale_and_ring_map_by_unit_coefficients():
         images = [random_tpoly(n, 2, 3, rng) for _ in range(n)]
         for q in (p, units, TPoly(n, dict.fromkeys(p.terms, ONE))):
             assert q.scale(ONE) == q
-            assert ring_map(q, images.__getitem__, TPoly.one(n), TPoly.zero(n)) == (
+            assert ring_map(images.__getitem__, TPoly.one(n), TPoly.zero(n))(q) == (
                 general_ring_map(q, images.__getitem__)
             )

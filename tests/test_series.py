@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -25,7 +26,7 @@ from subdivalg.rewrite import (
     random_xpoly,
     reduce_pathless,
 )
-from subdivalg.ring import ALPHA, BETA, Coeff
+from subdivalg.ring import ALPHA, BETA, Coeff, resolve_param
 from subdivalg.series import (
     QPoly,
     QRatFrac,
@@ -179,6 +180,24 @@ def test_b_map_monomials():
     assert image2.coeffs[1].is_zero()
     assert image2.coeffs[2] == parse_tpoly("t[1]", 2)
 
+    # Mixed signs, some keys meeting in one image key: each vector goes to
+    # its positive part and w^neg_mass, and coefficients add up there.
+    terms = {
+        (1, -1, -1): Coeff.one(),
+        (1, -2, 0): Coeff.rational(2),
+        (-1, 2, -1): BETA,
+        (3, 0, -2): -ALPHA,
+        (0, 1, -2): Coeff.rational(Fraction(1, 2)),
+        (-2, 0, 0): -Coeff.one(),
+    }
+    mixed = QTruncSeries(3, 2, terms)
+    expected: dict = {}
+    for exps, coeff in terms.items():
+        key = tuple(max(e, 0) for e in exps) + (-sum(e for e in exps if e < 0),)
+        expected[key] = expected.get(key, Coeff.zero()) + coeff
+    assert b_map(mixed).terms == {k: c for k, c in expected.items() if c}
+    assert b_map(mixed).terms[(1, 0, 0, 2)] == Coeff.rational(3)
+
 
 def test_b_map_is_multiplicative_on_adequate_support():
     rng = random.Random(41)
@@ -317,6 +336,53 @@ def test_verify_e_left_inverse():
     assert report.ok
     assert report.checked == 50
     assert verify_e_left_inverse(3, 20, seed=7, beta=2, alpha=3).ok
+
+
+def test_maps_reused_across_inputs():
+    """One e map or g map applied to input after input, in either order,
+    gives for each input what a map built for it alone gives."""
+    rng = random.Random(67)
+    for beta, alpha in ((None, None), (2, Fraction(-1, 3))):
+        beta_c, alpha_c = resolve_param(beta, BETA), resolve_param(alpha, ALPHA)
+        for n in (2, 3, 4):
+            inputs = [random_tpoly(n, 3, 4, rng) for _ in range(12)]
+            # e_image and g_substitute build a fresh map for each input.
+            cases = [(partial(series.g_map, n, beta_c), [g_substitute(p, beta) for p in inputs])]
+            for order in range(4):
+                fresh = [e_image(p, order, beta, alpha) for p in inputs]
+                cases.append((partial(series.e_map, n, order, beta_c, alpha_c), fresh))
+            for build, fresh in cases:
+                forward = build()
+                assert [forward(p) for p in inputs] == fresh
+                backward = build()
+                assert [backward(p) for p in reversed(inputs)] == fresh[::-1]
+
+
+def test_e_map_rejects_last_variable_and_stays_usable():
+    e = series.e_map(3, 1, BETA, ALPHA)
+    with pytest.raises(ValueError, match=r"t\[3\] has no series image"):
+        e(parse_tpoly("t[1]*t[3]^2", 3))
+    assert e(parse_tpoly("t[1]", 3)) == e_image(parse_tpoly("t[1]", 3), 1)
+
+
+def test_e_inverse_sweep_builds_each_variable_series_once(monkeypatch):
+    original = series.variable_series
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(series, "variable_series", counted)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        assert verify_e_left_inverse(7, 120, seed=5).ok
+        counts.append(len(calls))
+    # At most one per row t[1..6]; the second sweep builds them all again,
+    # so no map outlives the sweep that built it.
+    assert 0 < counts[0] <= 6
+    assert counts == [counts[0], counts[0]]
 
 
 def test_g_substitute_involution():
