@@ -48,10 +48,7 @@ from .poly import (
     slot_partners,
 )
 from .rewrite import DEFAULT_MAX_STEPS, FirstByOrder, Report, RewriteError, Strategy, rewrite
-from .ring import ALPHA, BETA, ONE, RationalLike, resolve_param
-
-
-_MINUS_ONE = -ONE
+from .ring import ALPHA, BETA, RationalLike, resolve_param
 
 
 @lru_cache(maxsize=None)
@@ -80,7 +77,7 @@ def ideal_generator(
     if not (1 <= i < j < k <= n):
         raise ValueError(f"need 1 <= i < j < k <= n, got ({i},{j},{k}) with n={n}")
     path, fork, ik_jk, ik, one = _relation_monomials(n)[(i, j, k)]
-    terms = {path: ONE, fork: _MINUS_ONE, ik_jk: _MINUS_ONE}
+    terms = {path: 1, fork: -1, ik_jk: -1}
     b = resolve_param(beta, BETA)
     if b:
         terms[ik] = -b
@@ -104,7 +101,7 @@ class BasisElement:
     tail: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        tail = accumulate({self.head: ONE}, self.poly.terms.items(), negate=True)
+        tail = accumulate({self.head: 1}, self.poly.terms.items(), negate=True)
         object.__setattr__(self, "tail", (tuple(tail), tuple(tail.values())))
 
 
@@ -136,7 +133,7 @@ def generate_basis(
     for i, j, k in combinations(range(1, n + 1), 3):
         poly = -ideal_generator(i, j, k, n, beta, alpha)
         head, lead = poly.head()
-        if lead != ONE:
+        if lead != 1:
             raise ValueError(f"basis element {(i, j, k)} is not monic: {poly}")
         elements.append(BasisElement((i, j, k), poly, head))
     return GroebnerBasis(n, elements)

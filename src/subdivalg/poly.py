@@ -17,9 +17,13 @@ All five sparse polynomial types derive from `SparsePoly`, defined here:
 `XPoly` (x variables) and `TPoly` (t variables) live in this module,
 `QPoly` and `QTruncSeries` (Laurent exponents in q[1..n]) and `TWSeries`
 (t[1..n] and w) in `series`.
-Each stores {exponent tuple: Coeff} with zero coefficients pruned, so
-`==` is ring equality.  Instances are immutable by convention;
-operations always build new values.
+Each stores {exponent tuple: coefficient} with zero coefficients pruned.
+A coefficient is a nonzero `int`, `Fraction` or `Coeff` (see `ring`):
+values with no b or a in them are written as plain numbers, and a
+`Coeff` stands where a parameter is left.  `==` is ring equality and the
+text is canonical whichever of the three holds a constant, since a
+constant `Coeff` equals and prints as its number.  Instances are
+immutable by convention; operations always build new values.
 
 Text form (used by the parser, the formatter, and the CLI):
 
@@ -43,7 +47,7 @@ from itertools import compress
 from operator import add, mul, sub
 from typing import Iterable, Iterator, Optional
 
-from .ring import ONE, Coeff, RationalLike, render_terms
+from .ring import Coeff, CoeffLike, RationalLike, render_terms, substitute_coeff
 
 Monomial = tuple  # exponent tuple over the x variables, row-major
 TMonomial = tuple  # exponent tuple over t[1..n]
@@ -240,7 +244,8 @@ def format_monomial(m: Monomial) -> str:
 
 
 class SparsePoly:
-    """{exponent tuple: Coeff} over the ambient size n, zero coefficients pruned.
+    """{exponent tuple: coefficient} over the ambient size n, zero
+    coefficients pruned; a coefficient is an int, Fraction or Coeff.
 
     The base of XPoly and TPoly here and of QPoly, QTruncSeries and
     TWSeries in `series`.  A subclass fixes the key width (`_width`) and
@@ -286,10 +291,10 @@ class SparsePoly:
 
     @classmethod
     def one(cls, n: int):
-        return cls.constant(n, Coeff.one())
+        return cls.constant(n, 1)
 
     @classmethod
-    def constant(cls, n: int, coeff: Coeff):
+    def constant(cls, n: int, coeff: CoeffLike):
         if not coeff:
             return cls.zero(n)
         return cls._raw(n, {(0,) * cls._width(n): coeff})
@@ -337,21 +342,21 @@ class SparsePoly:
             for m2, c2 in right:
                 yield tuple(map(add, m1, m2)), c1 * c2
 
-    def scale(self, coeff: Coeff):
-        if coeff == ONE:
+    def scale(self, coeff: CoeffLike):
+        if coeff == 1:
             return self
         if not coeff:
             return self._like({})
         return self._like({m: coeff * c for m, c in self.terms.items()})
 
-    def mul_term(self, mono: tuple, coeff: Coeff):
+    def mul_term(self, mono: tuple, coeff: CoeffLike):
         """Multiply by a single term coeff * mono."""
         if not coeff:
             return self._like({})
         return self._like({mono_mul(m, mono): coeff * c for m, c in self.terms.items()})
 
-    def coefficient(self, mono: tuple) -> Coeff:
-        return self.terms.get(mono, Coeff.zero())
+    def coefficient(self, mono: tuple) -> CoeffLike:
+        return self.terms.get(mono, 0)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -371,11 +376,12 @@ class SparsePoly:
         beta: Optional[RationalLike] = None,
         alpha: Optional[RationalLike] = None,
     ):
-        """Specialize parameters in every coefficient; None keeps the symbol."""
+        """Specialize parameters in every coefficient; None keeps the symbol.
+        A coefficient left constant becomes its number."""
         if beta is None and alpha is None:
             return self
         return self._like(
-            {m: s for m, c in self.terms.items() if (s := c.substitute(beta, alpha))}
+            {m: s for m, c in self.terms.items() if (s := substitute_coeff(c, beta, alpha))}
         )
 
     def __str__(self) -> str:
@@ -388,7 +394,7 @@ class SparsePoly:
 
 
 class XPoly(SparsePoly):
-    """Polynomial in the x variables with Coeff coefficients."""
+    """Polynomial in the x variables over Q[b, a]."""
 
     __slots__ = ()
     _letter = "x"
@@ -398,17 +404,15 @@ class XPoly(SparsePoly):
     def variable(cls, i: int, j: int, n: int) -> "XPoly":
         exps = [0] * num_vars(n)
         exps[var_position(i, j, n)] = 1
-        return cls._raw(n, {tuple(exps): Coeff.one()})
+        return cls._raw(n, {tuple(exps): 1})
 
     @classmethod
-    def from_monomial(cls, m: Monomial, coeff: Optional[Coeff] = None) -> "XPoly":
-        n = ambient_size(len(m))
-        coeff = Coeff.one() if coeff is None else coeff
-        return cls(n, {m: coeff})
+    def from_monomial(cls, m: Monomial, coeff: CoeffLike = 1) -> "XPoly":
+        return cls(ambient_size(len(m)), {m: coeff})
 
 
 class TPoly(SparsePoly):
-    """Polynomial in t[1..n] with Coeff coefficients."""
+    """Polynomial in t[1..n] over Q[b, a]."""
 
     __slots__ = ()
     _letter = "t"
@@ -419,7 +423,7 @@ class TPoly(SparsePoly):
             raise ValueError(f"t[{i}] is not a variable for n={n}")
         exps = [0] * n
         exps[i - 1] = 1
-        return cls._raw(n, {tuple(exps): Coeff.one()})
+        return cls._raw(n, {tuple(exps): 1})
 
 
 def ring_map(image, one, zero):
@@ -524,11 +528,12 @@ class _Scanner:
 
 
 def _parse_terms(text: str, n: int, family: str) -> dict:
-    """Parse the grammar into {exponent tuple: Coeff} for one variable family."""
+    """Parse the grammar into {exponent tuple: coefficient} for one variable
+    family; a coefficient with no b or a is a number, an int when integral."""
     width = num_vars(n) if family == "x" else n
     sc = _Scanner(text)
 
-    def parse_factor(coeff: Coeff, exps: list) -> Coeff:
+    def parse_factor(coeff: CoeffLike, exps: list) -> CoeffLike:
         ch = sc.peek()
         start = sc.pos
         if ch.isdigit():
@@ -537,8 +542,8 @@ def _parse_terms(text: str, n: int, family: str) -> dict:
                 denominator = sc.read_uint()
                 if denominator == 0:
                     raise PolyParseError("zero denominator", start)
-                return coeff * Coeff.rational(Fraction(numerator, denominator))
-            return coeff * Coeff.rational(numerator)
+                return coeff * Fraction(numerator, denominator)
+            return coeff * numerator
         if ch == "b" or ch == "a":
             sc.pos += 1
             e = sc.read_uint() if sc.take("^") else 1
@@ -569,11 +574,12 @@ def _parse_terms(text: str, n: int, family: str) -> dict:
         raise PolyParseError("expected a factor", sc.pos)
 
     def parse_term() -> tuple:
-        coeff = Coeff.one()
         exps = [0] * width
-        coeff = parse_factor(coeff, exps)
+        coeff = parse_factor(1, exps)
         while sc.take("*"):
             coeff = parse_factor(coeff, exps)
+        if type(coeff) is Fraction and coeff.denominator == 1:
+            coeff = coeff.numerator
         return tuple(exps), coeff
 
     def signed_terms():
@@ -613,6 +619,6 @@ def parse_monomial(text: str, n: int) -> Monomial:
     if len(terms) != 1:
         raise PolyParseError("expected a single monomial", 0)
     mono, coeff = next(iter(terms.items()))
-    if coeff != Coeff.one():
+    if coeff != 1:
         raise PolyParseError("expected coefficient one", 0)
     return mono

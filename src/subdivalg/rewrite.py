@@ -49,7 +49,7 @@ from .poly import (
     slot_partners,
     weight_pathless,
 )
-from .ring import ALPHA, BETA, Coeff, RationalLike, resolve_param
+from .ring import ALPHA, BETA, RationalLike, resolve_param
 
 
 DEFAULT_MAX_STEPS = 500_000
@@ -282,21 +282,13 @@ def parse_script(text: str, n: int) -> ScriptStrategy:
     return ScriptStrategy(tuple(steps))
 
 
-COEFF_CHOICES = (
-    Coeff.rational(1),
-    Coeff.rational(-1),
-    Coeff.rational(2),
-    Coeff.rational(-2),
-    BETA,
-    ALPHA,
-    BETA + Coeff.one(),
-)
+COEFF_CHOICES = (1, -1, 2, -2, BETA, ALPHA, BETA + 1)
 
 
 def random_terms(
     length: int, slots: int, max_deg: int, max_terms: int, rng: random.Random
 ) -> dict:
-    """Up to max_terms random terms {exponent tuple: Coeff}: each key has the
+    """Up to max_terms random terms {exponent tuple: coefficient}: each key has the
     given length and degree <= max_deg spread over its first `slots`
     positions, each coefficient comes from COEFF_CHOICES.  Seed-stable."""
 

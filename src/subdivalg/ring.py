@@ -6,35 +6,57 @@ symbolic means every verified identity holds for all rational
 specializations at once; `Coeff.specialize` recovers a concrete instance
 when numeric parameters are wanted.
 
-A coefficient is stored sparsely as {(deg_b, deg_a): value} with zero
-values pruned.  A rational value is stored as an `int` when it is
-integral and as a `Fraction` otherwise, and every result is normalised
-back to that form, so structural equality coincides with ring equality.
-Symbolic runs on integral input therefore never touch `Fraction`
-arithmetic; `specialize` and `constant_value` still return `Fraction`.
+A coefficient in a term dict is a nonzero `int`, `Fraction` or `Coeff`.
+A value with no b or a in it is written as the plain number (an `int`
+when integral, though `Fraction` arithmetic may leave an integral
+`Fraction`), and a `Coeff` holds a value where a parameter is left.
+Numeric runs (b and a given) therefore do their arithmetic natively, and
+symbolic runs mix numbers with `Coeff`s through the reflected operators:
+an `int` or `Fraction` operand of `+`, `-`, `*` or `==` acts as the
+constant `Coeff` it equals, on either side.  `Coeff` arithmetic whose
+result happens to be constant may leave a constant `Coeff`.  Equality
+and text do not depend on which one holds a constant: a constant `Coeff`
+equals its number in both directions, and `render_terms` prints a number
+as it prints the constant `Coeff`.
 
+A `Coeff` is stored sparsely as {(deg_b, deg_a): value} with zero values
+pruned, a value stored as an `int` when integral and as a `Fraction`
+otherwise; `specialize` and `constant_value` still return `Fraction`.
 The public constructor `Coeff(dict)` validates and normalises its input.
 Arithmetic builds its results with the internal `Coeff._raw(dict)`,
-which takes the dict as it is: every value nonzero, and an integral
-value stored as an `int`.  `+`, `-` and negation keep that invariant by
-normalising only the values they compute, and so does `*`, which has
-two fast paths besides: by the unit coefficient 1 it returns the other
-operand unchanged (a `Coeff` is never mutated, so sharing it is safe),
-and by a one-term operand it shifts the other operand's keys and scales
-its values, with nothing to merge or prune (Q is a field, so no product
+which takes the dict as it is: `+`, `-` and negation keep the invariant
+by normalising only the values they compute, and so does `*`, which has
+fast paths besides.  By the unit 1, on either side, it returns the other
+operand unchanged (a `Coeff` is never mutated, so sharing it is safe;
+`ONE * 3` is the number 3).  By a number it scales the values and keeps
+the keys, and by a one-term `Coeff` it shifts the other operand's keys
+and scales its values, with nothing to merge (Q is a field, so no product
 of nonzero values vanishes).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Union
 
 RationalLike = Union[int, Fraction]
 
 
-_UNIT = {(0, 0): 1}
+_CONST = (0, 0)
+_UNIT = {_CONST: 1}
+
+
+def _plus_constant(terms: dict, value: RationalLike) -> "Coeff":
+    """The Coeff of terms plus the number value."""
+    out = dict(terms)
+    value = out.get(_CONST, 0) + value
+    if type(value) is not int and value.denominator == 1:
+        value = value.numerator
+    if value:
+        out[_CONST] = value
+    else:
+        out.pop(_CONST, None)
+    return Coeff._raw(out)
 
 
 def _merge(out: dict, terms: dict, negate: bool) -> dict:
@@ -110,27 +132,55 @@ class Coeff:
         return bool(self._terms)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Coeff):
-            return NotImplemented
-        return self._terms == other._terms
+        if type(other) is Coeff:
+            return self._terms == other._terms
+        if isinstance(other, (int, Fraction)):
+            return self._terms == ({_CONST: other} if other else {})
+        return NotImplemented
 
     def __neg__(self) -> "Coeff":
         return Coeff._raw({k: -v for k, v in self._terms.items()})
 
-    def __add__(self, other: "Coeff") -> "Coeff":
-        if not isinstance(other, Coeff):
-            return NotImplemented
-        return Coeff._raw(_merge(dict(self._terms), other._terms, False))
+    def __add__(self, other) -> "Coeff":
+        if type(other) is Coeff:
+            return Coeff._raw(_merge(dict(self._terms), other._terms, False))
+        if isinstance(other, (int, Fraction)):
+            return _plus_constant(self._terms, other)
+        return NotImplemented
 
-    def __sub__(self, other: "Coeff") -> "Coeff":
-        if not isinstance(other, Coeff):
-            return NotImplemented
-        return Coeff._raw(_merge(dict(self._terms), other._terms, True))
+    __radd__ = __add__
 
-    def __mul__(self, other: "Coeff") -> "Coeff":
-        if not isinstance(other, Coeff):
-            return NotImplemented
-        left, right = self._terms, other._terms
+    def __sub__(self, other) -> "Coeff":
+        if type(other) is Coeff:
+            return Coeff._raw(_merge(dict(self._terms), other._terms, True))
+        if isinstance(other, (int, Fraction)):
+            return _plus_constant(self._terms, -other)
+        return NotImplemented
+
+    def __rsub__(self, other) -> "Coeff":
+        if isinstance(other, (int, Fraction)):
+            return -self + other
+        return NotImplemented
+
+    def __mul__(self, other):
+        left = self._terms
+        if type(other) is not Coeff:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            if other == 1:
+                return self
+            if left == _UNIT:
+                return other
+            if not other:
+                return Coeff._raw({})
+            out = {}
+            for key, value in left.items():
+                value *= other
+                if type(value) is not int and value.denominator == 1:
+                    value = value.numerator
+                out[key] = value
+            return Coeff._raw(out)
+        right = other._terms
         if left == _UNIT:
             return other
         if right == _UNIT:
@@ -159,6 +209,8 @@ class Coeff:
             if value:
                 out[key] = value
         return Coeff._raw(out)
+
+    __rmul__ = __mul__
 
     def specialize(self, beta: RationalLike, alpha: RationalLike) -> Fraction:
         """Evaluate at numeric parameter values."""
@@ -206,6 +258,9 @@ class Coeff:
         return f"Coeff({self!s})"
 
 
+# A term coefficient: a nonzero number, or a Coeff where b or a is left.
+CoeffLike = Union[int, Fraction, Coeff]
+
 ZERO = Coeff.zero()
 ONE = Coeff.one()
 BETA = Coeff.param_term(1, 0)
@@ -226,8 +281,9 @@ def _param_text(deg_b: int, deg_a: int) -> str:
 
 
 def render_terms(pairs: Iterable) -> str:
-    """Canonical text of a sum of (Coeff, monomial text) pairs, where the
-    text of the empty monomial is "".
+    """Canonical text of a sum of (coefficient, monomial text) pairs, where
+    the text of the empty monomial is "" and a coefficient is a Coeff or a
+    number, printed as the constant Coeff it equals.
 
     One summand per (rational, b-power, a-power) of each coefficient, in
     the order of pairs and then of descending parameter degrees; "0" for
@@ -236,9 +292,12 @@ def render_terms(pairs: Iterable) -> str:
     parts = []
     param_text = _PARAM_TEXT
     for coeff, mono in pairs:
-        items = coeff._terms.items()
-        if len(items) > 1:
-            items = sorted(items, reverse=True)
+        if type(coeff) is Coeff:
+            items = coeff._terms.items()
+            if len(items) > 1:
+                items = sorted(items, reverse=True)
+        else:
+            items = ((_CONST, coeff),)
         for key, value in items:
             params = param_text.get(key)
             if params is None:
@@ -265,17 +324,31 @@ def render_terms(pairs: Iterable) -> str:
     return " ".join(parts) if parts else "0"
 
 
-@lru_cache(maxsize=64)
-def _numeric(value: RationalLike) -> Coeff:
-    # Coeffs are immutable by convention, so one instance serves every caller.
-    return Coeff.rational(value)
+def substitute_coeff(
+    coeff: CoeffLike, beta: Optional[RationalLike] = None, alpha: Optional[RationalLike] = None
+) -> CoeffLike:
+    """A term coefficient with numeric values for b and/or a (None keeps the
+    symbol): a number stays as it is, and a `Coeff` left constant becomes
+    its number, 0 when it vanishes."""
+    if type(coeff) is not Coeff:
+        return coeff
+    coeff = coeff.substitute(beta, alpha)
+    terms = coeff._terms
+    if not terms:
+        return 0
+    if len(terms) == 1 and _CONST in terms:
+        return terms[_CONST]
+    return coeff
 
 
-def resolve_param(value: Optional[RationalLike], symbolic: Coeff) -> Coeff:
+def resolve_param(value: Optional[RationalLike], symbolic: Coeff) -> CoeffLike:
     """Turn an optional numeric parameter into a coefficient.
 
-    None keeps the generic symbol (b or a); a number specializes.
+    None keeps the generic symbol (b or a); a number specializes to
+    itself, an integral Fraction to its int.
     """
     if value is None:
         return symbolic
-    return _numeric(value)
+    if type(value) is not int and value.denominator == 1:
+        return value.numerator
+    return value

@@ -69,7 +69,7 @@ from .poly import (
 )
 from .groebner import ideal_generator
 from .rewrite import COEFF_CHOICES, Report, derive_seed, random_terms, random_xpoly
-from .ring import ALPHA, BETA, ONE, Coeff, RationalLike, resolve_param
+from .ring import ALPHA, BETA, CoeffLike, RationalLike, resolve_param
 
 
 def neg_mass(exponents: tuple) -> int:
@@ -103,7 +103,7 @@ def q_exponent(n: int, entries: dict) -> tuple:
 
 def q_binomial(i: int, j: int, n: int) -> QPoly:
     """The denominator factor q[j] - q[i]."""
-    return QPoly(n, {q_exponent(n, {j: 1}): Coeff.one(), q_exponent(n, {i: 1}): -Coeff.one()})
+    return QPoly(n, {q_exponent(n, {j: 1}): 1, q_exponent(n, {i: 1}): -1})
 
 
 def denominator_poly(n: int, factors: dict) -> QPoly:
@@ -181,8 +181,8 @@ class QRatFrac:
             merged[key] = merged.get(key, 0) + mult
         return QRatFrac(self.numerator * other.numerator, merged)
 
-    def scale(self, coeff: Coeff) -> "QRatFrac":
-        if coeff == ONE:
+    def scale(self, coeff: CoeffLike) -> "QRatFrac":
+        if coeff == 1:
             return self
         return QRatFrac(self.numerator.scale(coeff), self.denominator)
 
@@ -214,7 +214,7 @@ def a_image_rat(
     def image(pos: int) -> QRatFrac:
         i, j = pairs[pos]
         exponents = (q_exponent(n, {i: 1, j: 1}), q_exponent(n, {j: 1}), q_exponent(n, {}))
-        numerator = QPoly(n, dict(zip(exponents, (-Coeff.one(), -beta_c, -alpha_c))))
+        numerator = QPoly(n, dict(zip(exponents, (-1, -beta_c, -alpha_c))))
         return QRatFrac(numerator, {(i, j): 1})
 
     return ring_map(image, QRatFrac.from_poly(QPoly.one(n)), QRatFrac.from_poly(QPoly.zero(n)))(p)
@@ -281,12 +281,12 @@ class _Truncated(SparsePoly):
         self.order = order
 
     @classmethod
-    def constant(cls, n: int, order: int, coeff: Coeff):
+    def constant(cls, n: int, order: int, coeff: CoeffLike):
         return cls(n, order, {(0,) * cls._width(n): coeff})
 
     @classmethod
     def one(cls, n: int, order: int):
-        return cls.constant(n, order, Coeff.one())
+        return cls.constant(n, order, 1)
 
     @classmethod
     def zero(cls, n: int, order: int):
@@ -362,14 +362,14 @@ def is_s_friendly(m: Monomial, subset: frozenset) -> bool:
 
 
 def factor_series(
-    i: int, j: int, n: int, order: int, beta_c: Coeff, alpha_c: Coeff
+    i: int, j: int, n: int, order: int, beta_c: CoeffLike, alpha_c: CoeffLike
 ) -> QTruncSeries:
     """The expansion of one factor x[i,j], cut at negative mass order:
     -sum_k (q[i]^(k+1)*q[j]^-k + b*q[i]^k*q[j]^-k + a*q[i]^k*q[j]^-(k+1))."""
 
     def summands():
         for k in range(order + 1):
-            yield q_exponent(n, {i: k + 1, j: -k}), Coeff.one()
+            yield q_exponent(n, {i: k + 1, j: -k}), 1
             yield q_exponent(n, {i: k, j: -k}), beta_c
             if k + 1 <= order:
                 yield q_exponent(n, {i: k, j: -(k + 1)}), alpha_c
@@ -438,18 +438,20 @@ def b_map(f: QTruncSeries) -> TWSeries:
     return TWSeries(f.n, f.order, accumulate({}, images(), negate=False))
 
 
-def variable_series(pos: int, n: int, order: int, beta_c: Coeff, alpha_c: Coeff) -> TWSeries:
+def variable_series(
+    pos: int, n: int, order: int, beta_c: CoeffLike, alpha_c: CoeffLike
+) -> TWSeries:
     """The image of t[pos+1]: -(t + b + a*w)*(1 + t*w + t^2*w^2 + ...) up to order."""
 
     def key(t: int, w: int) -> tuple:
         return tuple(t if s == pos else w if s == n else 0 for s in range(n + 1))
 
-    front = TWSeries(n, order, {key(1, 0): -Coeff.one(), key(0, 0): -beta_c, key(0, 1): -alpha_c})
-    geometric = TWSeries(n, order, {key(k, k): Coeff.one() for k in range(order + 1)})
+    front = TWSeries(n, order, {key(1, 0): -1, key(0, 0): -beta_c, key(0, 1): -alpha_c})
+    geometric = TWSeries(n, order, {key(k, k): 1 for k in range(order + 1)})
     return front * geometric
 
 
-def e_map(n: int, order: int, beta_c: Coeff, alpha_c: Coeff):
+def e_map(n: int, order: int, beta_c: CoeffLike, alpha_c: CoeffLike):
     """The ring map t[i] -> variable_series of t[i], built once and applied to
     each input; t[n] has no image, and an input that uses it raises."""
 
@@ -563,7 +565,7 @@ def random_tpoly(n: int, max_deg: int, max_terms: int, rng: random.Random) -> TP
     return TPoly._raw(n, random_terms(n, n - 1, max_deg, max_terms, rng))
 
 
-def g_map(n: int, beta_c: Coeff):
+def g_map(n: int, beta_c: CoeffLike):
     """The ring map t[i] -> -t[i] - b on all rows, built once and applied to
     each input."""
     beta_term = TPoly.constant(n, beta_c)

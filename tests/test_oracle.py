@@ -15,6 +15,7 @@ import pytest
 from subdivalg.groebner import generate_basis, ideal_generator, normal_form
 from subdivalg.poly import pair_list
 from subdivalg.rewrite import random_xpoly
+from subdivalg.ring import Coeff
 
 sympy = pytest.importorskip("sympy")
 
@@ -26,12 +27,14 @@ def gens(n: int) -> list:
 
 
 def to_sympy(p, symbols: list):
-    """The polynomial as a sympy expression; b and a become symbols b, a."""
+    """The polynomial as a sympy expression; b and a become symbols b, a,
+    and a coefficient that is a plain number is a constant."""
     b, a = sympy.symbols("b a")
     total = sympy.Integer(0)
     for mono, coeff in p.terms.items():
         x_part = sympy.Mul(*(s**e for s, e in zip(symbols, mono)))
-        for (deg_b, deg_a), value in coeff.terms():
+        items = coeff.terms() if isinstance(coeff, Coeff) else [((0, 0), coeff)]
+        for (deg_b, deg_a), value in items:
             scalar = sympy.Rational(value.numerator, value.denominator)
             total += scalar * b**deg_b * a**deg_a * x_part
     return sympy.expand(total)

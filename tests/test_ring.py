@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -220,10 +221,13 @@ def test_general_product_normalises_and_prunes():
     assert type(product._terms[(1, 0)]) is int
 
 
-def test_resolve_param_reuses_numeric_coefficients():
-    assert resolve_param(Fraction(1, 3), BETA) is resolve_param(Fraction(1, 3), ALPHA)
-    assert resolve_param(2, BETA) == Coeff.rational(2)
-    assert resolve_param(Fraction(4, 2), BETA)._terms == {(0, 0): 2}
+def test_resolve_param_returns_the_number():
+    third = Fraction(1, 3)
+    assert resolve_param(third, BETA) is third
+    assert type(resolve_param(2, BETA)) is int and resolve_param(2, BETA) == 2
+    two = resolve_param(Fraction(4, 2), BETA)
+    assert type(two) is int and two == 2
+    assert resolve_param(None, ALPHA) is ALPHA
 
 
 def test_terms_descending():
@@ -346,7 +350,11 @@ def test_symbolic_runs_on_integral_input_store_no_fraction():
     from subdivalg.series import a_s_expand, friendly_rows
 
     def values(p):
-        return [value for c in p.terms.values() for _, value in c.terms()]
+        """Every rational stored in p, in its Coeffs and as plain numbers."""
+        out = []
+        for c in p.terms.values():
+            out.extend([value for _, value in c.terms()] if isinstance(c, Coeff) else [c])
+        return out
 
     result, _ = reduce_pathless(parse_poly("3*x[1,2]*x[2,3]*x[3,4] - b*x[2,3]", 4), FirstByOrder())
     mono = mono_from_pairs(4, {(1, 3): 2, (1, 4): 1, (2, 4): 1})
@@ -354,6 +362,60 @@ def test_symbolic_runs_on_integral_input_store_no_fraction():
     for p in (result, series):
         assert values(p)
         assert all(type(value) is int for value in values(p))
+
+
+# With numeric b and a every coefficient is a plain number: the parse
+# after substitution, the game, the normal form over a numeric basis, the
+# relations, and the series products of the ed-ba sweep.  Integral b and a
+# on integral input keep every value an int.
+
+NUMERIC_PARAMS = [(3, Fraction(1, 2)), (Fraction(-6, 2), 2)]
+
+
+def numbers_only(terms: dict, integral: bool) -> bool:
+    kinds = (int,) if integral else (int, Fraction)
+    return bool(terms) and all(type(c) in kinds for c in terms.values())
+
+
+@pytest.mark.parametrize("beta, alpha", NUMERIC_PARAMS)
+def test_numeric_parameters_leave_no_coeff(beta, alpha, monkeypatch):
+    from subdivalg import series
+    from subdivalg.groebner import generate_basis, ideal_generator, normal_form
+    from subdivalg.poly import parse_poly
+    from subdivalg.rewrite import FirstByOrder, LastByOrder, reduce_pathless
+
+    integral = Fraction(beta).denominator == Fraction(alpha).denominator == 1
+    text = "2*b*x[1,2]*x[2,3]*x[3,4] - a^2*x[1,3]*x[3,4] + 3*b*a*x[2,4] + x[1,2]*x[2,4] + b - b"
+    p = parse_poly(text, 4).substitute(beta, alpha)
+    assert numbers_only(p.terms, integral)
+    for strategy in (FirstByOrder(), LastByOrder()):
+        result, _ = reduce_pathless(p, strategy, beta, alpha)
+        assert numbers_only(result.terms, integral)
+    basis = generate_basis(4, beta, alpha)
+    assert numbers_only(normal_form(p, basis).terms, integral)
+    for element in basis:
+        assert numbers_only(element.poly.terms, integral)
+        assert numbers_only(dict(zip(*element.tail)), integral)
+        assert numbers_only(ideal_generator(*element.triple, 4, beta, alpha).terms, integral)
+
+    compared: list = []
+    real_eq, real_b_map = series.TWSeries.__eq__, series.b_map
+
+    def eq(left, right):
+        compared.extend((left, right))
+        return real_eq(left, right)
+
+    def b_map(f):
+        compared.append(f)
+        return real_b_map(f)
+
+    monkeypatch.setattr(series.TWSeries, "__eq__", eq)
+    monkeypatch.setattr(series, "b_map", b_map)
+    assert series.ed_ba_sweep(4, 3, 3, beta, alpha).ok
+    # per monomial: the right product, then the left product and its b_map
+    assert len(compared) > 3 * 20
+    for s in compared:
+        assert numbers_only(s.terms, integral)
 
 
 # Fast paths: a product by the unit returns the other operand, one term
@@ -438,3 +500,127 @@ def test_scale_and_ring_map_by_unit_coefficients():
             assert ring_map(images.__getitem__, TPoly.one(n), TPoly.zero(n))(q) == (
                 general_ring_map(q, images.__getitem__)
             )
+
+
+# Mixed operands: an int or a Fraction acts as the constant Coeff it equals,
+# on either side of +, - and * and of == and !=.  A result may be a number
+# (the unit times a number is that number) or a Coeff; either way it agrees
+# with the Fraction reference.  Numbers include integral Fractions such as
+# 4/2, which arithmetic on Fractions produces.
+
+numbers = st.one_of(
+    st.integers(-20, 20),
+    rationals,
+    st.sampled_from([0, 1, -1, Fraction(4, 2), Fraction(2, 3) * Fraction(3, 2), Fraction(0)]),
+)
+
+
+def number_reference(value) -> dict:
+    return {(0, 0): Fraction(value)} if value else {}
+
+
+def any_reference(value) -> dict:
+    """The Fraction reference of a Coeff or of a plain number."""
+    if isinstance(value, Coeff):
+        assert_normalised(value)
+        return reference(value)
+    assert type(value) in (int, Fraction)
+    return number_reference(value)
+
+
+@st.composite
+def mixed_pairs(draw):
+    """(Coeff, number); the Coeff is often constant, and the number then
+    often its own value, as an int or as a Fraction."""
+    v = draw(numbers)
+    if draw(st.booleans()):
+        return draw(fast_operands), v
+    x = Coeff.rational(v)
+    if draw(st.booleans()):
+        v = draw(numbers)
+    elif draw(st.booleans()):
+        v = Fraction(v)
+    return x, v
+
+
+@settings(derandomize=True, max_examples=400)
+@given(mixed_pairs())
+def test_mixed_operands_match_fraction_reference(pair):
+    x, v = pair
+    before = list(x.terms())
+    rx, rv = reference(x), number_reference(v)
+    cases = [
+        (x + v, ref_combine(rx, rv, 1)),
+        (v + x, ref_combine(rx, rv, 1)),
+        (x - v, ref_combine(rx, rv, -1)),
+        (v - x, ref_combine(rv, rx, -1)),
+        (x * v, ref_mul(rx, rv)),
+        (v * x, ref_mul(rx, rv)),
+        (-(v * x), {key: -value for key, value in ref_mul(rx, rv).items()}),
+        (-x, {key: -value for key, value in rx.items()}),
+    ]
+    for result, expected in cases:
+        assert any_reference(result) == expected
+    equal = rx == rv
+    assert (x == v) is equal and (v == x) is equal
+    assert (x != v) is not equal and (v != x) is not equal
+    assert list(x.terms()) == before
+
+
+def test_unit_and_one_term_fast_paths_with_numbers():
+    assert ONE * 3 == 3 and type(ONE * 3) is int
+    assert 3 * ONE == 3 and type(3 * ONE) is int
+    half = Fraction(1, 2)
+    assert ONE * half is half and half * ONE is half
+    assert BETA * 1 is BETA and 1 * BETA is BETA
+    assert (BETA * 2)._terms == {(1, 0): 2}
+    assert (Fraction(2, 3) * Coeff.param_term(1, 1, Fraction(3, 2)))._terms == {(1, 1): 1}
+    assert type((Fraction(2, 3) * Coeff.param_term(1, 1, Fraction(3, 2)))._terms[(1, 1)]) is int
+    assert BETA * 0 == 0 and not BETA * 0
+    assert BETA + 0 == BETA and 0 - BETA == -BETA
+    assert (1 - BETA)._terms == {(0, 0): 1, (1, 0): -1}
+    assert (BETA + 1) - BETA == 1 and 1 == (BETA + 1) - BETA
+    assert str((BETA + 1) - BETA) == "1"
+    assert Coeff.rational(2) == Fraction(4, 2) and Fraction(4, 2) == Coeff.rational(2)
+    assert ZERO == 0 and 0 == ZERO and ZERO != 1
+    assert BETA != 1 and 1 != BETA and BETA != 0
+    assert (BETA == "b") is False and BETA != None  # noqa: E711
+    with pytest.raises(TypeError):
+        BETA + "b"
+    with pytest.raises(TypeError):
+        1.5 * BETA
+
+
+def test_constant_held_as_number_or_coeff_is_one_value():
+    """int, integral Fraction and constant Coeff holding one constant give
+    equal polynomials with the same text, and so do a Fraction and its
+    constant Coeff."""
+    from subdivalg.poly import TPoly, XPoly, mono_from_pairs, parse_poly, parse_tpoly
+
+    integral = Fraction(2, 3) * Fraction(3, 2)
+    assert type(integral) is Fraction and integral == 1
+    constant_coeff = (BETA + 1) - BETA
+    assert isinstance(constant_coeff, Coeff) and constant_coeff._terms == {(0, 0): 1}
+    x_key = mono_from_pairs(3, {(1, 2): 1, (2, 3): 2})
+    t_key = (0, 1, 2)
+    for cls, n, key, parse, text in (
+        (XPoly, 3, x_key, parse_poly, "x[1,2]*x[2,3]^2 - 3/2"),
+        (TPoly, 3, t_key, parse_tpoly, "t[2]*t[3]^2 - 3/2"),
+    ):
+        one = (0,) * len(key)
+        polys = [
+            cls._raw(n, {key: 1, one: Fraction(-3, 2)}),
+            cls._raw(n, {key: integral, one: Coeff.rational(Fraction(-3, 2))}),
+            cls._raw(n, {key: constant_coeff, one: Fraction(-3, 2)}),
+            cls._raw(n, {key: Coeff.one(), one: Coeff.rational(Fraction(-6, 4))}),
+            parse(text, n),
+        ]
+        for p in polys:
+            assert str(p) == text
+            for q in polys:
+                assert p == q and q == p and not p != q
+                assert (p - q).is_zero()
+        assert str(polys[0].scale(BETA)) == str(polys[1].scale(BETA))
+    # the parser stores an integral product of its rationals as an int
+    parsed = parse_poly("4/2*x[1,2] + 3/2*2/3*x[1,3] + 6/4*x[2,3]", 3)
+    assert sorted(type(c).__name__ for c in parsed.terms.values()) == ["Fraction", "int", "int"]
