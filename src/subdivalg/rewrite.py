@@ -12,7 +12,8 @@ What stays invariant is the image of the result under d_image, and
 
 Every step strictly drops the pathless weight of the rewritten monomial
 on all four replacement monomials, which is why the game always ends;
-`pathless_step` checks the drop on every call.
+the weight is linear, so `pathless_step` checks the drop once per triple,
+on the bare relation x[i,j]*x[j,k], and that covers every monomial.
 
 `rewrite` is the one reduction loop, for this game and for the forkless
 normal form in `groebner`.  A rule is two parts: the triples of a
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterator, Optional, Union
@@ -49,7 +50,7 @@ from .poly import (
     slot_partners,
     weight_pathless,
 )
-from .ring import ALPHA, BETA, RationalLike, resolve_param
+from .ring import ALPHA, BETA, CoeffLike, RationalLike, resolve_param
 
 
 DEFAULT_MAX_STEPS = 500_000
@@ -106,58 +107,74 @@ def find_path_triples(m: Monomial) -> list:
     return [t for row in itertools.compress(partners, m) for pos, t in row if m[pos]]
 
 
-def path_replacement(mono: Monomial, triple: Triple) -> tuple:
-    """The monomials x[i,k]*x[i,j]*r, x[i,k]*x[j,k]*r, x[i,k]*r and r that
-    the step at (mono, (i, j, k)) writes, where r = mono / (x[i,j]*x[j,k])."""
+# The slots (x[i,j], x[j,k], x[i,k]) of a step at (width, triple), checked once.
+_KERNELS: dict = {}
+
+
+def _written(mono: Monomial, slots: tuple) -> tuple:
+    """The monomials x[i,k]*x[i,j]*r, x[i,k]*x[j,k]*r, x[i,k]*r and r, where
+    r = mono / (x[i,j]*x[j,k]), made by editing one list in place."""
+    ij, jk, ik = slots
+    out = list(mono)
+    out[jk] -= 1
+    out[ik] += 1
+    first = tuple(out)
+    out[ij] -= 1
+    out[jk] += 1
+    second = tuple(out)
+    out[jk] -= 1
+    third = tuple(out)
+    out[ik] -= 1
+    return first, second, third, tuple(out)
+
+
+def _path_kernel(mono: Monomial, triple: Triple) -> tuple:
+    """The slots of a step at triple on monomials as wide as mono, cached.
+
+    weight_pathless is linear, so the step drops the weight of every
+    r*x[i,j]*x[j,k] onto r times each of the four monomials it writes
+    exactly when it does so for the bare relation x[i,j]*x[j,k]; checking
+    that once covers every step at this triple."""
+    n = ambient_size(len(mono))
     i, j, k = triple
-    positions = pair_position(ambient_size(len(mono)))
-    pos_ij = positions[(i, j)]
-    pos_jk = positions[(j, k)]
-    pos_ik = positions[(i, k)]
-    base = list(mono)
-    base[pos_ij] -= 1
-    base[pos_jk] -= 1
-
-    def shifted(*positions_up):
-        out = list(base)
-        for pos in positions_up:
-            out[pos] += 1
-        return tuple(out)
-
-    return shifted(pos_ik, pos_ij), shifted(pos_ik, pos_jk), shifted(pos_ik), tuple(base)
+    if not (1 <= i < j < k <= n):
+        raise RewriteError(f"malformed triple {triple} for n={n}")
+    positions = pair_position(n)
+    slots = positions[(i, j)], positions[(j, k)], positions[(i, k)]
+    relation = [0] * len(mono)
+    relation[slots[0]] = relation[slots[1]] = 1
+    bound = weight_pathless(tuple(relation))
+    if any(weight_pathless(m) >= bound for m in _written(relation, slots)):
+        raise RewriteError(f"step at {format_monomial(mono)} does not drop the pathless weight")
+    _KERNELS[len(mono), triple] = slots
+    return slots
 
 
 def pathless_step(
     terms: dict,
     mono: Monomial,
     triple: Triple,
-    beta: Optional[RationalLike] = None,
-    alpha: Optional[RationalLike] = None,
+    beta: Optional[CoeffLike] = None,
+    alpha: Optional[CoeffLike] = None,
 ) -> tuple:
     """Apply one rewrite at the given monomial and triple of the term dict,
     in place; returns the four monomials it wrote.  A step that does not
-    apply raises RewriteError and leaves terms unchanged."""
-    n = ambient_size(len(mono))
-    i, j, k = triple
-    if not (1 <= i < j < k <= n):
-        raise RewriteError(f"malformed triple {triple} for n={n}")
+    apply raises RewriteError and leaves terms unchanged.  beta and alpha
+    are used as given, None for the symbol.  The weight drop is checked once
+    per triple, on the bare relation; weight_pathless is linear, so that
+    covers every monomial the triple divides."""
+    slots = _KERNELS.get((len(mono), triple)) or _path_kernel(mono, triple)
     coeff = terms.get(mono)
     if coeff is None:
         raise RewriteError(f"monomial {format_monomial(mono)} is absent")
-    positions = pair_position(n)
-    if not (mono[positions[(i, j)]] and mono[positions[(j, k)]]):
-        raise RewriteError(
-            f"x[{i},{j}]*x[{j},{k}] does not divide {format_monomial(mono)}"
-        )
-
-    written = path_replacement(mono, triple)
-    bound = weight_pathless(mono)
-    if any(weight_pathless(m) >= bound for m in written):
-        raise RewriteError(f"step at {format_monomial(mono)} does not drop the pathless weight")
-
-    coeffs = (coeff, coeff, coeff * resolve_param(beta, BETA), coeff * resolve_param(alpha, ALPHA))
+    if not (mono[slots[0]] and mono[slots[1]]):
+        i, j, k = triple
+        raise RewriteError(f"x[{i},{j}]*x[{j},{k}] does not divide {format_monomial(mono)}")
+    written = _written(mono, slots)
+    b = BETA if beta is None else beta
+    a = ALPHA if alpha is None else alpha
     del terms[mono]
-    accumulate(terms, zip(written, coeffs), negate=False)
+    accumulate(terms, zip(written, (coeff, coeff, coeff * b, coeff * a)), negate=False)
     return written
 
 
@@ -194,8 +211,8 @@ def rewrite(
 
     terms = dict(p.terms)
     reducible = sorted(m for m in terms if triples(m))
-    # The number of (monomial, triple) pairs, which RandomStrategy draws from.
-    pairs = sum(len(memo[m]) for m in reducible)
+    # The triple count of each reducible monomial, which RandomStrategy draws by.
+    counts = [len(memo[m]) for m in reducible]
     for count in itertools.count(1):
         if script is not None and count <= len(script):
             mono, triple = script[count - 1]
@@ -211,14 +228,12 @@ def rewrite(
                 mono = reducible[0]
                 triple = memo[mono][-1]
             else:
-                # Index into the pairs listed by descending monomial.
-                index = rng.randrange(pairs)
-                for mono in reversed(reducible):
-                    found = memo[mono]
-                    if index < len(found):
-                        triple = found[index]
-                        break
-                    index -= len(found)
+                # Index into the (monomial, triple) pairs listed by descending monomial.
+                ends = list(itertools.accumulate(reversed(counts)))
+                index = rng.randrange(ends[-1])
+                rank = bisect_right(ends, index)
+                mono = reducible[-1 - rank]
+                triple = memo[mono][index - ends[rank - 1] if rank else index]
         if count > max_steps:
             raise ResourceLimitError(f"{name} did not terminate within {max_steps} steps")
         try:
@@ -233,10 +248,10 @@ def rewrite(
             if m in terms and triples(m):
                 if not listed:
                     reducible.insert(at, m)
-                    pairs += len(memo[m])
+                    counts.insert(at, len(memo[m]))
             elif listed:
                 del reducible[at]
-                pairs -= len(memo[m])
+                del counts[at]
         yield mono, triple, terms
 
 
@@ -248,7 +263,7 @@ def reduce_pathless(
 ) -> tuple:
     """Play the game to a pathless polynomial; returns (result, trace)."""
     # Callees are looked up per call, so run-time wrappers of them see every call.
-    step = partial(pathless_step, beta=beta, alpha=alpha)
+    step = partial(pathless_step, beta=resolve_param(beta, BETA), alpha=resolve_param(alpha, ALPHA))
     game = rewrite(p, "pathless game", find_path_triples, step, strategy)
     trace = [TraceStep(mono, triple, XPoly._raw(p.n, dict(terms))) for mono, triple, terms in game]
     return (trace[-1].after if trace else p), trace

@@ -3,6 +3,7 @@ the rewriting engine against a full-rescan reference loop."""
 
 import itertools
 import random
+from fractions import Fraction
 from functools import partial
 from itertools import combinations
 
@@ -30,7 +31,9 @@ from subdivalg.poly import (
     all_monomials,
     d_image,
     is_pathless,
+    mono_div,
     mono_from_pairs,
+    mono_mul,
     mono_one,
     pair_position,
     parse_poly,
@@ -59,7 +62,7 @@ from subdivalg.rewrite import (
     strategy_suite,
     verify_t_unique,
 )
-from subdivalg.ring import BETA
+from subdivalg.ring import ALPHA, BETA, resolve_param
 
 
 def mono(n: int, *pairs) -> tuple:
@@ -179,9 +182,12 @@ def test_step_without_weight_drop_raises(monkeypatch):
     # the check must raise even under python -O, where an assert would vanish
     import subdivalg.rewrite
 
+    # Kernels are cached per triple; an empty cache makes the step build its
+    # kernel again and so consult the patched weight.
+    monkeypatch.setattr(subdivalg.rewrite, "_KERNELS", {})
     monkeypatch.setattr(subdivalg.rewrite, "weight_pathless", lambda m: 0)
     terms = dict(parse_poly(GAME_START, 4).terms)
-    with pytest.raises(RewriteError):
+    with pytest.raises(RewriteError, match="does not drop the pathless weight"):
         pathless_step(terms, mono(4, (1, 2), (2, 3), (3, 4)), (1, 2, 3))
     assert terms == parse_poly(GAME_START, 4).terms
 
@@ -191,15 +197,57 @@ def test_step_errors():
     m = mono(3, (1, 2), (2, 3))
     q = parse_poly("x[1,3]*x[2,3] + x[1,2]*x[2,3]", 3)
     cases = (
-        (p, m, (2, 1, 3)),
-        (p, mono(3, (1, 3)), (1, 2, 3)),
-        (q, mono(3, (1, 3), (2, 3)), (1, 2, 3)),
+        (p, m, (2, 1, 3), "malformed triple (2, 1, 3) for n=3"),
+        (p, mono(3, (1, 3)), (1, 2, 3), "monomial x[1,3] is absent"),
+        (q, mono(3, (1, 3), (2, 3)), (1, 2, 3), "x[1,2]*x[2,3] does not divide x[1,3]*x[2,3]"),
     )
-    for poly, at, triple in cases:
+    for poly, at, triple, message in cases:
         terms = dict(poly.terms)
-        with pytest.raises(RewriteError):
+        with pytest.raises(RewriteError) as raised:
             pathless_step(terms, at, triple)
+        assert str(raised.value) == message
         assert terms == poly.terms
+
+
+@pytest.mark.parametrize(
+    "beta, alpha",
+    [(None, None), (-3, 2), (Fraction(1, 3), Fraction(-2, 5))],
+    ids=["symbolic", "integer", "rational"],
+)
+def test_step_matches_arithmetic_reference(beta, alpha):
+    """Every applicable (monomial, triple) of degree <= 3 at n <= 5: the
+    step against the relation's replacement built with XPoly arithmetic,
+    on term dicts that already hold some of the written monomials, so that
+    merging and cancellation are covered too."""
+    b, a = resolve_param(beta, BETA), resolve_param(alpha, ALPHA)
+    checked = 0
+    for n in range(3, 6):
+        x = partial(XPoly.variable, n=n)
+        filler = mono(n, *[(1, 2)] * 5)  # of degree 5, so never written
+        for degree in range(2, 4):
+            for m in all_monomials(n, degree):
+                for i, j, k in find_path_triples(m):
+                    c = (BETA + 1, 2, Fraction(3, 2))[checked % 3]
+                    r = mono_div(m, mono(n, (i, j), (j, k)))
+                    expected_written = tuple(
+                        mono_mul(r, mono(n, *pairs))
+                        for pairs in (((i, k), (i, j)), ((i, k), (j, k)), ((i, k),), ())
+                    )
+                    # Cancel one written monomial's new coefficient and merge into another.
+                    dropped = checked % 4
+                    added = (c, c, c * b, c * a)[dropped]
+                    terms = {m: c, filler: 7, expected_written[dropped]: -added}
+                    terms[expected_written[(dropped + 1) % 4]] = 5
+                    before = XPoly(n, dict(terms))
+                    replacement = x(i, k) * (x(i, j) + x(j, k) + XPoly.constant(n, b))
+                    replacement = replacement + XPoly.constant(n, a)
+                    expected = before - XPoly.from_monomial(m, c) + XPoly.from_monomial(r, c) * replacement
+                    written = pathless_step(terms, m, (i, j, k), beta, alpha)
+                    assert written == expected_written
+                    assert XPoly._raw(n, terms) == expected
+                    assert expected_written[dropped] not in terms
+                    checked += 1
+    assert checked == 142
 
 
 def test_game_script_reproduces_worked_example():
