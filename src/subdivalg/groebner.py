@@ -26,6 +26,14 @@ the engine updates its reducible set without rescanning.  Each
 head cancels; a step deletes the rewritten monomial outright and adds
 the shifted tail times its coefficient.  The engine's step bound guards
 against defects, not against the math.
+
+Whatever depends on the basis alone is worked out once per basis, at
+first use, and kept on the `GroebnerBasis`: per element a step kernel,
+from which a step writes its monomials by a few slot edits of one list,
+and per monomial its fork triples, which every normal form on the basis
+shares (the Buchberger check meets the same monomials in many
+s-polynomials).  Nothing is cached per process, so a basis's memos go
+with it.  `spol` writes both shifted elements into one dict.
 """
 
 from __future__ import annotations
@@ -106,12 +114,19 @@ class BasisElement:
 
 
 class GroebnerBasis:
-    """The monic basis, one element per triple i < j < k, in lex order."""
+    """The monic basis, one element per triple i < j < k, in lex order.
+
+    A basis also keeps what its normal forms reuse, filled at first use:
+    per triple, the step kernel of its element (see `reduce_step`), and
+    per monomial, its fork triples.  Both depend on the basis alone, so
+    every normal form on it shares them, and they go with it."""
 
     def __init__(self, n: int, elements: list):
         self.n = n
         self.elements = tuple(elements)
         self._by_triple = {e.triple: e for e in self.elements}
+        self._kernels: dict = {}
+        self._forks: dict = {}
 
     def element(self, triple: Triple) -> BasisElement:
         return self._by_triple[triple]
@@ -121,6 +136,33 @@ class GroebnerBasis:
 
     def __len__(self) -> int:
         return len(self.elements)
+
+    def fork_triples(self, m: Monomial) -> list:
+        """The fork triples of m, found once per basis."""
+        found = self._forks.get(m)
+        if found is None:
+            found = self._forks[m] = _fork_triples(m)
+        return found
+
+    def _step_kernel(self, triple: Triple) -> Optional[tuple]:
+        """The step kernel of triple's element, cached; None for no element.
+
+        A kernel is (width, head, coeffs, edits): the width of a monomial,
+        the (slot, exponent) pairs of the head, the tail coefficients, and
+        per tail monomial the (slot, change) pairs that take the monomial
+        before it, the head for the first, to it."""
+        element = self._by_triple.get(triple)
+        if element is None:
+            return None
+        monos, coeffs = element.tail
+        edits = []
+        before = element.head
+        for after in monos:
+            edits.append(tuple((s, y - x) for s, (x, y) in enumerate(zip(before, after)) if x != y))
+            before = after
+        head = tuple((s, e) for s, e in enumerate(element.head) if e)
+        kernel = self._kernels[triple] = (len(element.head), head, coeffs, tuple(edits))
+        return kernel
 
 
 def generate_basis(
@@ -148,20 +190,34 @@ def _fork_triples(m: Monomial) -> list:
 def reduce_step(terms: dict, mono: Monomial, triple: Triple, basis: GroebnerBasis) -> list:
     """One reduction terms - c*s*g in place at monomial mono of the term
     dict, with c its coefficient, g the basis element of triple and
-    s = mono / head(g); returns the monomials of c*s*tail that it wrote.
+    s = mono / head(g); returns the monomials of c*s*tail that it wrote,
+    in the tail's order.
 
     Since c*s*head(g) is the term c*mono, the step deletes mono and adds
     c*s times g's pre-negated tail, head(g) - g; for a monic g that tail
     leaves mono out, and for any other g it puts c*(1 - lead) back there.
+    Where those monomials go depends on g alone: the basis keeps, per
+    triple, a kernel with g's head slots and the slot edits from its head
+    to each tail monomial in turn, so the step tests the head slots of
+    mono and writes the monomials by editing one copy of it in place.
     A step that does not apply raises RewriteError and changes nothing."""
-    element = basis._by_triple.get(triple)
-    shift = None if element is None else mono_div(mono, element.head)
+    kernel = basis._kernels.get(triple) or basis._step_kernel(triple)
     coeff = terms.get(mono)
-    if shift is None or coeff is None:
+    if (
+        kernel is None
+        or coeff is None
+        or len(mono) != kernel[0]
+        or any(mono[s] < e for s, e in kernel[1])
+    ):
         raise RewriteError(f"basis element {triple} does not reduce {format_monomial(mono)}")
-    monos, coeffs = element.tail
+    _, _, coeffs, edits = kernel
     del terms[mono]
-    written = [tuple(map(add, m, shift)) for m in monos]
+    out = list(mono)
+    written = []
+    for edit in edits:
+        for slot, change in edit:
+            out[slot] += change
+        written.append(tuple(out))
     accumulate(terms, zip(written, [coeff * c for c in coeffs]), negate=False)
     return written
 
@@ -178,19 +234,22 @@ def normal_form(
     # Callees are looked up per call, so run-time wrappers of them see every call.
     step = partial(reduce_step, basis=basis)
     terms = None
-    for _, _, terms in rewrite(p, "normal form", _fork_triples, step, strategy, max_steps):
+    for _, _, terms in rewrite(p, "normal form", basis.fork_triples, step, strategy, max_steps):
         pass
     return p if terms is None else XPoly._raw(p.n, terms)
 
 
 def spol(g1: XPoly, g2: XPoly) -> XPoly:
-    """s1*g1 - s2*g2 with both head terms shifted to the heads' lcm."""
+    """c2*s1*g1 - c1*s2*g2, with c1, c2 the head coefficients and s1, s2
+    the shifts that take both heads to their lcm, built in one dict."""
     h1, c1 = g1.head()
     h2, c2 = g2.head()
     lcm = mono_lcm(h1, h2)
     s1 = mono_div(lcm, h1)
     s2 = mono_div(lcm, h2)
-    return g1.mul_term(s1, c2) - g2.mul_term(s2, c1)
+    terms = {tuple(map(add, m, s1)): c2 * c for m, c in g1.terms.items()}
+    shifted = ((tuple(map(add, m, s2)), c1 * c) for m, c in g2.terms.items())
+    return g1._like(accumulate(terms, shifted, negate=True))
 
 
 def _heads_disjoint(a: Monomial, b: Monomial) -> bool:

@@ -138,6 +138,27 @@ def test_verify_symmetry_small():
     assert verify_symmetry(3, seed=11, samples=5, beta=1, alpha=0).ok
 
 
+def test_verify_symmetry_builds_each_ordering_once(monkeypatch):
+    import subdivalg.algebra
+
+    calls = []
+
+    def corrupt(i, j, k, n, beta=None, alpha=None):
+        calls.append((i, j, k))
+        return j_generator(i, j, k, n, beta, alpha) - XPoly.constant(n, BETA * BETA)
+
+    monkeypatch.setattr(subdivalg.algebra, "j_generator", corrupt)
+    report = verify_symmetry(4, seed=3, samples=4)
+    # The replacement is called, once for each of the 24 orderings of the
+    # four triples; the corruption keeps the symmetry and the action, so
+    # only the comparison with each defining relation fails.
+    assert sorted(calls) == sorted(permutations(range(1, 5), 3))
+    assert report.failures == [
+        f"j_generator{t} != defining relation" for t in ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
+    ]
+    assert report.counts == {"relations": 4, "images": 16}
+
+
 def test_corrupted_generator_is_caught():
     def corrupt(i, j, k, n):
         return j_generator(i, j, k, n) - XPoly.constant(n, BETA * BETA)

@@ -1,8 +1,9 @@
 """Basis family, reduction, Buchberger criterion, and ideal membership."""
 
 import random
+import re
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -21,9 +22,12 @@ from subdivalg.groebner import (
 from subdivalg.poly import (
     XPoly,
     all_monomials,
+    format_monomial,
     is_forkless,
     mono_div,
     mono_from_pairs,
+    mono_lcm,
+    mono_mul,
     mono_one,
     parse_poly,
 )
@@ -104,9 +108,27 @@ def fork_rich(n: int, rng: random.Random) -> XPoly:
     return random_xpoly(n, 3, 4, rng) * XPoly.from_monomial(mono(n, (i, j), (i, k)))
 
 
+def doubled_basis(basis: GroebnerBasis) -> GroebnerBasis:
+    """Every element times 2: a non-monic head, which stays in each tail."""
+    return GroebnerBasis(
+        basis.n, [BasisElement(e.triple, e.poly.scale(2), e.head) for e in basis]
+    )
+
+
+def broken_basis(basis: GroebnerBasis) -> GroebnerBasis:
+    """The first element minus the symbol a, as in the CLI's failure test:
+    with symbolic a its constant term cancels, leaving a 3-term tail."""
+    elements = list(basis)
+    first = elements[0]
+    broken = first.poly - XPoly.constant(basis.n, ALPHA)
+    elements[0] = BasisElement(first.triple, broken, first.head)
+    return GroebnerBasis(basis.n, elements)
+
+
 def check_steps_match_reference(p: XPoly, basis: GroebnerBasis) -> int:
     """Every step that applies to p equals p - c*s*g built with XPoly
-    arithmetic, and names every monomial it changed; returns the count."""
+    arithmetic, writes s times each tail monomial in the tail's order, and
+    names every monomial it changed; returns the count."""
     steps = 0
     for m, c in p.terms.items():
         for element in basis:
@@ -116,6 +138,7 @@ def check_steps_match_reference(p: XPoly, basis: GroebnerBasis) -> int:
             expected = p - element.poly.mul_term(shift, c)
             terms = dict(p.terms)
             written = reduce_step(terms, m, element.triple, basis)
+            assert written == [mono_mul(shift, t) for t in element.tail[0]]
             assert XPoly._raw(p.n, terms) == expected
             assert all(terms.values())
             changed = {
@@ -130,11 +153,21 @@ def check_steps_match_reference(p: XPoly, basis: GroebnerBasis) -> int:
 def test_reduce_step_matches_arithmetic_reference(beta, alpha):
     rng = random.Random(derive_seed(11, PARAMS.index((beta, alpha))))
     steps = 0
+    tails = set()
     for n in (3, 4, 5, 6):
         basis = generate_basis(n, beta, alpha)
-        for _ in range(10):
-            steps += check_steps_match_reference(fork_rich(n, rng).substitute(beta, alpha), basis)
-    assert steps >= 100
+        # The bases are reused across inputs, so each step kernel is built
+        # once and then read by later steps.
+        for variant in (basis, doubled_basis(basis), broken_basis(basis)):
+            tails.update(len(e.tail[0]) for e in variant)
+            for _ in range(10):
+                p = fork_rich(n, rng).substitute(beta, alpha)
+                steps += check_steps_match_reference(p, variant)
+    assert steps >= 300
+    # A basis element's tail has 2 + (b != 0) + (a != 0) terms; doubled, one
+    # more for the kept head; broken, one fewer where the symbol a cancels.
+    assert min(tails) == 2 + (beta != 0) + (alpha != 0) - (alpha is None)
+    assert max(tails) == 3 + (beta != 0) + (alpha != 0)
 
 
 def test_reduce_step_non_monic_head():
@@ -214,15 +247,20 @@ def test_reduce_step_errors():
     forkless_poly = parse_poly("x[1,2]*x[2,3] + b*x[1,3]", 4)
     path = mono(4, (1, 2), (2, 3))
     fork = mono(4, (1, 3), (1, 2))
+    wider = mono(5, (1, 3), (1, 2))
     cases = (
         (forkless_poly, path, (1, 2, 3)),  # head does not divide
         (XPoly.from_monomial(fork), fork, (1, 2, 4)),
         (forkless_poly, fork, (1, 2, 3)),  # absent monomial
         (XPoly.from_monomial(fork), fork, (2, 1, 3)),
+        (XPoly.from_monomial(fork), fork, (1, 2, 5)),  # no such element at n=4
+        (forkless_poly, mono(4, (1, 3), (1, 3)), (1, 2, 3)),  # absent, head does not divide
+        (XPoly.from_monomial(wider), wider, (1, 2, 3)),  # another ambient size
     )
     for p, at, triple in cases:
         terms = dict(p.terms)
-        with pytest.raises(RewriteError):
+        text = f"basis element {triple} does not reduce {format_monomial(at)}"
+        with pytest.raises(RewriteError, match=f"^{re.escape(text)}$"):
             reduce_step(terms, at, triple, basis)
         assert terms == p.terms
 
@@ -407,6 +445,46 @@ def test_buchberger_detects_perturbation():
     broken = elements[0].poly - XPoly.constant(4, ALPHA)
     elements[0] = BasisElement(elements[0].triple, broken, elements[0].head)
     assert not buchberger_check(GroebnerBasis(4, elements))
+
+
+def test_reused_basis_gives_fresh_normal_forms():
+    """A basis keeps step kernels and fork triples across normal forms; one
+    reused for every earlier normal form gives the same result as a fresh
+    one, and normal forms are unique, so both strategies agree."""
+    rng = random.Random(37)
+    for n in (5, 6):
+        reused = generate_basis(n)
+        for _ in range(30):
+            p = fork_rich(n, rng)
+            fresh = normal_form(p, generate_basis(n))
+            assert fresh != p and all(is_forkless(m) for m in fresh.terms)
+            for strategy in (FirstByOrder(), LastByOrder()):
+                assert normal_form(p, reused, strategy) == fresh
+                assert normal_form(p, generate_basis(n), strategy) == fresh
+
+
+@pytest.mark.parametrize("beta, alpha", PARAMS)
+def test_spol_matches_arithmetic_reference(beta, alpha):
+    pairs = 0
+    for n in (3, 4, 5, 6):
+        basis = generate_basis(n, beta, alpha)
+        doubled = doubled_basis(basis)
+        # Head coefficients 1 and 1, 2 and 2, and 1 and 2.
+        for first, second in ((basis, basis), (doubled, doubled), (basis, doubled)):
+            for e1, e2 in product(first, second):
+                if not any(map(min, e1.head, e2.head)):
+                    continue
+                g1, g2 = e1.poly, e2.poly
+                (h1, c1), (h2, c2) = g1.head(), g2.head()
+                lcm = mono_lcm(h1, h2)
+                expected = g1.mul_term(mono_div(lcm, h1), c2) - g2.mul_term(mono_div(lcm, h2), c1)
+                got = spol(g1, g2)
+                assert got == expected
+                assert all(got.terms.values())
+                pairs += 1
+    # The Buchberger check's 1, 7, 25 and 65 pairs at n = 3..6, each pair of
+    # two elements in both orders, for each of the three combinations.
+    assert pairs == 3 * (2 * (1 + 7 + 25 + 65) - (1 + 4 + 10 + 20))
 
 
 def test_ideal_member_examples():
