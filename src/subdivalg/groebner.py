@@ -14,32 +14,26 @@ This family is a Groebner basis; `buchberger_check` confirms the
 criterion mechanically and `normal_form` reduces any polynomial to its
 unique forkless representative (the monomials with no x[i,j]*x[i,k]
 divisor are exactly the irreducible ones).  `ideal_generator` writes the
-five terms of a relation straight from their monomials, leaving out the
-b and a terms where those parameters are zero.
+five terms of a relation from the monomials `rewrite.relation_monomials`
+lists, leaving out the b and a terms where those parameters are zero.
 
-`normal_form` runs the rewriting engine of the rewrite module with the
-fork triples of a monomial and `reduce_step`, which subtracts in place a
-multiple of a basis element chosen so the rewritten monomial is replaced
-by strictly smaller ones, and returns the monomials of that multiple, so
-the engine updates its reducible set without rescanning.  Each
-`BasisElement` carries its tail pre-negated, head - g, in which a monic
-head cancels; a step deletes the rewritten monomial outright and adds
-the shifted tail times its coefficient.  The engine's step bound guards
-against defects, not against the math.
+One check covers every n.  Two heads x[i,k]*x[i,j] that share a variable
+share its two indices, so each s-polynomial the check reduces lives on
+at most 4 indices; heads with no common variable need no check.  A step
+uses the element of a triple of its monomial's indices and writes
+monomials on the same indices, so the reduction stays on them.  An
+order-preserving map of {1..4} into {1..n} keeps the term order (lex on
+row-major slots) and takes relations to relations, so `verify --n 4
+groebner` covers every n; larger n stress-test the engine.
 
-Whatever depends on the basis alone is worked out once per basis, at
-first use, and kept on the `GroebnerBasis`: per element a step kernel,
-from which a step writes its monomials by a few slot edits of one list,
-and per monomial its fork triples, which every normal form on the basis
-shares (the Buchberger check meets the same monomials in many
-s-polynomials).  Nothing is cached per process, so a basis's memos go
-with it.  `spol` writes both shifted elements into one dict.
+`normal_form` runs the engine of the rewrite module on the basis's
+`RuleSet`; the engine's step bound guards against defects, not against
+the math.  `spol` writes both shifted elements into one dict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
 from itertools import combinations, combinations_with_replacement, compress
 from operator import add, mul
 from typing import Optional
@@ -51,25 +45,22 @@ from .poly import (
     accumulate,
     format_monomial,
     mono_div,
-    mono_from_pairs,
     mono_lcm,
     slot_partners,
 )
-from .rewrite import DEFAULT_MAX_STEPS, FirstByOrder, Report, RewriteError, Strategy, rewrite
+from .rewrite import (
+    DEFAULT_MAX_STEPS,
+    FirstByOrder,
+    Report,
+    RewriteError,
+    RuleSet,
+    Strategy,
+    compile_kernel,
+    kernel_step,
+    relation_monomials,
+    rewrite,
+)
 from .ring import ALPHA, BETA, RationalLike, resolve_param
-
-
-@lru_cache(maxsize=None)
-def _relation_monomials(n: int) -> dict:
-    """Per triple (i, j, k), the monomials of its relation's five terms:
-    x[i,j]*x[j,k], x[i,k]*x[i,j], x[i,k]*x[j,k], x[i,k] and 1."""
-    return {
-        (i, j, k): tuple(
-            mono_from_pairs(n, dict.fromkeys(pairs, 1))
-            for pairs in (((i, j), (j, k)), ((i, k), (i, j)), ((i, k), (j, k)), ((i, k),), ())
-        )
-        for i, j, k in combinations(range(1, n + 1), 3)
-    }
 
 
 def ideal_generator(
@@ -84,14 +75,9 @@ def ideal_generator(
     its terms written from their monomials; a zero b or a term is left out."""
     if not (1 <= i < j < k <= n):
         raise ValueError(f"need 1 <= i < j < k <= n, got ({i},{j},{k}) with n={n}")
-    path, fork, ik_jk, ik, one = _relation_monomials(n)[(i, j, k)]
-    terms = {path: 1, fork: -1, ik_jk: -1}
-    b = resolve_param(beta, BETA)
-    if b:
-        terms[ik] = -b
-    a = resolve_param(alpha, ALPHA)
-    if a:
-        terms[one] = -a
+    path, fork, ik_jk, ik, one = relation_monomials(n)[(i, j, k)]
+    b, a = resolve_param(beta, BETA), resolve_param(alpha, ALPHA)
+    terms = accumulate({path: 1, fork: -1, ik_jk: -1}, ((ik, b), (one, a)), negate=True)
     return XPoly._raw(n, terms)
 
 
@@ -116,17 +102,15 @@ class BasisElement:
 class GroebnerBasis:
     """The monic basis, one element per triple i < j < k, in lex order.
 
-    A basis also keeps what its normal forms reuse, filled at first use:
-    per triple, the step kernel of its element (see `reduce_step`), and
-    per monomial, its fork triples.  Both depend on the basis alone, so
-    every normal form on it shares them, and they go with it."""
+    `rules` is its RuleSet, shared by every normal form on it: the rule of
+    each element, compiled at first use, and the fork triples of each
+    monomial.  It holds nothing of the basis, so it goes with it."""
 
     def __init__(self, n: int, elements: list):
         self.n = n
         self.elements = tuple(elements)
         self._by_triple = {e.triple: e for e in self.elements}
-        self._kernels: dict = {}
-        self._forks: dict = {}
+        self.rules = RuleSet(_fork_triples)
 
     def element(self, triple: Triple) -> BasisElement:
         return self._by_triple[triple]
@@ -136,33 +120,6 @@ class GroebnerBasis:
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def fork_triples(self, m: Monomial) -> list:
-        """The fork triples of m, found once per basis."""
-        found = self._forks.get(m)
-        if found is None:
-            found = self._forks[m] = _fork_triples(m)
-        return found
-
-    def _step_kernel(self, triple: Triple) -> Optional[tuple]:
-        """The step kernel of triple's element, cached; None for no element.
-
-        A kernel is (width, head, coeffs, edits): the width of a monomial,
-        the (slot, exponent) pairs of the head, the tail coefficients, and
-        per tail monomial the (slot, change) pairs that take the monomial
-        before it, the head for the first, to it."""
-        element = self._by_triple.get(triple)
-        if element is None:
-            return None
-        monos, coeffs = element.tail
-        edits = []
-        before = element.head
-        for after in monos:
-            edits.append(tuple((s, y - x) for s, (x, y) in enumerate(zip(before, after)) if x != y))
-            before = after
-        head = tuple((s, e) for s, e in enumerate(element.head) if e)
-        kernel = self._kernels[triple] = (len(element.head), head, coeffs, tuple(edits))
-        return kernel
 
 
 def generate_basis(
@@ -188,37 +145,19 @@ def _fork_triples(m: Monomial) -> list:
 
 
 def reduce_step(terms: dict, mono: Monomial, triple: Triple, basis: GroebnerBasis) -> list:
-    """One reduction terms - c*s*g in place at monomial mono of the term
-    dict, with c its coefficient, g the basis element of triple and
-    s = mono / head(g); returns the monomials of c*s*tail that it wrote,
-    in the tail's order.
-
-    Since c*s*head(g) is the term c*mono, the step deletes mono and adds
-    c*s times g's pre-negated tail, head(g) - g; for a monic g that tail
-    leaves mono out, and for any other g it puts c*(1 - lead) back there.
-    Where those monomials go depends on g alone: the basis keeps, per
-    triple, a kernel with g's head slots and the slot edits from its head
-    to each tail monomial in turn, so the step tests the head slots of
-    mono and writes the monomials by editing one copy of it in place.
-    A step that does not apply raises RewriteError and changes nothing."""
-    kernel = basis._kernels.get(triple) or basis._step_kernel(triple)
-    coeff = terms.get(mono)
-    if (
-        kernel is None
-        or coeff is None
-        or len(mono) != kernel[0]
-        or any(mono[s] < e for s, e in kernel[1])
-    ):
+    """One reduction terms - c*s*g in place at monomial mono, with c its
+    coefficient, g the basis element of triple and s = mono / head(g): the
+    `kernel_step` of g's tail, head(g) - g, compiled once per basis; returns
+    the monomials it wrote.  A step that does not apply raises RewriteError
+    and changes nothing."""
+    compiled = basis.rules.compiled
+    rule = compiled.get(triple)
+    if rule is None and (g := basis._by_triple.get(triple)) is not None:
+        coeffs = tuple(None if c == 1 else c for c in g.tail[1])
+        rule = compiled[triple] = compile_kernel(g.head, g.tail[0]), coeffs
+    written = None if rule is None else kernel_step(terms, mono, *rule)
+    if written is None:
         raise RewriteError(f"basis element {triple} does not reduce {format_monomial(mono)}")
-    _, _, coeffs, edits = kernel
-    del terms[mono]
-    out = list(mono)
-    written = []
-    for edit in edits:
-        for slot, change in edit:
-            out[slot] += change
-        written.append(tuple(out))
-    accumulate(terms, zip(written, [coeff * c for c in coeffs]), negate=False)
     return written
 
 
@@ -231,10 +170,10 @@ def normal_form(
     """Reduce to the unique forkless representative."""
     if p.n != basis.n:
         raise ValueError(f"ambient size mismatch: {p.n} vs {basis.n}")
-    # Callees are looked up per call, so run-time wrappers of them see every call.
-    step = partial(reduce_step, basis=basis)
+    # The step is looked up per step, so run-time wrappers of it see every call.
+    step = lambda terms, mono, triple: reduce_step(terms, mono, triple, basis)  # noqa: E731
     terms = None
-    for _, _, terms in rewrite(p, "normal form", basis.fork_triples, step, strategy, max_steps):
+    for _, _, terms in rewrite(p, "normal form", basis.rules, step, strategy, max_steps):
         pass
     return p if terms is None else XPoly._raw(p.n, terms)
 

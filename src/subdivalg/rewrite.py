@@ -12,19 +12,21 @@ What stays invariant is the image of the result under d_image, and
 
 Every step strictly drops the pathless weight of the rewritten monomial
 on all four replacement monomials, which is why the game always ends;
-the weight is linear, so `pathless_step` checks the drop once per triple,
-on the bare relation x[i,j]*x[j,k], and that covers every monomial.
+the weight is linear, so checking the drop once per triple, on the bare
+relation x[i,j]*x[j,k], covers every monomial.
 
-`rewrite` is the one reduction loop, for this game and for the forkless
-normal form in `groebner`.  A rule is two parts: the triples of a
-monomial, and a step that rewrites a term dict in place at a (monomial,
-triple) and returns the monomials it wrote; a strategy picks each step.
-Within one call the engine owns one copy of the input's terms, finds the
-triples of each monomial once and keeps the reducible monomials in sorted
-order, updating them from the written monomials only, so a step costs the
-size of its replacement rather than a copy or rescan of every term, as in
-the in-place division of Monagan & Pearce (CASC 2007), with a sorted list
-in place of their heap.
+Both reductions read one relation, whose monomials `relation_monomials`
+lists per triple: the game with head x[i,j]*x[j,k], the forkless normal
+form of `groebner` negated, with head x[i,k]*x[i,j].  A rule is a head
+monomial and its replacement, as in Bergman's reduction systems ("The
+diamond lemma for ring theory", Adv. Math. 1978); both compile into one
+kernel, which `kernel_step`, the one writer of a step's monomials, runs.
+
+`rewrite` is the one reduction loop: a strategy picks each step, and a
+`RuleSet` memoises the triples of each monomial.  It owns one copy of the
+input's terms and keeps the reducible monomials sorted, updated from the
+written monomials only, as in the in-place division of Monagan & Pearce
+(CASC 2007), with a sorted list in place of their heap.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import itertools
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache
 from typing import Callable, Iterator, Optional, Union
 
 from .poly import (
@@ -44,8 +46,8 @@ from .poly import (
     ambient_size,
     d_image,
     format_monomial,
+    mono_from_pairs,
     num_vars,
-    pair_position,
     parse_monomial,
     slot_partners,
     weight_pathless,
@@ -107,47 +109,81 @@ def find_path_triples(m: Monomial) -> list:
     return [t for row in itertools.compress(partners, m) for pos, t in row if m[pos]]
 
 
-# The slots (x[i,j], x[j,k], x[i,k]) of a step at (width, triple), checked once.
-_KERNELS: dict = {}
+@lru_cache(maxsize=None)
+def relation_monomials(n: int) -> dict:
+    """Per triple (i, j, k), the monomials of its relation's five terms:
+    x[i,j]*x[j,k], x[i,k]*x[i,j], x[i,k]*x[j,k], x[i,k] and 1."""
+    return {
+        (i, j, k): tuple(
+            mono_from_pairs(n, dict.fromkeys(pairs, 1))
+            for pairs in (((i, j), (j, k)), ((i, k), (i, j)), ((i, k), (j, k)), ((i, k),), ())
+        )
+        for i, j, k in itertools.combinations(range(1, n + 1), 3)
+    }
 
 
-def _written(mono: Monomial, slots: tuple) -> tuple:
-    """The monomials x[i,k]*x[i,j]*r, x[i,k]*x[j,k]*r, x[i,k]*r and r, where
-    r = mono / (x[i,j]*x[j,k]), made by editing one list in place."""
-    ij, jk, ik = slots
+class RuleSet(dict):
+    """One reduction's memo: rules[m] lists the triples of monomial m in lex
+    order, found by find(m) at first use; compiled keeps, per triple, the
+    (kernel, coeffs) of its rule for `kernel_step`."""
+
+    def __init__(self, find: Callable):
+        super().__init__()
+        self.find = find
+        self.compiled: dict = {}
+
+    def __missing__(self, m: Monomial) -> list:
+        found = self[m] = self.find(m)
+        return found
+
+
+def compile_kernel(head: Monomial, monos) -> tuple:
+    """(width, head, edits): the width of a monomial, the (slot, exponent)
+    pairs of head, and per monomial the (slot, change) pairs that take the
+    one before it, head for the first, to it."""
+    edits = tuple(
+        tuple((s, y - x) for s, (x, y) in enumerate(zip(before, after)) if x != y)
+        for before, after in zip((head, *monos), monos)
+    )
+    return len(head), tuple((s, e) for s, e in enumerate(head) if e), edits
+
+
+def kernel_step(terms: dict, mono: Monomial, kernel: tuple, coeffs) -> Optional[list]:
+    """Replace c*mono in the term dict by c*coeffs[t] at r times the kernel's
+    t-th monomial, r = mono / head, in place; returns those monomials, or
+    None, changing nothing, when the head does not divide mono or mono is
+    absent.  A coefficient None stands for 1: c is copied, not multiplied."""
+    width, head, edits = kernel
+    if len(mono) != width:
+        return None
+    for slot, exponent in head:
+        if mono[slot] < exponent:
+            return None
+    coeff = terms.pop(mono, None)
+    if coeff is None:
+        return None
     out = list(mono)
-    out[jk] -= 1
-    out[ik] += 1
-    first = tuple(out)
-    out[ij] -= 1
-    out[jk] += 1
-    second = tuple(out)
-    out[jk] -= 1
-    third = tuple(out)
-    out[ik] -= 1
-    return first, second, third, tuple(out)
+    written = []
+    for edit in edits:
+        for slot, change in edit:
+            out[slot] += change
+        written.append(tuple(out))
+    values = [coeff if c is None else coeff * c for c in coeffs]
+    accumulate(terms, zip(written, values), negate=False)
+    return written
 
 
-def _path_kernel(mono: Monomial, triple: Triple) -> tuple:
-    """The slots of a step at triple on monomials as wide as mono, cached.
-
-    weight_pathless is linear, so the step drops the weight of every
-    r*x[i,j]*x[j,k] onto r times each of the four monomials it writes
-    exactly when it does so for the bare relation x[i,j]*x[j,k]; checking
-    that once covers every step at this triple."""
-    n = ambient_size(len(mono))
-    i, j, k = triple
-    if not (1 <= i < j < k <= n):
-        raise RewriteError(f"malformed triple {triple} for n={n}")
-    positions = pair_position(n)
-    slots = positions[(i, j)], positions[(j, k)], positions[(i, k)]
-    relation = [0] * len(mono)
-    relation[slots[0]] = relation[slots[1]] = 1
-    bound = weight_pathless(tuple(relation))
-    if any(weight_pathless(m) >= bound for m in _written(relation, slots)):
-        raise RewriteError(f"step at {format_monomial(mono)} does not drop the pathless weight")
-    _KERNELS[len(mono), triple] = slots
-    return slots
+@lru_cache(maxsize=None)
+def _path_kernels(width: int) -> dict:
+    """Per triple, the kernel of a game step on monomials of this width,
+    each checked to drop the pathless weight on the bare relation."""
+    kernels = {}
+    for triple, (path, *written) in relation_monomials(ambient_size(width)).items():
+        bound = weight_pathless(path)
+        if any(weight_pathless(m) >= bound for m in written):
+            raise RewriteError(f"step at {format_monomial(path)} does not drop the pathless weight")
+        kernels[triple] = compile_kernel(path, written)
+    return kernels
 
 
 def pathless_step(
@@ -156,63 +192,50 @@ def pathless_step(
     triple: Triple,
     beta: Optional[CoeffLike] = None,
     alpha: Optional[CoeffLike] = None,
-) -> tuple:
-    """Apply one rewrite at the given monomial and triple of the term dict,
-    in place; returns the four monomials it wrote.  A step that does not
-    apply raises RewriteError and leaves terms unchanged.  beta and alpha
-    are used as given, None for the symbol.  The weight drop is checked once
-    per triple, on the bare relation; weight_pathless is linear, so that
-    covers every monomial the triple divides."""
-    slots = _KERNELS.get((len(mono), triple)) or _path_kernel(mono, triple)
-    coeff = terms.get(mono)
-    if coeff is None:
-        raise RewriteError(f"monomial {format_monomial(mono)} is absent")
-    if not (mono[slots[0]] and mono[slots[1]]):
+) -> list:
+    """The `kernel_step` of the game at monomial mono and triple (i, j, k);
+    returns the monomials it wrote, r times x[i,k]*x[i,j], x[i,k]*x[j,k],
+    x[i,k] and 1.  A step that does not apply raises RewriteError and
+    changes nothing.  beta and alpha are used as given, None for the symbol."""
+    kernel = _path_kernels(len(mono)).get(triple)
+    if kernel is None:
+        raise RewriteError(f"malformed triple {triple} for n={ambient_size(len(mono))}")
+    coeffs = None, None, BETA if beta is None else beta, ALPHA if alpha is None else alpha
+    written = kernel_step(terms, mono, kernel, coeffs)
+    if written is None:
+        if mono not in terms:
+            raise RewriteError(f"monomial {format_monomial(mono)} is absent")
         i, j, k = triple
         raise RewriteError(f"x[{i},{j}]*x[{j},{k}] does not divide {format_monomial(mono)}")
-    written = _written(mono, slots)
-    b = BETA if beta is None else beta
-    a = ALPHA if alpha is None else alpha
-    del terms[mono]
-    accumulate(terms, zip(written, (coeff, coeff, coeff * b, coeff * a)), negate=False)
     return written
 
 
 def rewrite(
     p: XPoly,
     name: str,
-    triples_of: Callable,
+    rules: RuleSet,
     step: Callable,
     strategy: Strategy = FirstByOrder(),
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> Iterator[tuple]:
     """Rewrite p until no monomial has a triple, yielding (monomial, triple,
-    terms) per step.  triples_of(m) lists the triples of m in lex order;
-    step(terms, m, t) rewrites the term dict there in place and returns
-    every monomial besides m whose coefficient it changed, or raises
-    RewriteError before changing anything.
+    terms) per step.  rules[m] lists the triples of m in lex order; a bare
+    triple finder gets a RuleSet of its own.  step(terms, m, t) rewrites the
+    term dict there in place and returns every monomial besides m whose
+    coefficient it changed, or raises RewriteError before changing anything.
 
     The engine rewrites its own copy of p's terms, so p never changes; the
     yielded terms are that live copy, which the next step changes again, so
-    a caller that keeps a state copies it.  The triples of each monomial
-    are found once per call, and the reducible monomials are kept in
-    ascending order, updated after each step from m and the monomials the
-    step returned alone, so no step rescans the polynomial.
+    a caller that keeps a state copies it.
     """
+    if callable(rules):
+        rules = RuleSet(rules)
     rng = random.Random(strategy.seed) if isinstance(strategy, RandomStrategy) else None
     script = strategy.steps if isinstance(strategy, ScriptStrategy) else None
-    memo: dict = {}
-
-    def triples(m: Monomial) -> list:
-        found = memo.get(m)
-        if found is None:
-            found = memo[m] = triples_of(m)
-        return found
-
     terms = dict(p.terms)
-    reducible = sorted(m for m in terms if triples(m))
+    reducible = sorted(m for m in terms if rules[m])
     # The triple count of each reducible monomial, which RandomStrategy draws by.
-    counts = [len(memo[m]) for m in reducible]
+    counts = [len(rules[m]) for m in reducible]
     for count in itertools.count(1):
         if script is not None and count <= len(script):
             mono, triple = script[count - 1]
@@ -223,17 +246,17 @@ def rewrite(
                 raise RewriteError(f"script exhausted before the {name} finished")
             if isinstance(strategy, FirstByOrder):
                 mono = reducible[-1]
-                triple = memo[mono][0]
+                triple = rules[mono][0]
             elif isinstance(strategy, LastByOrder):
                 mono = reducible[0]
-                triple = memo[mono][-1]
+                triple = rules[mono][-1]
             else:
                 # Index into the (monomial, triple) pairs listed by descending monomial.
                 ends = list(itertools.accumulate(reversed(counts)))
                 index = rng.randrange(ends[-1])
                 rank = bisect_right(ends, index)
                 mono = reducible[-1 - rank]
-                triple = memo[mono][index - ends[rank - 1] if rank else index]
+                triple = rules[mono][index - ends[rank - 1] if rank else index]
         if count > max_steps:
             raise ResourceLimitError(f"{name} did not terminate within {max_steps} steps")
         try:
@@ -243,15 +266,17 @@ def rewrite(
                 raise
             raise RewriteError(f"script step {count} does not apply: {exc}") from None
         for m in (mono, *written):
-            at = bisect_left(reducible, m)
-            listed = at < len(reducible) and reducible[at] == m
-            if m in terms and triples(m):
-                if not listed:
+            present = m in terms
+            # A listed monomial has triples, found while it was present.
+            if rules[m] if present else rules.get(m):
+                at = bisect_left(reducible, m)
+                listed = at < len(reducible) and reducible[at] == m
+                if present and not listed:
                     reducible.insert(at, m)
-                    counts.insert(at, len(memo[m]))
-            elif listed:
-                del reducible[at]
-                del counts[at]
+                    counts.insert(at, len(rules[m]))
+                elif listed and not present:
+                    del reducible[at]
+                    del counts[at]
         yield mono, triple, terms
 
 
@@ -262,9 +287,10 @@ def reduce_pathless(
     alpha: Optional[RationalLike] = None,
 ) -> tuple:
     """Play the game to a pathless polynomial; returns (result, trace)."""
-    # Callees are looked up per call, so run-time wrappers of them see every call.
-    step = partial(pathless_step, beta=resolve_param(beta, BETA), alpha=resolve_param(alpha, ALPHA))
-    game = rewrite(p, "pathless game", find_path_triples, step, strategy)
+    b, a = resolve_param(beta, BETA), resolve_param(alpha, ALPHA)
+    # The callees are looked up at each call, so run-time wrappers see every call.
+    step = lambda terms, mono, triple: pathless_step(terms, mono, triple, b, a)  # noqa: E731
+    game = rewrite(p, "pathless game", RuleSet(find_path_triples), step, strategy)
     trace = [TraceStep(mono, triple, XPoly._raw(p.n, dict(terms))) for mono, triple, terms in game]
     return (trace[-1].after if trace else p), trace
 
@@ -384,7 +410,9 @@ def verify_t_unique(
 ) -> Report:
     """Reduce random inputs under several strategies; d_images must agree.
 
-    Trial `trial` draws its input from random.Random(derive_seed(seed, trial))."""
+    Trial `trial` draws its input from random.Random(derive_seed(seed, trial)),
+    then substitutes beta and alpha into it, so a drawn term can cancel
+    (b+1 at b=-1) and leave fewer terms."""
     if strategies < 2:
         raise ValueError(TOO_FEW_STRATEGIES)
     report = Report(
@@ -394,7 +422,7 @@ def verify_t_unique(
     )
     for trial in range(trials):
         trial_seed = derive_seed(seed, trial)
-        p = random_xpoly(n, max_deg, max_terms, random.Random(trial_seed))
+        p = random_xpoly(n, max_deg, max_terms, random.Random(trial_seed)).substitute(beta, alpha)
         images = []
         for strat in strategy_suite(strategies, seed, trial):
             result, _ = reduce_pathless(p, strat, beta, alpha)

@@ -69,7 +69,7 @@ from .poly import (
 )
 from .groebner import ideal_generator
 from .rewrite import COEFF_CHOICES, Report, derive_seed, random_terms, random_xpoly
-from .ring import ALPHA, BETA, CoeffLike, RationalLike, resolve_param
+from .ring import ALPHA, BETA, CoeffLike, RationalLike, resolve_param, substitute_coeff
 
 
 def neg_mass(exponents: tuple) -> int:
@@ -230,7 +230,9 @@ def verify_a_kills_j(
     """Every defining relation, and random multiples of them, map to zero.
 
     The products come from one random.Random(seed) stream, so each failure
-    carries the text of the polynomial that did not map to zero."""
+    carries the text of the polynomial that did not map to zero.  beta and
+    alpha are substituted into each drawn coefficient, which can cancel
+    (b+1 at b=-1)."""
     from itertools import combinations
 
     report = Report(
@@ -247,7 +249,7 @@ def verify_a_kills_j(
     for index in range(samples if triples else 0):
         triple = triples[rng.randrange(len(triples))]
         g = ideal_generator(*triple, n, beta, alpha)
-        coeff = rng.choice(COEFF_CHOICES)
+        coeff = substitute_coeff(rng.choice(COEFF_CHOICES), beta, alpha)
         mono = random_xpoly(n, 3, 1, rng).terms
         mono = next(iter(mono)) if mono else None
         product = g.mul_term(mono, coeff) if mono is not None else g.scale(coeff)
@@ -589,7 +591,8 @@ def verify_e_left_inverse(
     alpha: Optional[RationalLike] = None,
 ) -> Report:
     """g_substitute after the w-constant term of e_image is the identity; sample
-    `index` draws its input from random.Random(derive_seed(seed, index)).
+    `index` draws its input from random.Random(derive_seed(seed, index)),
+    then substitutes beta and alpha, so a drawn term can cancel (b+1 at b=-1).
 
     The e map (order 0) and the g map are built once per call, so each
     power of a variable's image is built once for all the samples."""
@@ -603,7 +606,7 @@ def verify_e_left_inverse(
     g_of = g_map(n, beta_c)
     for index in range(samples):
         sample_seed = derive_seed(seed, index)
-        p = random_tpoly(n, max_deg, max_terms, random.Random(sample_seed))
+        p = random_tpoly(n, max_deg, max_terms, random.Random(sample_seed)).substitute(beta, alpha)
         if g_of(e_of(p).coeffs[0]) != p:
             report.failures.append(f"sample {index} seed {sample_seed} input {p}")
         report.counts["inputs"] += 1

@@ -1,13 +1,16 @@
 """Basis family, reduction, Buchberger criterion, and ideal membership."""
 
+import gc
 import random
 import re
+import weakref
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 
 from conftest import ALT_SCRIPT, GAME_SCRIPT, GAME_START, applied
+from subdivalg import rewrite
 from subdivalg.groebner import (
     BasisElement,
     GroebnerBasis,
@@ -40,8 +43,10 @@ from subdivalg.rewrite import (
     ScriptStrategy,
     derive_seed,
     parse_script,
+    pathless_step,
     random_xpoly,
     reduce_pathless,
+    relation_monomials,
 )
 from subdivalg.ring import ALPHA, BETA, Coeff, resolve_param
 
@@ -461,6 +466,64 @@ def test_reused_basis_gives_fresh_normal_forms():
             for strategy in (FirstByOrder(), LastByOrder()):
                 assert normal_form(p, reused, strategy) == fresh
                 assert normal_form(p, generate_basis(n), strategy) == fresh
+
+
+@pytest.mark.parametrize("beta, alpha", PARAMS)
+def test_one_relation_two_readings(beta, alpha):
+    """Both reductions read the relation g = ideal_generator(i, j, k): a game
+    step takes c*r*x[i,j]*x[j,k] to c*r*(x[i,j]*x[j,k] - g), and a basis step
+    takes c*r*x[i,k]*x[i,j] to c*r*(x[i,k]*x[i,j] + g).  Each returns the
+    monomials it wrote in its kernel's order: the game all four, with
+    coefficient 0 where b or a is 0, the basis those of g's other terms."""
+    b, a = resolve_param(beta, BETA), resolve_param(alpha, ALPHA)
+    checked = 0
+    for n in range(3, 7):
+        basis = generate_basis(n, beta, alpha)
+        cofactors = (mono_one(n), mono(n, (1, n)), mono(n, (1, 2), (2, 3), (n - 1, n)))
+        for triple, (path, fork, ik_jk, ik, one) in relation_monomials(n).items():
+            g = ideal_generator(*triple, n, beta, alpha)
+            for r in cofactors:
+                c = (BETA + 1, 2, Fraction(3, 2))[checked % 3]
+                rg = g.mul_term(r, c)
+                at = mono_mul(path, r)
+                terms = {at: c}
+                written = pathless_step(terms, at, triple, b, a)
+                assert XPoly._raw(n, terms) == XPoly.from_monomial(at, c) - rg
+                assert written == [mono_mul(m, r) for m in (fork, ik_jk, ik, one)]
+                at = mono_mul(fork, r)
+                terms = {at: c}
+                written = reduce_step(terms, at, triple, basis)
+                assert XPoly._raw(n, terms) == XPoly.from_monomial(at, c) + rg
+                assert written == [mono_mul(m, r) for m in (path, ik_jk, ik, one) if m in g.terms]
+                checked += 1
+    assert checked == 3 * (1 + 4 + 10 + 20)
+
+
+def test_rule_sets_go_without_the_cycle_collector(monkeypatch):
+    """A basis holds its rule set, which holds nothing of the basis, and a
+    game's rule set lives in its call: reference counting alone frees both."""
+    made = []
+
+    class Recorded(rewrite.RuleSet):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(weakref.ref(self))
+
+    p = parse_poly("x[1,4]*x[1,3]*x[1,2] + b*x[1,2]*x[2,3]*x[3,4]", 4)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        basis = generate_basis(4)
+        assert normal_form(p, basis) != p
+        refs = weakref.ref(basis), weakref.ref(basis.rules)
+        del basis
+        assert [ref() for ref in refs] == [None, None]
+        monkeypatch.setattr(rewrite, "RuleSet", Recorded)
+        _, trace = reduce_pathless(p)
+        assert trace and len(made) == 1 and made[0]() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize("beta, alpha", PARAMS)

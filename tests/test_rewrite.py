@@ -48,6 +48,7 @@ from subdivalg.rewrite import (
     RandomStrategy,
     ResourceLimitError,
     RewriteError,
+    RuleSet,
     ScriptStrategy,
     TraceStep,
     d_invariance_counterexample,
@@ -182,13 +183,17 @@ def test_step_without_weight_drop_raises(monkeypatch):
     # the check must raise even under python -O, where an assert would vanish
     import subdivalg.rewrite
 
-    # Kernels are cached per triple; an empty cache makes the step build its
-    # kernel again and so consult the patched weight.
-    monkeypatch.setattr(subdivalg.rewrite, "_KERNELS", {})
+    # Kernels are built once per width; clearing that cache makes the step
+    # build them again and so consult the patched weight.
+    kernels = subdivalg.rewrite._path_kernels
+    kernels.cache_clear()
     monkeypatch.setattr(subdivalg.rewrite, "weight_pathless", lambda m: 0)
     terms = dict(parse_poly(GAME_START, 4).terms)
-    with pytest.raises(RewriteError, match="does not drop the pathless weight"):
-        pathless_step(terms, mono(4, (1, 2), (2, 3), (3, 4)), (1, 2, 3))
+    try:
+        with pytest.raises(RewriteError, match="does not drop the pathless weight"):
+            pathless_step(terms, mono(4, (1, 2), (2, 3), (3, 4)), (1, 2, 3))
+    finally:
+        kernels.cache_clear()
     assert terms == parse_poly(GAME_START, 4).terms
 
 
@@ -243,7 +248,7 @@ def test_step_matches_arithmetic_reference(beta, alpha):
                     replacement = replacement + XPoly.constant(n, a)
                     expected = before - XPoly.from_monomial(m, c) + XPoly.from_monomial(r, c) * replacement
                     written = pathless_step(terms, m, (i, j, k), beta, alpha)
-                    assert written == expected_written
+                    assert written == list(expected_written)
                     assert XPoly._raw(n, terms) == expected
                     assert expected_written[dropped] not in terms
                     checked += 1
@@ -383,9 +388,9 @@ def test_engine_step_bound():
     _, trace = reduce_pathless(p)
     assert len(trace) > 1
     with pytest.raises(ResourceLimitError) as info:
-        list(rewrite(p, "pathless game", find_path_triples, pathless_step, max_steps=1))
+        list(rewrite(p, "pathless game", RuleSet(find_path_triples), pathless_step, max_steps=1))
     assert str(info.value) == "pathless game did not terminate within 1 steps"
-    exact = rewrite(p, "pathless game", find_path_triples, pathless_step, max_steps=len(trace))
+    exact = rewrite(p, "pathless game", RuleSet(find_path_triples), pathless_step, max_steps=len(trace))
     assert [(m, t, XPoly._raw(4, dict(terms))) for m, t, terms in exact] == [
         (s.monomial, s.triple, s.after) for s in trace
     ]
@@ -502,7 +507,7 @@ def test_engine_matches_full_rescan():
             for strategy in strategies:
                 expected, error = run_engine(reference_rewrite(p, name, triples_of, step, strategy))
                 assert error is None
-                got = run_engine(rewrite(p, name, triples_of, step, strategy))
+                got = run_engine(rewrite(p, name, RuleSet(triples_of), step, strategy))
                 assert got == (expected, None)
                 script = parse_script(format_trace([TraceStep(*s) for s in expected]), p.n)
                 # The script in full and cut short, a script whose first step
@@ -514,7 +519,7 @@ def test_engine_matches_full_rescan():
                     (strategy, max(len(expected) - 1, 0)),
                 ]
                 for replay, bound in replays:
-                    got = run_engine(rewrite(p, name, triples_of, step, replay, bound))
+                    got = run_engine(rewrite(p, name, RuleSet(triples_of), step, replay, bound))
                     want = run_engine(reference_rewrite(p, name, triples_of, step, replay, bound))
                     assert got == want
                 counts = reducible_set_events(p, triples_of, expected)
@@ -533,6 +538,6 @@ def test_reductions_leave_their_input_unchanged():
         _, trace = reduce_pathless(p)
         assert trace and normal_form(p, basis) != p
         for triples_of, step in rules:
-            states = [terms for _, _, terms in rewrite(p, "test", triples_of, step)]
+            states = [terms for _, _, terms in rewrite(p, "test", RuleSet(triples_of), step)]
             assert states and all(terms is not p.terms for terms in states)
         assert p.terms == before

@@ -417,6 +417,40 @@ def test_numeric_parameters_leave_no_coeff(beta, alpha, monkeypatch):
     for s in compared:
         assert numbers_only(s.terms, integral)
 
+    # The random sweeps draw from a pool that holds b, a and b+1, and then
+    # substitute the parameters into what they drew.
+    from subdivalg import rewrite
+
+    drawn: list = []
+
+    def recording(module, name, arg=0):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            drawn.append(args[arg])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    def e_map(*args):
+        real = real_e_map(*args)
+        return lambda p: drawn.append(p) or real(p)
+
+    recording(rewrite, "reduce_pathless")
+    recording(series, "a_image_rat")
+    real_e_map = series.e_map
+    monkeypatch.setattr(series, "e_map", e_map)
+    assert rewrite.verify_t_unique(5, 6, 2, 1, beta=beta, alpha=alpha).ok
+    assert series.verify_a_kills_j(5, 12, 1, beta, alpha).ok
+    assert series.verify_e_left_inverse(5, 12, 1, beta=beta, alpha=alpha).ok
+    kinds = {type(p).__name__ for p in drawn}
+    assert kinds == {"XPoly", "TPoly"}
+    # 6 trials under 2 strategies, 10 generators and 12 products, 12 samples
+    assert len(drawn) == 6 * 2 + 10 + 12 + 12
+    assert sum(bool(p.terms) for p in drawn) > 40
+    for p in drawn:
+        assert not p.terms or numbers_only(p.terms, integral)
+
 
 # Fast paths: a product by the unit returns the other operand, one term
 # times one term builds its key directly, and +, - and negation normalise
