@@ -152,26 +152,27 @@ def enumerate_forkless(n: int, degree: int) -> list:
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     width = num_vars(n)
-    out = []
-
-    def rec(row: int, remaining: int, exps: list):
-        if row == n:
-            if remaining == 0:
-                out.append(tuple(exps))
-            return
-        rec(row + 1, remaining, exps)
-        for e in range(1, remaining + 1):
-            for col in range(row + 1, n + 1):
-                pos = var_position(row, col, n)
-                exps[pos] = e
-                rec(row + 1, remaining - e, exps)
-                exps[pos] = 0
-
     if width == 0:
         return [()] if degree == 0 else []
-    rec(1, degree, [0] * width)
+    out: list = []
+    _forkless_rows(n, 1, degree, [0] * width, out)
     out.sort(reverse=True)
     return out
+
+
+def _forkless_rows(n: int, row: int, remaining: int, exps: list, out: list):
+    """Append each forkless completion of exps from row on, of degree remaining, to out."""
+    if row == n:
+        if remaining == 0:
+            out.append(tuple(exps))
+        return
+    _forkless_rows(n, row + 1, remaining, exps, out)
+    for e in range(1, remaining + 1):
+        for col in range(row + 1, n + 1):
+            pos = var_position(row, col, n)
+            exps[pos] = e
+            _forkless_rows(n, row + 1, remaining - e, exps, out)
+            exps[pos] = 0
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ Exit codes: 0 success or verified, 1 verification failure or count
 mismatch, 2 usage or parse error, or a reduction that hit its step
 limit.  Parameters b and a stay symbolic unless --beta/--alpha give
 rational values.  Only commands that draw random choices take --seed
-(default 0), and they always print the seed they used.
+(default 0), and they always print the seed they used.  A flag that the
+command, mode or sweep does not read is an error.
 
 `build_parser()` builds the parser once per process and returns that one
 shared instance on every call, `main` included; callers must not mutate
@@ -74,10 +75,11 @@ COUNT = at_least(0)
 POSITIVE = at_least(1)
 
 
-def _common_flags(sub: argparse.ArgumentParser):
+def _common_flags(sub: argparse.ArgumentParser, params: bool = True):
     sub.add_argument("--n", type=POSITIVE, required=True, help="ambient size n")
-    sub.add_argument("--beta", type=param_value, default=None, metavar="RAT|sym")
-    sub.add_argument("--alpha", type=param_value, default=None, metavar="RAT|sym")
+    if params:
+        sub.add_argument("--beta", type=param_value, default=None, metavar="RAT|sym")
+        sub.add_argument("--alpha", type=param_value, default=None, metavar="RAT|sym")
     sub.add_argument("--json", action="store_true", dest="as_json")
 
 
@@ -107,13 +109,13 @@ def build_parser() -> argparse.ArgumentParser:
         verify_p.add_argument(_flag(dest), type=kind, dest=dest)
 
     count_p = commands.add_parser("count", help="count forkless monomials per degree")
-    _common_flags(count_p)
+    _common_flags(count_p, params=False)
     count_p.add_argument("what", choices=["forkless"])
     count_p.add_argument("--max-degree", type=COUNT, required=True, dest="max_degree")
     count_p.add_argument("--check-gf", action="store_true", dest="check_gf")
 
     basis_p = commands.add_parser("basis", help="list forkless monomials of one degree")
-    _common_flags(basis_p)
+    _common_flags(basis_p, params=False)
     basis_p.add_argument("what", choices=["forkless"])
     basis_p.add_argument("--degree", type=COUNT, required=True)
 
@@ -133,9 +135,11 @@ def _emit(args, payload: dict, text_lines: list) -> None:
 
 
 def cmd_reduce(args) -> int:
+    chosen = f"--strategy {args.strategy or 'first'}" if args.mode == "pathless" else "--mode forkless"
     if args.seed is not None and (args.mode, args.strategy) != ("pathless", "random"):
-        chosen = f"--strategy {args.strategy or 'first'}" if args.mode == "pathless" else "--mode forkless"
         raise ValueError(f"reduce {chosen} does not read --seed")
+    if args.script_file is not None and args.mode == "pathless" and args.strategy != "script":
+        raise ValueError(f"reduce {chosen} does not read --script-file")
     p = parse_poly(args.poly, args.n).substitute(args.beta, args.alpha)
     payload: dict = {"command": "reduce", "mode": args.mode, "n": args.n}
     lines: list = []

@@ -13,9 +13,12 @@ of the poly module:
 This family is a Groebner basis; `buchberger_check` confirms the
 criterion mechanically and `normal_form` reduces any polynomial to its
 unique forkless representative (the monomials with no x[i,j]*x[i,k]
-divisor are exactly the irreducible ones).  `ideal_generator` writes the
-five terms of a relation from the monomials `rewrite.relation_monomials`
-lists, leaving out the b and a terms where those parameters are zero.
+divisor are exactly the irreducible ones).  Relations and elements are
+written from the monomials `rewrite.relation_monomials` lists per triple,
+the table the game reads with head x[i,j]*x[j,k]; a zero b or a term is
+left out.  A step writes head - element, x[i,j]*x[j,k] - x[i,k]*x[j,k] -
+b*x[i,k] - a, by one kernel per triple built once per n: the same four
+coefficients for every triple, 0 where b or a is, which accumulate drops.
 
 One check covers every n.  Two heads x[i,k]*x[i,j] that share a variable
 share its two indices, so each s-polynomial the check reduces lives on
@@ -27,14 +30,14 @@ row-major slots) and takes relations to relations, so `verify --n 4
 groebner` covers every n; larger n stress-test the engine.
 
 `normal_form` runs the engine of the rewrite module on the basis's
-`RuleSet`; the engine's step bound guards against defects, not against
-the math.  `spol` writes both shifted elements into one dict.
+fork-triple memo; the engine's step bound guards against defects, not
+against the math.  `spol` writes both shifted elements into one dict.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations, combinations_with_replacement, compress
+from functools import lru_cache
+from itertools import combinations_with_replacement, compress
 from operator import add, mul
 from typing import Optional
 
@@ -81,45 +84,29 @@ def ideal_generator(
     return XPoly._raw(n, terms)
 
 
-@dataclass(frozen=True)
-class BasisElement:
-    """The basis element poly of triple, with head monomial head.
-
-    tail is derived: the monomials and coefficients of head - poly.  A
-    monic head cancels in it, leaving poly's other terms negated in
-    poly's order; any other head stays, with coefficient 1 - lead."""
-
-    triple: Triple
-    poly: XPoly
-    head: Monomial
-    tail: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        tail = accumulate({self.head: 1}, self.poly.terms.items(), negate=True)
-        object.__setattr__(self, "tail", (tuple(tail), tuple(tail.values())))
-
-
 class GroebnerBasis:
-    """The monic basis, one element per triple i < j < k, in lex order.
+    """The monic basis at n and the resolved `params` (b, a), one element
+    per triple of `relation_monomials(n)`.  `tail` holds the coefficients
+    of x[i,j]*x[j,k], x[i,k]*x[j,k], x[i,k] and 1 in head - element, None
+    for 1; `rules`, the fork-triple memo of every normal form on the basis,
+    holds nothing of it, so it goes with it."""
 
-    `rules` is its RuleSet, shared by every normal form on it: the rule of
-    each element, compiled at first use, and the fork triples of each
-    monomial.  It holds nothing of the basis, so it goes with it."""
-
-    def __init__(self, n: int, elements: list):
+    def __init__(
+        self,
+        n: int,
+        beta: Optional[RationalLike] = None,
+        alpha: Optional[RationalLike] = None,
+    ):
         self.n = n
-        self.elements = tuple(elements)
-        self._by_triple = {e.triple: e for e in self.elements}
+        self.params = b, a = resolve_param(beta, BETA), resolve_param(alpha, ALPHA)
+        self.tail = None, -1, -b, -a
         self.rules = RuleSet(_fork_triples)
 
-    def element(self, triple: Triple) -> BasisElement:
-        return self._by_triple[triple]
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
+    def element(self, triple: Triple) -> XPoly:
+        """x[i,k]*x[i,j] - x[i,j]*x[j,k] + x[i,k]*x[j,k] + b*x[i,k] + a."""
+        path, fork, ik_jk, ik, one = relation_monomials(self.n)[triple]
+        terms = accumulate({fork: 1, path: -1, ik_jk: 1}, zip((ik, one), self.params), negate=False)
+        return XPoly._raw(self.n, terms)
 
 
 def generate_basis(
@@ -128,14 +115,7 @@ def generate_basis(
     alpha: Optional[RationalLike] = None,
 ) -> GroebnerBasis:
     """Basis elements -1 * relation, head x[i,k]*x[i,j], for all triples."""
-    elements = []
-    for i, j, k in combinations(range(1, n + 1), 3):
-        poly = -ideal_generator(i, j, k, n, beta, alpha)
-        head, lead = poly.head()
-        if lead != 1:
-            raise ValueError(f"basis element {(i, j, k)} is not monic: {poly}")
-        elements.append(BasisElement((i, j, k), poly, head))
-    return GroebnerBasis(n, elements)
+    return GroebnerBasis(n, beta, alpha)
 
 
 def _fork_triples(m: Monomial) -> list:
@@ -144,18 +124,21 @@ def _fork_triples(m: Monomial) -> list:
     return [t for row in compress(partners, m) for pos, t in row if m[pos]]
 
 
+@lru_cache(maxsize=None)
+def _fork_kernels(n: int) -> dict:
+    """Per triple, the kernel of a basis step at n: head x[i,k]*x[i,j],
+    writing x[i,j]*x[j,k], x[i,k]*x[j,k], x[i,k] and 1."""
+    table = relation_monomials(n).items()
+    return {t: compile_kernel(fork, (path, *rest)) for t, (path, fork, *rest) in table}
+
+
 def reduce_step(terms: dict, mono: Monomial, triple: Triple, basis: GroebnerBasis) -> list:
     """One reduction terms - c*s*g in place at monomial mono, with c its
-    coefficient, g the basis element of triple and s = mono / head(g): the
-    `kernel_step` of g's tail, head(g) - g, compiled once per basis; returns
-    the monomials it wrote.  A step that does not apply raises RewriteError
-    and changes nothing."""
-    compiled = basis.rules.compiled
-    rule = compiled.get(triple)
-    if rule is None and (g := basis._by_triple.get(triple)) is not None:
-        coeffs = tuple(None if c == 1 else c for c in g.tail[1])
-        rule = compiled[triple] = compile_kernel(g.head, g.tail[0]), coeffs
-    written = None if rule is None else kernel_step(terms, mono, *rule)
+    coefficient, g the basis element of triple and s = mono / head(g), by
+    the triple's kernel; returns the monomials it wrote.  A step that does
+    not apply raises RewriteError and changes nothing."""
+    kernel = _fork_kernels(basis.n).get(triple)
+    written = None if kernel is None else kernel_step(terms, mono, kernel, basis.tail)
     if written is None:
         raise RewriteError(f"basis element {triple} does not reduce {format_monomial(mono)}")
     return written
@@ -191,22 +174,20 @@ def spol(g1: XPoly, g2: XPoly) -> XPoly:
     return g1._like(accumulate(terms, shifted, negate=True))
 
 
-def _heads_disjoint(a: Monomial, b: Monomial) -> bool:
-    return not any(map(mul, a, b))
-
-
 def buchberger_check(basis: GroebnerBasis, max_steps: int = DEFAULT_MAX_STEPS) -> Report:
     """Every s-polynomial of a non-disjoint head pair reduces to zero; each
     pair whose s-polynomial does not is one failure, named by its triples.
 
     Pairs with disjoint heads reduce to zero automatically and are skipped.
     """
-    report = Report({"n": basis.n, "elements": len(basis)}, {"pairs": 0})
-    for e1, e2 in combinations_with_replacement(basis.elements, 2):
-        if _heads_disjoint(e1.head, e2.head):
+    heads = {triple: monos[1] for triple, monos in relation_monomials(basis.n).items()}
+    report = Report({"n": basis.n, "elements": len(heads)}, {"pairs": 0})
+    for t1, t2 in combinations_with_replacement(heads, 2):
+        if not any(map(mul, heads[t1], heads[t2])):
             continue
-        if not normal_form(spol(e1.poly, e2.poly), basis, max_steps=max_steps).is_zero():
-            report.failures.append(f"pair {e1.triple} {e2.triple}")
+        s = spol(basis.element(t1), basis.element(t2))
+        if not normal_form(s, basis, max_steps=max_steps).is_zero():
+            report.failures.append(f"pair {t1} {t2}")
         report.counts["pairs"] += 1
     return report
 

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
+from itertools import combinations, compress
 from operator import add, mul, sub
 from typing import Iterable, Iterator, Optional
 
@@ -186,22 +186,17 @@ def weight_pathless(m: Monomial) -> int:
 
 
 def all_monomials(n: int, degree: int) -> Iterator[Monomial]:
-    """All monomials of exact total degree in the x variables for this n."""
+    """All monomials of exact total degree in the x variables for this n,
+    in ascending exponent-tuple order: stars and bars, one exponent between
+    each two of the width - 1 bars chosen in lex order."""
     width = num_vars(n)
-    if degree == 0:
-        yield (0,) * width
-        return
     if width == 0:
+        if degree == 0:
+            yield ()
         return
-
-    def rec(pos: int, remaining: int, prefix: list):
-        if pos == width - 1:
-            yield tuple(prefix + [remaining])
-            return
-        for e in range(remaining + 1):
-            yield from rec(pos + 1, remaining - e, prefix + [e])
-
-    yield from rec(0, degree, [])
+    end = degree + width - 1
+    for bars in combinations(range(end), width - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, end)))
 
 
 def accumulate(out: dict, pairs: Iterable, *, negate: bool) -> dict:
@@ -437,12 +432,15 @@ def ring_map(image, one, zero):
     memo goes when the sweep drops the map.  image(pos) is called at most
     once per slot, when a first input uses that slot.
     """
-    powers: dict = {}
+    powers: dict = {}  # slot -> [image, image^2, ...]
 
     def power(pos: int, e: int):
-        if (pos, e) not in powers:
-            powers[(pos, e)] = image(pos) if e == 1 else power(pos, e - 1) * power(pos, 1)
-        return powers[(pos, e)]
+        known = powers.get(pos)
+        if known is None:
+            known = powers[pos] = [image(pos)]
+        while len(known) < e:
+            known.append(known[-1] * known[0])
+        return known[e - 1]
 
     def apply(p: SparsePoly):
         total = None

@@ -124,13 +124,11 @@ def relation_monomials(n: int) -> dict:
 
 class RuleSet(dict):
     """One reduction's memo: rules[m] lists the triples of monomial m in lex
-    order, found by find(m) at first use; compiled keeps, per triple, the
-    (kernel, coeffs) of its rule for `kernel_step`."""
+    order, found by find(m) at first use."""
 
     def __init__(self, find: Callable):
         super().__init__()
         self.find = find
-        self.compiled: dict = {}
 
     def __missing__(self, m: Monomial) -> list:
         found = self[m] = self.find(m)

@@ -49,6 +49,7 @@ Three coordinate systems appear here:
 from __future__ import annotations
 
 import random
+from functools import cache
 from operator import add, itemgetter
 from typing import Iterable, Optional
 
@@ -535,29 +536,26 @@ def ed_ba_sweep(
     pairs = pair_list(n)
     beta_c = resolve_param(beta, BETA)
     alpha_c = resolve_param(alpha, ALPHA)
-    factors: dict = {}
-    rows: dict = {}
+    row = cache(lambda i: variable_series(i - 1, n, w_order, beta_c, alpha_c))
+    factor = cache(lambda pos: factor_series(*pairs[pos], n, w_order, beta_c, alpha_c))
     failures: list = []
-
-    def visit(m: Monomial, last: int, degree: int, left: TWSeries, right: QTruncSeries):
+    # Each entry: a monomial to visit, the slot of its last variable (None
+    # for the root) and its parent's two sides, one product from its own.
+    stack = [(root, None, TWSeries.one(n, w_order), QTruncSeries.one(n, w_order))]
+    while stack and max_degree >= 0:
+        m, last, left, right = stack.pop()
+        if last is not None:
+            left, right = left * row(pairs[last][0]), right * factor(last)
+        degree = sum(m)
         if left != b_map(right):
             failures.append((degree, m))
         report.counts["monomials"] += 1
-        if degree == max_degree:
-            return
-        for pos in range(last, width):
-            child = m[:pos] + (m[pos] + 1,) + m[pos + 1 :]
-            if not is_pathless(child):
-                continue
-            i, j = pairs[pos]
-            if pos not in factors:
-                factors[pos] = factor_series(i, j, n, w_order, beta_c, alpha_c)
-            if i not in rows:
-                rows[i] = variable_series(i - 1, n, w_order, beta_c, alpha_c)
-            visit(child, pos, degree + 1, left * rows[i], right * factors[pos])
-
-    if max_degree >= 0:
-        visit(root, 0, 0, TWSeries.one(n, w_order), QTruncSeries.one(n, w_order))
+        if degree < max_degree:
+            # Pushed in descending slot order, the children pop in ascending order.
+            for pos in range(width - 1, (last or 0) - 1, -1):
+                child = m[:pos] + (m[pos] + 1,) + m[pos + 1 :]
+                if is_pathless(child):
+                    stack.append((child, pos, left, right))
     report.failures.extend(format_monomial(m) for _, m in sorted(failures))
     return report
 

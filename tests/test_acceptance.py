@@ -116,10 +116,10 @@ def test_criterion_04_groebner_confirmation():
     basis = generate_basis(n)
     beta_poly = XPoly.constant(n, BETA)
     for a, b, c, d in combinations(range(1, n + 1), 4):
-        u1 = basis.element((a, b, c)).poly
-        u2 = basis.element((a, b, d)).poly
-        u3 = basis.element((a, c, d)).poly
-        u4 = basis.element((b, c, d)).poly
+        u1 = basis.element((a, b, c))
+        u2 = basis.element((a, b, d))
+        u3 = basis.element((a, c, d))
+        u4 = basis.element((b, c, d))
         x = lambda i, j: XPoly.variable(i, j, n)
         assert (
             u1 * (x(a, d) - x(b, d))

@@ -1,5 +1,6 @@
 """Symmetric-group action, defining relations, and forkless enumeration."""
 
+import gc
 import random
 from itertools import permutations
 from math import comb
@@ -257,3 +258,28 @@ def test_reduction_preserves_degree_filtration():
 def test_forkless_count_degree_one():
     for n in (2, 3, 4, 5, 6):
         assert count_forkless(n, 1).counts[1] == comb(n, 2)
+
+
+def test_recursive_walks_leave_no_reference_cycles():
+    """The powers of a ring map, the monomial and forkless enumerations and
+    the ed-ba walk keep no function that refers to itself, so reference
+    counting alone frees all they build."""
+    from subdivalg.series import ed_ba_sweep
+
+    j = j_generator(1, 3, 2, 4)
+    calls = (
+        lambda: enumerate_forkless(6, 3),
+        lambda: list(all_monomials(4, 3)),
+        lambda: apply_perm((2, 1, 4, 3), j * j),
+        lambda: ed_ba_sweep(5, 2, 2),
+    )
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for call in calls:
+            assert call()
+            assert gc.collect() == 0, call
+    finally:
+        if enabled:
+            gc.enable()

@@ -284,6 +284,28 @@ def test_seed_only_where_a_random_choice_reads_it(capsys):
     assert (code, out) == (0, ["seed: 5", "x[1,2]"])
 
 
+def test_flags_a_command_does_not_read_are_rejected(capsys):
+    for command in (
+        ("count", "--n", "3", "forkless", "--max-degree", "2"),
+        ("basis", "--n", "3", "forkless", "--degree", "2"),
+    ):
+        for flag in ("--beta", "--alpha"):
+            code, out, err = run(capsys, *command, flag, "2")
+            assert (code, out) == (2, [])
+            assert f"unrecognized arguments: {flag} 2" in err
+    for flags, chosen in (
+        ((), "--strategy first"),
+        (("--strategy", "last"), "--strategy last"),
+        (("--strategy", "random"), "--strategy random"),
+    ):
+        code, out, err = run(
+            capsys, "reduce", "--n", "3", "--mode", "pathless", *flags,
+            "--script-file", "unread.txt", "x[1,2]*x[2,3]",
+        )
+        assert (code, out) == (2, [])
+        assert err == f"error: reduce {chosen} does not read --script-file\n"
+
+
 def test_missing_n_flag(capsys):
     code, _, err = run(capsys, "count", "forkless", "--max-degree", "2")
     assert code == 2
@@ -414,26 +436,25 @@ def test_verify_specialized_parameters(capsys):
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
-    from subdivalg.groebner import BasisElement, GroebnerBasis
+    from subdivalg.groebner import GroebnerBasis
     from subdivalg.poly import XPoly
     from subdivalg.ring import ALPHA
 
-    original = cli.generate_basis
+    element = GroebnerBasis.element
 
-    def broken_basis(n, beta=None, alpha=None):
-        elements = list(original(n, beta, alpha))
-        first = elements[0]
-        elements[0] = BasisElement(first.triple, first.poly - XPoly.constant(n, ALPHA), first.head)
-        return GroebnerBasis(n, elements)
+    def broken(basis, triple):
+        g = element(basis, triple)
+        return g - XPoly.constant(basis.n, ALPHA) if triple == (1, 2, 3) else g
 
-    monkeypatch.setattr(cli, "generate_basis", broken_basis)
+    # Steps read the relation table, not the elements, so only the
+    # s-polynomials of the pairs with (1, 2, 3) change.
+    monkeypatch.setattr(GroebnerBasis, "element", broken)
     code, out, _ = run(capsys, "verify", "--n", "4", "groebner")
     assert code == 1
     assert out == [
         "basis elements: 4",
         "failure: pair (1, 2, 3) (1, 2, 4)",
         "failure: pair (1, 2, 3) (1, 3, 4)",
-        "failure: pair (1, 2, 4) (1, 3, 4)",
         "verify groebner: FAIL",
     ]
 

@@ -12,7 +12,6 @@ import pytest
 from conftest import ALT_SCRIPT, GAME_SCRIPT, GAME_START, applied
 from subdivalg import rewrite
 from subdivalg.groebner import (
-    BasisElement,
     GroebnerBasis,
     buchberger_check,
     generate_basis,
@@ -24,6 +23,7 @@ from subdivalg.groebner import (
 )
 from subdivalg.poly import (
     XPoly,
+    accumulate,
     all_monomials,
     format_monomial,
     is_forkless,
@@ -59,16 +59,16 @@ def mono(n: int, *pairs) -> tuple:
 
 
 def test_generate_basis_shape():
-    assert len(generate_basis(2)) == 0
-    assert len(generate_basis(5)) == 10
+    assert [buchberger_check(generate_basis(n)).params["elements"] for n in (2, 3, 5)] == [0, 1, 10]
     basis = generate_basis(3)
-    assert len(basis) == 1
     element = basis.element((1, 2, 3))
-    assert element.head == mono(3, (1, 3), (1, 2))
-    assert element.poly == parse_poly(
+    assert element.head() == (mono(3, (1, 3), (1, 2)), 1)
+    assert element == parse_poly(
         "x[1,3]*x[1,2] - x[1,2]*x[2,3] + x[1,3]*x[2,3] + b*x[1,3] + a", 3
     )
-    assert element.poly == -ideal_generator(1, 2, 3, 3)
+    assert element == -ideal_generator(1, 2, 3, 3)
+    with pytest.raises(KeyError):
+        basis.element((1, 2, 4))
 
 
 # (beta, alpha) pairs: symbolic, integer, rational, and each of them zero.
@@ -87,23 +87,23 @@ def reference_generator(i, j, k, n, beta, alpha):
 def test_basis_matches_arithmetic_reference(beta, alpha):
     for n in range(3, 8):
         basis = generate_basis(n, beta, alpha)
-        assert [e.triple for e in basis] == list(combinations(range(1, n + 1), 3))
-        for element in basis:
-            i, j, k = element.triple
+        assert list(relation_monomials(n)) == list(combinations(range(1, n + 1), 3))
+        for (i, j, k), (path, fork, *rest) in relation_monomials(n).items():
+            element = basis.element((i, j, k))
             expected = reference_generator(i, j, k, n, beta, alpha)
             relation = ideal_generator(i, j, k, n, beta, alpha)
             assert relation == expected
-            assert element.poly == -expected
-            assert element.head == mono(n, (i, k), (i, j))
+            assert element == -expected
+            assert element.head() == (mono(n, (i, k), (i, j)), 1)
             # A zero parameter leaves its term out rather than storing a zero.
             assert len(relation.terms) == 3 + (beta != 0) + (alpha != 0)
-            assert all(relation.terms.values()) and all(element.poly.terms.values())
+            assert all(relation.terms.values()) and all(element.terms.values())
             assert (mono(n, (i, k)) in relation.terms) == (beta != 0)
             assert (mono_one(n) in relation.terms) == (alpha != 0)
-            # The tail is head - poly: the relation without its head term.
-            monos, coeffs = element.tail
-            assert dict(zip(monos, coeffs)) == {
-                m: c for m, c in expected.terms.items() if m != element.head
+            # The tail is head - element: the relation without its head term.
+            coeffs = (1 if c is None else c for c in basis.tail)
+            assert accumulate({}, zip((path, *rest), coeffs), negate=False) == {
+                m: c for m, c in expected.terms.items() if m != fork
             }
 
 
@@ -113,37 +113,20 @@ def fork_rich(n: int, rng: random.Random) -> XPoly:
     return random_xpoly(n, 3, 4, rng) * XPoly.from_monomial(mono(n, (i, j), (i, k)))
 
 
-def doubled_basis(basis: GroebnerBasis) -> GroebnerBasis:
-    """Every element times 2: a non-monic head, which stays in each tail."""
-    return GroebnerBasis(
-        basis.n, [BasisElement(e.triple, e.poly.scale(2), e.head) for e in basis]
-    )
-
-
-def broken_basis(basis: GroebnerBasis) -> GroebnerBasis:
-    """The first element minus the symbol a, as in the CLI's failure test:
-    with symbolic a its constant term cancels, leaving a 3-term tail."""
-    elements = list(basis)
-    first = elements[0]
-    broken = first.poly - XPoly.constant(basis.n, ALPHA)
-    elements[0] = BasisElement(first.triple, broken, first.head)
-    return GroebnerBasis(basis.n, elements)
-
-
 def check_steps_match_reference(p: XPoly, basis: GroebnerBasis) -> int:
     """Every step that applies to p equals p - c*s*g built with XPoly
-    arithmetic, writes s times each tail monomial in the tail's order, and
-    names every monomial it changed; returns the count."""
+    arithmetic, writes s times x[i,j]*x[j,k], x[i,k]*x[j,k], x[i,k] and 1
+    in that order, and names every monomial it changed; returns the count."""
     steps = 0
     for m, c in p.terms.items():
-        for element in basis:
-            shift = mono_div(m, element.head)
+        for triple, (path, fork, *rest) in relation_monomials(basis.n).items():
+            shift = mono_div(m, fork)
             if shift is None:
                 continue
-            expected = p - element.poly.mul_term(shift, c)
+            expected = p - basis.element(triple).mul_term(shift, c)
             terms = dict(p.terms)
-            written = reduce_step(terms, m, element.triple, basis)
-            assert written == [mono_mul(shift, t) for t in element.tail[0]]
+            written = reduce_step(terms, m, triple, basis)
+            assert written == [mono_mul(shift, t) for t in (path, *rest)]
             assert XPoly._raw(p.n, terms) == expected
             assert all(terms.values())
             changed = {
@@ -158,61 +141,22 @@ def check_steps_match_reference(p: XPoly, basis: GroebnerBasis) -> int:
 def test_reduce_step_matches_arithmetic_reference(beta, alpha):
     rng = random.Random(derive_seed(11, PARAMS.index((beta, alpha))))
     steps = 0
-    tails = set()
     for n in (3, 4, 5, 6):
         basis = generate_basis(n, beta, alpha)
-        # The bases are reused across inputs, so each step kernel is built
-        # once and then read by later steps.
-        for variant in (basis, doubled_basis(basis), broken_basis(basis)):
-            tails.update(len(e.tail[0]) for e in variant)
-            for _ in range(10):
-                p = fork_rich(n, rng).substitute(beta, alpha)
-                steps += check_steps_match_reference(p, variant)
+        for _ in range(30):
+            p = fork_rich(n, rng).substitute(beta, alpha)
+            steps += check_steps_match_reference(p, basis)
     assert steps >= 300
-    # A basis element's tail has 2 + (b != 0) + (a != 0) terms; doubled, one
-    # more for the kept head; broken, one fewer where the symbol a cancels.
-    assert min(tails) == 2 + (beta != 0) + (alpha != 0) - (alpha is None)
-    assert max(tails) == 3 + (beta != 0) + (alpha != 0)
 
 
-def test_reduce_step_non_monic_head():
-    n = 4
-    basis = generate_basis(n)
-    assert all(element.head not in element.tail[0] for element in basis)
-    doubled = GroebnerBasis(
-        n, [BasisElement(e.triple, e.poly.scale(Coeff.rational(2)), e.head) for e in basis]
-    )
-    # head - 2*head leaves the head in the tail with coefficient -1.
-    for element in doubled:
-        tail = dict(zip(*element.tail))
-        assert tail.pop(element.head) == -Coeff.one()
-        assert tail == {m: -c for m, c in element.poly.terms.items() if m != element.head}
-    rng = random.Random(5)
-    steps = sum(check_steps_match_reference(fork_rich(n, rng), doubled) for _ in range(5))
-    assert steps > 10
-    # The head no longer cancels: c - 2c leaves -c at the rewritten monomial.
-    fork = mono(n, (1, 3), (1, 2))
-    reduced = applied(reduce_step, XPoly.from_monomial(fork, BETA), fork, (1, 2, 3), doubled)
-    assert reduced.terms[fork] == -BETA
-
-
-def test_generate_basis_is_monic_in_triple_order():
-    basis = generate_basis(5)
-    triples = [e.triple for e in basis]
-    assert triples == sorted(triples)
-    for element in basis:
-        i, j, k = element.triple
-        assert element.head == mono(5, (i, k), (i, j))
-        assert element.poly.head()[1] == Coeff.one()
-
-
-def test_generate_basis_rejects_non_monic_head(monkeypatch):
-    import subdivalg.groebner
-
-    doubled = lambda *args: ideal_generator(*args).scale(Coeff.rational(2))
-    monkeypatch.setattr(subdivalg.groebner, "ideal_generator", doubled)
-    with pytest.raises(ValueError, match="not monic"):
-        generate_basis(3)
+@pytest.mark.parametrize("beta, alpha", PARAMS)
+def test_element_is_negated_relation_with_monic_head(beta, alpha):
+    for n in range(3, 7):
+        basis = generate_basis(n, beta, alpha)
+        for triple, (_, fork, *_) in relation_monomials(n).items():
+            element = basis.element(triple)
+            assert element.head() == (fork, 1)
+            assert element == -ideal_generator(*triple, n, beta, alpha)
 
 
 def test_ideal_generator_specialization():
@@ -224,7 +168,7 @@ def test_ideal_generator_specialization():
 
 def test_head_examples():
     basis = generate_basis(3)
-    g = basis.element((1, 2, 3)).poly
+    g = basis.element((1, 2, 3))
     assert g.head() == (mono(3, (1, 3), (1, 2)), Coeff.one())
     constant = XPoly.constant(3, Coeff.rational(5))
     assert constant.head() == (mono_one(3), Coeff.rational(5))
@@ -337,10 +281,10 @@ def test_reduce_step_only_introduces_smaller_monomials():
     for _ in range(100):
         p = random_xpoly(4, 4, 4, rng)
         for target in p.terms:
-            for e in basis:
-                if not all(x >= y for x, y in zip(target, e.head)):
+            for triple, (_, fork, *_) in relation_monomials(4).items():
+                if not all(x >= y for x, y in zip(target, fork)):
                     continue
-                reduced = applied(reduce_step, p, target, e.triple, basis)
+                reduced = applied(reduce_step, p, target, triple, basis)
                 assert target not in reduced.terms
                 for m in reduced.terms:
                     if m not in p.terms:
@@ -357,16 +301,16 @@ def test_normal_form_step_bound():
 def u_elements(a, b, c, d, n):
     basis = generate_basis(n)
     return (
-        basis.element((a, b, c)).poly,
-        basis.element((a, b, d)).poly,
-        basis.element((a, c, d)).poly,
-        basis.element((b, c, d)).poly,
+        basis.element((a, b, c)),
+        basis.element((a, b, d)),
+        basis.element((a, c, d)),
+        basis.element((b, c, d)),
     )
 
 
 def test_spol_examples():
     basis = generate_basis(4)
-    g = basis.element((1, 2, 3)).poly
+    g = basis.element((1, 2, 3))
     assert spol(g, g).is_zero()
 
     u1, u2, u3, u4 = u_elements(1, 2, 3, 4, 4)
@@ -375,8 +319,8 @@ def test_spol_examples():
     assert spol(u1, u2) == x_ad * u1 - x_ac * u2
 
     basis6 = generate_basis(6)
-    g1 = basis6.element((1, 2, 3)).poly
-    g2 = basis6.element((4, 5, 6)).poly
+    g1 = basis6.element((1, 2, 3))
+    g2 = basis6.element((4, 5, 6))
     m1 = XPoly.from_monomial(g1.head()[0])
     m2 = XPoly.from_monomial(g2.head()[0])
     assert spol(g1, g2) == m2 * g1 - m1 * g2
@@ -444,12 +388,17 @@ def test_buchberger_small():
     assert buchberger_check(generate_basis(5))
 
 
-def test_buchberger_detects_perturbation():
-    basis = generate_basis(4)
-    elements = list(basis)
-    broken = elements[0].poly - XPoly.constant(4, ALPHA)
-    elements[0] = BasisElement(elements[0].triple, broken, elements[0].head)
-    assert not buchberger_check(GroebnerBasis(4, elements))
+def test_buchberger_detects_perturbation(monkeypatch):
+    element = GroebnerBasis.element
+
+    def broken(basis, triple):
+        g = element(basis, triple)
+        return g - XPoly.constant(basis.n, ALPHA) if triple == (1, 2, 3) else g
+
+    monkeypatch.setattr(GroebnerBasis, "element", broken)
+    report = buchberger_check(generate_basis(4))
+    assert not report
+    assert all(line.startswith("pair (1, 2, 3) ") for line in report.failures)
 
 
 def test_reused_basis_gives_fresh_normal_forms():
@@ -473,8 +422,8 @@ def test_one_relation_two_readings(beta, alpha):
     """Both reductions read the relation g = ideal_generator(i, j, k): a game
     step takes c*r*x[i,j]*x[j,k] to c*r*(x[i,j]*x[j,k] - g), and a basis step
     takes c*r*x[i,k]*x[i,j] to c*r*(x[i,k]*x[i,j] + g).  Each returns the
-    monomials it wrote in its kernel's order: the game all four, with
-    coefficient 0 where b or a is 0, the basis those of g's other terms."""
+    monomials it wrote in its kernel's order: all four of the other terms,
+    with coefficient 0 where b or a is 0."""
     b, a = resolve_param(beta, BETA), resolve_param(alpha, ALPHA)
     checked = 0
     for n in range(3, 7):
@@ -494,7 +443,7 @@ def test_one_relation_two_readings(beta, alpha):
                 terms = {at: c}
                 written = reduce_step(terms, at, triple, basis)
                 assert XPoly._raw(n, terms) == XPoly.from_monomial(at, c) + rg
-                assert written == [mono_mul(m, r) for m in (path, ik_jk, ik, one) if m in g.terms]
+                assert written == [mono_mul(m, r) for m in (path, ik_jk, ik, one)]
                 checked += 1
     assert checked == 3 * (1 + 4 + 10 + 20)
 
@@ -531,14 +480,14 @@ def test_spol_matches_arithmetic_reference(beta, alpha):
     pairs = 0
     for n in (3, 4, 5, 6):
         basis = generate_basis(n, beta, alpha)
-        doubled = doubled_basis(basis)
+        elements = [basis.element(triple) for triple in relation_monomials(n)]
+        doubled = [g.scale(2) for g in elements]
         # Head coefficients 1 and 1, 2 and 2, and 1 and 2.
-        for first, second in ((basis, basis), (doubled, doubled), (basis, doubled)):
-            for e1, e2 in product(first, second):
-                if not any(map(min, e1.head, e2.head)):
-                    continue
-                g1, g2 = e1.poly, e2.poly
+        for first, second in ((elements, elements), (doubled, doubled), (elements, doubled)):
+            for g1, g2 in product(first, second):
                 (h1, c1), (h2, c2) = g1.head(), g2.head()
+                if not any(map(min, h1, h2)):
+                    continue
                 lcm = mono_lcm(h1, h2)
                 expected = g1.mul_term(mono_div(lcm, h1), c2) - g2.mul_term(mono_div(lcm, h2), c1)
                 got = spol(g1, g2)

@@ -14,7 +14,7 @@ import pytest
 
 from subdivalg.groebner import generate_basis, ideal_generator, normal_form
 from subdivalg.poly import pair_list
-from subdivalg.rewrite import random_xpoly
+from subdivalg.rewrite import random_xpoly, relation_monomials
 from subdivalg.ring import Coeff
 
 sympy = pytest.importorskip("sympy")
@@ -49,7 +49,8 @@ def test_reduced_lex_basis_matches_sympy(n, beta, alpha):
         for i in range(1, n + 1) for j in range(i + 1, n + 1) for k in range(j + 1, n + 1)
     ]
     oracle = sympy.groebner(relations, *symbols, order="lex")
-    ours = [to_sympy(element.poly, symbols) for element in generate_basis(n, beta, alpha)]
+    basis = generate_basis(n, beta, alpha)
+    ours = [to_sympy(basis.element(triple), symbols) for triple in relation_monomials(n)]
     assert set(oracle.exprs) == set(ours)
 
 
@@ -60,7 +61,7 @@ def test_normal_form_matches_sympy_remainder():
     for index in range(21):
         beta, alpha = PARAMS[index % len(PARAMS)]
         basis = generate_basis(n, beta, alpha)
-        oracle = [to_sympy(element.poly, symbols) for element in basis]
+        oracle = [to_sympy(basis.element(triple), symbols) for triple in relation_monomials(n)]
         p = random_xpoly(n, 4, 4, random.Random(index)).substitute(beta, alpha)
         _, remainder = sympy.reduced(to_sympy(p, symbols), oracle, *symbols, order="lex")
         result = normal_form(p, basis)

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -63,7 +64,7 @@ from subdivalg.rewrite import (
     strategy_suite,
     verify_t_unique,
 )
-from subdivalg.ring import ALPHA, BETA, resolve_param
+from subdivalg.ring import ALPHA, BETA, Coeff, resolve_param
 
 
 def mono(n: int, *pairs) -> tuple:
@@ -541,3 +542,38 @@ def test_reductions_leave_their_input_unchanged():
             states = [terms for _, _, terms in rewrite(p, "test", RuleSet(triples_of), step)]
             assert states and all(terms is not p.terms for terms in states)
         assert p.terms == before
+
+
+def dissections(m: int, k: int) -> int:
+    """D(m, k) = C(m-3, k)*C(m+k-1, k)/(k+1), the number of dissections of
+    a convex m-gon by k diagonals (Kirkman 1857, Cayley 1890)."""
+    return comb(m - 3, k) * comb(m + k - 1, k) // (k + 1)
+
+
+GAMES_ON_THE_PATH = [
+    (n, strategy)
+    for n in range(3, 8)
+    for strategy in (FirstByOrder(), LastByOrder(), RandomStrategy(derive_seed(41, n)))
+] + [(8, FirstByOrder())]
+
+
+@pytest.mark.parametrize(
+    "n, strategy", GAMES_ON_THE_PATH, ids=[f"{n}-{type(s).__name__}" for n, s in GAMES_ON_THE_PATH]
+)
+def test_path_game_counts_polygon_dissections(n, strategy):
+    """An oracle outside the engine (Meszaros, "Root polytopes,
+    triangulations, and the subdivision algebra I", Trans. AMS 2011): at
+    a = 0, play the path x[1,2]*...*x[n-1,n] to the end and set every x to
+    1.  Among the terms of x-degree d, the coefficient of b^(n-1-d) is then
+    D(n+1, d-1), and no other (x-degree, b-degree) pair occurs."""
+    path = XPoly.from_monomial(mono_from_pairs(n, {(i, i + 1): 1 for i in range(1, n)}))
+    result, _ = reduce_pathless(path, strategy, alpha=0)
+    sums: dict = {}
+    for m, coeff in result.terms.items():
+        for (deg_b, deg_a), value in coeff.terms() if isinstance(coeff, Coeff) else [((0, 0), coeff)]:
+            assert deg_a == 0
+            key = sum(m), deg_b
+            sums[key] = sums.get(key, 0) + value
+    assert sums == {(d, n - 1 - d): dissections(n + 1, d - 1) for d in range(1, n)}
+    if n == 8:
+        assert [sums[d, 7 - d] for d in range(7, 0, -1)] == [429, 1287, 1485, 825, 225, 27, 1]

@@ -382,7 +382,7 @@ def test_numeric_parameters_leave_no_coeff(beta, alpha, monkeypatch):
     from subdivalg import series
     from subdivalg.groebner import generate_basis, ideal_generator, normal_form
     from subdivalg.poly import parse_poly
-    from subdivalg.rewrite import FirstByOrder, LastByOrder, reduce_pathless
+    from subdivalg.rewrite import FirstByOrder, LastByOrder, reduce_pathless, relation_monomials
 
     integral = Fraction(beta).denominator == Fraction(alpha).denominator == 1
     text = "2*b*x[1,2]*x[2,3]*x[3,4] - a^2*x[1,3]*x[3,4] + 3*b*a*x[2,4] + x[1,2]*x[2,4] + b - b"
@@ -393,10 +393,10 @@ def test_numeric_parameters_leave_no_coeff(beta, alpha, monkeypatch):
         assert numbers_only(result.terms, integral)
     basis = generate_basis(4, beta, alpha)
     assert numbers_only(normal_form(p, basis).terms, integral)
-    for element in basis:
-        assert numbers_only(element.poly.terms, integral)
-        assert numbers_only(dict(zip(*element.tail)), integral)
-        assert numbers_only(ideal_generator(*element.triple, 4, beta, alpha).terms, integral)
+    assert numbers_only(dict(enumerate(basis.tail[1:])), integral)
+    for triple in relation_monomials(4):
+        assert numbers_only(basis.element(triple).terms, integral)
+        assert numbers_only(ideal_generator(*triple, 4, beta, alpha).terms, integral)
 
     compared: list = []
     real_eq, real_b_map = series.TWSeries.__eq__, series.b_map
