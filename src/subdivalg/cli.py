@@ -145,8 +145,7 @@ def cmd_reduce(args) -> int:
     lines: list = []
     if args.mode == "forkless":
         if args.strategy or args.script_file or args.trace:
-            print("--strategy, --script-file, and --trace apply to pathless mode only", file=sys.stderr)
-            return 2
+            raise ValueError("--strategy, --script-file, and --trace apply to pathless mode only")
         basis = generate_basis(args.n, args.beta, args.alpha)
         result = normal_form(p, basis)
         trace = None
@@ -163,8 +162,7 @@ def cmd_reduce(args) -> int:
             lines.append(f"seed: {seed}")
         else:
             if not args.script_file:
-                print("--strategy script needs --script-file", file=sys.stderr)
-                return 2
+                raise ValueError("--strategy script needs --script-file")
             with open(args.script_file, encoding="utf-8") as handle:
                 strategy = parse_script(handle.read(), args.n)
         result, trace = reduce_pathless(p, strategy, args.beta, args.alpha)

@@ -423,16 +423,21 @@ class TPoly(SparsePoly):
 
 def ring_map(image, one, zero):
     """The ring map that sends the variable of key slot pos to image(pos),
-    as a function applied to each polynomial p; one and zero of the target
-    ring are the empty product and sum.
+    as a function applied to each polynomial p; one and zero, values of the
+    target SparsePoly class, are the empty product and sum.
 
-    Each power of an image is built once, as the previous power times the
-    image, and kept in this map for every later input: the memo is per map,
+    The map keeps two memos for every later input: each power of an image,
+    built once as the previous power times the image, and each monomial's
+    image, built once as the product of its powers.  The memos are per map,
     so a sweep builds one map and applies it to each of its inputs, and the
-    memo goes when the sweep drops the map.  image(pos) is called at most
-    once per slot, when a first input uses that slot.
+    memos go when the sweep drops the map.  image(pos) is called at most
+    once per slot, when a first input uses that slot; when it raises,
+    nothing is stored, and the map stays usable for inputs without that
+    slot.  An input's terms are summed into one dict, each scaled by its
+    coefficient on the way in.
     """
     powers: dict = {}  # slot -> [image, image^2, ...]
+    monomials: dict = {}  # key -> the image of its monomial
 
     def power(pos: int, e: int):
         known = powers.get(pos)
@@ -442,16 +447,25 @@ def ring_map(image, one, zero):
             known.append(known[-1] * known[0])
         return known[e - 1]
 
+    def monomial(key: tuple):
+        term = None
+        for pos, e in enumerate(key):
+            if e:
+                term = power(pos, e) if term is None else term * power(pos, e)
+        if term is None:
+            term = one
+        monomials[key] = term
+        return term
+
     def apply(p: SparsePoly):
-        total = None
+        out: dict = {}
         for key, coeff in p.terms.items():
-            term = None
-            for pos, e in enumerate(key):
-                if e:
-                    term = power(pos, e) if term is None else term * power(pos, e)
-            term = (one if term is None else term).scale(coeff)
-            total = term if total is None else total + term
-        return zero if total is None else total
+            known = monomials.get(key)
+            terms = (monomial(key) if known is None else known).terms.items()
+            if coeff != 1:
+                terms = ((m, coeff * c) for m, c in terms)
+            accumulate(out, terms, negate=False)
+        return zero._like(out)
 
     return apply
 

@@ -8,8 +8,10 @@ Three coordinate systems appear here:
       a_image_rat:  x[i,j]  ->  -(q[i]*q[j] + b*q[j] + a) / (q[j] - q[i])
 
   is a ring homomorphism that kills every defining relation, checked by
-  `verify_a_kills_j`.  Fractions are never reduced; equality goes through
-  cross multiplication, so every comparison is exact.
+  `verify_a_kills_j`.  `a_image_rat` sums a polynomial's terms over one
+  common denominator, so each term's numerator is lifted once.  Fractions
+  are never reduced; equality goes through cross multiplication, so every
+  comparison is exact.
 
 * Truncated Laurent series (`QTruncSeries`): terms are kept while their
   negative mass (sum of the negated negative exponents) is at most the
@@ -42,15 +44,17 @@ Three coordinate systems appear here:
   that the two routes into w-series agree; `verify_e_left_inverse` checks
   that taking the w-constant term of e_image and substituting
   t[i] -> -t[i] - b recovers the input.  A sweep builds each substitution
-  once (`e_map`, `g_map`, on `poly.ring_map`), so the powers of the
-  variables' images are built once for all of its inputs.
+  once (`e_map`, `g_map`, on `poly.ring_map`), so each power of a
+  variable's image, and each monomial's image, is built once for all of
+  its inputs.  `ed_ba_sweep` holds one e.d side per d-image for the whole
+  walk, and one b.a side per monomial on the current path.
 """
 
 from __future__ import annotations
 
 import random
 from functools import cache
-from operator import add, itemgetter
+from operator import add, itemgetter, sub
 from typing import Iterable, Optional
 
 from .poly import (
@@ -182,11 +186,6 @@ class QRatFrac:
             merged[key] = merged.get(key, 0) + mult
         return QRatFrac(self.numerator * other.numerator, merged)
 
-    def scale(self, coeff: CoeffLike) -> "QRatFrac":
-        if coeff == 1:
-            return self
-        return QRatFrac(self.numerator.scale(coeff), self.denominator)
-
     def __str__(self) -> str:
         text = f"({self.numerator})"
         if self.denominator:
@@ -206,19 +205,33 @@ def a_image_rat(
     beta: Optional[RationalLike] = None,
     alpha: Optional[RationalLike] = None,
 ) -> QRatFrac:
-    """Apply x[i,j] -> -(q[i]*q[j] + b*q[j] + a)/(q[j] - q[i]) to p."""
+    """Apply x[i,j] -> -(q[i]*q[j] + b*q[j] + a)/(q[j] - q[i]) to p.
+
+    The terms are summed over one common denominator, prod (q[j] - q[i])^top
+    with top the largest exponent of x[i,j] in p.  A term with exponent e of
+    x[i,j] contributes its numerator N^e * (q[j] - q[i])^(top - e), N the
+    numerator of the image of x[i,j], so each term is lifted once.  The zero
+    polynomial maps to QRatFrac(0, {})."""
     n = p.n
     beta_c = resolve_param(beta, BETA)
     alpha_c = resolve_param(alpha, ALPHA)
     pairs = pair_list(n)
+    width = len(pairs)
 
-    def image(pos: int) -> QRatFrac:
-        i, j = pairs[pos]
+    def image(slot: int) -> QPoly:
+        # Slot pos < width is N of the variable at pos; slot width + pos is
+        # its binomial q[j] - q[i].
+        if slot >= width:
+            return q_binomial(*pairs[slot - width], n)
+        i, j = pairs[slot]
         exponents = (q_exponent(n, {i: 1, j: 1}), q_exponent(n, {j: 1}), q_exponent(n, {}))
-        numerator = QPoly(n, dict(zip(exponents, (-1, -beta_c, -alpha_c))))
-        return QRatFrac(numerator, {(i, j): 1})
+        return QPoly(n, dict(zip(exponents, (-1, -beta_c, -alpha_c))))
 
-    return ring_map(image, QRatFrac.from_poly(QPoly.one(n)), QRatFrac.from_poly(QPoly.zero(n)))(p)
+    top = tuple(map(max, zip(*p.terms)))
+    # Each key followed by its missing exponents top - e, over 2*width slots.
+    lifted = {key + tuple(map(sub, top, key)): c for key, c in p.terms.items()}
+    numerator = ring_map(image, QPoly.one(n), QPoly.zero(n))(SparsePoly._raw(n, lifted))
+    return QRatFrac(numerator, {pairs[pos]: e for pos, e in enumerate(top) if e})
 
 
 def verify_a_kills_j(
@@ -517,14 +530,16 @@ def ed_ba_sweep(
     slot is at least the parent's last occupied slot, so every monomial is
     reached once, with its variables added in ascending slot order.  A
     child that is not pathless is cut off with its subtree: every multiple
-    of it has the same path.  Each side of a child is one product away from
-    its parent's: the right side is the parent's times the factor_series of
-    the new variable, the left fold a_s_expand takes (exact, because
-    negative masses only add up on the S-friendly pathless monomials); the
-    left side is the parent's times the variable_series of its row.  The
-    factors are built once per call and only the pairs of series on the
-    current path are held.  Failures come out by degree, then ascending
-    exponent tuple, as all_monomials yields the monomials.
+    of it has the same path.  The right side of a child is its parent's
+    times the factor_series of the new variable, the left fold a_s_expand
+    takes (exact, because negative masses only add up on the S-friendly
+    pathless monomials); only the right sides on the current path are held.
+    The left side depends on the d-image alone, the tuple of row degrees, so
+    one left side is held per d-image for the whole call: it is built on
+    first use as the left side of its parent's d-image times the
+    variable_series of the new variable's row.  The factors are built once
+    per call.  Failures come out by degree, then ascending exponent tuple,
+    as all_monomials yields the monomials.
     """
     report = Report(
         dict(n=n, max_degree=max_degree, w_order=w_order, beta=beta, alpha=alpha),
@@ -539,15 +554,21 @@ def ed_ba_sweep(
     row = cache(lambda i: variable_series(i - 1, n, w_order, beta_c, alpha_c))
     factor = cache(lambda pos: factor_series(*pairs[pos], n, w_order, beta_c, alpha_c))
     failures: list = []
+    image = (0,) * n
+    lefts = {image: TWSeries.one(n, w_order)}  # d-image -> its left side
     # Each entry: a monomial to visit, the slot of its last variable (None
-    # for the root) and its parent's two sides, one product from its own.
-    stack = [(root, None, TWSeries.one(n, w_order), QTruncSeries.one(n, w_order))]
+    # for the root), its parent's d-image and its parent's right side.
+    stack = [(root, None, image, QTruncSeries.one(n, w_order))]
     while stack and max_degree >= 0:
-        m, last, left, right = stack.pop()
+        m, last, image, right = stack.pop()
         if last is not None:
-            left, right = left * row(pairs[last][0]), right * factor(last)
+            i = pairs[last][0]
+            parent, image = image, image[: i - 1] + (image[i - 1] + 1,) + image[i:]
+            if image not in lefts:
+                lefts[image] = lefts[parent] * row(i)
+            right = right * factor(last)
         degree = sum(m)
-        if left != b_map(right):
+        if lefts[image] != b_map(right):
             failures.append((degree, m))
         report.counts["monomials"] += 1
         if degree < max_degree:
@@ -555,7 +576,7 @@ def ed_ba_sweep(
             for pos in range(width - 1, (last or 0) - 1, -1):
                 child = m[:pos] + (m[pos] + 1,) + m[pos + 1 :]
                 if is_pathless(child):
-                    stack.append((child, pos, left, right))
+                    stack.append((child, pos, image, right))
     report.failures.extend(format_monomial(m) for _, m in sorted(failures))
     return report
 
@@ -593,7 +614,8 @@ def verify_e_left_inverse(
     then substitutes beta and alpha, so a drawn term can cancel (b+1 at b=-1).
 
     The e map (order 0) and the g map are built once per call, so each
-    power of a variable's image is built once for all the samples."""
+    power of a variable's image, and each monomial's image, is built once
+    for all the samples."""
     report = Report(
         dict(n=n, samples=samples, seed=seed, max_deg=max_deg, max_terms=max_terms,
              beta=beta, alpha=alpha),

@@ -186,20 +186,20 @@ def test_reduce_json_round_trip(capsys, tmp_path):
 
 
 def test_reduce_usage_errors(capsys, tmp_path):
-    code, _, err = run(
+    code, out, err = run(
         capsys,
         "reduce", "--n", "3", "--mode", "forkless", "--trace", "x[1,2]",
     )
-    assert code == 2
-    assert "pathless mode only" in err
+    assert (code, out) == (2, [])
+    assert err == "error: --strategy, --script-file, and --trace apply to pathless mode only\n"
 
-    code, _, err = run(
+    code, out, err = run(
         capsys,
         "reduce", "--n", "3", "--mode", "pathless", "--strategy", "script",
         "x[1,2]",
     )
-    assert code == 2
-    assert "--script-file" in err
+    assert (code, out) == (2, [])
+    assert err == "error: --strategy script needs --script-file\n"
 
     missing = tmp_path / "absent.txt"
     code, _, err = run(

@@ -3,6 +3,7 @@
 import math
 import random
 import sys
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -31,6 +32,7 @@ from subdivalg.poly import (
     parse_monomial,
     parse_poly,
     parse_tpoly,
+    ring_map,
     weight_pathless,
 )
 from subdivalg.rewrite import random_xpoly
@@ -247,6 +249,47 @@ def test_d_image_avoids_last_row():
         p = random_xpoly(4, 4, 4, rng)
         for exps in d_image(p).terms:
             assert exps[-1] == 0
+
+
+def test_ring_map_builds_each_monomial_image_once(monkeypatch):
+    n = 3
+    calls, products = [], []
+    real_mul = TPoly.__mul__
+
+    def counted_mul(self, other):
+        products.append((self, other))
+        return real_mul(self, other)
+
+    def image(pos):
+        calls.append(pos)
+        if pos == 2:
+            raise ValueError("t[3] has no image")
+        return TPoly.variable(pos + 1, n) + TPoly.constant(n, pos + 2)
+
+    monkeypatch.setattr(TPoly, "__mul__", counted_mul)
+    apply = ring_map(image, TPoly.one(n), TPoly.zero(n))
+    p = parse_tpoly("t[1]^2*t[2] - 3*t[1]*t[2] + 2/3*t[2]^2 + b", n)
+    first = apply(p)
+    # The squares of both images, and t[1]^2*t[2] and t[1]*t[2] as products
+    # of powers: each built once, on the first input.
+    assert (calls, len(products)) == ([0, 1], 4)
+    second = apply(p)
+    shared = apply(parse_tpoly("t[1]*t[2] + 5*t[2]^2", n))
+    assert (calls, len(products)) == ([0, 1], 4)
+    monkeypatch.undo()
+    x, y = (TPoly.variable(i, n) + TPoly.constant(n, i + 1) for i in (1, 2))
+    expected = x * x * y - (x * y).scale(3) + (y * y).scale(Fraction(2, 3)) + TPoly.constant(n, BETA)
+    assert first == second == expected
+    assert first is not second
+    assert shared == x * y + (y * y).scale(5)
+    # An image that raises stores nothing: it is asked again and raises
+    # again, and inputs without its slot still map.
+    for _ in range(2):
+        with pytest.raises(ValueError, match="no image"):
+            apply(parse_tpoly("t[1]*t[3]", n))
+    assert calls == [0, 1, 2, 2]
+    assert apply(parse_tpoly("t[1]^2*t[2]", n)) == x * x * y
+    assert calls == [0, 1, 2, 2]
 
 
 def test_all_monomials_counts():

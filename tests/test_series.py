@@ -7,6 +7,7 @@ from functools import partial
 import pytest
 
 from conftest import random_pathless_monomial
+from test_groebner import PARAMS
 from subdivalg import series
 from subdivalg.groebner import ideal_generator
 from subdivalg.poly import (
@@ -18,11 +19,13 @@ from subdivalg.poly import (
     is_pathless,
     mono_from_pairs,
     mono_one,
+    pair_list,
     parse_tpoly,
 )
 from subdivalg.rewrite import (
     FirstByOrder,
     LastByOrder,
+    derive_seed,
     random_xpoly,
     reduce_pathless,
 )
@@ -42,6 +45,7 @@ from subdivalg.series import (
     g_substitute,
     is_s_friendly,
     q_binomial,
+    q_exponent,
     random_tpoly,
     verify_a_kills_j,
     verify_e_left_inverse,
@@ -105,6 +109,48 @@ def test_a_image_is_multiplicative():
         q = random_xpoly(n, 2, 2, rng)
         assert (a_image_rat(p * q) - a_image_rat(p) * a_image_rat(q)).is_zero()
         assert (a_image_rat(p + q) - (a_image_rat(p) + a_image_rat(q))).is_zero()
+
+
+def summed_a_image(p, beta, alpha) -> QRatFrac:
+    """The fraction image of p as the sum, by QRatFrac.__add__, of each
+    term's image, a product of one QRatFrac per variable."""
+    n = p.n
+    beta_c, alpha_c = resolve_param(beta, BETA), resolve_param(alpha, ALPHA)
+    images = []
+    for i, j in pair_list(n):
+        numerator = {q_exponent(n, {i: 1, j: 1}): -1, q_exponent(n, {j: 1}): -beta_c}
+        numerator[q_exponent(n, {})] = -alpha_c
+        images.append(QRatFrac(QPoly(n, numerator), {(i, j): 1}))
+    total = QRatFrac.from_poly(QPoly.zero(n))
+    for key, coeff in p.terms.items():
+        term = QRatFrac.from_poly(QPoly.constant(n, coeff))
+        for image, e in zip(images, key):
+            for _ in range(e):
+                term = term * image
+        total = total + term
+    return total
+
+
+@pytest.mark.parametrize("beta, alpha", PARAMS)
+def test_a_image_matches_sum_of_term_images(beta, alpha):
+    """One common denominator gives the numerator and denominator that
+    adding the term images one by one gives, as dicts."""
+    rng = random.Random(derive_seed(37, PARAMS.index((beta, alpha))))
+    inputs = [XPoly.zero(3), XPoly.constant(3, Fraction(-5, 2))]
+    # A relation and a multiple of it: their terms' images cancel.
+    g = ideal_generator(1, 2, 4, 4, beta, alpha)
+    inputs += [g, g * XPoly.variable(1, 2, 4) * XPoly.variable(2, 3, 4)]
+    for n in range(2, 6):
+        inputs += [random_xpoly(n, 3, 4, rng).substitute(beta, alpha) for _ in range(12)]
+    for p in inputs:
+        f, expected = a_image_rat(p, beta, alpha), summed_a_image(p, beta, alpha)
+        assert f.numerator.terms == expected.numerator.terms, str(p)
+        assert f.denominator == expected.denominator, str(p)
+    zero = a_image_rat(inputs[0], beta, alpha)
+    assert (zero.numerator.terms, zero.denominator) == ({}, {})
+    for relation in inputs[2:4]:
+        f = a_image_rat(relation, beta, alpha)
+        assert f.is_zero() and f.denominator
 
 
 def test_verify_a_kills_j():
@@ -311,6 +357,27 @@ def test_ed_ba_sweep_matches_per_monomial_checks(beta, alpha, monkeypatch):
     failures = sweeps_agree(beta, alpha)
     assert len(failures) >= 5
     assert all("x[1,3]" in f for f in failures)
+
+
+@pytest.mark.parametrize("beta, alpha", [(None, None), (Fraction(1, 3), 2)])
+def test_ed_ba_left_sides_held_per_d_image_cannot_hide_a_wrong_one(beta, alpha, monkeypatch):
+    original = series.variable_series
+
+    def broken(pos, n, order, beta_c, alpha_c):
+        s = original(pos, n, order, beta_c, alpha_c)
+        if pos != 1:
+            return s
+        terms = dict(s.terms)
+        key = tuple(1 if slot == pos else 0 for slot in range(n + 1))  # t[2]*w^0
+        terms[key] = terms[key] + terms[key]
+        return TWSeries(n, order, terms)
+
+    # Doubling one coefficient of the image of t[2] breaks the left side of
+    # every monomial with a variable in row 2, and only those.
+    monkeypatch.setattr(series, "variable_series", broken)
+    failures = sweeps_agree(beta, alpha)
+    assert len(failures) >= 5
+    assert all("x[2," in f for f in failures)
 
 
 def test_d_image_agrees_across_games():
