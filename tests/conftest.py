@@ -8,6 +8,7 @@ order of the middle moves.
 
 import random
 
+from subdivalg import groebner
 from subdivalg.poly import is_pathless, num_vars
 
 GAME_START = "x[1,2]*x[2,3]*x[3,4]"
@@ -71,3 +72,15 @@ def applied(step, p, *args, **kwargs):
     terms = dict(p.terms)
     step(terms, *args, **kwargs)
     return type(p)._raw(p.n, terms)
+
+
+def drop_constant_term(monkeypatch, triple=(1, 2, 3)):
+    """Bases made after this call step at triple's head without writing the
+    constant term, so that the rule the Buchberger check reads loses its -a."""
+    kernels = groebner._fork_kernels
+
+    def broken(n):
+        width, head, edits = kernels(n)[triple]
+        return {**kernels(n), triple: (width, head, edits[:-1])}
+
+    monkeypatch.setattr(groebner, "_fork_kernels", broken)

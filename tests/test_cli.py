@@ -6,7 +6,7 @@ import json
 import random
 import re
 
-from conftest import GAME_D_IMAGE, GAME_RESULT, GAME_SCRIPT, GAME_START
+from conftest import GAME_D_IMAGE, GAME_RESULT, GAME_SCRIPT, GAME_START, drop_constant_term
 from subdivalg import cli
 from subdivalg.algebra import CountTable
 from subdivalg.groebner import generate_basis, ideal_generator, normal_form
@@ -436,25 +436,17 @@ def test_verify_specialized_parameters(capsys):
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
-    from subdivalg.groebner import GroebnerBasis
-    from subdivalg.poly import XPoly
-    from subdivalg.ring import ALPHA
-
-    element = GroebnerBasis.element
-
-    def broken(basis, triple):
-        g = element(basis, triple)
-        return g - XPoly.constant(basis.n, ALPHA) if triple == (1, 2, 3) else g
-
-    # Steps read the relation table, not the elements, so only the
-    # s-polynomials of the pairs with (1, 2, 3) change.
-    monkeypatch.setattr(GroebnerBasis, "element", broken)
+    # The rule of (1, 2, 3) loses its -a.  Its overlaps with (1, 2, 4) and
+    # (1, 3, 4) fail, and so does theirs, whose reduction steps by
+    # (1, 2, 3); no other overlap does.
+    drop_constant_term(monkeypatch)
     code, out, _ = run(capsys, "verify", "--n", "4", "groebner")
     assert code == 1
     assert out == [
         "basis elements: 4",
         "failure: pair (1, 2, 3) (1, 2, 4)",
         "failure: pair (1, 2, 3) (1, 3, 4)",
+        "failure: pair (1, 2, 4) (1, 3, 4)",
         "verify groebner: FAIL",
     ]
 

@@ -5,12 +5,14 @@ import random
 import re
 import weakref
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
+from math import comb
+from operator import mul
 
 import pytest
 
-from conftest import ALT_SCRIPT, GAME_SCRIPT, GAME_START, applied
-from subdivalg import rewrite
+from conftest import ALT_SCRIPT, GAME_SCRIPT, GAME_START, applied, drop_constant_term
+from subdivalg import groebner, rewrite
 from subdivalg.groebner import (
     GroebnerBasis,
     buchberger_check,
@@ -389,16 +391,67 @@ def test_buchberger_small():
 
 
 def test_buchberger_detects_perturbation(monkeypatch):
-    element = GroebnerBasis.element
+    drop_constant_term(monkeypatch)
+    for n in (4, 5, 6):
+        report = buchberger_check(generate_basis(n))
+        assert not report
+        # The overlaps of (1, 2, 3), (1, 2, k) and (1, 3, k), for each k > 3.
+        expected = [
+            f"pair {t1} {t2}"
+            for k in range(4, n + 1)
+            for t1, t2 in combinations(((1, 2, 3), (1, 2, k), (1, 3, k)), 2)
+        ]
+        assert sorted(report.failures) == sorted(expected)
+        assert len(report.failures) == 3 * (n - 3)
 
-    def broken(basis, triple):
-        g = element(basis, triple)
-        return g - XPoly.constant(basis.n, ALPHA) if triple == (1, 2, 3) else g
 
-    monkeypatch.setattr(GroebnerBasis, "element", broken)
-    report = buchberger_check(generate_basis(4))
-    assert not report
-    assert all(line.startswith("pair (1, 2, 3) ") for line in report.failures)
+def checked_pairs(monkeypatch, basis: GroebnerBasis) -> tuple:
+    """The pairs the Buchberger check names and the s-polynomials it
+    reduces, in order: every normal form is made nonzero, so that every
+    pair is a failure."""
+    reduced = []
+
+    def recorded(p, basis, max_steps):
+        reduced.append(p)
+        return XPoly.constant(p.n, 1)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(groebner, "normal_form", recorded)
+        report = buchberger_check(basis)
+    assert report.counts["pairs"] == len(report.failures) == len(reduced)
+    return report.failures, reduced
+
+
+def overlapping_heads(n: int) -> list:
+    """Every pair of triples whose heads have a common variable, by brute
+    force over all pairs, in `combinations_with_replacement` order."""
+    heads = {triple: monos[1] for triple, monos in relation_monomials(n).items()}
+    pairs = combinations_with_replacement(heads, 2)
+    return [(t1, t2) for t1, t2 in pairs if any(map(mul, heads[t1], heads[t2]))]
+
+
+def test_buchberger_pairs_are_the_overlaps(monkeypatch):
+    """The pairs drawn from the triples of each head variable are those of
+    every head pair with a common variable, in the same order."""
+    for n in range(2, 10):
+        pairs, _ = checked_pairs(monkeypatch, generate_basis(n))
+        assert pairs == [f"pair {t1} {t2}" for t1, t2 in overlapping_heads(n)]
+        assert len(pairs) == comb(n, 3) + 3 * comb(n, 4)
+
+
+@pytest.mark.parametrize("beta, alpha", PARAMS)
+def test_buchberger_spolys_match_elements(monkeypatch, beta, alpha):
+    """The check writes each s-polynomial with the step kernels, never from
+    the elements; it must still be spol of the two elements."""
+    for n in range(3, 8):
+        basis = generate_basis(n, beta, alpha)
+        pairs, reduced = checked_pairs(monkeypatch, basis)
+        expected = overlapping_heads(n)
+        assert pairs == [f"pair {t1} {t2}" for t1, t2 in expected]
+        for (t1, t2), s in zip(expected, reduced):
+            assert s.terms == spol(basis.element(t1), basis.element(t2)).terms
+            assert all(s.terms.values())
+            assert s.is_zero() == (t1 == t2)
 
 
 def test_reused_basis_gives_fresh_normal_forms():
