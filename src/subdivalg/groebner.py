@@ -32,6 +32,7 @@ takes relations to relations, so `verify --n 4 groebner` covers every n.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, compress
 from operator import add
@@ -175,11 +176,17 @@ def buchberger_check(basis: GroebnerBasis, max_steps: int = DEFAULT_MAX_STEPS) -
     """Each s-polynomial of the C(n,3) + 3*C(n,4) pairs of triples whose
     heads share a variable, t2's step at the lcm of the heads minus t1's
     (Bergman), reduces to zero; each pair, in `combinations_with_replacement`
-    order over the table, whose s-polynomial does not is one failure."""
+    order over the table, whose s-polynomial does not is one failure.  The
+    report's params name b and a as the other sweeps do: a number as a
+    Fraction, the symbol as None."""
     heads = {triple: monos[1] for triple, monos in relation_monomials(basis.n).items()}
     groups = (compress(heads, column) for column in zip(*heads.values()))
     pairs = {pair for group in groups for pair in combinations_with_replacement(group, 2)}
-    report = Report({"n": basis.n, "elements": len(heads)}, {"pairs": len(pairs)})
+    b, a = basis.params
+    params = {"n": basis.n, "elements": len(heads)}
+    params["beta"] = None if b is BETA else Fraction(b)
+    params["alpha"] = None if a is ALPHA else Fraction(a)
+    report = Report(params, {"pairs": len(pairs)})
     for t1, t2 in sorted(pairs):
         lcm = tuple(map(max, heads[t1], heads[t2]))
         terms = {lcm: 1}

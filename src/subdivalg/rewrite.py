@@ -26,7 +26,9 @@ kernel, which `kernel_step`, the one writer of a step's monomials, runs.
 `RuleSet` memoises the triples of each monomial.  It owns one copy of the
 input's terms and keeps the reducible monomials sorted, updated from the
 written monomials only, as in the in-place division of Monagan & Pearce
-(CASC 2007), with a sorted list in place of their heap.
+(CASC 2007), with a sorted list in place of their heap.  A game's trace
+keeps its moves, not a polynomial per step: `TraceStep.after` is replayed
+from the input on the first read, so printing the moves builds none.
 """
 
 from __future__ import annotations
@@ -96,11 +98,57 @@ class ScriptStrategy:
 Strategy = Union[FirstByOrder, LastByOrder, RandomStrategy, ScriptStrategy]
 
 
-@dataclass(frozen=True)
 class TraceStep:
-    monomial: Monomial
-    triple: Triple
-    after: XPoly
+    """One move of a game, the monomial and the triple, and `after`, the
+    polynomial the move leaves.  TraceStep(monomial, triple, after) keeps
+    the given `after`; a step of `reduce_pathless` keeps its game's `_Moves`
+    record and its own index, and reads `after` from the record's replay."""
+
+    __slots__ = ("monomial", "triple", "_after", "_index")
+
+    def __init__(self, monomial: Monomial, triple: Triple, after, index: Optional[int] = None):
+        self.monomial, self.triple, self._after, self._index = monomial, triple, after, index
+
+    @property
+    def after(self):
+        if self._index is None:
+            return self._after
+        return self._after.states()[self._index]
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not TraceStep:
+            return NotImplemented
+        return (self.monomial, self.triple, self.after) == (
+            other.monomial, other.triple, other.after
+        )
+
+    def __repr__(self) -> str:
+        return f"TraceStep({self.monomial!r}, {self.triple!r}, {self.after!r})"
+
+
+class _Moves:
+    """One game's input p, its step coefficients (None, None, b, a) and its
+    (monomial, triple) moves.  `states()` replays the moves from p on its
+    first call, by the game's own step kernels and coefficients, and keeps
+    one XPoly per move.  The steps point at the record, never it at them,
+    so reference counting alone frees a trace."""
+
+    __slots__ = ("p", "coeffs", "moves", "_states")
+
+    def __init__(self, p: XPoly, coeffs: tuple):
+        self.p, self.coeffs, self.moves, self._states = p, coeffs, [], None
+
+    def states(self) -> list:
+        if self._states is None:
+            n = self.p.n
+            kernels = _path_kernels(num_vars(n))
+            terms = dict(self.p.terms)
+            states = []
+            for mono, triple in self.moves:
+                kernel_step(terms, mono, kernels[triple], self.coeffs)
+                states.append(XPoly._raw(n, dict(terms)))
+            self._states = states
+        return self._states
 
 
 def find_path_triples(m: Monomial) -> list:
@@ -224,7 +272,8 @@ def rewrite(
 
     The engine rewrites its own copy of p's terms, so p never changes; the
     yielded terms are that live copy, which the next step changes again, so
-    a caller that keeps a state copies it.
+    a caller that keeps a state copies it.  `reduce_pathless` keeps none:
+    it records the moves and copies the last state only.
     """
     if callable(rules):
         rules = RuleSet(rules)
@@ -284,13 +333,22 @@ def reduce_pathless(
     beta: Optional[RationalLike] = None,
     alpha: Optional[RationalLike] = None,
 ) -> tuple:
-    """Play the game to a pathless polynomial; returns (result, trace)."""
+    """Play the game to a pathless polynomial; returns (result, trace).
+
+    The trace keeps the moves only: each step's `after` is replayed from p
+    on the first read of any of them, so a caller that prints the moves and
+    the result never builds a polynomial per step."""
     b, a = resolve_param(beta, BETA), resolve_param(alpha, ALPHA)
     # The callees are looked up at each call, so run-time wrappers see every call.
     step = lambda terms, mono, triple: pathless_step(terms, mono, triple, b, a)  # noqa: E731
+    record = _Moves(p, (None, None, b, a))
+    moves = record.moves
+    terms = None
     game = rewrite(p, "pathless game", RuleSet(find_path_triples), step, strategy)
-    trace = [TraceStep(mono, triple, XPoly._raw(p.n, dict(terms))) for mono, triple, terms in game]
-    return (trace[-1].after if trace else p), trace
+    for mono, triple, terms in game:
+        moves.append((mono, triple))
+    trace = [TraceStep(mono, triple, record, index) for index, (mono, triple) in enumerate(moves)]
+    return (XPoly._raw(p.n, dict(terms)) if moves else p), trace
 
 
 def format_trace(trace: list) -> str:

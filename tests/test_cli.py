@@ -1,10 +1,12 @@
 """End-to-end checks of the command line interface via main(argv)."""
 
 import functools
+import hashlib
 import itertools
 import json
 import random
 import re
+import tracemalloc
 
 from conftest import GAME_D_IMAGE, GAME_RESULT, GAME_SCRIPT, GAME_START, drop_constant_term
 from subdivalg import cli
@@ -28,6 +30,24 @@ def test_reduce_forkless_golden(capsys):
     assert code == 0
     assert err == ""
     assert out == ["x[1,2]*x[2,3] - x[1,3]*x[2,3] - b*x[1,3] - a"]
+
+
+def test_reduce_path_game_memory_bound(capsys):
+    # The trace keeps the moves, so the n=8 path game (2,855 steps) builds
+    # no polynomial per step: a copy per step holds 8.8M term entries.
+    path = "*".join(f"x[{i},{i + 1}]" for i in range(1, 8))
+    tracemalloc.start()
+    try:
+        code = cli.main(["reduce", "--n", "8", "--mode", "pathless", path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr().out.encode()
+    assert code == 0
+    assert hashlib.sha256(out).hexdigest() == (
+        "79def15c511a31315d97082ae253b39b40669f9fffa3ca3b67e78c25462d336a"
+    )
+    assert peak < 32 * 2**20, peak
 
 
 def test_reduce_forkless_kills_generator(capsys):
@@ -525,7 +545,7 @@ def test_verify_json_payload(capsys):
     payload = json.loads(out[0])
     assert payload["ok"] is True
     assert payload["which"] == "groebner"
-    assert payload["params"] == {"n": 4, "elements": 4}
+    assert payload["params"] == {"n": 4, "elements": 4, "beta": "1/3", "alpha": None}
     assert payload["counts"] == {"pairs": 7}
     assert payload["checked"] == 7
     assert payload["failures"] == []
@@ -542,9 +562,8 @@ def test_verify_json_schema_is_shared(capsys):
         assert payload["command"] == "verify" and payload["which"] == which
         assert payload["checked"] == sum(payload["counts"].values())
         assert payload["elapsed_s"] >= 0
-        if which != "groebner":
-            assert payload["params"]["beta"] == "1/3"
-            assert payload["params"]["alpha"] is None
+        assert payload["params"]["beta"] == "1/3"
+        assert payload["params"]["alpha"] is None
 
 
 def test_count_golden(capsys):

@@ -77,6 +77,17 @@ def test_reduce_pathless_calls_module_callees(monkeypatch):
         assert len(scans) >= len(trace)
 
 
+def test_trace_replay_calls_no_layer(monkeypatch):
+    # Reading `after` replays the moves by the step kernels alone, so the
+    # traced step and scan counts are the game's own.
+    p = parse_poly("x[1,2]*x[2,3]*x[3,4]*x[4,5] + b*x[1,3]*x[3,5]", 5)
+    _, trace = rewrite.reduce_pathless(p, rewrite.RandomStrategy(5))
+    scans = counting(monkeypatch, rewrite, "find_path_triples")
+    steps = counting(monkeypatch, rewrite, "pathless_step")
+    assert len({len(step.after.terms) for step in trace}) > 1
+    assert scans == [] and steps == []
+
+
 def test_normal_form_calls_module_callees(monkeypatch):
     p = parse_poly("x[1,4]*x[1,3]*x[1,2] + x[1,3]^2*x[1,2]", 4)
     basis = groebner.generate_basis(4)

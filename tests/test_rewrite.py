@@ -1,6 +1,7 @@
 """The pathless game: single steps, strategies, traces, and d-image agreement;
 the rewriting engine against a full-rescan reference loop."""
 
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -395,6 +396,60 @@ def test_engine_step_bound():
     assert [(m, t, XPoly._raw(4, dict(terms))) for m, t, terms in exact] == [
         (s.monomial, s.triple, s.after) for s in trace
     ]
+
+
+# Parameters of the replay checks: symbolic, integer, rational and zero.
+REPLAY_PARAMS = ((None, None), (2, 3), (Fraction(1, 3), -2), (0, 0))
+
+
+def live_states(p, strategy, beta, alpha) -> list:
+    """Copies of the states the engine yields in the game reduce_pathless plays."""
+    step = partial(pathless_step, beta=resolve_param(beta, BETA), alpha=resolve_param(alpha, ALPHA))
+    game = rewrite(p, "pathless game", RuleSet(find_path_triples), step, strategy)
+    return [XPoly._raw(p.n, dict(terms)) for _, _, terms in game]
+
+
+def test_trace_after_replays_the_live_states():
+    rng = random.Random(31)
+    inputs = [parse_poly(GAME_START, 4), parse_poly("x[1,2]*x[2,3]*x[3,4]*x[4,5]*x[5,6]", 6)]
+    inputs += [random_xpoly(5, 4, 4, rng) for _ in range(3)]
+    steps = 0
+    for (beta, alpha), p in itertools.product(REPLAY_PARAMS, inputs):
+        p = p.substitute(beta, alpha)
+        _, played = reduce_pathless(p, RandomStrategy(7), beta, alpha)
+        script = ScriptStrategy(tuple((s.monomial, s.triple) for s in played))
+        for strategy in (FirstByOrder(), LastByOrder(), RandomStrategy(7), script):
+            states = live_states(p, strategy, beta, alpha)
+            result, trace = reduce_pathless(p, strategy, beta, alpha)
+            assert len(trace) == len(states)
+            if trace:
+                # Out of order: the last step first, then a middle one.
+                middle = len(trace) // 2
+                assert trace[-1].after == states[-1] == result
+                assert trace[middle].after == states[middle]
+            else:
+                assert result is p
+            assert [s.after for s in trace] == states
+            assert [TraceStep(s.monomial, s.triple, after) for s, after in zip(trace, states)] == trace
+            steps += len(trace)
+    assert steps > 1000
+
+
+def test_trace_is_freed_by_reference_counting():
+    p = parse_poly(GAME_START, 4)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for read in (False, True):
+            trace = reduce_pathless(p, RandomStrategy(3))[1]
+            if read:
+                assert trace[1].after != trace[0].after
+            del trace
+            assert gc.collect() == 0, read
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_reduce_pathless_is_bounded(monkeypatch):
