@@ -21,7 +21,6 @@ from .poly import (
     format_monomial,
     is_forkless,
     is_pathless,
-    mono_degree,
     parse_monomial,
     parse_poly,
     parse_tpoly,
@@ -33,7 +32,6 @@ from .rewrite import (
     RandomStrategy,
     RewriteError,
     ScriptStrategy,
-    d_invariance_counterexample,
     find_path_triples,
     format_trace,
     parse_script,
@@ -50,7 +48,6 @@ from .groebner import (
     ideal_member,
     normal_form,
     reduce_step,
-    spol,
 )
 from .series import (
     QPoly,

@@ -35,7 +35,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, compress
-from operator import add
 from typing import Optional
 
 from .poly import (
@@ -44,8 +43,6 @@ from .poly import (
     XPoly,
     accumulate,
     format_monomial,
-    mono_div,
-    mono_lcm,
     slot_partners,
 )
 from .rewrite import (
@@ -157,19 +154,6 @@ def normal_form(
     for _, _, terms in rewrite(p, "normal form", basis.rules, step, strategy, max_steps):
         pass
     return p if terms is None else XPoly._raw(p.n, terms)
-
-
-def spol(g1: XPoly, g2: XPoly) -> XPoly:
-    """c2*s1*g1 - c1*s2*g2, with c1, c2 the head coefficients and s1, s2
-    the shifts that take both heads to their lcm, built in one dict."""
-    h1, c1 = g1.head()
-    h2, c2 = g2.head()
-    lcm = mono_lcm(h1, h2)
-    s1 = mono_div(lcm, h1)
-    s2 = mono_div(lcm, h2)
-    terms = {tuple(map(add, m, s1)): c2 * c for m, c in g1.terms.items()}
-    shifted = ((tuple(map(add, m, s2)), c1 * c) for m, c in g2.terms.items())
-    return g1._like(accumulate(terms, shifted, negate=True))
 
 
 def buchberger_check(basis: GroebnerBasis, max_steps: int = DEFAULT_MAX_STEPS) -> Report:

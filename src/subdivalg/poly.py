@@ -143,18 +143,6 @@ def mono_div(a: Monomial, b: Monomial) -> Optional[Monomial]:
     return None if out and min(out) < 0 else out
 
 
-def mono_divides(b: Monomial, a: Monomial) -> bool:
-    return all(y <= x for x, y in zip(a, b, strict=True))
-
-
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b, strict=True))
-
-
-def mono_degree(m: Monomial) -> int:
-    return sum(m)
-
-
 def mono_pairs(m: Monomial) -> Iterator[tuple]:
     """Yield ((i, j), exponent) for the variables actually present."""
     pairs = pair_list(ambient_size(len(m)))
@@ -349,22 +337,6 @@ class SparsePoly:
         if not coeff:
             return self._like({})
         return self._like({mono_mul(m, mono): coeff * c for m, c in self.terms.items()})
-
-    def coefficient(self, mono: tuple) -> CoeffLike:
-        return self.terms.get(mono, 0)
-
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(mono_degree(m) for m in self.terms)
-
-    def head(self) -> tuple:
-        """(monomial, coefficient) at the order-largest monomial."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no head term")
-        m = max(self.terms)
-        return m, self.terms[m]
 
     def substitute(
         self,

@@ -100,27 +100,17 @@ Strategy = Union[FirstByOrder, LastByOrder, RandomStrategy, ScriptStrategy]
 
 class TraceStep:
     """One move of a game, the monomial and the triple, and `after`, the
-    polynomial the move leaves.  TraceStep(monomial, triple, after) keeps
-    the given `after`; a step of `reduce_pathless` keeps its game's `_Moves`
-    record and its own index, and reads `after` from the record's replay."""
+    polynomial the move leaves.  A step keeps its game's `_Moves` record
+    and its own index, and reads `after` from the record's replay."""
 
-    __slots__ = ("monomial", "triple", "_after", "_index")
+    __slots__ = ("monomial", "triple", "_record", "_index")
 
-    def __init__(self, monomial: Monomial, triple: Triple, after, index: Optional[int] = None):
-        self.monomial, self.triple, self._after, self._index = monomial, triple, after, index
+    def __init__(self, monomial: Monomial, triple: Triple, record: "_Moves", index: int):
+        self.monomial, self.triple, self._record, self._index = monomial, triple, record, index
 
     @property
-    def after(self):
-        if self._index is None:
-            return self._after
-        return self._after.states()[self._index]
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not TraceStep:
-            return NotImplemented
-        return (self.monomial, self.triple, self.after) == (
-            other.monomial, other.triple, other.after
-        )
+    def after(self) -> XPoly:
+        return self._record.states()[self._index]
 
     def __repr__(self) -> str:
         return f"TraceStep({self.monomial!r}, {self.triple!r}, {self.after!r})"
@@ -265,18 +255,16 @@ def rewrite(
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> Iterator[tuple]:
     """Rewrite p until no monomial has a triple, yielding (monomial, triple,
-    terms) per step.  rules[m] lists the triples of m in lex order; a bare
-    triple finder gets a RuleSet of its own.  step(terms, m, t) rewrites the
-    term dict there in place and returns every monomial besides m whose
-    coefficient it changed, or raises RewriteError before changing anything.
+    terms) per step.  rules[m] lists the triples of m in lex order.
+    step(terms, m, t) rewrites the term dict there in place and returns
+    every monomial besides m whose coefficient it changed, or raises
+    RewriteError before changing anything.
 
     The engine rewrites its own copy of p's terms, so p never changes; the
     yielded terms are that live copy, which the next step changes again, so
     a caller that keeps a state copies it.  `reduce_pathless` keeps none:
     it records the moves and copies the last state only.
     """
-    if callable(rules):
-        rules = RuleSet(rules)
     rng = random.Random(strategy.seed) if isinstance(strategy, RandomStrategy) else None
     script = strategy.steps if isinstance(strategy, ScriptStrategy) else None
     terms = dict(p.terms)
@@ -491,16 +479,3 @@ def verify_t_unique(
                     f"strategy 0 image {images[0]}; strategy {idx} image {images[idx]}"
                 )
     return report
-
-
-def d_invariance_counterexample() -> tuple:
-    """A pair (p, q) with q one rewrite step from p but d_image(p) != d_image(q).
-
-    Finished games agree in d_image, yet d_image is not constant along the
-    congruence the steps generate; this pair (n = 3) is the smallest witness,
-    so agreement of finished games cannot follow from congruence alone.
-    """
-    p = XPoly.variable(1, 2, 3) * XPoly.variable(2, 3, 3)
-    terms = dict(p.terms)
-    pathless_step(terms, next(iter(terms)), (1, 2, 3))
-    return p, XPoly._raw(3, terms)

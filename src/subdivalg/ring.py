@@ -3,7 +3,7 @@
 Everything in this package computes over the ring of polynomials in two
 formal parameters b and a with rational coefficients.  Keeping b and a
 symbolic means every verified identity holds for all rational
-specializations at once; `Coeff.specialize` recovers a concrete instance
+specializations at once; `substitute_coeff` recovers a concrete instance
 when numeric parameters are wanted.
 
 A coefficient in a term dict is a nonzero `int`, `Fraction` or `Coeff`.
@@ -21,7 +21,7 @@ as it prints the constant `Coeff`.
 
 A `Coeff` is stored sparsely as {(deg_b, deg_a): value} with zero values
 pruned, a value stored as an `int` when integral and as a `Fraction`
-otherwise; `specialize` and `constant_value` still return `Fraction`.
+otherwise.
 The public constructor `Coeff(dict)` validates and normalises its input.
 Arithmetic builds its results with the internal `Coeff._raw(dict)`,
 which takes the dict as it is: `+`, `-` and negation keep the invariant
@@ -125,9 +125,6 @@ class Coeff:
         """Yield ((deg_b, deg_a), value) pairs in descending degree order."""
         return iter(sorted(self._terms.items(), reverse=True))
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
@@ -212,15 +209,6 @@ class Coeff:
 
     __rmul__ = __mul__
 
-    def specialize(self, beta: RationalLike, alpha: RationalLike) -> Fraction:
-        """Evaluate at numeric parameter values."""
-        beta = Fraction(beta)
-        alpha = Fraction(alpha)
-        total = Fraction(0)
-        for (deg_b, deg_a), value in self._terms.items():
-            total += value * beta**deg_b * alpha**deg_a
-        return total
-
     def substitute(
         self,
         beta: Optional[RationalLike] = None,
@@ -240,16 +228,6 @@ class Coeff:
             key = (deg_b, deg_a)
             out[key] = out.get(key, 0) + value
         return Coeff(out)
-
-    def constant_value(self) -> Fraction:
-        """The rational value of a constant coefficient.
-
-        Raises ValueError when b or a actually occurs.
-        """
-        for (deg_b, deg_a), _ in self._terms.items():
-            if deg_b or deg_a:
-                raise ValueError("coefficient is not constant")
-        return Fraction(self._terms.get((0, 0), 0))
 
     def __str__(self) -> str:
         return render_terms([(self, "")])

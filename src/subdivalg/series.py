@@ -595,11 +595,6 @@ def g_map(n: int, beta_c: CoeffLike):
     )
 
 
-def g_substitute(p: TPoly, beta: Optional[RationalLike] = None) -> TPoly:
-    """Substitute t[i] -> -t[i] - b into p (all rows, including t[n])."""
-    return g_map(p.n, resolve_param(beta, BETA))(p)
-
-
 def verify_e_left_inverse(
     n: int,
     samples: int,
@@ -609,7 +604,7 @@ def verify_e_left_inverse(
     beta: Optional[RationalLike] = None,
     alpha: Optional[RationalLike] = None,
 ) -> Report:
-    """g_substitute after the w-constant term of e_image is the identity; sample
+    """The g map after the w-constant term of e_image is the identity; sample
     `index` draws its input from random.Random(derive_seed(seed, index)),
     then substitutes beta and alpha, so a drawn term can cancel (b+1 at b=-1).
 

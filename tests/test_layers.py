@@ -94,7 +94,7 @@ def test_normal_form_calls_module_callees(monkeypatch):
     expected = sum(1 for _ in rewrite.rewrite(
         p,
         "normal form",
-        groebner._fork_triples,
+        rewrite.RuleSet(groebner._fork_triples),
         lambda terms, mono, triple: groebner.reduce_step(terms, mono, triple, basis),
     ))
     assert expected > 1

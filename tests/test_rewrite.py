@@ -8,6 +8,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import combinations
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -52,8 +53,6 @@ from subdivalg.rewrite import (
     RewriteError,
     RuleSet,
     ScriptStrategy,
-    TraceStep,
-    d_invariance_counterexample,
     derive_seed,
     find_path_triples,
     format_trace,
@@ -369,7 +368,14 @@ def test_derive_seed_is_stable():
 
 
 def test_d_invariance_counterexample():
-    p, q = d_invariance_counterexample()
+    # q is one game step from p, yet d_image(p) != d_image(q): finished games
+    # agree in d_image, but d_image is not constant along the congruence the
+    # steps generate.  This pair (n = 3) is the smallest witness, so agreement
+    # of finished games cannot follow from congruence alone.
+    p = XPoly.variable(1, 2, 3) * XPoly.variable(2, 3, 3)
+    terms = dict(p.terms)
+    pathless_step(terms, next(iter(terms)), (1, 2, 3))
+    q = XPoly._raw(3, terms)
     assert d_image(p) == parse_tpoly("t[1]*t[2]", 3)
     assert d_image(q) == parse_tpoly("t[1]^2 + t[1]*t[2] + b*t[1] + a", 3)
     assert d_image(p) != d_image(q)
@@ -430,7 +436,6 @@ def test_trace_after_replays_the_live_states():
             else:
                 assert result is p
             assert [s.after for s in trace] == states
-            assert [TraceStep(s.monomial, s.triple, after) for s, after in zip(trace, states)] == trace
             steps += len(trace)
     assert steps > 1000
 
@@ -565,7 +570,8 @@ def test_engine_matches_full_rescan():
                 assert error is None
                 got = run_engine(rewrite(p, name, RuleSet(triples_of), step, strategy))
                 assert got == (expected, None)
-                script = parse_script(format_trace([TraceStep(*s) for s in expected]), p.n)
+                moves = [SimpleNamespace(monomial=m, triple=t) for m, t, _ in expected]
+                script = parse_script(format_trace(moves), p.n)
                 # The script in full and cut short, a script whose first step
                 # does not apply, and a step bound one short of the game.
                 replays = [

@@ -42,7 +42,6 @@ from subdivalg.series import (
     e_image,
     ed_ba_sweep,
     friendly_rows,
-    g_substitute,
     is_s_friendly,
     q_binomial,
     q_exponent,
@@ -395,7 +394,7 @@ def test_e_left_inverse_manual():
     for text, n in (("t[1]", 2), ("t[1]^2*t[2] + a*t[3]", 4), ("1", 2)):
         p = parse_tpoly(text, n)
         constant = e_image(p, 0).coeffs[0]
-        assert g_substitute(constant) == p
+        assert series.g_map(n, BETA)(constant) == p
 
 
 def test_verify_e_left_inverse():
@@ -413,8 +412,9 @@ def test_maps_reused_across_inputs():
         beta_c, alpha_c = resolve_param(beta, BETA), resolve_param(alpha, ALPHA)
         for n in (2, 3, 4):
             inputs = [random_tpoly(n, 3, 4, rng) for _ in range(12)]
-            # e_image and g_substitute build a fresh map for each input.
-            cases = [(partial(series.g_map, n, beta_c), [g_substitute(p, beta) for p in inputs])]
+            # e_image builds a fresh map for each input, and so does this g.
+            fresh = [series.g_map(n, resolve_param(beta, BETA))(p) for p in inputs]
+            cases = [(partial(series.g_map, n, beta_c), fresh)]
             for order in range(4):
                 fresh = [e_image(p, order, beta, alpha) for p in inputs]
                 cases.append((partial(series.e_map, n, order, beta_c, alpha_c), fresh))
@@ -452,11 +452,12 @@ def test_e_inverse_sweep_builds_each_variable_series_once(monkeypatch):
     assert counts == [counts[0], counts[0]]
 
 
-def test_g_substitute_involution():
+def test_g_map_involution():
     rng = random.Random(47)
+    g = series.g_map(4, BETA)
     for _ in range(100):
         p = random_tpoly(4, 3, 4, rng)
-        assert g_substitute(g_substitute(p)) == p
+        assert g(g(p)) == p
 
 
 def test_qtrunc_pruning():
