@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 from typing import Optional
 
@@ -100,8 +100,6 @@ def verify_symmetry(
     alpha: Optional[RationalLike] = None,
 ) -> Report:
     """Check the symmetric form against the defining relations and the action."""
-    from itertools import permutations as all_orderings
-
     triples = list(combinations(range(1, n + 1), 3))
     report = Report(
         dict(n=n, seed=seed, samples=samples, beta=beta, alpha=alpha),
@@ -122,7 +120,7 @@ def verify_symmetry(
         if relation(i, j, k) != ideal_generator(i, j, k, n, beta, alpha):
             report.failures.append(f"j_generator{(i, j, k)} != defining relation")
         reference = relation(i, j, k)
-        for ordering in all_orderings((i, j, k)):
+        for ordering in permutations((i, j, k)):
             if relation(*ordering) != reference:
                 report.failures.append(f"j_generator{ordering} breaks symmetry")
 

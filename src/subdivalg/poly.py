@@ -20,10 +20,12 @@ All five sparse polynomial types derive from `SparsePoly`, defined here:
 Each stores {exponent tuple: coefficient} with zero coefficients pruned.
 A coefficient is a nonzero `int`, `Fraction` or `Coeff` (see `ring`):
 values with no b or a in them are written as plain numbers, and a
-`Coeff` stands where a parameter is left.  `==` is ring equality and the
-text is canonical whichever of the three holds a constant, since a
-constant `Coeff` equals and prints as its number.  Instances are
-immutable by convention; operations always build new values.
+`Coeff` stands where a parameter is left.  Sums, products and the parser
+merge their terms with `ring.accumulate`, which stores an integral value
+as an `int`.  `==` is ring equality and the text is canonical whichever
+of the three holds a constant, since a constant `Coeff` equals and prints
+as its number.  Instances are immutable by convention; operations always
+build new values.
 
 Text form (used by the parser, the formatter, and the CLI):
 
@@ -45,9 +47,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, compress
 from operator import add, mul, sub
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
-from .ring import Coeff, CoeffLike, RationalLike, render_terms, substitute_coeff
+from .ring import Coeff, CoeffLike, RationalLike, accumulate, render_terms, substitute_coeff
 
 Monomial = tuple  # exponent tuple over the x variables, row-major
 TMonomial = tuple  # exponent tuple over t[1..n]
@@ -68,14 +70,6 @@ def pair_list(n: int) -> tuple:
 def pair_position(n: int) -> dict:
     """Map each pair (i, j) to its slot in the exponent tuple."""
     return {pair: pos for pos, pair in enumerate(pair_list(n))}
-
-
-def present_rows(m: Monomial) -> dict:
-    """{i: [j, ...]} over the variables x[i,j] present in m, both ascending."""
-    rows: dict = {}
-    for i, j in compress(pair_list(ambient_size(len(m))), m):
-        rows.setdefault(i, []).append(j)
-    return rows
 
 
 @lru_cache(maxsize=None)
@@ -151,15 +145,20 @@ def mono_pairs(m: Monomial) -> Iterator[tuple]:
             yield pairs[pos], e
 
 
+def _has_partner(m: Monomial, same_row: bool) -> bool:
+    """True when some present slot of m has its partner present too."""
+    rows = compress(slot_partners(len(m), same_row), m)
+    return any(m[pos] for row in rows for pos, _ in row)
+
+
 def is_pathless(m: Monomial) -> bool:
     """True when no x[i,j]*x[j,k] with i < j < k divides m."""
-    rows = present_rows(m)
-    return not any(j in rows for cols in rows.values() for j in cols)
+    return not _has_partner(m, False)
 
 
 def is_forkless(m: Monomial) -> bool:
     """True when no x[i,j]*x[i,k] with i < j < k divides m."""
-    return all(len(cols) == 1 for cols in present_rows(m).values())
+    return not _has_partner(m, True)
 
 
 @lru_cache(maxsize=None)
@@ -185,24 +184,6 @@ def all_monomials(n: int, degree: int) -> Iterator[Monomial]:
     end = degree + width - 1
     for bars in combinations(range(end), width - 1):
         yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, end)))
-
-
-def accumulate(out: dict, pairs: Iterable, *, negate: bool) -> dict:
-    """Add each (key, coeff) of pairs into out, or subtract it when negate,
-    dropping every key whose coefficient becomes zero; returns out."""
-    get = out.get
-    for key, coeff in pairs:
-        old = get(key)
-        if old is None:
-            if coeff:
-                out[key] = -coeff if negate else coeff
-        else:
-            coeff = old - coeff if negate else old + coeff
-            if coeff:
-                out[key] = coeff
-            else:
-                del out[key]
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -328,15 +309,13 @@ class SparsePoly:
     def scale(self, coeff: CoeffLike):
         if coeff == 1:
             return self
-        if not coeff:
-            return self._like({})
-        return self._like({m: coeff * c for m, c in self.terms.items()})
+        products = ((m, coeff * c) for m, c in self.terms.items())
+        return self._like(accumulate({}, products, negate=False))
 
     def mul_term(self, mono: tuple, coeff: CoeffLike):
         """Multiply by a single term coeff * mono."""
-        if not coeff:
-            return self._like({})
-        return self._like({mono_mul(m, mono): coeff * c for m, c in self.terms.items()})
+        products = ((mono_mul(m, mono), coeff * c) for m, c in self.terms.items())
+        return self._like(accumulate({}, products, negate=False))
 
     def substitute(
         self,
@@ -513,7 +492,8 @@ class _Scanner:
 
 def _parse_terms(text: str, n: int, family: str) -> dict:
     """Parse the grammar into {exponent tuple: coefficient} for one variable
-    family; a coefficient with no b or a is a number, an int when integral."""
+    family; a coefficient with no b or a is a number, which `accumulate`
+    stores as an int when integral."""
     width = num_vars(n) if family == "x" else n
     sc = _Scanner(text)
 
@@ -562,8 +542,6 @@ def _parse_terms(text: str, n: int, family: str) -> dict:
         coeff = parse_factor(1, exps)
         while sc.take("*"):
             coeff = parse_factor(coeff, exps)
-        if type(coeff) is Fraction and coeff.denominator == 1:
-            coeff = coeff.numerator
         return tuple(exps), coeff
 
     def signed_terms():

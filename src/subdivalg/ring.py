@@ -8,8 +8,7 @@ when numeric parameters are wanted.
 
 A coefficient in a term dict is a nonzero `int`, `Fraction` or `Coeff`.
 A value with no b or a in it is written as the plain number (an `int`
-when integral, though `Fraction` arithmetic may leave an integral
-`Fraction`), and a `Coeff` holds a value where a parameter is left.
+when integral), and a `Coeff` holds a value where a parameter is left.
 Numeric runs (b and a given) therefore do their arithmetic natively, and
 symbolic runs mix numbers with `Coeff`s through the reflected operators:
 an `int` or `Fraction` operand of `+`, `-`, `*` or `==` acts as the
@@ -19,19 +18,23 @@ and text do not depend on which one holds a constant: a constant `Coeff`
 equals its number in both directions, and `render_terms` prints a number
 as it prints the constant `Coeff`.
 
+`accumulate` is the one "merge term, drop zero" loop of the package: it
+merges the term dicts of every sparse polynomial and the value dicts of
+`Coeff`, and stores each integral `Fraction` it writes as its `int`.
+
 A `Coeff` is stored sparsely as {(deg_b, deg_a): value} with zero values
 pruned, a value stored as an `int` when integral and as a `Fraction`
 otherwise.
 The public constructor `Coeff(dict)` validates and normalises its input.
 Arithmetic builds its results with the internal `Coeff._raw(dict)`,
-which takes the dict as it is: `+`, `-` and negation keep the invariant
-by normalising only the values they compute, and so does `*`, which has
-fast paths besides.  By the unit 1, on either side, it returns the other
-operand unchanged (a `Coeff` is never mutated, so sharing it is safe;
-`ONE * 3` is the number 3).  By a number it scales the values and keeps
-the keys, and by a one-term `Coeff` it shifts the other operand's keys
-and scales its values, with nothing to merge (Q is a field, so no product
-of nonzero values vanishes).
+which takes the dict as it is: `+`, `-` and the general `*` merge
+through `accumulate`, and negation keeps the invariant as it is.  `*`
+has fast paths that merge nothing.  By the unit 1, on either side, it
+returns the other operand unchanged (a `Coeff` is never mutated, so
+sharing it is safe; `ONE * 3` is the number 3).  By a number it scales
+the values and keeps the keys, and by a one-term `Coeff` it shifts the
+other operand's keys and scales its values, normalising each value (Q is
+a field, so no product of nonzero values vanishes).
 """
 
 from __future__ import annotations
@@ -46,35 +49,26 @@ _CONST = (0, 0)
 _UNIT = {_CONST: 1}
 
 
-def _plus_constant(terms: dict, value: RationalLike) -> "Coeff":
-    """The Coeff of terms plus the number value."""
-    out = dict(terms)
-    value = out.get(_CONST, 0) + value
-    if type(value) is not int and value.denominator == 1:
-        value = value.numerator
-    if value:
-        out[_CONST] = value
-    else:
-        out.pop(_CONST, None)
-    return Coeff._raw(out)
-
-
-def _merge(out: dict, terms: dict, negate: bool) -> dict:
-    """Add terms into out, or subtract them when negate, normalising each
-    value computed and dropping the ones that cancel; returns out."""
+def accumulate(out: dict, pairs: Iterable, *, negate: bool) -> dict:
+    """Add each (key, coeff) of pairs into out, or subtract it when negate,
+    dropping every key whose coefficient becomes zero and storing an
+    integral `Fraction` as its `int`; returns out."""
     get = out.get
-    for key, value in terms.items():
+    for key, coeff in pairs:
         old = get(key)
         if old is None:
-            out[key] = -value if negate else value
-            continue
-        value = old - value if negate else old + value
-        if type(value) is not int and value.denominator == 1:
-            value = value.numerator
-        if value:
-            out[key] = value
+            if coeff:
+                if type(coeff) is Fraction and coeff.denominator == 1:
+                    coeff = coeff.numerator
+                out[key] = -coeff if negate else coeff
         else:
-            del out[key]
+            coeff = old - coeff if negate else old + coeff
+            if coeff:
+                if type(coeff) is Fraction and coeff.denominator == 1:
+                    coeff = coeff.numerator
+                out[key] = coeff
+            else:
+                del out[key]
     return out
 
 
@@ -84,17 +78,9 @@ class Coeff:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Optional[dict] = None):
-        cleaned = {}
-        if terms:
-            for key, value in terms.items():
-                if type(value) is not int:
-                    if type(value) is not Fraction:
-                        value = Fraction(value)
-                    if value.denominator == 1:
-                        value = value.numerator
-                if value:
-                    cleaned[key] = value
-        self._terms = cleaned
+        items = terms.items() if terms else ()
+        values = ((k, v if type(v) in (int, Fraction) else Fraction(v)) for k, v in items)
+        self._terms = accumulate({}, values, negate=False)
 
     @staticmethod
     def _raw(terms: dict) -> "Coeff":
@@ -140,19 +126,23 @@ class Coeff:
 
     def __add__(self, other) -> "Coeff":
         if type(other) is Coeff:
-            return Coeff._raw(_merge(dict(self._terms), other._terms, False))
-        if isinstance(other, (int, Fraction)):
-            return _plus_constant(self._terms, other)
-        return NotImplemented
+            pairs = other._terms.items()
+        elif isinstance(other, (int, Fraction)):
+            pairs = ((_CONST, other),)
+        else:
+            return NotImplemented
+        return Coeff._raw(accumulate(dict(self._terms), pairs, negate=False))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Coeff":
         if type(other) is Coeff:
-            return Coeff._raw(_merge(dict(self._terms), other._terms, True))
-        if isinstance(other, (int, Fraction)):
-            return _plus_constant(self._terms, -other)
-        return NotImplemented
+            pairs = other._terms.items()
+        elif isinstance(other, (int, Fraction)):
+            pairs = ((_CONST, other),)
+        else:
+            return NotImplemented
+        return Coeff._raw(accumulate(dict(self._terms), pairs, negate=True))
 
     def __rsub__(self, other) -> "Coeff":
         if isinstance(other, (int, Fraction)):
@@ -193,41 +183,14 @@ class Coeff:
                     value = value.numerator
                 out[(b1 + b2, a1 + a2)] = value
             return Coeff._raw(out)
-        product: dict = {}
-        get = product.get
-        for (b1, a1), v1 in left.items():
-            for (b2, a2), v2 in right.items():
-                key = (b1 + b2, a1 + a2)
-                product[key] = get(key, 0) + v1 * v2
-        out = {}
-        for key, value in product.items():
-            if type(value) is not int and value.denominator == 1:
-                value = value.numerator
-            if value:
-                out[key] = value
-        return Coeff._raw(out)
+        products = (
+            ((b1 + b2, a1 + a2), v1 * v2)
+            for (b1, a1), v1 in left.items()
+            for (b2, a2), v2 in right.items()
+        )
+        return Coeff._raw(accumulate({}, products, negate=False))
 
     __rmul__ = __mul__
-
-    def substitute(
-        self,
-        beta: Optional[RationalLike] = None,
-        alpha: Optional[RationalLike] = None,
-    ) -> "Coeff":
-        """Substitute numeric values for b and/or a; None keeps the symbol."""
-        if beta is None and alpha is None:
-            return self
-        out: dict = {}
-        for (deg_b, deg_a), value in self._terms.items():
-            if beta is not None:
-                value *= Fraction(beta) ** deg_b
-                deg_b = 0
-            if alpha is not None:
-                value *= Fraction(alpha) ** deg_a
-                deg_a = 0
-            key = (deg_b, deg_a)
-            out[key] = out.get(key, 0) + value
-        return Coeff(out)
 
     def __str__(self) -> str:
         return render_terms([(self, "")])
@@ -307,11 +270,21 @@ def substitute_coeff(
 ) -> CoeffLike:
     """A term coefficient with numeric values for b and/or a (None keeps the
     symbol): a number stays as it is, and a `Coeff` left constant becomes
-    its number, 0 when it vanishes."""
+    its number, 0 when it vanishes.  With both None a `Coeff` in which b or
+    a is left comes back as it is."""
     if type(coeff) is not Coeff:
         return coeff
-    coeff = coeff.substitute(beta, alpha)
     terms = coeff._terms
+    if beta is not None or alpha is not None:
+        # a symbol kept stands at the power 1**deg and keeps its degree
+        kept_b, kept_a = beta is None, alpha is None
+        b, a = Fraction(1 if kept_b else beta), Fraction(1 if kept_a else alpha)
+        images = (
+            ((deg_b * kept_b, deg_a * kept_a), value * b**deg_b * a**deg_a)
+            for (deg_b, deg_a), value in terms.items()
+        )
+        terms = accumulate({}, images, negate=False)
+        coeff = Coeff._raw(terms)
     if not terms:
         return 0
     if len(terms) == 1 and _CONST in terms:

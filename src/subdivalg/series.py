@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import random
 from functools import cache
+from itertools import combinations
 from operator import add, itemgetter, sub
 from typing import Iterable, Optional
 
@@ -146,10 +147,6 @@ class QRatFrac:
     @property
     def n(self) -> int:
         return self.numerator.n
-
-    @classmethod
-    def from_poly(cls, p: QPoly) -> "QRatFrac":
-        return cls(p, {})
 
     def is_zero(self) -> bool:
         return self.numerator.is_zero()
@@ -247,8 +244,6 @@ def verify_a_kills_j(
     carries the text of the polynomial that did not map to zero.  beta and
     alpha are substituted into each drawn coefficient, which can cancel
     (b+1 at b=-1)."""
-    from itertools import combinations
-
     report = Report(
         dict(n=n, samples=samples, seed=seed, beta=beta, alpha=alpha),
         {"generators": 0, "products": 0},
@@ -264,9 +259,8 @@ def verify_a_kills_j(
         triple = triples[rng.randrange(len(triples))]
         g = ideal_generator(*triple, n, beta, alpha)
         coeff = substitute_coeff(rng.choice(COEFF_CHOICES), beta, alpha)
-        mono = random_xpoly(n, 3, 1, rng).terms
-        mono = next(iter(mono)) if mono else None
-        product = g.mul_term(mono, coeff) if mono is not None else g.scale(coeff)
+        [mono] = random_xpoly(n, 3, 1, rng).terms  # one term: COEFF_CHOICES has no 0
+        product = g.mul_term(mono, coeff)
         if not a_image_rat(product, beta, alpha).is_zero():
             report.failures.append(f"product {index} over generator {triple}: {product}")
         report.counts["products"] += 1

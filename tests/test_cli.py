@@ -6,7 +6,9 @@ import itertools
 import json
 import random
 import re
+import shlex
 import tracemalloc
+from pathlib import Path
 
 from conftest import GAME_D_IMAGE, GAME_RESULT, GAME_SCRIPT, GAME_START, drop_constant_term
 from subdivalg import cli
@@ -512,7 +514,7 @@ def test_verify_a_kills_j_failures_carry_the_polynomial(capsys, monkeypatch):
     monkeypatch.setattr(
         series,
         "a_image_rat",
-        lambda p, beta=None, alpha=None: original(p, beta, alpha) + QRatFrac.from_poly(QPoly.one(p.n)),
+        lambda p, beta=None, alpha=None: original(p, beta, alpha) + QRatFrac(QPoly.one(p.n)),
     )
     code, out, _ = run(capsys, "verify", "--n", "3", "a-kills-j", "--samples", "3", "--seed", "4")
     assert code == 1
@@ -649,3 +651,34 @@ def test_d_image_json(capsys):
     assert code == 0
     payload = json.loads(out[0])
     assert payload["result"] == GAME_D_IMAGE
+
+
+def readme_examples() -> list:
+    """(argv, output lines) of each `$ subdivalg ...` example in README.md:
+    the command, joined over backslash continuations, and the lines after
+    it up to a blank line, the next command or the end of its block."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    examples, index = [], 0
+    while index < len(lines):
+        line = lines[index]
+        index += 1
+        if not line.startswith("$ subdivalg "):
+            continue
+        command = line[len("$ subdivalg ") :]
+        while command.endswith("\\"):
+            command = command[:-1] + lines[index]
+            index += 1
+        output = []
+        while index < len(lines) and lines[index] and not lines[index].startswith(("$", "```")):
+            output.append(lines[index])
+            index += 1
+        examples.append((shlex.split(command), output))
+    return examples
+
+
+def test_readme_examples_print_what_they_show(capsys):
+    examples = readme_examples()
+    assert len(examples) == 6
+    for argv, expected in examples:
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (0, expected, ""), argv

@@ -417,7 +417,7 @@ def checked_pairs(monkeypatch, basis: GroebnerBasis) -> tuple:
     pair is a failure."""
     reduced = []
 
-    def recorded(p, basis, max_steps):
+    def recorded(p, basis):
         reduced.append(p)
         return XPoly.constant(p.n, 1)
 

@@ -32,16 +32,18 @@ from subdivalg.groebner import (
 from subdivalg.poly import (
     XPoly,
     all_monomials,
+    ambient_size,
     d_image,
+    is_forkless,
     is_pathless,
     mono_div,
     mono_from_pairs,
     mono_mul,
     mono_one,
+    pair_list,
     pair_position,
     parse_poly,
     parse_tpoly,
-    present_rows,
     weight_pathless,
 )
 from subdivalg.rewrite import (
@@ -114,11 +116,21 @@ def test_scans_and_weight_match_brute_force():
     assert checked == 1211
 
 
+def present_rows(m: tuple) -> dict:
+    """{i: [j, ...]} over the variables x[i,j] present in m, both ascending."""
+    rows: dict = {}
+    for i, j in itertools.compress(pair_list(ambient_size(len(m))), m):
+        rows.setdefault(i, []).append(j)
+    return rows
+
+
 def scans_by_definition(m: tuple) -> tuple:
-    """Path and fork triples of m from the rows of its present variables."""
+    """Path and fork triples of m from the rows of its present variables;
+    checks that is_pathless and is_forkless agree with them."""
     rows = present_rows(m)
     paths = [(i, j, k) for i, cols in rows.items() for j in cols for k in rows.get(j, ())]
     forks = [(i, j, k) for i, cols in rows.items() for j, k in combinations(cols, 2)]
+    assert (is_pathless(m), is_forkless(m)) == (not paths, not forks)
     return paths, forks
 
 

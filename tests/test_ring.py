@@ -92,10 +92,10 @@ def test_specialize_is_a_homomorphism():
 
 def test_substitute_partial():
     c = BETA * BETA + BETA * ALPHA + Coeff.rational(3)
-    beta_fixed = c.substitute(beta=2)
+    beta_fixed = substitute_coeff(c, beta=2)
     assert beta_fixed == ALPHA + ALPHA + Coeff.rational(7)
-    assert c.substitute() is c
-    assert c.substitute(beta=1, alpha=0) == 4
+    assert substitute_coeff(c) is c
+    assert substitute_coeff(c, beta=1, alpha=0) == 4
 
 
 def test_constant_value():
@@ -273,6 +273,15 @@ def ref_substitute(x: dict, beta, alpha) -> dict:
     return pruned(out)
 
 
+def substituted(c: Coeff, beta, alpha) -> Coeff:
+    """substitute_coeff as a Coeff: a number it returns becomes the constant
+    Coeff that stores it unchanged, so that its type stays visible."""
+    value = substitute_coeff(c, beta, alpha)
+    if type(value) is Coeff:
+        return value
+    return Coeff._raw({(0, 0): value} if value else {})
+
+
 def assert_normalised(c: Coeff):
     for _, value in c.terms():
         assert type(value) in (int, Fraction)
@@ -312,7 +321,7 @@ def test_arithmetic_matches_fraction_reference(x, y, z, beta, alpha):
         (z * x, ref_mul(rz, rx)),
         (z * y, ref_mul(rz, ry)),
         (-x, {key: -value for key, value in rx.items()}),
-        (x.substitute(beta, alpha), ref_substitute(rx, beta, alpha)),
+        (substituted(x, beta, alpha), ref_substitute(rx, beta, alpha)),
     ]
     for result, expected in cases:
         assert reference(result) == expected
@@ -325,7 +334,8 @@ def test_integral_results_are_stored_as_int():
     assert type(dict((third + third + third).terms())[(0, 0)]) is int
     assert type(dict(Coeff.rational(Fraction(4, 2)).terms())[(0, 0)]) is int
     assert type(dict(Coeff.param_term(1, 0, Fraction(1, 2)).terms())[(1, 0)]) is Fraction
-    assert type(dict(BETA.substitute(beta=Fraction(6, 3)).terms())[(0, 0)]) is int
+    two = substitute_coeff(BETA, beta=Fraction(6, 3))
+    assert two == 2 and type(two) is int
 
 
 def test_non_integral_fraction_is_stored_as_given():
@@ -370,8 +380,30 @@ NUMERIC_PARAMS = [(3, Fraction(1, 2)), (Fraction(-6, 2), 2)]
 
 
 def numbers_only(terms: dict, integral: bool) -> bool:
+    """Every value is a plain number, an int when integral, and every value
+    is an int when b, a and the input are integral."""
     kinds = (int,) if integral else (int, Fraction)
-    return bool(terms) and all(type(c) in kinds for c in terms.values())
+    return bool(terms) and all(
+        type(c) in kinds and (type(c) is int or c.denominator != 1) for c in terms.values()
+    )
+
+
+def test_rational_forkless_normal_form_stores_no_integral_fraction():
+    """The CI's forkless input at n=6 with b=2/3 and a=3/2, whose steps
+    multiply coefficients like 3/2 and 2/3 into integers."""
+    from subdivalg.groebner import generate_basis, normal_form
+    from subdivalg.poly import parse_poly
+
+    beta, alpha = Fraction(2, 3), Fraction(3, 2)
+    text = (
+        "5/4*x[1,2]^2*x[1,3]^2*x[1,4]^2*x[1,5]^2*x[1,6]^2"
+        " - 7/3*b*x[1,2]*x[1,3]*x[1,4]*x[2,5]*x[2,6]*x[3,4]"
+    )
+    p = parse_poly(text, 6).substitute(beta, alpha)
+    result = normal_form(p, generate_basis(6, beta, alpha))
+    assert len(result.terms) == 3478
+    assert numbers_only(result.terms, False)
+    assert any(type(c) is int for c in result.terms.values())
 
 
 @pytest.mark.parametrize("beta, alpha", NUMERIC_PARAMS)

@@ -94,9 +94,9 @@ def test_rat_eq_ignores_representation():
         {(1, 2): 1, (2, 3): 1},
     )
     assert (f - padded).is_zero()
-    assert not (f - QRatFrac.from_poly(QPoly.zero(n))).is_zero()
+    assert not (f - QRatFrac(QPoly.zero(n))).is_zero()
     with pytest.raises(ValueError):
-        f - QRatFrac.from_poly(QPoly.zero(4))
+        f - QRatFrac(QPoly.zero(4))
 
 
 def test_a_image_is_multiplicative():
@@ -120,9 +120,9 @@ def summed_a_image(p, beta, alpha) -> QRatFrac:
         numerator = {q_exponent(n, {i: 1, j: 1}): -1, q_exponent(n, {j: 1}): -beta_c}
         numerator[q_exponent(n, {})] = -alpha_c
         images.append(QRatFrac(QPoly(n, numerator), {(i, j): 1}))
-    total = QRatFrac.from_poly(QPoly.zero(n))
+    total = QRatFrac(QPoly.zero(n))
     for key, coeff in p.terms.items():
-        term = QRatFrac.from_poly(QPoly.constant(n, coeff))
+        term = QRatFrac(QPoly.constant(n, coeff))
         for image, e in zip(images, key):
             for _ in range(e):
                 term = term * image
@@ -163,7 +163,7 @@ def test_verify_a_kills_j():
 def test_a_image_detects_perturbed_generator():
     g = ideal_generator(1, 2, 3, 3) + XPoly.constant(3, ALPHA)
     assert not a_image_rat(g).is_zero()
-    assert not (a_image_rat(g) - QRatFrac.from_poly(QPoly.zero(3))).is_zero()
+    assert not (a_image_rat(g) - QRatFrac(QPoly.zero(3))).is_zero()
 
 
 def test_a_s_expand_identity():

@@ -7,12 +7,18 @@ outside the package are exempt: those the acceptance tests import, the
 targets the traced benchmark wraps (bench/spans.py LAYERS), the `cmd_*`
 handlers `cli.main` finds through `globals()`, and the console script.
 
+Every method of a package class, dunders aside, must be referenced the
+same way, by its name, outside its own body.  Exempt: the methods the
+acceptance tests call, the methods the traced benchmark wraps, and the
+public methods kept on purpose in `KEPT_METHODS`.
+
 Invariants must hold under `python -O`, which strips `assert`, so the
 package has no bare `assert` statement.
 """
 
 import ast
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -26,6 +32,9 @@ def parse(path: Path) -> ast.Module:
 
 MODULES = {path.stem: parse(path) for path in sorted(PACKAGE.glob("*.py"))}
 
+# Public methods no package module calls, kept as API on purpose.
+KEPT_METHODS = {"Coeff.rational"}
+
 
 def definitions() -> dict:
     """(module, name) -> line of every module-level function and class."""
@@ -38,14 +47,29 @@ def definitions() -> dict:
     }
 
 
-def referenced(node: ast.AST) -> set:
-    """The names node refers to, by name, attribute or import."""
-    names = set()
+def methods() -> dict:
+    """(module, "Class.method") -> its def node, for every method of a
+    module-level class, dunders aside."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef)
+    return {
+        (module, f"{cls.name}.{node.name}"): node
+        for module, tree in MODULES.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, kinds) and not (node.name.startswith("__") and node.name.endswith("__"))
+    }
+
+
+def referenced(node: ast.AST) -> Counter:
+    """The names node refers to, by name, attribute or import, each with
+    the number of its references."""
+    names: Counter = Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            names.add(sub.id)
+            names[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
-            names.add(sub.attr)
+            names[sub.attr] += 1
         elif isinstance(sub, ast.ImportFrom):
             names.update(alias.name for alias in sub.names)
     return names
@@ -65,8 +89,12 @@ def references() -> dict:
     return out
 
 
+def acceptance_tree() -> ast.Module:
+    return parse(ROOT / "tests" / "test_acceptance.py")
+
+
 def acceptance_imports() -> set:
-    tree = parse(ROOT / "tests" / "test_acceptance.py")
+    tree = acceptance_tree()
     return {
         alias.name
         for node in ast.walk(tree)
@@ -75,18 +103,29 @@ def acceptance_imports() -> set:
     }
 
 
-def layer_targets() -> set:
-    """Top-level names the traced benchmark wraps; none without bench/."""
+def acceptance_method_calls() -> set:
+    """The names of the methods the acceptance tests call."""
+    return {
+        node.func.attr
+        for node in ast.walk(acceptance_tree())
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+    }
+
+
+def layer_qualnames() -> set:
+    """The "Class.method" or function names the traced benchmark wraps;
+    none without bench/."""
     if not SPANS.exists():
         return set()
     spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return {
-        target.split(":")[1].split(".")[0]
-        for targets in module.LAYERS.values()
-        for target in targets
-    }
+    return {target.split(":")[1] for targets in module.LAYERS.values() for target in targets}
+
+
+def layer_targets() -> set:
+    """Top-level names the traced benchmark wraps."""
+    return {qualname.split(".")[0] for qualname in layer_qualnames()}
 
 
 def script_entries() -> set:
@@ -110,6 +149,22 @@ def test_every_definition_has_a_caller_in_the_package():
         if name not in exempt
         and not name.startswith("cmd_")
         and not refs.get(name, set()) - {(module, name)}
+    ]
+    assert orphans == []
+
+
+def test_every_method_has_a_caller_in_the_package():
+    exempt = acceptance_method_calls() | {name.split(".")[-1] for name in layer_qualnames()}
+    total: Counter = Counter()
+    for module, tree in MODULES.items():
+        if module != "__init__":
+            total.update(referenced(tree))
+    orphans = [
+        f"{module}.py:{node.lineno} {qualname}"
+        for (module, qualname), node in sorted(methods().items())
+        if qualname not in KEPT_METHODS
+        and node.name not in exempt
+        and total[node.name] == referenced(node)[node.name]
     ]
     assert orphans == []
 
