@@ -89,7 +89,7 @@ def apply_perm(
         i, j = pairs[pos]
         return x_general(sigma[i - 1], sigma[j - 1], n, beta)
 
-    return ring_map(image, XPoly.one(n), XPoly.zero(n))(p)
+    return ring_map(image, XPoly.one(n))(p)
 
 
 def verify_symmetry(

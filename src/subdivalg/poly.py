@@ -19,12 +19,11 @@ All five sparse polynomial types derive from `SparsePoly`, defined here:
 (t[1..n] and w) in `series`.
 Each stores {exponent tuple: coefficient} with zero coefficients pruned.
 A coefficient is a nonzero `int`, `Fraction` or `Coeff` (see `ring`):
-values with no b or a in them are written as plain numbers, and a
-`Coeff` stands where a parameter is left.  Sums, products and the parser
-merge their terms with `ring.accumulate`, which stores an integral value
-as an `int`.  `==` is ring equality and the text is canonical whichever
-of the three holds a constant, since a constant `Coeff` equals and prints
-as its number.  Instances are immutable by convention; operations always
+values with no b or a in them are plain numbers, and a `Coeff` stands
+where a parameter is left.  The constructor, sums, products and the
+parser merge their terms with `ring.accumulate`, which stores an
+integral value as an `int`, so each value has one form and `==` is ring
+equality.  Instances are immutable by convention; operations always
 build new values.
 
 Text form (used by the parser, the formatter, and the CLI):
@@ -137,14 +136,6 @@ def mono_div(a: Monomial, b: Monomial) -> Optional[Monomial]:
     return None if out and min(out) < 0 else out
 
 
-def mono_pairs(m: Monomial) -> Iterator[tuple]:
-    """Yield ((i, j), exponent) for the variables actually present."""
-    pairs = pair_list(ambient_size(len(m)))
-    for pos, e in enumerate(m):
-        if e:
-            yield pairs[pos], e
-
-
 def _has_partner(m: Monomial, same_row: bool) -> bool:
     """True when some present slot of m has its partner present too."""
     rows = compress(slot_partners(len(m), same_row), m)
@@ -223,15 +214,12 @@ class SparsePoly:
 
     def __init__(self, n: int, terms: Optional[dict] = None):
         width = self._width(n)
-        cleaned = {}
-        if terms:
-            for key, coeff in terms.items():
-                if len(key) != width:
-                    raise ValueError(f"exponent tuple {key} does not match n={n}")
-                if coeff:
-                    cleaned[key] = coeff
+        terms = terms or {}
+        for key in terms:
+            if len(key) != width:
+                raise ValueError(f"exponent tuple {key} does not match n={n}")
         self.n = n
-        self.terms = cleaned
+        self.terms = accumulate({}, terms.items(), negate=False)
 
     @staticmethod
     def _width(n: int) -> int:
@@ -250,18 +238,12 @@ class SparsePoly:
         return self._raw(self.n, terms)
 
     @classmethod
-    def zero(cls, n: int):
-        return cls._raw(n, {})
-
-    @classmethod
     def one(cls, n: int):
         return cls.constant(n, 1)
 
     @classmethod
     def constant(cls, n: int, coeff: CoeffLike):
-        if not coeff:
-            return cls.zero(n)
-        return cls._raw(n, {(0,) * cls._width(n): coeff})
+        return cls(n, {(0,) * cls._width(n): coeff})
 
     def _check_ambient(self, other):
         if self.n != other.n:
@@ -353,8 +335,8 @@ class XPoly(SparsePoly):
         return cls._raw(n, {tuple(exps): 1})
 
     @classmethod
-    def from_monomial(cls, m: Monomial, coeff: CoeffLike = 1) -> "XPoly":
-        return cls(ambient_size(len(m)), {m: coeff})
+    def from_monomial(cls, m: Monomial) -> "XPoly":
+        return cls(ambient_size(len(m)), {m: 1})
 
 
 class TPoly(SparsePoly):
@@ -372,10 +354,11 @@ class TPoly(SparsePoly):
         return cls._raw(n, {tuple(exps): 1})
 
 
-def ring_map(image, one, zero):
+def ring_map(image, one):
     """The ring map that sends the variable of key slot pos to image(pos),
-    as a function applied to each polynomial p; one and zero, values of the
-    target SparsePoly class, are the empty product and sum.
+    as a function applied to each polynomial p; one, a value of the target
+    SparsePoly class, is the empty product, and each result is built like
+    it.
 
     The map keeps two memos for every later input: each power of an image,
     built once as the previous power times the image, and each monomial's
@@ -416,7 +399,7 @@ def ring_map(image, one, zero):
             if coeff != 1:
                 terms = ((m, coeff * c) for m, c in terms)
             accumulate(out, terms, negate=False)
-        return zero._like(out)
+        return one._like(out)
 
     return apply
 
@@ -511,6 +494,8 @@ def _parse_terms(text: str, n: int, family: str) -> dict:
         if ch == "b" or ch == "a":
             sc.pos += 1
             e = sc.read_uint() if sc.take("^") else 1
+            if not e:
+                return coeff
             return coeff * Coeff.param_term(e if ch == "b" else 0, e if ch == "a" else 0)
         if ch == "x" or ch == "t":
             if ch != family:

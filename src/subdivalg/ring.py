@@ -6,35 +6,28 @@ symbolic means every verified identity holds for all rational
 specializations at once; `substitute_coeff` recovers a concrete instance
 when numeric parameters are wanted.
 
-A coefficient in a term dict is a nonzero `int`, `Fraction` or `Coeff`.
-A value with no b or a in it is written as the plain number (an `int`
-when integral), and a `Coeff` holds a value where a parameter is left.
-Numeric runs (b and a given) therefore do their arithmetic natively, and
-symbolic runs mix numbers with `Coeff`s through the reflected operators:
-an `int` or `Fraction` operand of `+`, `-`, `*` or `==` acts as the
-constant `Coeff` it equals, on either side.  `Coeff` arithmetic whose
-result happens to be constant may leave a constant `Coeff`.  Equality
-and text do not depend on which one holds a constant: a constant `Coeff`
-equals its number in both directions, and `render_terms` prints a number
-as it prints the constant `Coeff`.
+A coefficient in a term dict is a nonzero `int`, `Fraction` or `Coeff`,
+one form per value: a value with no b or a in it is the plain number (an
+`int` when integral), and a `Coeff` always holds b or a.  Numeric runs
+therefore do their arithmetic natively, and symbolic runs mix numbers
+and `Coeff`s through the reflected `+`, `-` and `*`.  A sum of two
+`Coeff`s that cancels every parameter is its number, 0 when nothing is
+left, and a `Coeff` times 0 is 0; a sum with a number, or a product of
+two `Coeff`s, keeps a parameter (Q[b, a] is an integral domain).  So a
+`Coeff` never equals a number.
 
 `accumulate` is the one "merge term, drop zero" loop of the package: it
 merges the term dicts of every sparse polynomial and the value dicts of
 `Coeff`, and stores each integral `Fraction` it writes as its `int`.
 
-A `Coeff` is stored sparsely as {(deg_b, deg_a): value} with zero values
-pruned, a value stored as an `int` when integral and as a `Fraction`
-otherwise.
-The public constructor `Coeff(dict)` validates and normalises its input.
-Arithmetic builds its results with the internal `Coeff._raw(dict)`,
-which takes the dict as it is: `+`, `-` and the general `*` merge
-through `accumulate`, and negation keeps the invariant as it is.  `*`
-has fast paths that merge nothing.  By the unit 1, on either side, it
-returns the other operand unchanged (a `Coeff` is never mutated, so
-sharing it is safe; `ONE * 3` is the number 3).  By a number it scales
-the values and keeps the keys, and by a one-term `Coeff` it shifts the
-other operand's keys and scales its values, normalising each value (Q is
-a field, so no product of nonzero values vanishes).
+A `Coeff` is stored sparsely as {(deg_b, deg_a): value}, zero values
+pruned and integral values stored as `int`s.  The public constructor
+`Coeff(dict)` normalises its input and raises `ValueError` when no b or a
+is left; arithmetic builds its results with the internal
+`Coeff._raw(dict)`, which takes the dict as it is.  `*` has fast paths
+that merge nothing: by a number it scales the values, and by a one-term
+`Coeff` it shifts the other operand's keys and scales its values (Q is a
+field, so no product of nonzero values vanishes).
 """
 
 from __future__ import annotations
@@ -46,7 +39,6 @@ RationalLike = Union[int, Fraction]
 
 
 _CONST = (0, 0)
-_UNIT = {_CONST: 1}
 
 
 def accumulate(out: dict, pairs: Iterable, *, negate: bool) -> dict:
@@ -81,6 +73,8 @@ class Coeff:
         items = terms.items() if terms else ()
         values = ((k, v if type(v) in (int, Fraction) else Fraction(v)) for k, v in items)
         self._terms = accumulate({}, values, negate=False)
+        if self._terms.keys() <= {_CONST}:
+            raise ValueError("a Coeff holds b or a; write a constant as its number")
 
     @staticmethod
     def _raw(terms: dict) -> "Coeff":
@@ -90,59 +84,36 @@ class Coeff:
         return c
 
     @staticmethod
-    def zero() -> "Coeff":
-        return Coeff()
-
-    @staticmethod
-    def one() -> "Coeff":
-        return Coeff({(0, 0): 1})
-
-    @staticmethod
-    def rational(value: RationalLike) -> "Coeff":
-        return Coeff({(0, 0): value})
-
-    @staticmethod
-    def param_term(deg_b: int, deg_a: int, value: RationalLike = 1) -> "Coeff":
+    def param_term(deg_b: int, deg_a: int) -> "Coeff":
         if deg_b < 0 or deg_a < 0:
             raise ValueError("parameter exponents must be nonnegative")
-        return Coeff({(deg_b, deg_a): value})
+        return Coeff({(deg_b, deg_a): 1})
 
     def terms(self) -> Iterator[tuple[tuple[int, int], RationalLike]]:
         """Yield ((deg_b, deg_a), value) pairs in descending degree order."""
         return iter(sorted(self._terms.items(), reverse=True))
 
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
     def __eq__(self, other) -> bool:
-        if type(other) is Coeff:
-            return self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
-            return self._terms == ({_CONST: other} if other else {})
-        return NotImplemented
+        return type(other) is Coeff and self._terms == other._terms
 
     def __neg__(self) -> "Coeff":
         return Coeff._raw({k: -v for k, v in self._terms.items()})
 
-    def __add__(self, other) -> "Coeff":
+    def __add__(self, other) -> CoeffLike:
         if type(other) is Coeff:
-            pairs = other._terms.items()
-        elif isinstance(other, (int, Fraction)):
-            pairs = ((_CONST, other),)
-        else:
-            return NotImplemented
-        return Coeff._raw(accumulate(dict(self._terms), pairs, negate=False))
+            return _settle(accumulate(dict(self._terms), other._terms.items(), negate=False))
+        if isinstance(other, (int, Fraction)):
+            return Coeff._raw(accumulate(dict(self._terms), ((_CONST, other),), negate=False))
+        return NotImplemented
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> "Coeff":
+    def __sub__(self, other) -> CoeffLike:
         if type(other) is Coeff:
-            pairs = other._terms.items()
-        elif isinstance(other, (int, Fraction)):
-            pairs = ((_CONST, other),)
-        else:
-            return NotImplemented
-        return Coeff._raw(accumulate(dict(self._terms), pairs, negate=True))
+            return _settle(accumulate(dict(self._terms), other._terms.items(), negate=True))
+        if isinstance(other, (int, Fraction)):
+            return Coeff._raw(accumulate(dict(self._terms), ((_CONST, other),), negate=True))
+        return NotImplemented
 
     def __rsub__(self, other) -> "Coeff":
         if isinstance(other, (int, Fraction)):
@@ -156,10 +127,8 @@ class Coeff:
                 return NotImplemented
             if other == 1:
                 return self
-            if left == _UNIT:
-                return other
             if not other:
-                return Coeff._raw({})
+                return 0
             out = {}
             for key, value in left.items():
                 value *= other
@@ -168,10 +137,6 @@ class Coeff:
                 out[key] = value
             return Coeff._raw(out)
         right = other._terms
-        if left == _UNIT:
-            return other
-        if right == _UNIT:
-            return self
         if len(right) != 1:
             left, right = right, left
         if len(right) == 1:
@@ -202,8 +167,15 @@ class Coeff:
 # A term coefficient: a nonzero number, or a Coeff where b or a is left.
 CoeffLike = Union[int, Fraction, Coeff]
 
-ZERO = Coeff.zero()
-ONE = Coeff.one()
+
+def _settle(terms: dict) -> CoeffLike:
+    """The term coefficient of a value dict: a Coeff while b or a is left,
+    else its number, 0 when the dict is empty."""
+    if len(terms) > 1 or _CONST not in terms:
+        return Coeff._raw(terms) if terms else 0
+    return terms[_CONST]
+
+
 BETA = Coeff.param_term(1, 0)
 ALPHA = Coeff.param_term(0, 1)
 
@@ -224,7 +196,7 @@ def _param_text(deg_b: int, deg_a: int) -> str:
 def render_terms(pairs: Iterable) -> str:
     """Canonical text of a sum of (coefficient, monomial text) pairs, where
     the text of the empty monomial is "" and a coefficient is a Coeff or a
-    number, printed as the constant Coeff it equals.
+    number.
 
     One summand per (rational, b-power, a-power) of each coefficient, in
     the order of pairs and then of descending parameter degrees; "0" for
@@ -270,26 +242,18 @@ def substitute_coeff(
 ) -> CoeffLike:
     """A term coefficient with numeric values for b and/or a (None keeps the
     symbol): a number stays as it is, and a `Coeff` left constant becomes
-    its number, 0 when it vanishes.  With both None a `Coeff` in which b or
-    a is left comes back as it is."""
-    if type(coeff) is not Coeff:
+    its number, 0 when it vanishes.  With both None a `Coeff` comes back as
+    it is."""
+    if type(coeff) is not Coeff or (beta is None and alpha is None):
         return coeff
-    terms = coeff._terms
-    if beta is not None or alpha is not None:
-        # a symbol kept stands at the power 1**deg and keeps its degree
-        kept_b, kept_a = beta is None, alpha is None
-        b, a = Fraction(1 if kept_b else beta), Fraction(1 if kept_a else alpha)
-        images = (
-            ((deg_b * kept_b, deg_a * kept_a), value * b**deg_b * a**deg_a)
-            for (deg_b, deg_a), value in terms.items()
-        )
-        terms = accumulate({}, images, negate=False)
-        coeff = Coeff._raw(terms)
-    if not terms:
-        return 0
-    if len(terms) == 1 and _CONST in terms:
-        return terms[_CONST]
-    return coeff
+    # a symbol kept stands at the power 1**deg and keeps its degree
+    kept_b, kept_a = beta is None, alpha is None
+    b, a = Fraction(1 if kept_b else beta), Fraction(1 if kept_a else alpha)
+    images = (
+        ((deg_b * kept_b, deg_a * kept_a), value * b**deg_b * a**deg_a)
+        for (deg_b, deg_a), value in coeff._terms.items()
+    )
+    return _settle(accumulate({}, images, negate=False))
 
 
 def resolve_param(value: Optional[RationalLike], symbolic: Coeff) -> CoeffLike:

@@ -15,8 +15,10 @@ Three coordinate systems appear here:
 
 * Truncated Laurent series (`QTruncSeries`): terms are kept while their
   negative mass (sum of the negated negative exponents) is at most the
-  truncation order W.  For an S-friendly monomial (every variable x[i,j]
-  has i in S, j not in S) the expansion
+  truncation order W.  A pathless monomial is S-friendly for S its rows
+  (every variable x[i,j] has i in S and j not in S, since an index that
+  is both a row and a column is a path x[i,j]*x[j,k]), and for it the
+  expansion
 
       a_s_expand:  x[i,j]  ->  sum_k ( -q[i]^(k+1)*q[j]^-k
                                        - b*q[i]^k*q[j]^-k
@@ -69,7 +71,6 @@ from .poly import (
     format_monomial,
     is_pathless,
     mono_one,
-    mono_pairs,
     pair_list,
     ring_map,
 )
@@ -227,7 +228,7 @@ def a_image_rat(
     top = tuple(map(max, zip(*p.terms)))
     # Each key followed by its missing exponents top - e, over 2*width slots.
     lifted = {key + tuple(map(sub, top, key)): c for key, c in p.terms.items()}
-    numerator = ring_map(image, QPoly.one(n), QPoly.zero(n))(SparsePoly._raw(n, lifted))
+    numerator = ring_map(image, QPoly.one(n))(SparsePoly._raw(n, lifted))
     return QRatFrac(numerator, {pairs[pos]: e for pos, e in enumerate(top) if e})
 
 
@@ -298,10 +299,6 @@ class _Truncated(SparsePoly):
     def one(cls, n: int, order: int):
         return cls.constant(n, order, 1)
 
-    @classmethod
-    def zero(cls, n: int, order: int):
-        return cls(n, order)
-
     def _like(self, terms: dict):
         s = self._raw(self.n, terms)
         s.order = self.order
@@ -363,14 +360,6 @@ class QTruncSeries(_Truncated):
         return not (pos1 & neg2 or neg1 & pos2)
 
 
-def is_s_friendly(m: Monomial, subset: frozenset) -> bool:
-    """Every variable x[i,j] of m has i in the subset and j outside it."""
-    for (i, j), _ in mono_pairs(m):
-        if i not in subset or j in subset:
-            return False
-    return True
-
-
 def factor_series(
     i: int, j: int, n: int, order: int, beta_c: CoeffLike, alpha_c: CoeffLike
 ) -> QTruncSeries:
@@ -389,30 +378,26 @@ def factor_series(
 
 def a_s_expand(
     m: Monomial,
-    subset: Iterable,
     order: int,
     beta: Optional[RationalLike] = None,
     alpha: Optional[RationalLike] = None,
 ) -> QTruncSeries:
-    """Expand the fraction image of an S-friendly monomial as a series.
+    """Expand the fraction image of a pathless monomial as a series.
 
-    Exact for every exponent with negative mass <= order: the geometric
-    expansion of each factor may be cut at k = order because negative
-    masses only accumulate (see the module docstring).
+    Exact for every exponent with negative mass <= order: m is S-friendly
+    for S its rows, so the geometric expansion of each factor may be cut
+    at k = order because negative masses only accumulate (see the module
+    docstring).
     """
+    if not is_pathless(m):
+        raise ValueError(f"{format_monomial(m)} is not pathless")
     n = ambient_size(len(m))
-    subset = frozenset(subset)
-    if not subset <= set(range(1, n)):
-        raise ValueError(f"subset must lie in 1..{n - 1}")
-    if not is_s_friendly(m, subset):
-        raise ValueError(f"{format_monomial(m)} is not friendly for {sorted(subset)}")
     beta_c = resolve_param(beta, BETA)
     alpha_c = resolve_param(alpha, ALPHA)
     pairs = pair_list(n)
     return ring_map(
         lambda pos: factor_series(*pairs[pos], n, order, beta_c, alpha_c),
         QTruncSeries.one(n, order),
-        QTruncSeries.zero(n, order),
     )(XPoly.from_monomial(m))
 
 
@@ -470,7 +455,7 @@ def e_map(n: int, order: int, beta_c: CoeffLike, alpha_c: CoeffLike):
             raise ValueError(f"t[{n}] has no series image")
         return variable_series(pos, n, order, beta_c, alpha_c)
 
-    return ring_map(image, TWSeries.one(n, order), TWSeries.zero(n, order))
+    return ring_map(image, TWSeries.one(n, order))
 
 
 def e_image(
@@ -486,15 +471,6 @@ def e_image(
     return e_map(p.n, order, resolve_param(beta, BETA), resolve_param(alpha, ALPHA))(p)
 
 
-def friendly_rows(m: Monomial) -> frozenset:
-    """The rows with positive total exponent; the canonical S for a pathless m."""
-    n = ambient_size(len(m))
-    rows = [0] * (n + 1)
-    for (i, _), e in mono_pairs(m):
-        rows[i] += e
-    return frozenset(i for i in range(1, n) if rows[i] > 0)
-
-
 def verify_ed_eq_ba(
     m: Monomial,
     order: int,
@@ -502,11 +478,8 @@ def verify_ed_eq_ba(
     alpha: Optional[RationalLike] = None,
 ) -> bool:
     """Per pathless monomial: e_image(d_image(m)) equals b_map(a_s_expand(m))."""
-    if not is_pathless(m):
-        raise ValueError(f"{format_monomial(m)} is not pathless")
-    subset = friendly_rows(m)
+    right = b_map(a_s_expand(m, order, beta, alpha))
     left = e_image(d_image(XPoly.from_monomial(m)), order, beta, alpha)
-    right = b_map(a_s_expand(m, subset, order, beta, alpha))
     return left == right
 
 
@@ -584,17 +557,13 @@ def g_map(n: int, beta_c: CoeffLike):
     """The ring map t[i] -> -t[i] - b on all rows, built once and applied to
     each input."""
     beta_term = TPoly.constant(n, beta_c)
-    return ring_map(
-        lambda pos: -(TPoly.variable(pos + 1, n) + beta_term), TPoly.one(n), TPoly.zero(n)
-    )
+    return ring_map(lambda pos: -(TPoly.variable(pos + 1, n) + beta_term), TPoly.one(n))
 
 
 def verify_e_left_inverse(
     n: int,
     samples: int,
     seed: int,
-    max_deg: int = 3,
-    max_terms: int = 4,
     beta: Optional[RationalLike] = None,
     alpha: Optional[RationalLike] = None,
 ) -> Report:
@@ -605,6 +574,7 @@ def verify_e_left_inverse(
     The e map (order 0) and the g map are built once per call, so each
     power of a variable's image, and each monomial's image, is built once
     for all the samples."""
+    max_deg, max_terms = 3, 4  # the size of each drawn input
     report = Report(
         dict(n=n, samples=samples, seed=seed, max_deg=max_deg, max_terms=max_terms,
              beta=beta, alpha=alpha),

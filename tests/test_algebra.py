@@ -102,7 +102,7 @@ def test_perm_map_reused_across_inputs():
             images = [x_general(sigma[i - 1], sigma[j - 1], n, beta) for i, j in pair_list(n)]
 
             def build():
-                return ring_map(images.__getitem__, XPoly.one(n), XPoly.zero(n))
+                return ring_map(images.__getitem__, XPoly.one(n))
 
             inputs = [random_xpoly(n, 3, 3, rng) for _ in range(12)]
             fresh = [apply_perm(sigma, p, beta) for p in inputs]

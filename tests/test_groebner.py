@@ -499,12 +499,12 @@ def test_one_relation_two_readings(beta, alpha):
                 at = mono_mul(path, r)
                 terms = {at: c}
                 written = pathless_step(terms, at, triple, b, a)
-                assert XPoly._raw(n, terms) == XPoly.from_monomial(at, c) - rg
+                assert XPoly._raw(n, terms) == XPoly.from_monomial(at).scale(c) - rg
                 assert written == [mono_mul(m, r) for m in (fork, ik_jk, ik, one)]
                 at = mono_mul(fork, r)
                 terms = {at: c}
                 written = reduce_step(terms, at, triple, basis)
-                assert XPoly._raw(n, terms) == XPoly.from_monomial(at, c) + rg
+                assert XPoly._raw(n, terms) == XPoly.from_monomial(at).scale(c) + rg
                 assert written == [mono_mul(m, r) for m in (path, ik_jk, ik, one)]
                 checked += 1
     assert checked == 3 * (1 + 4 + 10 + 20)

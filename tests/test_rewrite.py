@@ -259,7 +259,8 @@ def test_step_matches_arithmetic_reference(beta, alpha):
                     before = XPoly(n, dict(terms))
                     replacement = x(i, k) * (x(i, j) + x(j, k) + XPoly.constant(n, b))
                     replacement = replacement + XPoly.constant(n, a)
-                    expected = before - XPoly.from_monomial(m, c) + XPoly.from_monomial(r, c) * replacement
+                    head, rest = XPoly.from_monomial(m), XPoly.from_monomial(r)
+                    expected = before - head.scale(c) + rest.scale(c) * replacement
                     written = pathless_step(terms, m, (i, j, k), beta, alpha)
                     assert written == list(expected_written)
                     assert XPoly._raw(n, terms) == expected

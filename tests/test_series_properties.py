@@ -11,7 +11,6 @@ from hypothesis import strategies as st  # noqa: E402
 
 from subdivalg.poly import accumulate  # noqa: E402
 from subdivalg.rewrite import COEFF_CHOICES  # noqa: E402
-from subdivalg.ring import Coeff  # noqa: E402
 from subdivalg.series import QTruncSeries, TWSeries, neg_mass  # noqa: E402
 
 
@@ -92,14 +91,14 @@ def test_clashing_pair_past_the_mass_sum_is_kept():
     # neg_mass(k1) = neg_mass(k2) = 1, their sum 2 exceeds the order 1, but
     # q[1]^-1 * q[1]*q[2]^-1 = q[2]^-1 has neg_mass 1 and stays.
     k1, k2 = (-1, 0), (1, -1)
-    f = QTruncSeries(2, 1, {k1: Coeff.one()})
-    g = QTruncSeries(2, 1, {k2: Coeff.rational(3), (0, 0): Coeff.one()})
+    f = QTruncSeries(2, 1, {k1: 1})
+    g = QTruncSeries(2, 1, {k2: 3, (0, 0): 1})
     assert neg_mass((0, -1)) < neg_mass(k1) + neg_mass(k2)
     assert not f._masses_add(g)
-    expected = {(0, -1): Coeff.rational(3), k1: Coeff.one()}
+    expected = {(0, -1): 3, k1: 1}
     assert (f * g).terms == expected
     assert (g * f).terms == expected
     # Without the clash the same mass sum cuts the pair.
-    h = QTruncSeries(2, 1, {(0, -1): Coeff.one()})
+    h = QTruncSeries(2, 1, {(0, -1): 1})
     assert f._masses_add(h)
     assert (f * h).terms == {}

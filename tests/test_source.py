@@ -9,8 +9,7 @@ handlers `cli.main` finds through `globals()`, and the console script.
 
 Every method of a package class, dunders aside, must be referenced the
 same way, by its name, outside its own body.  Exempt: the methods the
-acceptance tests call, the methods the traced benchmark wraps, and the
-public methods kept on purpose in `KEPT_METHODS`.
+acceptance tests call and the methods the traced benchmark wraps.
 
 Invariants must hold under `python -O`, which strips `assert`, so the
 package has no bare `assert` statement.
@@ -31,9 +30,6 @@ def parse(path: Path) -> ast.Module:
 
 
 MODULES = {path.stem: parse(path) for path in sorted(PACKAGE.glob("*.py"))}
-
-# Public methods no package module calls, kept as API on purpose.
-KEPT_METHODS = {"Coeff.rational"}
 
 
 def definitions() -> dict:
@@ -162,8 +158,7 @@ def test_every_method_has_a_caller_in_the_package():
     orphans = [
         f"{module}.py:{node.lineno} {qualname}"
         for (module, qualname), node in sorted(methods().items())
-        if qualname not in KEPT_METHODS
-        and node.name not in exempt
+        if node.name not in exempt
         and total[node.name] == referenced(node)[node.name]
     ]
     assert orphans == []
