@@ -94,8 +94,8 @@ def apply_perm(
 
 def verify_symmetry(
     n: int,
-    seed: int = 0,
-    samples: int = 10,
+    seed: int,
+    samples: int,
     beta: Optional[RationalLike] = None,
     alpha: Optional[RationalLike] = None,
 ) -> Report:
@@ -125,7 +125,7 @@ def verify_symmetry(
                 report.failures.append(f"j_generator{ordering} breaks symmetry")
 
     rng = random.Random(seed)
-    basis = generate_basis(n, beta, alpha) if n >= 3 else None
+    basis = generate_basis(n, beta, alpha)
     for index in range(samples):
         sigma = list(range(1, n + 1))
         rng.shuffle(sigma)

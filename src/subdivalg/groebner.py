@@ -182,11 +182,9 @@ def buchberger_check(basis: GroebnerBasis) -> Report:
     return report
 
 
-def ideal_member(p: XPoly, basis: Optional[GroebnerBasis] = None) -> bool:
-    """Membership in the defining ideal: the normal form vanishes.
+def ideal_member(p: XPoly, basis: GroebnerBasis) -> bool:
+    """Membership in the ideal of basis: the normal form vanishes.
 
     Pass a specialized basis when p lives at numeric parameter values.
     """
-    if basis is None:
-        basis = generate_basis(p.n)
     return normal_form(p, basis).is_zero()

@@ -51,7 +51,6 @@ from typing import Iterator, Optional
 from .ring import Coeff, CoeffLike, RationalLike, accumulate, render_terms, substitute_coeff
 
 Monomial = tuple  # exponent tuple over the x variables, row-major
-TMonomial = tuple  # exponent tuple over t[1..n]
 Triple = tuple  # (i, j, k) with 1 <= i < j < k <= n
 
 
@@ -458,7 +457,7 @@ class _Scanner:
     def read_uint(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
             raise PolyParseError("expected an unsigned integer", start)
@@ -483,7 +482,7 @@ def _parse_terms(text: str, n: int, family: str) -> dict:
     def parse_factor(coeff: CoeffLike, exps: list) -> CoeffLike:
         ch = sc.peek()
         start = sc.pos
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             numerator = sc.read_uint()
             if sc.take("/"):
                 denominator = sc.read_uint()

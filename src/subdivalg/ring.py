@@ -33,7 +33,7 @@ field, so no product of nonzero values vanishes).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Optional, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -88,10 +88,6 @@ class Coeff:
         if deg_b < 0 or deg_a < 0:
             raise ValueError("parameter exponents must be nonnegative")
         return Coeff({(deg_b, deg_a): 1})
-
-    def terms(self) -> Iterator[tuple[tuple[int, int], RationalLike]]:
-        """Yield ((deg_b, deg_a), value) pairs in descending degree order."""
-        return iter(sorted(self._terms.items(), reverse=True))
 
     def __eq__(self, other) -> bool:
         return type(other) is Coeff and self._terms == other._terms

@@ -234,8 +234,8 @@ def a_image_rat(
 
 def verify_a_kills_j(
     n: int,
-    samples: int = 50,
-    seed: int = 0,
+    samples: int,
+    seed: int,
     beta: Optional[RationalLike] = None,
     alpha: Optional[RationalLike] = None,
 ) -> Report:

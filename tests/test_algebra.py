@@ -131,10 +131,12 @@ def test_apply_perm_validates():
 
 
 def test_verify_symmetry_small():
-    for n in (3, 4):
+    for n in (1, 2, 3, 4):
         report = verify_symmetry(n, seed=11, samples=5)
         assert report.ok
         assert report.failures == []
+        if n < 3:
+            assert report.counts == {"relations": 0, "images": 0}
     assert verify_symmetry(3, seed=11, samples=5, beta=1, alpha=0).ok
 
 
@@ -168,7 +170,7 @@ def test_corrupted_generator_is_caught():
         assert corrupt(i, j, k, 3) == reference  # symmetry survives the corruption
     assert reference != ideal_generator(1, 2, 3, 3)
     assert reference != -ideal_generator(1, 2, 3, 3)
-    assert not ideal_member(reference)
+    assert not ideal_member(reference, generate_basis(3))
 
 
 def test_perm_sends_generators_into_ideal():

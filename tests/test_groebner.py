@@ -562,14 +562,15 @@ def test_spol_matches_arithmetic_reference(beta, alpha):
 
 
 def test_ideal_member_examples():
-    assert ideal_member(ideal_generator(1, 2, 3, 3))
-    assert not ideal_member(XPoly.variable(1, 2, 3))
+    basis = generate_basis(3)
+    assert ideal_member(ideal_generator(1, 2, 3, 3), basis)
+    assert not ideal_member(XPoly.variable(1, 2, 3), basis)
     p = parse_poly(GAME_START, 4)
     q1, _ = reduce_pathless(p, parse_script(GAME_SCRIPT, 4), beta=1, alpha=0)
     q2, _ = reduce_pathless(p, parse_script(ALT_SCRIPT, 4), beta=1, alpha=0)
     specialized = generate_basis(4, beta=1, alpha=0)
     assert ideal_member(q1 - q2, specialized)
-    assert not ideal_member(q1 - q2)  # generic parameters see a different ideal
+    assert not ideal_member(q1 - q2, generate_basis(4))  # generic parameters see a different ideal
 
 
 def test_ambient_mismatch():

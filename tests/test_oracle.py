@@ -33,7 +33,7 @@ def to_sympy(p, symbols: list):
     total = sympy.Integer(0)
     for mono, coeff in p.terms.items():
         x_part = sympy.Mul(*(s**e for s, e in zip(symbols, mono)))
-        items = coeff.terms() if isinstance(coeff, Coeff) else [((0, 0), coeff)]
+        items = coeff._terms.items() if isinstance(coeff, Coeff) else [((0, 0), coeff)]
         for (deg_b, deg_a), value in items:
             scalar = sympy.Rational(value.numerator, value.denominator)
             total += scalar * b**deg_b * a**deg_a * x_part

@@ -413,6 +413,22 @@ def test_parse_overlong_integer_raises_parse_error():
             assert info.value.position == text.index(digits)
 
 
+@pytest.mark.parametrize(
+    "parse, text, message, position",
+    [
+        (parse_poly, "x[\u0661,\u0662]", "expected an unsigned integer", 2),
+        (parse_poly, "x[1,2]^\u00b2", "expected an unsigned integer", 7),
+        (parse_poly, "\u00b2", "expected a factor", 0),
+        (parse_tpoly, "t[\u0661]", "expected an unsigned integer", 2),
+    ],
+)
+def test_parse_accepts_only_ascii_digits(parse, text, message, position):
+    with pytest.raises(PolyParseError) as info:
+        parse(text, 3)
+    assert str(info.value) == f"{message} (at position {position})"
+    assert info.value.position == position
+
+
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(st.text(alphabet="xtba[],0123456789/^*+- .", max_size=40), st.integers(1, 5))
 def test_parse_garbage_raises_only_parse_errors(text, n):

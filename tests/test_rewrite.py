@@ -644,7 +644,7 @@ def test_path_game_counts_polygon_dissections(n, strategy):
     result, _ = reduce_pathless(path, strategy, alpha=0)
     sums: dict = {}
     for m, coeff in result.terms.items():
-        for (deg_b, deg_a), value in coeff.terms() if isinstance(coeff, Coeff) else [((0, 0), coeff)]:
+        for (deg_b, deg_a), value in coeff._terms.items() if isinstance(coeff, Coeff) else [((0, 0), coeff)]:
             assert deg_a == 0
             key = sum(m), deg_b
             sums[key] = sums.get(key, 0) + value

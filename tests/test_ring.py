@@ -285,12 +285,6 @@ def test_resolve_param_returns_the_number():
     assert resolve_param(None, ALPHA) is ALPHA
 
 
-def test_terms_descending():
-    c = ALPHA + BETA + BETA * BETA
-    keys = [key for key, _ in c.terms()]
-    assert keys == [(2, 0), (1, 0), (0, 1)]
-
-
 # Storage: a value is an int when integral and a Fraction otherwise, and
 # arithmetic agrees with plain Fraction arithmetic on the same entries.
 
@@ -298,7 +292,7 @@ def test_terms_descending():
 def reference(value) -> dict:
     """The Fraction reference {(deg_b, deg_a): value} of a Coeff or a number."""
     if type(value) is Coeff:
-        return {key: Fraction(v) for key, v in value.terms()}
+        return {key: Fraction(v) for key, v in value._terms.items()}
     return {(0, 0): Fraction(value)} if value else {}
 
 
@@ -337,8 +331,8 @@ def assert_normalised(value):
     """value has its one form: a number is an int when integral, and a
     Coeff holds b or a, each of its values normalised."""
     if type(value) is Coeff:
-        assert any(key != (0, 0) for key, _ in value.terms())
-        values = [v for _, v in value.terms()]
+        assert any(key != (0, 0) for key in value._terms)
+        values = list(value._terms.values())
     else:
         values = [value]
     for v in values:
@@ -384,9 +378,9 @@ def test_arithmetic_matches_fraction_reference(x, y, z, beta, alpha):
 def test_integral_results_are_stored_as_int():
     third = Fraction(1, 3) * BETA
     assert (Coeff({(0, 1): 3}) * third)._terms == {(1, 1): 1}
-    assert type(dict((third + third + third).terms())[(1, 0)]) is int
-    assert type(dict(Coeff({(1, 0): Fraction(4, 2)}).terms())[(1, 0)]) is int
-    assert type(dict((Fraction(1, 2) * BETA).terms())[(1, 0)]) is Fraction
+    assert type((third + third + third)._terms[(1, 0)]) is int
+    assert type(Coeff({(1, 0): Fraction(4, 2)})._terms[(1, 0)]) is int
+    assert type((Fraction(1, 2) * BETA)._terms[(1, 0)]) is Fraction
     one = (third + 1) + (third + third - BETA)
     assert one == 1 and type(one) is int
     two = substitute_coeff(BETA, beta=Fraction(6, 3))
@@ -395,8 +389,8 @@ def test_integral_results_are_stored_as_int():
 
 def test_non_integral_fraction_is_stored_as_given():
     half = Fraction(1, 2)
-    assert dict(Coeff({(1, 0): half}).terms())[(1, 0)] is half
-    assert dict(Coeff({(2, 1): half, (0, 0): half}).terms())[(0, 0)] is half
+    assert Coeff({(1, 0): half})._terms[(1, 0)] is half
+    assert Coeff({(2, 1): half, (0, 0): half})._terms[(0, 0)] is half
 
 
 def test_substitute_coeff_at_both_parameters_is_a_number():
@@ -414,7 +408,7 @@ def test_symbolic_runs_on_integral_input_store_no_fraction():
         """Every rational stored in p, in its Coeffs and as plain numbers."""
         out = []
         for c in p.terms.values():
-            out.extend([value for _, value in c.terms()] if isinstance(c, Coeff) else [c])
+            out.extend(c._terms.values() if isinstance(c, Coeff) else [c])
         return out
 
     result, _ = reduce_pathless(parse_poly("3*x[1,2]*x[2,3]*x[3,4] - b*x[2,3]", 4), FirstByOrder())
@@ -564,7 +558,7 @@ def operand_pairs(draw):
     # y cancels the terms of x that `cancel` marks and adds terms of its own
     size = len(reference(x))
     cancel = draw(st.lists(st.booleans(), min_size=size, max_size=size))
-    terms = {key: -value for (key, value), drop in zip(x.terms(), cancel) if drop}
+    terms = {key: -value for (key, value), drop in zip(x._terms.items(), cancel) if drop}
     for key, value in reference(draw(fast_operands)).items():
         terms.setdefault(key, value)
     return x, value_of(terms)
@@ -648,7 +642,7 @@ def mixed_pairs(draw):
 @given(mixed_pairs())
 def test_mixed_operands_match_fraction_reference(pair):
     x, v = pair
-    before = list(x.terms())
+    before = dict(x._terms)
     rx, rv = reference(x), reference(v)
     cases = [
         (x + v, ref_combine(rx, rv, 1)),
@@ -665,7 +659,7 @@ def test_mixed_operands_match_fraction_reference(pair):
         assert_normalised(result)
     assert (x == v) is False and (v == x) is False
     assert (x != v) is True and (v != x) is True
-    assert list(x.terms()) == before
+    assert x._terms == before
 
 
 def test_unit_and_one_term_fast_paths_with_numbers():

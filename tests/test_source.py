@@ -2,14 +2,20 @@
 
 Every module-level function and class in src/subdivalg must be referenced,
 by name, attribute or import, from the code of some package module other
-than `__init__.py`, outside its own definition.  The names used from
-outside the package are exempt: those the acceptance tests import, the
-targets the traced benchmark wraps (bench/spans.py LAYERS), the `cmd_*`
-handlers `cli.main` finds through `globals()`, and the console script.
+than `__init__.py`, outside its own definition.  Every name a module-level
+assignment binds must be read, by name, attribute or import, somewhere in
+that code.  The names used from outside the package are exempt: those the
+acceptance tests import, the targets the traced benchmark wraps
+(bench/spans.py LAYERS), the `cmd_*` handlers `cli.main` finds through
+`globals()`, and the console script.
 
-Every method of a package class, dunders aside, must be referenced the
-same way, by its name, outside its own body.  Exempt: the methods the
-acceptance tests call and the methods the traced benchmark wraps.
+Every method of a package class, dunders aside, must be called, as
+`x.name(...)`, outside its own body; a property need only be referenced by
+its name.  Exempt: the methods the acceptance tests call and the methods
+the traced benchmark wraps.
+
+`__init__.py` holds the package docstring and `__version__` only: every
+name is imported from its module.
 
 Invariants must hold under `python -O`, which strips `assert`, so the
 package has no bare `assert` statement.
@@ -43,6 +49,20 @@ def definitions() -> dict:
     }
 
 
+def assignments() -> dict:
+    """(module, name) -> line of every name a module-level assignment binds,
+    `__init__.py` aside."""
+    return {
+        (module, node.id): stmt.lineno
+        for module, tree in MODULES.items()
+        if module != "__init__"
+        for stmt in tree.body
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+    }
+
+
 def methods() -> dict:
     """(module, "Class.method") -> its def node, for every method of a
     module-level class, dunders aside."""
@@ -58,17 +78,43 @@ def methods() -> dict:
 
 
 def referenced(node: ast.AST) -> Counter:
-    """The names node refers to, by name, attribute or import, each with
-    the number of its references."""
+    """The names node reads, by name, attribute or import, each with the
+    number of its references."""
     names: Counter = Counter()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
             names[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
             names[sub.attr] += 1
         elif isinstance(sub, ast.ImportFrom):
             names.update(alias.name for alias in sub.names)
     return names
+
+
+def called(node: ast.AST) -> Counter:
+    """The names node calls, as `name(...)` or `x.name(...)`, each with the
+    number of its calls."""
+    names: Counter = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Call):
+            if isinstance(sub.func, ast.Name):
+                names[sub.func.id] += 1
+            elif isinstance(sub.func, ast.Attribute):
+                names[sub.func.attr] += 1
+    return names
+
+
+def is_property(node: ast.AST) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "property" for d in node.decorator_list)
+
+
+def package_total(count) -> Counter:
+    """count summed over every package module, `__init__.py` aside."""
+    total: Counter = Counter()
+    for module, tree in MODULES.items():
+        if module != "__init__":
+            total.update(count(tree))
+    return total
 
 
 def references() -> dict:
@@ -149,19 +195,45 @@ def test_every_definition_has_a_caller_in_the_package():
     assert orphans == []
 
 
+def test_every_assigned_name_is_read_in_the_package():
+    exempt = acceptance_imports() | layer_targets() | script_entries()
+    total = package_total(referenced)
+    unread = [
+        f"{module}.py:{line} {name}"
+        for (module, name), line in sorted(assignments().items())
+        if name not in exempt and not total[name]
+    ]
+    assert unread == []
+
+
 def test_every_method_has_a_caller_in_the_package():
     exempt = acceptance_method_calls() | {name.split(".")[-1] for name in layer_qualnames()}
-    total: Counter = Counter()
-    for module, tree in MODULES.items():
-        if module != "__init__":
-            total.update(referenced(tree))
+    refs, calls = package_total(referenced), package_total(called)
     orphans = [
         f"{module}.py:{node.lineno} {qualname}"
         for (module, qualname), node in sorted(methods().items())
         if node.name not in exempt
-        and total[node.name] == referenced(node)[node.name]
+        and (
+            refs[node.name] == referenced(node)[node.name]
+            if is_property(node)
+            else calls[node.name] == called(node)[node.name]
+        )
     ]
     assert orphans == []
+
+
+def test_package_root_holds_only_its_docstring_and_version():
+    tree = MODULES["__init__"]
+    body = tree.body[1:] if ast.get_docstring(tree) is not None else tree.body
+    extra = [
+        f"__init__.py:{stmt.lineno}"
+        for stmt in body
+        if not (
+            isinstance(stmt, ast.Assign)
+            and [ast.unparse(target) for target in stmt.targets] == ["__version__"]
+        )
+    ]
+    assert extra == []
 
 
 def test_no_bare_assert():
