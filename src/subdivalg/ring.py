@@ -28,6 +28,11 @@ is left; arithmetic builds its results with the internal
 that merge nothing: by a number it scales the values, and by a one-term
 `Coeff` it shifts the other operand's keys and scales its values (Q is a
 field, so no product of nonzero values vanishes).
+
+`spread_params` turns a polynomial's term dict into one whose values are
+all numbers, with the degree of each symbolic parameter as one more key
+slot, so that its products multiply numbers and add keys; `fold_params`
+turns such a dict back.  The series sweeps compute on these dicts.
 """
 
 from __future__ import annotations
@@ -250,6 +255,43 @@ def substitute_coeff(
         for (deg_b, deg_a), value in coeff._terms.items()
     )
     return _settle(accumulate({}, images, negate=False))
+
+
+def symbolic_params(beta: Optional[RationalLike], alpha: Optional[RationalLike]) -> tuple:
+    """The positions in a Coeff key, 0 for b and 1 for a, of the parameters
+    left symbolic (None)."""
+    return tuple(pos for pos, value in enumerate((beta, alpha)) if value is None)
+
+
+def spread_params(terms: dict, params: tuple, at: int) -> dict:
+    """The terms of a polynomial with each coefficient spread over its
+    parameter degrees: every key gets the degree of each parameter of
+    params inserted at position at, and every value is a number.  With no
+    params, terms itself."""
+    if not params:
+        return terms
+    out = {}
+    for key, coeff in terms.items():
+        head, tail = key[:at], key[at:]
+        items = coeff._terms.items() if type(coeff) is Coeff else ((_CONST, coeff),)
+        for degrees, value in items:
+            out[head + tuple([degrees[pos] for pos in params]) + tail] = value
+    return out
+
+
+def fold_params(terms: dict, params: tuple, at: int) -> dict:
+    """The inverse of spread_params: the degree slots at position at go
+    back into the values, a Coeff where b or a is left."""
+    if not params:
+        return terms
+    end = at + len(params)
+    grouped: dict = {}
+    for key, value in terms.items():
+        degrees = [0, 0]
+        for pos, e in zip(params, key[at:end]):
+            degrees[pos] = e
+        grouped.setdefault(key[:at] + key[end:], {})[tuple(degrees)] = value
+    return {key: _settle(values) for key, values in grouped.items()}
 
 
 def resolve_param(value: Optional[RationalLike], symbolic: Coeff) -> CoeffLike:

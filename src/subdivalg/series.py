@@ -50,6 +50,20 @@ Three coordinate systems appear here:
   variable's image, and each monomial's image, is built once for all of
   its inputs.  `ed_ba_sweep` holds one e.d side per d-image for the whole
   walk, and one b.a side per monomial on the current path.
+
+Flat keys.  When b or a is symbolic, `ed_ba_sweep` and `a_image_rat` run
+on flat keys: a key gets one more exponent slot per parameter left
+symbolic (b before a), after its n q or t slots and, in a `TWSeries` key,
+before the w slot, and every value is a Python number.  A product then
+multiplies numbers and adds keys, in the same `_products` and
+`accumulate` as every other slot.  `flat` spreads the `Coeff` values of
+each factor, image or input over the slots once, on entry, and
+`ring.fold_params` folds a flat numerator back into `Coeff` values; no
+flat value leaves this module.  The slots are never negative, so neg_mass,
+the sign masks and the w mass, and with them every cut, read flat keys
+as they read the others.  A numeric run has no parameter slot and keeps
+the keys it always had: two zero slots would only make every key longer,
+which cost 16% on the integer a-kills-j sweeps.
 """
 
 from __future__ import annotations
@@ -76,7 +90,17 @@ from .poly import (
 )
 from .groebner import ideal_generator
 from .rewrite import COEFF_CHOICES, Report, derive_seed, random_terms, random_xpoly
-from .ring import ALPHA, BETA, CoeffLike, RationalLike, resolve_param, substitute_coeff
+from .ring import (
+    ALPHA,
+    BETA,
+    CoeffLike,
+    RationalLike,
+    fold_params,
+    resolve_param,
+    spread_params,
+    substitute_coeff,
+    symbolic_params,
+)
 
 
 def neg_mass(exponents: tuple) -> int:
@@ -94,6 +118,12 @@ def sign_masks(keys: Iterable) -> tuple:
         if min(column) < 0:
             negative |= 1 << slot
     return positive, negative
+
+
+def flat(s: SparsePoly, params: tuple) -> SparsePoly:
+    """s of the same class on flat keys, the parameter slots after the n
+    q or t slots."""
+    return s._like(spread_params(s.terms, params, s.n)) if params else s
 
 
 class QPoly(SparsePoly):
@@ -209,27 +239,40 @@ def a_image_rat(
     with top the largest exponent of x[i,j] in p.  A term with exponent e of
     x[i,j] contributes its numerator N^e * (q[j] - q[i])^(top - e), N the
     numerator of the image of x[i,j], so each term is lifted once.  The zero
-    polynomial maps to QRatFrac(0, {})."""
+    polynomial maps to QRatFrac(0, {}).
+
+    The sum runs on flat keys (see the module docstring): a parameter left
+    symbolic is one more variable of the map, whose image is its own
+    exponent slot, so every product multiplies numbers; the numerator is
+    folded back into Coeff values once, at the end."""
     n = p.n
-    beta_c = resolve_param(beta, BETA)
-    alpha_c = resolve_param(alpha, ALPHA)
+    params = symbolic_params(beta, alpha)
+    minus_b, minus_a = -resolve_param(beta, BETA), -resolve_param(alpha, ALPHA)
     pairs = pair_list(n)
     width = len(pairs)
 
     def image(slot: int) -> QPoly:
-        # Slot pos < width is N of the variable at pos; slot width + pos is
-        # its binomial q[j] - q[i].
+        # Slot pos < width is N of the variable at pos, slot width + pos is
+        # its binomial q[j] - q[i], and slot 2*width + s is the parameter
+        # params[s].
+        if slot >= 2 * width:
+            return flat(QPoly.constant(n, (BETA, ALPHA)[params[slot - 2 * width]]), params)
         if slot >= width:
-            return q_binomial(*pairs[slot - width], n)
+            return flat(q_binomial(*pairs[slot - width], n), params)
         i, j = pairs[slot]
         exponents = (q_exponent(n, {i: 1, j: 1}), q_exponent(n, {j: 1}), q_exponent(n, {}))
-        return QPoly(n, dict(zip(exponents, (-1, -beta_c, -alpha_c))))
+        return flat(QPoly(n, dict(zip(exponents, (-1, minus_b, minus_a)))), params)
 
     top = tuple(map(max, zip(*p.terms)))
-    # Each key followed by its missing exponents top - e, over 2*width slots.
+    # Each key followed by its missing exponents top - e, over 2*width
+    # slots, and then by its parameter degrees.
     lifted = {key + tuple(map(sub, top, key)): c for key, c in p.terms.items()}
-    numerator = ring_map(image, QPoly.one(n))(SparsePoly._raw(n, lifted))
-    return QRatFrac(numerator, {pairs[pos]: e for pos, e in enumerate(top) if e})
+    lifted = spread_params(lifted, params, 2 * width)
+    numerator = ring_map(image, flat(QPoly.one(n), params))(SparsePoly._raw(n, lifted))
+    return QRatFrac(
+        QPoly._raw(n, fold_params(numerator.terms, params, n)),
+        {pairs[pos]: e for pos, e in enumerate(top) if e},
+    )
 
 
 def verify_a_kills_j(
@@ -299,10 +342,16 @@ class _Truncated(SparsePoly):
     def one(cls, n: int, order: int):
         return cls.constant(n, order, 1)
 
-    def _like(self, terms: dict):
-        s = self._raw(self.n, terms)
-        s.order = self.order
+    @classmethod
+    def _held(cls, n: int, order: int, terms: dict):
+        # internal: terms already pruned and cut at order; flat keys (see
+        # the module docstring) are wider than _width(n)
+        s = cls._raw(n, terms)
+        s.order = order
         return s
+
+    def _like(self, terms: dict):
+        return self._held(self.n, self.order, terms)
 
     def _check_ambient(self, other):
         if self.n != other.n or self.order != other.order:
@@ -423,14 +472,20 @@ class TWSeries(_Truncated):
 
 
 def b_map(f: QTruncSeries) -> TWSeries:
-    """Exponent vector -> t-monomial of its positive part times w^neg_mass."""
+    """Exponent vector -> t-monomial of its positive part times w^neg_mass.
+
+    On flat keys the parameter slots, never negative, are part of the
+    positive part, so they land before the w slot unchanged.  Distinct
+    vectors can share an image (q[1]^-1 and q[2]^-1 both go to w), and
+    accumulate merges them."""
 
     def images():
         for exps, coeff in f.terms.items():
             pos = tuple([e if e > 0 else 0 for e in exps])
             yield pos + (sum(pos) - sum(exps),), coeff  # sum(pos) - sum(exps) == neg_mass(exps)
 
-    return TWSeries(f.n, f.order, accumulate({}, images(), negate=False))
+    # f is cut at its order, so no image is past it
+    return TWSeries._held(f.n, f.order, accumulate({}, images(), negate=False))
 
 
 def variable_series(
@@ -505,8 +560,10 @@ def ed_ba_sweep(
     one left side is held per d-image for the whole call: it is built on
     first use as the left side of its parent's d-image times the
     variable_series of the new variable's row.  The factors are built once
-    per call.  Failures come out by degree, then ascending exponent tuple,
-    as all_monomials yields the monomials.
+    per call, and flattened once when b or a is symbolic, so the walk's
+    products run on flat keys (see the module docstring).  Failures come
+    out by degree, then ascending exponent tuple, as all_monomials yields
+    the monomials.
     """
     report = Report(
         dict(n=n, max_degree=max_degree, w_order=w_order, beta=beta, alpha=alpha),
@@ -518,14 +575,15 @@ def ed_ba_sweep(
     pairs = pair_list(n)
     beta_c = resolve_param(beta, BETA)
     alpha_c = resolve_param(alpha, ALPHA)
-    row = cache(lambda i: variable_series(i - 1, n, w_order, beta_c, alpha_c))
-    factor = cache(lambda pos: factor_series(*pairs[pos], n, w_order, beta_c, alpha_c))
+    params = symbolic_params(beta, alpha)
+    row = cache(lambda i: flat(variable_series(i - 1, n, w_order, beta_c, alpha_c), params))
+    factor = cache(lambda pos: flat(factor_series(*pairs[pos], n, w_order, beta_c, alpha_c), params))
     failures: list = []
     image = (0,) * n
-    lefts = {image: TWSeries.one(n, w_order)}  # d-image -> its left side
+    lefts = {image: flat(TWSeries.one(n, w_order), params)}  # d-image -> its left side
     # Each entry: a monomial to visit, the slot of its last variable (None
     # for the root), its parent's d-image and its parent's right side.
-    stack = [(root, None, image, QTruncSeries.one(n, w_order))]
+    stack = [(root, None, image, flat(QTruncSeries.one(n, w_order), params))]
     while stack and max_degree >= 0:
         m, last, image, right = stack.pop()
         if last is not None:

@@ -30,7 +30,7 @@ from subdivalg.rewrite import (
     random_xpoly,
     reduce_pathless,
 )
-from subdivalg.ring import ALPHA, BETA, resolve_param
+from subdivalg.ring import ALPHA, BETA, Coeff, resolve_param
 from subdivalg.series import (
     QPoly,
     QRatFrac,
@@ -135,11 +135,15 @@ def summed_a_image(p, beta, alpha) -> QRatFrac:
     return total
 
 
-@pytest.mark.parametrize("beta, alpha", PARAMS)
+# Each parameter kind, and one symbol left beside a nonzero number.
+IMAGE_PARAMS = PARAMS + ((None, 3), (2, None))
+
+
+@pytest.mark.parametrize("beta, alpha", IMAGE_PARAMS)
 def test_a_image_matches_sum_of_term_images(beta, alpha):
     """One common denominator gives the numerator and denominator that
     adding the term images one by one gives, as dicts."""
-    rng = random.Random(derive_seed(37, PARAMS.index((beta, alpha))))
+    rng = random.Random(derive_seed(37, IMAGE_PARAMS.index((beta, alpha))))
     inputs = [XPoly(3), XPoly.constant(3, Fraction(-5, 2))]
     # A relation and a multiple of it: their terms' images cancel.
     g = ideal_generator(1, 2, 4, 4, beta, alpha)
@@ -318,6 +322,10 @@ def test_ed_ba_sweep_small():
     assert report4.checked == 59
 
 
+# Both symbols, numbers, and one symbol left, as the sweeps take them.
+SWEEP_PARAMS = [(None, None), (Fraction(1, 3), 2), (None, 3), (2, None)]
+
+
 def sweeps_agree(beta, alpha) -> list:
     """Compare ed_ba_sweep's counts and failures with one verify_ed_eq_ba per
     monomial, for n = 3..5, every max degree <= 3 and w order 2; return the
@@ -337,7 +345,7 @@ def sweeps_agree(beta, alpha) -> list:
     return report.failures
 
 
-@pytest.mark.parametrize("beta, alpha", [(None, None), (Fraction(1, 3), 2)])
+@pytest.mark.parametrize("beta, alpha", SWEEP_PARAMS)
 def test_ed_ba_sweep_matches_per_monomial_checks(beta, alpha, monkeypatch):
     assert sweeps_agree(beta, alpha) == []
     original = series.factor_series
@@ -358,7 +366,7 @@ def test_ed_ba_sweep_matches_per_monomial_checks(beta, alpha, monkeypatch):
     assert all("x[1,3]" in f for f in failures)
 
 
-@pytest.mark.parametrize("beta, alpha", [(None, None), (Fraction(1, 3), 2)])
+@pytest.mark.parametrize("beta, alpha", SWEEP_PARAMS)
 def test_ed_ba_left_sides_held_per_d_image_cannot_hide_a_wrong_one(beta, alpha, monkeypatch):
     original = series.variable_series
 
@@ -377,6 +385,46 @@ def test_ed_ba_left_sides_held_per_d_image_cannot_hide_a_wrong_one(beta, alpha, 
     failures = sweeps_agree(beta, alpha)
     assert len(failures) >= 5
     assert all("x[2," in f for f in failures)
+
+
+def coeffs_built(monkeypatch, run) -> int:
+    """How many Coeff values run() builds, by the constructor or Coeff._raw."""
+    built = []
+    raw, init = Coeff._raw, Coeff.__init__
+
+    def counted_raw(terms):
+        built.append(None)
+        return raw(terms)
+
+    def counted_init(self, terms=None):
+        built.append(None)
+        init(self, terms)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Coeff, "_raw", staticmethod(counted_raw))
+        patch.setattr(Coeff, "__init__", counted_init)
+        run()
+    return len(built)
+
+
+def test_symbolic_sweeps_build_no_coeff_per_product(monkeypatch):
+    """With b and a symbolic, ed_ba_sweep and a_image_rat multiply numbers
+    on flat keys.  The Coeffs they build come from the factors and images
+    they flatten once, so their number does not grow with the work done."""
+    reports, images = [], []
+    sweeps = [
+        coeffs_built(monkeypatch, lambda: reports.append(ed_ba_sweep(5, max_degree, 3)))
+        for max_degree in (1, 3)
+    ]
+    assert sweeps[0] == sweeps[1]
+    assert all(report.ok for report in reports)
+    assert reports[0].checked < reports[1].checked
+    g = ideal_generator(1, 3, 5, 5)
+    product = g * XPoly(5, {mono(5, (1, 2), (2, 4), (4, 5)): BETA + 1})
+    maps = [coeffs_built(monkeypatch, lambda: images.append(a_image_rat(p))) for p in (g, product)]
+    assert maps[0] == maps[1]
+    assert all(image.is_zero() for image in images)
+    assert len(images[0].denominator) < len(images[1].denominator)
 
 
 def test_d_image_agrees_across_games():
