@@ -21,10 +21,9 @@ has generating function prod_{j=0}^{n-2} (1 + j*t) / (1-t)^(n-1), which
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import comb
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .groebner import generate_basis, ideal_generator, ideal_member
 from .poly import XPoly, num_vars, pair_list, ring_map, var_position
@@ -173,8 +172,7 @@ def _forkless_rows(n: int, row: int, remaining: int, exps: list, out: list):
             exps[pos] = 0
 
 
-@dataclass(frozen=True)
-class CountTable:
+class CountTable(NamedTuple):
     n: int
     counts: tuple
 

@@ -36,7 +36,6 @@ from __future__ import annotations
 import itertools
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterator, Optional, Union
 
@@ -68,31 +67,59 @@ class ResourceLimitError(RuntimeError):
     """A reduction hit its step limit before it finished."""
 
 
-@dataclass(frozen=True)
-class FirstByOrder:
+class _Fields:
+    """Equality, hash and repr over the fields named in __slots__, in
+    order; two values are equal only when their classes are the same."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = (f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({', '.join(fields)})"
+
+
+class FirstByOrder(_Fields):
     """Largest reducible monomial, lexicographically smallest triple."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class LastByOrder:
+
+class LastByOrder(_Fields):
     """Smallest reducible monomial, lexicographically largest triple."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class RandomStrategy:
+
+class RandomStrategy(_Fields):
     """Uniform choice among (reducible monomial, applicable triple) pairs.
 
     Choices come from random.Random(seed), so replays are deterministic.
     """
 
-    seed: int
+    __slots__ = ("seed",)
+
+    def __init__(self, seed: int):
+        self.seed = seed
 
 
-@dataclass(frozen=True)
-class ScriptStrategy:
+class ScriptStrategy(_Fields):
     """Fixed list of (monomial, triple) steps; each must apply in turn."""
 
-    steps: tuple
+    __slots__ = ("steps",)
+
+    def __init__(self, steps: tuple):
+        self.steps = steps
 
 
 Strategy = Union[FirstByOrder, LastByOrder, RandomStrategy, ScriptStrategy]
@@ -416,19 +443,21 @@ def strategy_suite(count: int, seed: int, trial: int) -> list:
     return suite
 
 
-@dataclass
-class Report:
+class Report(_Fields):
     """What a verification sweep checked and which cases failed.
 
     `params` holds the sweep's inputs (n, seed, sizes, beta, alpha),
     `counts` the cases checked of each kind, and `failures` one line per
     failed case, with what it takes to replay it.  A report is truthy
-    exactly when no case failed.
+    exactly when no case failed.  It is mutable, so it has no hash.
     """
 
-    params: dict
-    counts: dict
-    failures: list = field(default_factory=list)
+    __slots__ = ("params", "counts", "failures")
+    __hash__ = None
+
+    def __init__(self, params: dict, counts: dict, failures: Optional[list] = None):
+        self.params, self.counts = params, counts
+        self.failures = [] if failures is None else failures
 
     @property
     def checked(self) -> int:

@@ -33,11 +33,15 @@ field, so no product of nonzero values vanishes).
 all numbers, with the degree of each symbolic parameter as one more key
 slot, so that its products multiply numbers and add keys; `fold_params`
 turns such a dict back.  The series sweeps compute on these dicts.
+
+`integral_point` gives the point (L*b, L^2*a) with integral coordinates
+at which the series sweeps check a rational point (b, a).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Union
 
 RationalLike = Union[int, Fraction]
@@ -292,6 +296,16 @@ def fold_params(terms: dict, params: tuple, at: int) -> dict:
             degrees[pos] = e
         grouped.setdefault(key[:at] + key[end:], {})[tuple(degrees)] = value
     return {key: _settle(values) for key, values in grouped.items()}
+
+
+def integral_point(beta: Optional[RationalLike], alpha: Optional[RationalLike]) -> tuple:
+    """(L, L*b, L^2*a), the last two ints, for L the lcm of the
+    denominators of b and a when both are numbers; (1, beta, alpha) when
+    a symbol is left."""
+    if beta is None or alpha is None:
+        return 1, beta, alpha
+    scale = lcm(beta.denominator, alpha.denominator)
+    return scale, (scale * beta).numerator, (scale * scale * alpha).numerator
 
 
 def resolve_param(value: Optional[RationalLike], symbolic: Coeff) -> CoeffLike:

@@ -64,6 +64,24 @@ the sign masks and the w mass, and with them every cut, read flat keys
 as they read the others.  A numeric run has no parameter slot and keeps
 the keys it always had: two zero slots would only make every key longer,
 which cost 16% on the integer a-kills-j sweeps.
+
+Rational points.  Give x, q and t weight 1, b weight 1, a weight 2 and w
+weight -1.  The relation x[i,j]*x[j,k] - x[i,k]*(x[i,j] + x[j,k] + b) - a
+is homogeneous, and every map here keeps weight: each factor, variable
+image and fraction image has the weight of its variable, and `b_map`
+keeps it.  So putting L*b for b and L^2*a for a multiplies each
+coefficient of a key by L to the weight of its parameters, and a check
+at a rational point (b, a) holds exactly when it holds at the integral
+point (B, A) = (L*b, L^2*a) of `ring.integral_point`, where every product
+multiplies ints.  `ed_ba_sweep` builds its factors and images at (B, A):
+both sides of a monomial scale alike, key by key.  The other two sweeps
+also take each input p as `rescaled(p, L)`, K*L^D*p(x/L) with D the
+largest degree of p and K > 0 the least that makes it integral.  Its
+fraction image at (B, A) is K*L^D times that of p at (b, a) with
+q -> q/L, so it is zero exactly when that is.  The e map at order 0 and
+the g map at (B, A), applied to p(t/L), give their images of p at (b, a)
+with t -> t/L, so g.e fixes the rescaled input exactly when it fixes p.
+Reports, counts and failure lines are those of (b, a).
 """
 
 from __future__ import annotations
@@ -71,6 +89,7 @@ from __future__ import annotations
 import random
 from functools import cache
 from itertools import combinations
+from math import lcm
 from operator import add, itemgetter, sub
 from typing import Iterable, Optional
 
@@ -96,6 +115,7 @@ from .ring import (
     CoeffLike,
     RationalLike,
     fold_params,
+    integral_point,
     resolve_param,
     spread_params,
     substitute_coeff,
@@ -124,6 +144,17 @@ def flat(s: SparsePoly, params: tuple) -> SparsePoly:
     """s of the same class on flat keys, the parameter slots after the n
     q or t slots."""
     return s._like(spread_params(s.terms, params, s.n)) if params else s
+
+
+def rescaled(p: SparsePoly, scale: int) -> SparsePoly:
+    """K*L^D*p(x/L) for L = scale, D the largest degree of p and K > 0 the
+    least that makes every coefficient an int; p itself when L = 1."""
+    if scale == 1:
+        return p
+    top = max(map(sum, p.terms), default=0)
+    terms = {key: c * scale ** (top - sum(key)) for key, c in p.terms.items()}
+    clear = lcm(*[c.denominator for c in terms.values()])
+    return p._like({key: (c * clear).numerator for key, c in terms.items()})
 
 
 class QPoly(SparsePoly):
@@ -287,15 +318,17 @@ def verify_a_kills_j(
     The products come from one random.Random(seed) stream, so each failure
     carries the text of the polynomial that did not map to zero.  beta and
     alpha are substituted into each drawn coefficient, which can cancel
-    (b+1 at b=-1)."""
+    (b+1 at b=-1).  At a rational point each polynomial is mapped rescaled,
+    at the integral point (see the module docstring)."""
     report = Report(
         dict(n=n, samples=samples, seed=seed, beta=beta, alpha=alpha),
         {"generators": 0, "products": 0},
     )
+    scale, beta_at, alpha_at = integral_point(beta, alpha)
     triples = list(combinations(range(1, n + 1), 3))
     for triple in triples:
         g = ideal_generator(*triple, n, beta, alpha)
-        if not a_image_rat(g, beta, alpha).is_zero():
+        if not a_image_rat(rescaled(g, scale), beta_at, alpha_at).is_zero():
             report.failures.append(f"generator {triple}: {g}")
         report.counts["generators"] += 1
     rng = random.Random(seed)
@@ -305,7 +338,7 @@ def verify_a_kills_j(
         coeff = substitute_coeff(rng.choice(COEFF_CHOICES), beta, alpha)
         [mono] = random_xpoly(n, 3, 1, rng).terms  # one term: COEFF_CHOICES has no 0
         product = g.mul_term(mono, coeff)
-        if not a_image_rat(product, beta, alpha).is_zero():
+        if not a_image_rat(rescaled(product, scale), beta_at, alpha_at).is_zero():
             report.failures.append(f"product {index} over generator {triple}: {product}")
         report.counts["products"] += 1
     return report
@@ -561,7 +594,8 @@ def ed_ba_sweep(
     first use as the left side of its parent's d-image times the
     variable_series of the new variable's row.  The factors are built once
     per call, and flattened once when b or a is symbolic, so the walk's
-    products run on flat keys (see the module docstring).  Failures come
+    products run on flat keys, or at the integral point when b and a are
+    rational (see the module docstring).  Failures come
     out by degree, then ascending exponent tuple, as all_monomials yields
     the monomials.
     """
@@ -573,8 +607,8 @@ def ed_ba_sweep(
     width = len(root)
     n = ambient_size(width)  # as verify_ed_eq_ba reads it off a monomial
     pairs = pair_list(n)
-    beta_c = resolve_param(beta, BETA)
-    alpha_c = resolve_param(alpha, ALPHA)
+    _, beta_at, alpha_at = integral_point(beta, alpha)
+    beta_c, alpha_c = resolve_param(beta_at, BETA), resolve_param(alpha_at, ALPHA)
     params = symbolic_params(beta, alpha)
     row = cache(lambda i: flat(variable_series(i - 1, n, w_order, beta_c, alpha_c), params))
     factor = cache(lambda pos: flat(factor_series(*pairs[pos], n, w_order, beta_c, alpha_c), params))
@@ -631,20 +665,23 @@ def verify_e_left_inverse(
 
     The e map (order 0) and the g map are built once per call, so each
     power of a variable's image, and each monomial's image, is built once
-    for all the samples."""
+    for all the samples, at the integral point when b and a are rational,
+    where each input is checked rescaled (see the module docstring)."""
     max_deg, max_terms = 3, 4  # the size of each drawn input
     report = Report(
         dict(n=n, samples=samples, seed=seed, max_deg=max_deg, max_terms=max_terms,
              beta=beta, alpha=alpha),
         {"inputs": 0},
     )
-    beta_c = resolve_param(beta, BETA)
-    e_of = e_map(n, 0, beta_c, resolve_param(alpha, ALPHA))
+    scale, beta_at, alpha_at = integral_point(beta, alpha)
+    beta_c = resolve_param(beta_at, BETA)
+    e_of = e_map(n, 0, beta_c, resolve_param(alpha_at, ALPHA))
     g_of = g_map(n, beta_c)
     for index in range(samples):
         sample_seed = derive_seed(seed, index)
         p = random_tpoly(n, max_deg, max_terms, random.Random(sample_seed)).substitute(beta, alpha)
-        if g_of(e_of(p).coeffs[0]) != p:
+        q = rescaled(p, scale)
+        if g_of(e_of(q).coeffs[0]) != q:
             report.failures.append(f"sample {index} seed {sample_seed} input {p}")
         report.counts["inputs"] += 1
     return report

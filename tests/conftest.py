@@ -7,9 +7,12 @@ order of the middle moves.
 """
 
 import random
+from itertools import combinations
 
-from subdivalg import groebner
+from subdivalg import groebner, series
 from subdivalg.poly import is_pathless, num_vars
+from subdivalg.rewrite import COEFF_CHOICES, random_xpoly
+from subdivalg.ring import substitute_coeff
 
 GAME_START = "x[1,2]*x[2,3]*x[3,4]"
 
@@ -84,3 +87,20 @@ def drop_constant_term(monkeypatch, triple=(1, 2, 3)):
         return {**kernels(n), triple: (width, head, edits[:-1])}
 
     monkeypatch.setattr(groebner, "_fork_kernels", broken)
+
+
+def a_kills_j_draws(n, samples, seed, beta, alpha) -> list:
+    """(label, polynomial) of each case verify_a_kills_j checks, in its
+    order and at (beta, alpha): every generator, then the products drawn
+    from random.Random(seed).  The generators come from
+    series.ideal_generator, as the sweep's do, so a patch there shows."""
+    triples = list(combinations(range(1, n + 1), 3))
+    draws = [(f"generator {t}", series.ideal_generator(*t, n, beta, alpha)) for t in triples]
+    rng = random.Random(seed)
+    for index in range(samples):
+        triple = triples[rng.randrange(len(triples))]
+        coeff = substitute_coeff(rng.choice(COEFF_CHOICES), beta, alpha)
+        [mono] = random_xpoly(n, 3, 1, rng).terms
+        product = series.ideal_generator(*triple, n, beta, alpha).mul_term(mono, coeff)
+        draws.append((f"product {index} over generator {triple}", product))
+    return draws

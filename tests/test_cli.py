@@ -4,17 +4,28 @@ import functools
 import hashlib
 import itertools
 import json
+import os
 import random
 import re
 import shlex
+import subprocess
+import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
-from conftest import GAME_D_IMAGE, GAME_RESULT, GAME_SCRIPT, GAME_START, drop_constant_term
+from conftest import (
+    GAME_D_IMAGE,
+    GAME_RESULT,
+    GAME_SCRIPT,
+    GAME_START,
+    a_kills_j_draws,
+    drop_constant_term,
+)
 from subdivalg import cli
 from subdivalg.algebra import CountTable
 from subdivalg.groebner import generate_basis, ideal_generator, normal_form
-from subdivalg.poly import TPoly, parse_poly
+from subdivalg.poly import TPoly, parse_poly, parse_tpoly
 from subdivalg.rewrite import derive_seed, random_xpoly
 from subdivalg.series import random_tpoly
 
@@ -446,6 +457,75 @@ def test_verify_e_inverse_failures_replay(capsys, monkeypatch):
         replayed = random_tpoly(3, 3, 4, random.Random(seed))
         assert line[len(prefix):] == str(replayed)
     assert out[-1] == "verify e-inverse: FAIL"
+
+
+RATIONAL = ("--beta", "1/3", "--alpha", "2/5")
+
+
+def test_verify_e_inverse_failures_at_a_rational_point_carry_the_input(capsys, monkeypatch):
+    """The sweep checks each input rescaled at the integral point; its
+    failure lines print the input drawn at (b, a)."""
+    from subdivalg import series
+
+    original = series.g_map
+    monkeypatch.setattr(series, "g_map", lambda n, beta_c: lambda p: original(n, beta_c)(p) + TPoly.one(n))
+    code, out, _ = run(capsys, "verify", "--n", "3", "e-inverse", "--samples", "4", "--seed", "9", *RATIONAL)
+    assert code == 1
+    failures = out[2:-1]
+    assert len(failures) == 4
+    for index, line in enumerate(failures):
+        seed = derive_seed(9, index)
+        prefix = f"failure: sample {index} seed {seed} input "
+        assert line.startswith(prefix)
+        drawn = random_tpoly(3, 3, 4, random.Random(seed)).substitute(Fraction(1, 3), Fraction(2, 5))
+        assert parse_tpoly(line[len(prefix):], 3) == drawn
+        assert line[len(prefix):] == str(drawn)
+    assert out[-1] == "verify e-inverse: FAIL"
+
+
+def test_verify_a_kills_j_failures_at_a_rational_point_carry_the_polynomial(capsys, monkeypatch):
+    """The sweep maps each polynomial rescaled at the integral point; its
+    failure lines print the polynomial drawn at (b, a)."""
+    from subdivalg import series
+    from subdivalg.series import QPoly, QRatFrac
+
+    original = series.a_image_rat
+    monkeypatch.setattr(
+        series,
+        "a_image_rat",
+        lambda p, beta=None, alpha=None: original(p, beta, alpha) + QRatFrac(QPoly.one(p.n)),
+    )
+    code, out, _ = run(
+        capsys, "verify", "--n", "3", "a-kills-j", "--samples", "3", "--seed", "4", *RATIONAL
+    )
+    assert code == 1
+    assert out[:2] == ["seed: 4", "generators checked: 1, random products checked: 3"]
+    draws = a_kills_j_draws(3, 3, 4, Fraction(1, 3), Fraction(2, 5))
+    assert len(out) == 3 + len(draws)
+    basis = generate_basis(3, Fraction(1, 3), Fraction(2, 5))
+    for line, (label, drawn) in zip(out[2:-1], draws):
+        prefix = f"failure: {label}: "
+        assert line.startswith(prefix)
+        assert parse_poly(line[len(prefix):], 3) == drawn
+        assert normal_form(drawn, basis).is_zero()
+    assert any(type(c) is Fraction for _, p in draws for c in p.terms.values())
+    assert out[-1] == "verify a-kills-j: FAIL"
+
+
+def test_cli_import_loads_no_dataclasses():
+    """Set-up stays light: importing the CLI and building its parser, in a
+    fresh process, imports neither dataclasses nor inspect."""
+    code = (
+        "import sys, subdivalg.cli\n"
+        "subdivalg.cli.build_parser()\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    ).stdout
+    assert out == "[]\n"
 
 
 def test_verify_specialized_parameters(capsys):

@@ -6,7 +6,7 @@ from functools import partial
 
 import pytest
 
-from conftest import random_pathless_monomial
+from conftest import a_kills_j_draws, random_pathless_monomial
 from test_groebner import PARAMS
 from subdivalg import series
 from subdivalg.groebner import ideal_generator
@@ -26,11 +26,12 @@ from subdivalg.poly import (
 from subdivalg.rewrite import (
     FirstByOrder,
     LastByOrder,
+    Report,
     derive_seed,
     random_xpoly,
     reduce_pathless,
 )
-from subdivalg.ring import ALPHA, BETA, Coeff, resolve_param
+from subdivalg.ring import ALPHA, BETA, Coeff, integral_point, resolve_param
 from subdivalg.series import (
     QPoly,
     QRatFrac,
@@ -45,6 +46,7 @@ from subdivalg.series import (
     q_binomial,
     q_exponent,
     random_tpoly,
+    rescaled,
     verify_a_kills_j,
     verify_e_left_inverse,
     verify_ed_eq_ba,
@@ -425,6 +427,190 @@ def test_symbolic_sweeps_build_no_coeff_per_product(monkeypatch):
     assert maps[0] == maps[1]
     assert all(image.is_zero() for image in images)
     assert len(images[0].denominator) < len(images[1].denominator)
+
+
+# b = 0, a = 0, negative values, and an integral b beside a rational a and
+# the reverse.
+RATIONAL_POINTS = [
+    (Fraction(1, 3), Fraction(2, 5)),
+    (0, Fraction(-3, 4)),
+    (Fraction(-5, 2), 0),
+    (2, Fraction(1, 3)),
+    (Fraction(3, 4), -5),
+    (Fraction(-2, 3), Fraction(-7, 6)),
+]
+
+
+def scaled_alike(small, big, factor) -> None:
+    """big has the keys of small, each value factor(key) times small's."""
+    assert big.terms.keys() == small.terms.keys()
+    for key, c in small.terms.items():
+        assert big.terms[key] == factor(key) * c, (key, small, big)
+
+
+def rescale_constant(p, q, scale) -> tuple:
+    """(K, D) with q = K*L^D*p(x/L), D the largest degree of p, checked term
+    by term: K is a positive int and every value of q an int."""
+    assert q.terms.keys() == p.terms.keys()
+    assert all(type(c) is int for c in q.terms.values())
+    top = max(map(sum, p.terms))
+    [clear] = {q.terms[m] / (c * Fraction(scale) ** (top - sum(m))) for m, c in p.terms.items()}
+    assert clear > 0 and clear.denominator == 1
+    return clear, top
+
+
+@pytest.mark.parametrize("beta, alpha", RATIONAL_POINTS)
+def test_integral_point_scales_each_coefficient_by_its_weight(beta, alpha):
+    """The oracle of the rational sweeps (series module docstring).  At
+    (B, A) = (L*b, L^2*a) each coefficient is L to the power of its
+    parameters' weight times its value at (b, a), coefficient by
+    coefficient: both ed-ba sides of every pathless monomial, the fraction
+    image's numerator and the e and g maps, on inputs rescaled by
+    `rescaled`."""
+    scale, big_b, big_a = integral_point(beta, alpha)
+    assert scale > 1 and type(big_b) is int and type(big_a) is int
+    beta_c, alpha_c = resolve_param(beta, BETA), resolve_param(alpha, ALPHA)
+    order = 2
+    for n in range(2, 6):
+        for degree in range(4):
+            for m in filter(is_pathless, all_monomials(n, degree)):
+                x = XPoly.from_monomial(m)
+
+                def sides(b, a):
+                    return e_image(d_image(x), order, b, a), b_map(a_s_expand(m, order, b, a))
+
+                # t^e*w^k has weight |e| - k, so its parameters degree - that
+                for small, big in zip(sides(beta, alpha), sides(big_b, big_a)):
+                    scaled_alike(
+                        small, big, lambda key: Fraction(scale) ** (degree - sum(key[:-1]) + key[-1])
+                    )
+
+    rng = random.Random(derive_seed(53, RATIONAL_POINTS.index((beta, alpha))))
+    mapped = 0
+    for n in range(2, 6):
+        for _ in range(10):
+            p = random_xpoly(n, 3, 4, rng).substitute(beta, alpha)
+            image = a_image_rat(p, beta, alpha)
+            if image.is_zero():  # p is in the ideal
+                continue
+            clear, top = rescale_constant(p, rescaled(p, scale), scale)
+            big = a_image_rat(rescaled(p, scale), big_b, big_a)
+            assert big.denominator == image.denominator
+            width = top + sum(image.denominator.values())
+            scaled_alike(
+                image.numerator, big.numerator, lambda key: clear * Fraction(scale) ** (width - sum(key))
+            )
+            mapped += 1
+
+            p = random_tpoly(n, 3, 4, rng).substitute(beta, alpha)
+            if not p.terms:
+                continue
+            clear, top = rescale_constant(p, rescaled(p, scale), scale)
+            small = series.e_map(n, 0, beta_c, alpha_c)(p).coeffs[0]
+            big = series.e_map(n, 0, big_b, big_a)(rescaled(p, scale)).coeffs[0]
+            factor = lambda key: clear * Fraction(scale) ** (top - sum(key))
+            scaled_alike(small, big, factor)
+            scaled_alike(series.g_map(n, beta_c)(small), series.g_map(n, big_b)(big), factor)
+    assert mapped >= 30
+
+
+def doubled(s, key):
+    """s with the value at key doubled."""
+    terms = dict(s.terms)
+    terms[key] += terms[key]
+    return type(s)(s.n, s.order, terms)
+
+
+@pytest.mark.parametrize("beta, alpha", [RATIONAL_POINTS[0], RATIONAL_POINTS[3]])
+def test_rational_sweeps_multiply_ints_and_report_as_the_fraction_route(
+    beta, alpha, monkeypatch
+):
+    """At a rational point the three sweeps compare series and map inputs
+    whose values are all ints, and each Report equals the one built case by
+    case at (b, a) with Fractions.  Three broken maps make some cases of
+    each sweep fail on both routes: x[1,3]'s factor and t[2]'s image each
+    double one value, and the generator of (1, 3, 4) gains a constant."""
+    n, max_degree, order, samples, seed = 5, 3, 3, 40, 2
+    factor, variable, generator = series.factor_series, series.variable_series, series.ideal_generator
+    monkeypatch.setattr(
+        series, "factor_series",
+        lambda i, j, n, *rest: doubled(factor(i, j, n, *rest), q_exponent(n, {1: 1}))
+        if (i, j) == (1, 3) else factor(i, j, n, *rest),
+    )
+    monkeypatch.setattr(
+        series, "variable_series",
+        lambda pos, n, *rest: doubled(variable(pos, n, *rest), (0, 1) + (0,) * (n - 1))
+        if pos == 1 else variable(pos, n, *rest),
+    )
+    monkeypatch.setattr(
+        series, "ideal_generator",
+        lambda i, j, k, n, *rest: generator(i, j, k, n, *rest)
+        + XPoly.constant(n, Fraction(1, 7) if (i, j, k) == (1, 3, 4) else 0),
+    )
+
+    seen, points = [], []
+    with monkeypatch.context() as patch:
+        real_eq, real_b_map = series.TWSeries.__eq__, series.b_map
+        real_image, real_e_map = series.a_image_rat, series.e_map
+
+        def recorded_image(p, b=None, a=None):
+            seen.append(p)
+            points.append((b, a))
+            return real_image(p, b, a)
+
+        def recorded_e_map(*args):
+            points.append(args[2:])
+            e = real_e_map(*args)
+            return lambda p: seen.append(p) or e(p)
+
+        patch.setattr(series.TWSeries, "__eq__", lambda s, t: seen.extend((s, t)) or real_eq(s, t))
+        patch.setattr(series, "b_map", lambda f: seen.append(f) or real_b_map(f))
+        patch.setattr(series, "a_image_rat", recorded_image)
+        patch.setattr(series, "e_map", recorded_e_map)
+        reports = [
+            ed_ba_sweep(n, max_degree, order, beta, alpha),
+            verify_a_kills_j(n, samples, seed, beta, alpha),
+            verify_e_left_inverse(n, samples, seed, beta, alpha),
+        ]
+    # per monomial two compared and one mapped by b_map; one input per case
+    assert len(seen) == 3 * reports[0].checked + 10 + 2 * samples
+    for s in seen:
+        assert s.terms and all(type(c) is int for c in s.terms.values())
+    assert set(points) == {integral_point(beta, alpha)[1:]}
+
+    count, ed_ba = 0, []
+    for degree in range(max_degree + 1):
+        for m in filter(is_pathless, all_monomials(n, degree)):
+            count += 1
+            if not verify_ed_eq_ba(m, order, beta, alpha):
+                ed_ba.append(format_monomial(m))
+    draws = a_kills_j_draws(n, samples, seed, beta, alpha)
+    inverse = []
+    g_of = series.g_map(n, resolve_param(beta, BETA))
+    for index in range(samples):
+        sample_seed = derive_seed(seed, index)
+        p = random_tpoly(n, 3, 4, random.Random(sample_seed)).substitute(beta, alpha)
+        if g_of(e_image(p, 0, beta, alpha).coeffs[0]) != p:
+            inverse.append(f"sample {index} seed {sample_seed} input {p}")
+    assert reports == [
+        Report(
+            dict(n=n, max_degree=max_degree, w_order=order, beta=beta, alpha=alpha),
+            {"monomials": count},
+            ed_ba,
+        ),
+        Report(
+            dict(n=n, samples=samples, seed=seed, beta=beta, alpha=alpha),
+            {"generators": 10, "products": samples},
+            [f"{label}: {p}" for label, p in draws if not a_image_rat(p, beta, alpha).is_zero()],
+        ),
+        Report(
+            dict(n=n, samples=samples, seed=seed, max_deg=3, max_terms=4, beta=beta, alpha=alpha),
+            {"inputs": samples},
+            inverse,
+        ),
+    ]
+    for report in reports:
+        assert 0 < len(report.failures) < report.checked
 
 
 def test_d_image_agrees_across_games():
