@@ -28,6 +28,16 @@ lemma).  Two such heads share that variable's two indices, so each
 s-polynomial and its reduction live on at most 4: an order-preserving map
 of {1..4} into {1..n} keeps the term order (lex on row-major slots) and
 takes relations to relations, so `verify --n 4 groebner` covers every n.
+
+Rational points.  Each element is homogeneous of weight 2 when x and b
+weigh 1 and a weighs 2, so a basis step at (L*b, L^2*a) on the
+`poly.rescaled` input makes the move it makes at (b, a), as a game step
+does (see `rewrite`).  A basis at a rational point holds its `twin`, the
+basis at the integral point of `ring.integral_point`, where every step
+multiplies ints.  `normal_form` reduces the rescaled input on the twin and
+divides the result back with `poly.unscaled`.  `buchberger_check` writes
+and reduces every s-polynomial on the twin, where each is the one at
+(b, a) rescaled, and its report still names (b, a).
 """
 
 from __future__ import annotations
@@ -43,7 +53,9 @@ from .poly import (
     XPoly,
     accumulate,
     format_monomial,
+    rescaled,
     slot_partners,
+    unscaled,
 )
 from .rewrite import (
     DEFAULT_MAX_STEPS,
@@ -57,7 +69,7 @@ from .rewrite import (
     relation_monomials,
     rewrite,
 )
-from .ring import ALPHA, BETA, RationalLike, resolve_param
+from .ring import ALPHA, BETA, RationalLike, integral_point, resolve_param
 
 
 def ideal_generator(
@@ -83,7 +95,10 @@ class GroebnerBasis:
     per triple of `relation_monomials(n)`.  `kernels` holds each triple's
     step kernel, `tail` the coefficients of x[i,j]*x[j,k], x[i,k]*x[j,k],
     x[i,k] and 1 in head - element, None for 1; `rules`, the fork-triple
-    memo of every normal form on the basis, holds nothing of it."""
+    memo of every normal form on the basis, holds nothing of it.  At a
+    rational point `twin` is the basis at the integral point (L*b, L^2*a),
+    L = `scale`, on which its normal forms run, and the two share `rules`;
+    it is None where L = 1."""
 
     def __init__(
         self,
@@ -95,7 +110,9 @@ class GroebnerBasis:
         self.params = b, a = resolve_param(beta, BETA), resolve_param(alpha, ALPHA)
         self.tail = None, -1, -b, -a
         self.kernels = _fork_kernels(n)
-        self.rules = RuleSet(_fork_triples)
+        self.scale, beta_at, alpha_at = integral_point(beta, alpha)
+        self.twin = None if self.scale == 1 else generate_basis(n, beta_at, alpha_at)
+        self.rules = RuleSet(_fork_triples) if self.twin is None else self.twin.rules
 
     def element(self, triple: Triple) -> XPoly:
         """x[i,k]*x[i,j] - x[i,j]*x[j,k] + x[i,k]*x[j,k] + b*x[i,k] + a."""
@@ -145,24 +162,31 @@ def normal_form(
     strategy: Strategy = FirstByOrder(),
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> XPoly:
-    """Reduce to the unique forkless representative."""
+    """Reduce to the unique forkless representative: `rescaled(p, L)` on the
+    basis's twin at a rational point, divided back (module docstring)."""
     if p.n != basis.n:
         raise ValueError(f"ambient size mismatch: {p.n} vs {basis.n}")
+    scale, on = basis.scale, basis.twin or basis
     # The step is looked up per step, so run-time wrappers of it see every call.
-    step = lambda terms, mono, triple: reduce_step(terms, mono, triple, basis)  # noqa: E731
+    step = lambda terms, mono, triple: reduce_step(terms, mono, triple, on)  # noqa: E731
+    q = rescaled(p, scale)
     terms = None
-    for _, _, terms in rewrite(p, "normal form", basis.rules, step, strategy, max_steps):
+    for _, _, terms in rewrite(q, "normal form", basis.rules, step, strategy, max_steps):
         pass
-    return p if terms is None else XPoly._raw(p.n, terms)
+    if terms is None:
+        return p
+    result = XPoly._raw(p.n, terms)
+    return result if q is p else unscaled(result, p, scale)
 
 
 def buchberger_check(basis: GroebnerBasis) -> Report:
     """Each s-polynomial of the C(n,3) + 3*C(n,4) pairs of triples whose
     heads share a variable, t2's step at the lcm of the heads minus t1's
     (Bergman), reduces to zero; each pair, in `combinations_with_replacement`
-    order over the table, whose s-polynomial does not is one failure.  The
-    report's params name b and a as the other sweeps do: a number as a
-    Fraction, the symbol as None."""
+    order over the table, whose s-polynomial does not is one failure.  At a
+    rational point each s-polynomial is written and reduced on the basis's
+    twin.  The report's params name b and a as the other sweeps do: a
+    number as a Fraction, the symbol as None."""
     heads = {triple: monos[1] for triple, monos in relation_monomials(basis.n).items()}
     groups = (compress(heads, column) for column in zip(*heads.values()))
     pairs = {pair for group in groups for pair in combinations_with_replacement(group, 2)}
@@ -171,13 +195,14 @@ def buchberger_check(basis: GroebnerBasis) -> Report:
     params["beta"] = None if b is BETA else Fraction(b)
     params["alpha"] = None if a is ALPHA else Fraction(a)
     report = Report(params, {"pairs": len(pairs)})
+    on = basis.twin or basis
     for t1, t2 in sorted(pairs):
         lcm = tuple(map(max, heads[t1], heads[t2]))
         terms = {lcm: 1}
-        kernel_step(terms, lcm, basis.kernels[t2], basis.tail)
+        kernel_step(terms, lcm, on.kernels[t2], on.tail)
         terms[lcm] = -1
-        kernel_step(terms, lcm, basis.kernels[t1], basis.tail)
-        if not normal_form(XPoly._raw(basis.n, terms), basis).is_zero():
+        kernel_step(terms, lcm, on.kernels[t1], on.tail)
+        if not normal_form(XPoly._raw(basis.n, terms), on).is_zero():
             report.failures.append(f"pair {t1} {t2}")
     return report
 

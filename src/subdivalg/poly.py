@@ -26,6 +26,11 @@ integral value as an `int`, so each value has one form and `==` is ring
 equality.  Instances are immutable by convention; operations always
 build new values.
 
+`rescaled(p, L)` is K*L^D*p(x/L), with every number and every `Coeff`
+value an int, and `unscaled` divides a result back: the series sweeps and
+both reductions use the pair to work at the integral point (L*b, L^2*a)
+for a rational point (b, a) (see `rewrite`).
+
 Text form (used by the parser, the formatter, and the CLI):
 
     expr   := ['-'] term (('+'|'-') term)*
@@ -45,10 +50,19 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, compress
+from math import gcd, lcm
 from operator import add, mul, sub
 from typing import Iterator, Optional
 
-from .ring import Coeff, CoeffLike, RationalLike, accumulate, render_terms, substitute_coeff
+from .ring import (
+    Coeff,
+    CoeffLike,
+    RationalLike,
+    accumulate,
+    render_terms,
+    spread_params,
+    substitute_coeff,
+)
 
 Monomial = tuple  # exponent tuple over the x variables, row-major
 Triple = tuple  # (i, j, k) with 1 <= i < j < k <= n
@@ -401,6 +415,57 @@ def ring_map(image, one):
         return one._like(out)
 
     return apply
+
+
+def _weight_factors(p: SparsePoly, scale: int) -> Optional[list]:
+    """Per degree d up to D, the largest degree of p, the factor K*L^(D-d)
+    of `rescaled(p, scale)`, L = scale; None when every factor is 1."""
+    # (degree, value) of each number, and each Coeff value, that is not an int
+    others = [(sum(key), c) for key, c in p.terms.items() if type(c) is not int]
+    if any(type(c) is Coeff for _, c in others):
+        spread = spread_params({(i, d): c for i, (d, c) in enumerate(others)}, (0, 1), 0)
+        others = [(key[3], c) for key, c in spread.items() if type(c) is not int]
+    if scale == 1 and not others:
+        return None
+    top = max(map(sum, p.terms), default=0)
+    # the part of each denominator that L^(D-d) leaves
+    clear = lcm(*[c.denominator // gcd(c.denominator, scale ** (top - d)) for d, c in others])
+    return [clear * scale ** (top - degree) for degree in range(top + 1)]
+
+
+def rescaled(p: SparsePoly, scale: int) -> SparsePoly:
+    """K*L^D*p(x/L) for L = scale, D the largest degree of p and K > 0 the
+    least that makes every number and every Coeff value an int: a term c*m
+    becomes c*K*L^(D-|m|).  K applies at L = 1 too; p itself when every
+    factor is 1.  `unscaled` is the inverse."""
+    factors = _weight_factors(p, scale)
+    if factors is None:
+        return p
+    terms = {}
+    for key, c in p.terms.items():
+        factor = factors[sum(key)]
+        # the factor is a multiple of a Fraction's denominator
+        terms[key] = c.numerator * (factor // c.denominator) if type(c) is Fraction else c * factor
+    return p._like(terms)
+
+
+def unscaled(r: SparsePoly, p: SparsePoly, scale: int) -> SparsePoly:
+    """The inverse of `rescaled(p, scale)` on r, a value of its class with
+    no degree above p's: each term of degree d divided by K*L^(D-d)."""
+    factors = _weight_factors(p, scale) if r.terms else None
+    if factors is None:
+        return r
+    inverses = [Fraction(1, factor) for factor in factors]
+    terms = {}
+    for key, c in r.terms.items():
+        degree = sum(key)
+        if type(c) is int:
+            quotient, rest = divmod(c, factors[degree])
+            terms[key] = Fraction(c, factors[degree]) if rest else quotient
+        else:
+            c *= inverses[degree]
+            terms[key] = c.numerator if type(c) is Fraction and c.denominator == 1 else c
+    return r._like(terms)
 
 
 def d_image(p: XPoly) -> TPoly:

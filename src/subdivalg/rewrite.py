@@ -29,6 +29,17 @@ written monomials only, as in the in-place division of Monagan & Pearce
 (CASC 2007), with a sorted list in place of their heap.  A game's trace
 keeps its moves, not a polynomial per step: `TraceStep.after` is replayed
 from the input on the first read, so printing the moves builds none.
+
+Rational points.  The rule above is homogeneous of weight 2 when x and b
+weigh 1 and a weighs 2.  So a step at (L*b, L^2*a) on K*L^D*p(x/L), the
+`poly.rescaled` input, makes the move it makes at (b, a) on p: a term c*m
+stands as c*K*L^(D-|m|), every term a step writes has the factor of its
+degree, and terms merge and cancel alike, since a monomial has one
+degree.  `reduce_pathless` plays at the integral point of
+`ring.integral_point`, L the lcm of the denominators, where every step
+multiplies ints, and `poly.unscaled` divides its result back.  Where a
+symbol is left, L = 1 and K alone clears the input's denominators.  The
+trace keeps p and (b, a), so its `after` replays at (b, a).
 """
 
 from __future__ import annotations
@@ -50,10 +61,12 @@ from .poly import (
     mono_from_pairs,
     num_vars,
     parse_monomial,
+    rescaled,
     slot_partners,
+    unscaled,
     weight_pathless,
 )
-from .ring import ALPHA, BETA, CoeffLike, RationalLike, resolve_param
+from .ring import ALPHA, BETA, CoeffLike, RationalLike, integral_point, resolve_param
 
 
 DEFAULT_MAX_STEPS = 500_000
@@ -350,20 +363,29 @@ def reduce_pathless(
 ) -> tuple:
     """Play the game to a pathless polynomial; returns (result, trace).
 
-    The trace keeps the moves only: each step's `after` is replayed from p
-    on the first read of any of them, so a caller that prints the moves and
-    the result never builds a polynomial per step."""
-    b, a = resolve_param(beta, BETA), resolve_param(alpha, ALPHA)
+    The game is played on `rescaled(p, L)` at the integral point (L*b,
+    L^2*a) of `integral_point` and its result divided back (module
+    docstring).  The trace keeps the moves only: each step's `after` is
+    replayed from p at (b, a) on the first read of any of them, so a caller
+    that prints the moves and the result never builds a polynomial per
+    step."""
+    scale, beta_at, alpha_at = integral_point(beta, alpha)
+    b_at, a_at = resolve_param(beta_at, BETA), resolve_param(alpha_at, ALPHA)
     # The callees are looked up at each call, so run-time wrappers see every call.
-    step = lambda terms, mono, triple: pathless_step(terms, mono, triple, b, a)  # noqa: E731
-    record = _Moves(p, (None, None, b, a))
+    step = lambda terms, mono, triple: pathless_step(terms, mono, triple, b_at, a_at)  # noqa: E731
+    record = _Moves(p, (None, None, resolve_param(beta, BETA), resolve_param(alpha, ALPHA)))
     moves = record.moves
+    q = rescaled(p, scale)
     terms = None
-    game = rewrite(p, "pathless game", RuleSet(find_path_triples), step, strategy)
+    game = rewrite(q, "pathless game", RuleSet(find_path_triples), step, strategy)
     for mono, triple, terms in game:
         moves.append((mono, triple))
     trace = [TraceStep(mono, triple, record, index) for index, (mono, triple) in enumerate(moves)]
-    return (XPoly._raw(p.n, dict(terms)) if moves else p), trace
+    if not moves:
+        return p, trace
+    result = XPoly._raw(p.n, dict(terms))
+    # q is p when every factor is 1; unscaled would scan p again to find that
+    return (result if q is p else unscaled(result, p, scale)), trace
 
 
 def format_trace(trace: list) -> str:

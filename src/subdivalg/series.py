@@ -75,8 +75,10 @@ at a rational point (b, a) holds exactly when it holds at the integral
 point (B, A) = (L*b, L^2*a) of `ring.integral_point`, where every product
 multiplies ints.  `ed_ba_sweep` builds its factors and images at (B, A):
 both sides of a monomial scale alike, key by key.  The other two sweeps
-also take each input p as `rescaled(p, L)`, K*L^D*p(x/L) with D the
-largest degree of p and K > 0 the least that makes it integral.  Its
+also take each input p as `poly.rescaled(p, L)`, the helper both
+reductions use too: K*L^D*p(x/L) with D the largest degree of p and K > 0
+the least that makes it integral, which alone clears p's denominators
+where a symbol is left and L = 1.  Its
 fraction image at (B, A) is K*L^D times that of p at (b, a) with
 q -> q/L, so it is zero exactly when that is.  The e map at order 0 and
 the g map at (B, A), applied to p(t/L), give their images of p at (b, a)
@@ -89,7 +91,6 @@ from __future__ import annotations
 import random
 from functools import cache
 from itertools import combinations
-from math import lcm
 from operator import add, itemgetter, sub
 from typing import Iterable, Optional
 
@@ -105,6 +106,7 @@ from .poly import (
     is_pathless,
     mono_one,
     pair_list,
+    rescaled,
     ring_map,
 )
 from .groebner import ideal_generator
@@ -144,17 +146,6 @@ def flat(s: SparsePoly, params: tuple) -> SparsePoly:
     """s of the same class on flat keys, the parameter slots after the n
     q or t slots."""
     return s._like(spread_params(s.terms, params, s.n)) if params else s
-
-
-def rescaled(p: SparsePoly, scale: int) -> SparsePoly:
-    """K*L^D*p(x/L) for L = scale, D the largest degree of p and K > 0 the
-    least that makes every coefficient an int; p itself when L = 1."""
-    if scale == 1:
-        return p
-    top = max(map(sum, p.terms), default=0)
-    terms = {key: c * scale ** (top - sum(key)) for key, c in p.terms.items()}
-    clear = lcm(*[c.denominator for c in terms.values()])
-    return p._like({key: (c * clear).numerator for key, c in terms.items()})
 
 
 class QPoly(SparsePoly):

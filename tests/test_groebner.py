@@ -6,7 +6,7 @@ import re
 import weakref
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
-from math import comb
+from math import comb, lcm
 from operator import add, mul
 
 import pytest
@@ -412,20 +412,21 @@ def test_buchberger_detects_perturbation(monkeypatch):
 
 
 def checked_pairs(monkeypatch, basis: GroebnerBasis) -> tuple:
-    """The pairs the Buchberger check names and the s-polynomials it
-    reduces, in order: every normal form is made nonzero, so that every
-    pair is a failure."""
-    reduced = []
+    """The pairs the Buchberger check names, the s-polynomials it reduces
+    and the basis each is reduced on, in order: every normal form is made
+    nonzero, so that every pair is a failure."""
+    reduced, bases = [], []
 
     def recorded(p, basis):
         reduced.append(p)
+        bases.append(basis)
         return XPoly.constant(p.n, 1)
 
     with monkeypatch.context() as patch:
         patch.setattr(groebner, "normal_form", recorded)
         report = buchberger_check(basis)
     assert report.counts["pairs"] == len(report.failures) == len(reduced)
-    return report.failures, reduced
+    return report.failures, reduced, bases
 
 
 def overlapping_heads(n: int) -> list:
@@ -440,7 +441,7 @@ def test_buchberger_pairs_are_the_overlaps(monkeypatch):
     """The pairs drawn from the triples of each head variable are those of
     every head pair with a common variable, in the same order."""
     for n in range(2, 10):
-        pairs, _ = checked_pairs(monkeypatch, generate_basis(n))
+        pairs, _, _ = checked_pairs(monkeypatch, generate_basis(n))
         assert pairs == [f"pair {t1} {t2}" for t1, t2 in overlapping_heads(n)]
         assert len(pairs) == comb(n, 3) + 3 * comb(n, 4)
 
@@ -448,15 +449,23 @@ def test_buchberger_pairs_are_the_overlaps(monkeypatch):
 @pytest.mark.parametrize("beta, alpha", PARAMS)
 def test_buchberger_spolys_match_elements(monkeypatch, beta, alpha):
     """The check writes each s-polynomial with the step kernels, never from
-    the elements; it must still be spol of the two elements, and spol of
-    the elements scaled by 2 and 3 (head coefficients 2 and 3) is 6 times it."""
+    the elements; it must still be spol of two elements of the basis it is
+    reduced on, which is the basis at the integral point (L*b, L^2*a), and
+    spol of those elements scaled by 2 and 3 (head coefficients 2 and 3) is
+    6 times it."""
+    scale = 1 if beta is None or alpha is None else lcm(beta.denominator, alpha.denominator)
+    twin = (scale * beta, scale * scale * alpha) if scale > 1 else None
     for n in range(3, 8):
         basis = generate_basis(n, beta, alpha)
-        pairs, reduced = checked_pairs(monkeypatch, basis)
+        pairs, reduced, bases = checked_pairs(monkeypatch, basis)
         expected = overlapping_heads(n)
         assert pairs == [f"pair {t1} {t2}" for t1, t2 in expected]
+        on = bases[0]
+        assert all(other is on for other in bases)
+        assert (on is basis) == (twin is None)
+        assert on.params == (twin or basis.params)
         for (t1, t2), s in zip(expected, reduced):
-            g1, g2 = basis.element(t1), basis.element(t2)
+            g1, g2 = on.element(t1), on.element(t2)
             assert s.terms == spol(g1, g2).terms
             assert spol(g1.scale(2), g2.scale(3)) == s.scale(6)
             assert all(s.terms.values())
