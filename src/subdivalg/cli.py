@@ -129,9 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit(args, payload: dict, text_lines: list) -> None:
     if args.as_json:
         print(json.dumps(payload, sort_keys=True, default=str))
-    else:
-        for line in text_lines:
-            print(line)
+    elif text_lines:
+        print("\n".join(text_lines))
 
 
 def cmd_reduce(args) -> int:
@@ -167,10 +166,8 @@ def cmd_reduce(args) -> int:
                 strategy = parse_script(handle.read(), args.n)
         result, trace = reduce_pathless(p, strategy, args.beta, args.alpha)
     if args.trace and trace is not None:
-        trace_text = format_trace(trace)
-        payload["trace"] = trace_text.splitlines()
-        if trace_text:
-            lines.extend(trace_text.splitlines())
+        payload["trace"] = format_trace(trace).splitlines()
+        lines.extend(payload["trace"])
     text = str(result)
     payload["result"] = text
     lines.append(text)

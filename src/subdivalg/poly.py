@@ -43,6 +43,13 @@ Whitespace is insignificant.  x-variables and t-variables never mix in
 one polynomial.  The formatter emits one grammar term per
 (rational, b-power, a-power, monomial) combination, monomials in
 descending term order, so parse(format(p)) == p.
+
+Each key slot has a power table, `variable_names(letter, n)`: exponent ->
+the text of that power, "x[1,2]" at 1 and "x[1,2]^e" (Laurent keys too,
+"q[2]^-1") filled at first use.  `mono_text` joins the table entries of
+a key's present slots.  `read_monomial`, the reader of trace lines,
+inverts the tables: it looks each factor of x[i,j] or x[i,j]^e, e >= 2 in
+ASCII digits, up by its name, and hands any other text to the parser.
 """
 
 from __future__ import annotations
@@ -51,7 +58,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, compress
 from math import gcd, lcm
-from operator import add, mul, sub
+from operator import add, getitem, mul, sub
 from typing import Iterator, Optional
 
 from .ring import (
@@ -59,8 +66,8 @@ from .ring import (
     CoeffLike,
     RationalLike,
     accumulate,
+    fraction_values,
     render_terms,
-    spread_params,
     substitute_coeff,
 )
 
@@ -190,20 +197,33 @@ def all_monomials(n: int, degree: int) -> Iterator[Monomial]:
         yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, end)))
 
 
+class _Powers(dict):
+    """One key slot's power table: exponent -> the text of that power.  It
+    holds 1 -> the slot's name and writes any other exponent e, negative
+    ones too, as name^e at first use."""
+
+    __slots__ = ()
+
+    def __missing__(self, e: int) -> str:
+        text = self[e] = f"{self[1]}^{e}"
+        return text
+
+
 @lru_cache(maxsize=None)
 def variable_names(letter: str, n: int) -> tuple:
-    """The text of each key slot: x[i,j] in row-major order, else letter[i]."""
+    """The power table of each key slot, named x[i,j] in row-major order,
+    else letter[i]."""
     if letter == "x":
-        return tuple(f"x[{i},{j}]" for i, j in pair_list(n))
-    return tuple(f"{letter}[{i}]" for i in range(1, n + 1))
+        names = [f"x[{i},{j}]" for i, j in pair_list(n)]
+    else:
+        names = [f"{letter}[{i}]" for i in range(1, n + 1)]
+    return tuple(_Powers({1: name}) for name in names)
 
 
-def mono_text(names: tuple, key: tuple) -> str:
-    """Text of the key over the slot names, "" for the empty monomial."""
-    present = list(compress(names, key))
-    if len(present) == key.count(1):  # squarefree
-        return "*".join(present)
-    return "*".join([name if e == 1 else f"{name}^{e}" for name, e in zip(names, key) if e])
+def mono_text(tables: tuple, key: tuple) -> str:
+    """Text of the key over the slots' power tables, "" for the empty
+    monomial."""
+    return "*".join(map(getitem, compress(tables, key), filter(None, key)))
 
 
 def format_monomial(m: Monomial) -> str:
@@ -326,9 +346,9 @@ class SparsePoly:
         )
 
     def __str__(self) -> str:
-        names = variable_names(self._letter, self.n)
+        tables = variable_names(self._letter, self.n)
         terms = self.terms
-        return render_terms((terms[m], mono_text(names, m)) for m in sorted(terms, reverse=True))
+        return render_terms((terms[m], mono_text(tables, m)) for m in sorted(terms, reverse=True))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(n={self.n}, {self!s})"
@@ -421,10 +441,12 @@ def _weight_factors(p: SparsePoly, scale: int) -> Optional[list]:
     """Per degree d up to D, the largest degree of p, the factor K*L^(D-d)
     of `rescaled(p, scale)`, L = scale; None when every factor is 1."""
     # (degree, value) of each number, and each Coeff value, that is not an int
-    others = [(sum(key), c) for key, c in p.terms.items() if type(c) is not int]
-    if any(type(c) is Coeff for _, c in others):
-        spread = spread_params({(i, d): c for i, (d, c) in enumerate(others)}, (0, 1), 0)
-        others = [(key[3], c) for key, c in spread.items() if type(c) is not int]
+    others = [
+        (sum(key), value)
+        for key, c in p.terms.items()
+        if type(c) is not int
+        for value in fraction_values(c)
+    ]
     if scale == 1 and not others:
         return None
     top = max(map(sum, p.terms), default=0)
@@ -450,8 +472,9 @@ def rescaled(p: SparsePoly, scale: int) -> SparsePoly:
 
 
 def unscaled(r: SparsePoly, p: SparsePoly, scale: int) -> SparsePoly:
-    """The inverse of `rescaled(p, scale)` on r, a value of its class with
-    no degree above p's: each term of degree d divided by K*L^(D-d)."""
+    """The inverse of `rescaled(p, scale)` on r, a value of p's class, or
+    its d-image, with no degree above p's: each term of degree d divided by
+    K*L^(D-d)."""
     factors = _weight_factors(p, scale) if r.terms else None
     if factors is None:
         return r
@@ -471,14 +494,14 @@ def unscaled(r: SparsePoly, p: SparsePoly, scale: int) -> SparsePoly:
 def d_image(p: XPoly) -> TPoly:
     """Substitute t[i] for every x[i,j]; a ring homomorphism onto t[1..n-1]."""
     n = p.n
-    row_of = [i - 1 for i, _ in pair_list(n)]
+    rows = [i - 1 for i, _ in pair_list(n)]
+    slots = range(len(rows))
 
     def images():
         for mono, coeff in p.terms.items():
             texp = [0] * n
-            for pos, e in enumerate(mono):
-                if e:
-                    texp[row_of[pos]] += e
+            for pos in compress(slots, mono):
+                texp[rows[pos]] += mono[pos]
             yield tuple(texp), coeff
 
     return TPoly._raw(n, accumulate({}, images(), negate=False))
@@ -625,7 +648,7 @@ def parse_tpoly(text: str, n: int) -> TPoly:
 
 
 def parse_monomial(text: str, n: int) -> Monomial:
-    """Parse a single monomial with coefficient one (as in trace lines)."""
+    """Parse a single monomial with coefficient one."""
     terms = _parse_terms(text, n, "x")
     if len(terms) != 1:
         raise PolyParseError("expected a single monomial", 0)
@@ -633,3 +656,37 @@ def parse_monomial(text: str, n: int) -> Monomial:
     if coeff != 1:
         raise PolyParseError("expected coefficient one", 0)
     return mono
+
+
+@lru_cache(maxsize=None)
+def _slot_of_name(n: int) -> dict:
+    """x[i,j] -> its slot: the inverse of the x power tables at exponent 1."""
+    return {table[1]: pos for pos, table in enumerate(variable_names("x", n))}
+
+
+def _written_exponent(digits: str) -> Optional[int]:
+    """The exponent e >= 2 that a power table writes as these digits: ASCII,
+    no leading zero; None for any other text."""
+    if digits.isascii() and digits.isdigit() and digits[0] != "0" and digits != "1":
+        try:
+            return int(digits)
+        except ValueError:  # more digits than int() reads
+            pass
+    return None
+
+
+def read_monomial(text: str, n: int) -> Monomial:
+    """A monomial with coefficient one, as in trace lines.  Text written as
+    `mono_text` writes it is read by lookup in the inverse of the power
+    tables, factor by factor; a repeated factor multiplies.  Any other text
+    goes to `parse_monomial`, with its errors and positions."""
+    slots = _slot_of_name(n)
+    exps = [0] * len(slots)
+    for factor in text.split("*"):
+        name, power, digits = factor.partition("^")
+        pos = slots.get(name)
+        e = _written_exponent(digits) if power else 1
+        if pos is None or e is None:
+            return parse_monomial(text, n)
+        exps[pos] += e
+    return tuple(exps)

@@ -59,11 +59,13 @@ from .poly import (
     d_image,
     format_monomial,
     mono_from_pairs,
+    mono_text,
     num_vars,
-    parse_monomial,
+    read_monomial,
     rescaled,
     slot_partners,
     unscaled,
+    variable_names,
     weight_pathless,
 )
 from .ring import ALPHA, BETA, CoeffLike, RationalLike, integral_point, resolve_param
@@ -389,16 +391,22 @@ def reduce_pathless(
 
 
 def format_trace(trace: list) -> str:
-    """One line per step: m=<monomial> t=(i,j,k)."""
+    """One line per step: m=<monomial> t=(i,j,k), each monomial written from
+    the power tables of its ambient, read once per trace."""
+    if not trace:
+        return ""
+    tables = variable_names("x", ambient_size(len(trace[0].monomial)))
     lines = []
     for step in trace:
         i, j, k = step.triple
-        lines.append(f"m={format_monomial(step.monomial)} t=({i},{j},{k})")
+        lines.append(f"m={mono_text(tables, step.monomial) or '1'} t=({i},{j},{k})")
     return "\n".join(lines)
 
 
 def parse_script(text: str, n: int) -> ScriptStrategy:
-    """Read trace-format lines back as a script strategy."""
+    """Read trace-format lines back as a script strategy.  Each monomial goes
+    to `read_monomial`, which looks up the text `format_trace` writes and
+    hands any other text to the parser, errors and positions included."""
     steps = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -407,7 +415,7 @@ def parse_script(text: str, n: int) -> ScriptStrategy:
         head, sep, tail = line.partition(" t=(")
         if not head.startswith("m=") or not sep or not tail.endswith(")"):
             raise RewriteError(f"line {lineno}: expected 'm=<monomial> t=(i,j,k)'")
-        mono = parse_monomial(head[2:], n)
+        mono = read_monomial(head[2:], n)
         try:
             i, j, k = (int(part) for part in tail[:-1].split(","))
         except ValueError:
@@ -507,7 +515,11 @@ def verify_t_unique(
 
     Trial `trial` draws its input from random.Random(derive_seed(seed, trial)),
     then substitutes beta and alpha into it, so a drawn term can cancel
-    (b+1 at b=-1) and leave fewer terms."""
+    (b+1 at b=-1) and leave fewer terms.  Each strategy plays on
+    `rescaled(p, L)` at the integral point (L*b, L^2*a), as
+    `reduce_pathless` does, and the d-images are compared there: `d_image`
+    keeps each term's degree, so `unscaled` divides an image back as it
+    divides a result, and only a failure line needs that."""
     if strategies < 2:
         raise ValueError(TOO_FEW_STRATEGIES)
     report = Report(
@@ -515,18 +527,21 @@ def verify_t_unique(
              max_terms=max_terms, beta=beta, alpha=alpha),
         {"inputs": 0},
     )
+    scale, beta_at, alpha_at = integral_point(beta, alpha)
     for trial in range(trials):
         trial_seed = derive_seed(seed, trial)
         p = random_xpoly(n, max_deg, max_terms, random.Random(trial_seed)).substitute(beta, alpha)
+        q = rescaled(p, scale)
         images = []
         for strat in strategy_suite(strategies, seed, trial):
-            result, _ = reduce_pathless(p, strat, beta, alpha)
+            result, _ = reduce_pathless(q, strat, beta_at, alpha_at)
             images.append(d_image(result))
         report.counts["inputs"] += 1
         for idx in range(1, len(images)):
             if images[idx] != images[0]:
+                first, other = (unscaled(image, p, scale) for image in (images[0], images[idx]))
                 report.failures.append(
                     f"trial {trial} seed {trial_seed} input {p}; "
-                    f"strategy 0 image {images[0]}; strategy {idx} image {images[idx]}"
+                    f"strategy 0 image {first}; strategy {idx} image {other}"
                 )
     return report

@@ -205,25 +205,33 @@ def render_terms(pairs: Iterable) -> str:
 
     One summand per (rational, b-power, a-power) of each coefficient, in
     the order of pairs and then of descending parameter degrees; "0" for
-    an empty sum.
+    an empty sum.  A number is one summand, written without the parameter
+    text of a `Coeff` value.  Each summand is written with its sign, "+ "
+    or "- ", and the first sign is settled once the sum is joined.
     """
     parts = []
     param_text = _PARAM_TEXT
     for coeff, mono in pairs:
-        if type(coeff) is Coeff:
-            items = coeff._terms.items()
-            if len(items) > 1:
-                items = sorted(items, reverse=True)
-        else:
-            items = ((_CONST, coeff),)
+        if type(coeff) is not Coeff:
+            sign = "+ "
+            if coeff < 0:
+                sign, coeff = "- ", -coeff
+            if coeff == 1:
+                parts.append(sign + (mono or "1"))
+            else:
+                parts.append(f"{sign}{coeff}*{mono}" if mono else f"{sign}{coeff}")
+            continue
+        items = coeff._terms.items()
+        if len(items) > 1:
+            items = sorted(items, reverse=True)
         for key, value in items:
             params = param_text.get(key)
             if params is None:
                 params = param_text[key] = _param_text(*key)
             num = value.numerator
-            negative = num < 0
-            if negative:
-                num = -num
+            sign = "+ "
+            if num < 0:
+                sign, num = "- ", -num
             den = value.denominator
             if den != 1:
                 text = f"{num}/{den}"
@@ -235,11 +243,11 @@ def render_terms(pairs: Iterable) -> str:
                 text = f"{text}*{params}" if text else params
             if mono:
                 text = f"{text}*{mono}" if text else mono
-            if parts:
-                parts.append(("- " if negative else "+ ") + text)
-            else:
-                parts.append("-" + text if negative else text)
-    return " ".join(parts) if parts else "0"
+            parts.append(sign + text)
+    if not parts:
+        return "0"
+    text = " ".join(parts)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 def substitute_coeff(
@@ -259,6 +267,14 @@ def substitute_coeff(
         for (deg_b, deg_a), value in coeff._terms.items()
     )
     return _settle(accumulate({}, images, negate=False))
+
+
+def fraction_values(coeff: CoeffLike) -> list:
+    """The non-int values of a coefficient that is not an int: a Fraction
+    is its own one value, and a `Coeff` gives its Fraction values."""
+    if type(coeff) is Coeff:
+        return [value for value in coeff._terms.values() if type(value) is not int]
+    return [coeff]
 
 
 def symbolic_params(beta: Optional[RationalLike], alpha: Optional[RationalLike]) -> tuple:

@@ -10,7 +10,7 @@ itself, and symbolic runs against numeric ones by specialising b and a.
 
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, count
 from math import lcm
 
 import pytest
@@ -37,6 +37,8 @@ from subdivalg.rewrite import (
     random_xpoly,
     reduce_pathless,
     relation_monomials,
+    strategy_suite,
+    verify_t_unique,
 )
 from subdivalg.ring import ALPHA, BETA, integral_point, resolve_param, spread_params
 
@@ -273,6 +275,50 @@ def test_buchberger_check_on_the_twin_reports_as_the_fraction_route(
             report = buchberger_check(broken)
             assert report == fraction_buchberger(broken)
         assert report.ok == (alpha == 0)
+
+
+def every_other_doubled(d_image_of):
+    """A d-image function that doubles the image on every second call."""
+    calls = count()
+    return lambda p: d_image_of(p).scale(2) if next(calls) % 2 else d_image_of(p)
+
+
+@pytest.mark.parametrize("beta, alpha", POINTS)
+def test_t_unique_compares_images_at_the_integral_point(beta, alpha, monkeypatch):
+    """verify_t_unique plays every strategy at the integral point, where
+    each step sees ints, and its report, failure lines included, is the
+    one built from games at (b, a).  A d_image that doubles every second
+    image, patched by its rewrite-module name, fails every trial on both
+    routes, so the images of each failure line are divided back."""
+    n, trials, n_strategies, seed = 4, 6, 3, 7
+    for broken in (False, True):
+        seen = []
+        with monkeypatch.context() as patch:
+            watched(patch, rewrite, "pathless_step", seen)
+            if broken:
+                patch.setattr(rewrite, "d_image", every_other_doubled(d_image))
+            report = verify_t_unique(n, trials, n_strategies, seed, 4, 4, beta, alpha)
+        assert seen
+        if (beta, alpha) not in ONE_SYMBOL:
+            assert all(integral(terms.values()) for _, terms, _ in seen)
+        image_of = every_other_doubled(d_image) if broken else d_image
+        failures = []
+        for trial in range(trials):
+            trial_seed = derive_seed(seed, trial)
+            p = random_xpoly(n, 4, 4, random.Random(trial_seed)).substitute(beta, alpha)
+            images = [
+                image_of(fraction_game(p, strategy, beta, alpha)[0])
+                for strategy in strategy_suite(n_strategies, seed, trial)
+            ]
+            failures += [
+                f"trial {trial} seed {trial_seed} input {p}; "
+                f"strategy 0 image {images[0]}; strategy {idx} image {images[idx]}"
+                for idx in range(1, n_strategies)
+                if images[idx] != images[0]
+            ]
+        assert report.failures == failures
+        assert report.counts == {"inputs": trials}
+        assert len(failures) == (trials if broken else 0)
 
 
 # The specialisations sigma of the law below: numbers for both of b and a,

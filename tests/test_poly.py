@@ -25,12 +25,14 @@ from subdivalg.poly import (
     mono_from_pairs,
     mono_mul,
     mono_one,
+    mono_text,
     num_vars,
     pair_list,
     parse_monomial,
     parse_poly,
     parse_tpoly,
     ring_map,
+    variable_names,
     weight_pathless,
 )
 from subdivalg.rewrite import random_xpoly
@@ -365,6 +367,27 @@ def test_format_canonical_order():
     assert str(parse_poly(text, 3)) == text
     assert format_monomial(mono_one(3)) == "1"
     assert format_monomial(mono(3, (1, 2), (1, 2), (2, 3))) == "x[1,2]^2*x[2,3]"
+
+
+def test_mono_text_writes_each_power_from_its_slot_table():
+    """Laurent, two-digit and t keys; the expected strings were printed by
+    the formatter that wrote each power from the slot names."""
+    cases = [
+        (variable_names("q", 3), (1, -1, 12), "q[1]*q[2]^-1*q[3]^12"),
+        (variable_names("q", 4), (-2, 0, -10, 1), "q[1]^-2*q[3]^-10*q[4]"),
+        (
+            variable_names("x", 11),
+            mono_from_pairs(11, {(1, 10): 10, (10, 11): 1, (2, 3): 12}),
+            "x[1,10]^10*x[2,3]^12*x[10,11]",
+        ),
+        (variable_names("t", 4), (0, 3, 1, 0), "t[2]^3*t[3]"),
+        (variable_names("t", 4), (0, 0, 0, 0), ""),
+    ]
+    for tables, key, expected in cases:
+        assert mono_text(tables, key) == expected
+        # a table filled by the first call writes the same text again
+        assert mono_text(tables, key) == expected
+    assert format_monomial(mono_from_pairs(11, {(9, 11): 1, (1, 2): 100})) == "x[1,2]^100*x[9,11]"
 
 
 def test_degenerate_n1():

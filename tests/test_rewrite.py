@@ -4,6 +4,7 @@ the rewriting engine against a full-rescan reference loop."""
 import gc
 import itertools
 import random
+import re
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
@@ -29,7 +30,9 @@ from subdivalg.groebner import (
     normal_form,
     reduce_step,
 )
+from subdivalg import poly
 from subdivalg.poly import (
+    PolyParseError,
     XPoly,
     all_monomials,
     ambient_size,
@@ -42,6 +45,7 @@ from subdivalg.poly import (
     mono_one,
     pair_list,
     pair_position,
+    parse_monomial,
     parse_poly,
     parse_tpoly,
     weight_pathless,
@@ -320,6 +324,96 @@ def test_trace_round_trip():
     replayed, _ = reduce_pathless(p, script, beta=1, alpha=0)
     result, _ = reduce_pathless(p, FirstByOrder(), beta=1, alpha=0)
     assert replayed == result
+
+
+def test_trace_text_reads_back_as_its_moves(monkeypatch):
+    """parse_script(format_trace(trace)) gives back the moves of random games
+    under first, last and random at n = 4, 7, 10 and 11, on inputs with one
+    factor of a path raised to up to 12, so that two-digit indices and
+    exponents >= 10 are read; every line is read by lookup, never by the
+    parser."""
+    monkeypatch.setattr(poly, "parse_monomial", None)
+    rng = random.Random(29)
+    texts = []
+    for trial in range(40):
+        n = (4, 7, 10, 11)[trial % 4]
+        i, j, k = sorted(rng.sample(range(1, n + 1), 3))
+        exps = {(i, j): rng.randint(1, 12), (j, k): rng.randint(1, 2)}
+        for _ in range(rng.randint(0, 2)):
+            u, v = sorted(rng.sample(range(1, n + 1), 2))
+            exps[(u, v)] = exps.get((u, v), 0) + 1
+        p = XPoly(n, {mono_from_pairs(n, exps): 1, mono(n, (i, k), (j, k)): -2})
+        for strategy in (FirstByOrder(), LastByOrder(), RandomStrategy(derive_seed(29, trial))):
+            _, trace = reduce_pathless(p, strategy, beta=2, alpha=-1)
+            text = format_trace(trace)
+            assert parse_script(text, n).steps == tuple((s.monomial, s.triple) for s in trace)
+            texts.append(text)
+    joined = "\n".join(texts)
+    assert re.search(r"x\[\d+,1[01]\]", joined) and re.search(r"\^1[0-2]\b", joined)
+
+
+# A trace line's monomial text at n=11 that the lookup does not read, and
+# what parse_script and a replay on x[1,2]^2*x[2,3] + x[1,10]*x[10,11] give
+# for it: the parser's error, or the pairs read and the replay's error.
+# Every message was printed by the parser-only reader.
+FALLBACK_LINES = [
+    ("x[2,1]", None, "x[2,1] violates i < j (at position 0)"),
+    ("x[1,12]", None, "x[1,12] is out of range for n=11 (at position 0)"),
+    ("x[1,2]^0", {}, "script step 1 does not apply: monomial 1 is absent"),
+    ("x[1,2]^02", {(1, 2): 2}, "script step 1 does not apply: monomial x[1,2]^2 is absent"),
+    ("x[1,2]^1*x[2,3]", {(1, 2): 1, (2, 3): 1},
+     "script step 1 does not apply: monomial x[1,2]*x[2,3] is absent"),
+    ("x[1,2]^", None, "expected an unsigned integer (at position 7)"),
+    ("x[1,2]^\u00b2", None, "expected an unsigned integer (at position 7)"),
+    ("x[\u0661,\u0662]", None, "expected an unsigned integer (at position 2)"),
+    ("x[1,2] * x[2,3]", {(1, 2): 1, (2, 3): 1},
+     "script step 1 does not apply: monomial x[1,2]*x[2,3] is absent"),
+    ("x[1, 2]", {(1, 2): 1}, "script step 1 does not apply: monomial x[1,2] is absent"),
+    ("x[1,2]**x[2,3]", None, "expected a factor (at position 7)"),
+    ("2*x[1,2]", None, "expected coefficient one (at position 0)"),
+    ("b*x[1,2]", None, "expected coefficient one (at position 0)"),
+    ("1", {}, "script step 1 does not apply: monomial 1 is absent"),
+    ("", None, "expected a factor (at position 0)"),
+]
+
+
+@pytest.mark.parametrize("text, read, message", FALLBACK_LINES)
+def test_unwritten_trace_text_goes_to_the_parser(monkeypatch, text, read, message):
+    parsed = []
+    monkeypatch.setattr(poly, "parse_monomial", lambda t, n: parsed.append(t) or parse_monomial(t, n))
+    line = f"m={text} t=(1,2,3)"
+    if read is None:
+        with pytest.raises(PolyParseError) as caught:
+            parse_script(line, 11)
+        assert str(caught.value) == message
+        assert caught.value.position == int(message.rsplit(" ", 1)[1][:-1])
+    else:
+        script = parse_script(line, 11)
+        assert script.steps == ((mono_from_pairs(11, read), (1, 2, 3)),)
+        p = parse_poly("x[1,2]^2*x[2,3] + x[1,10]*x[10,11]", 11)
+        with pytest.raises(RewriteError, match=f"^{re.escape(message)}$"):
+            reduce_pathless(p, script)
+    assert parsed == [text]
+
+
+def test_written_trace_text_is_read_by_lookup(monkeypatch):
+    """A repeated factor reads as its square, and an exponent with more
+    digits than int() reads gets the parser's answer."""
+    monkeypatch.setattr(poly, "parse_monomial", None)
+    steps = parse_script("m=x[1,2]*x[1,2] t=(1,2,3)\nm=x[1,10]^12*x[10,11] t=(1,10,11)", 11).steps
+    assert steps == (
+        (mono_from_pairs(11, {(1, 2): 2}), (1, 2, 3)),
+        (mono_from_pairs(11, {(1, 10): 12, (10, 11): 1}), (1, 10, 11)),
+    )
+    monkeypatch.undo()
+    text = "x[1,2]^" + "9" * 5000
+    try:
+        expected = parse_monomial(text, 11)
+    except PolyParseError as exc:
+        with pytest.raises(PolyParseError, match=re.escape(str(exc))):
+            parse_script(f"m={text} t=(1,2,3)", 11)
+    else:
+        assert parse_script(f"m={text} t=(1,2,3)", 11).steps == ((expected, (1, 2, 3)),)
 
 
 def test_random_strategy_is_deterministic():
