@@ -44,12 +44,13 @@ one polynomial.  The formatter emits one grammar term per
 (rational, b-power, a-power, monomial) combination, monomials in
 descending term order, so parse(format(p)) == p.
 
-Each key slot has a power table, `variable_names(letter, n)`: exponent ->
-the text of that power, "x[1,2]" at 1 and "x[1,2]^e" (Laurent keys too,
-"q[2]^-1") filled at first use.  `mono_text` joins the table entries of
-a key's present slots.  `read_monomial`, the reader of trace lines,
-inverts the tables: it looks each factor of x[i,j] or x[i,j]^e, e >= 2 in
-ASCII digits, up by its name, and hands any other text to the parser.
+Each key slot has a power table from `ring`, `variable_names(letter, n)`:
+exponent -> the text of that power, "x[1,2]" at 1 and "x[1,2]^e" (Laurent
+keys too, "q[2]^-1") filled at first use.  `ring.mono_text` joins the
+table entries of a key's present slots.  `read_monomial`, the reader of
+trace lines, inverts the tables: it looks each factor of x[i,j] or
+x[i,j]^e, e >= 2 in ASCII digits, up by its name, and hands any other
+text to the parser.
 """
 
 from __future__ import annotations
@@ -58,15 +59,17 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, compress
 from math import gcd, lcm
-from operator import add, getitem, mul, sub
+from operator import add, mul, sub
 from typing import Iterator, Optional
 
 from .ring import (
     Coeff,
     CoeffLike,
     RationalLike,
+    _Powers,
     accumulate,
     fraction_values,
+    mono_text,
     render_terms,
     substitute_coeff,
 )
@@ -197,18 +200,6 @@ def all_monomials(n: int, degree: int) -> Iterator[Monomial]:
         yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, end)))
 
 
-class _Powers(dict):
-    """One key slot's power table: exponent -> the text of that power.  It
-    holds 1 -> the slot's name and writes any other exponent e, negative
-    ones too, as name^e at first use."""
-
-    __slots__ = ()
-
-    def __missing__(self, e: int) -> str:
-        text = self[e] = f"{self[1]}^{e}"
-        return text
-
-
 @lru_cache(maxsize=None)
 def variable_names(letter: str, n: int) -> tuple:
     """The power table of each key slot, named x[i,j] in row-major order,
@@ -218,12 +209,6 @@ def variable_names(letter: str, n: int) -> tuple:
     else:
         names = [f"{letter}[{i}]" for i in range(1, n + 1)]
     return tuple(_Powers({1: name}) for name in names)
-
-
-def mono_text(tables: tuple, key: tuple) -> str:
-    """Text of the key over the slots' power tables, "" for the empty
-    monomial."""
-    return "*".join(map(getitem, compress(tables, key), filter(None, key)))
 
 
 def format_monomial(m: Monomial) -> str:

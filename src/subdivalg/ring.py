@@ -30,9 +30,14 @@ that merge nothing: by a number it scales the values, and by a one-term
 field, so no product of nonzero values vanishes).
 
 `spread_params` turns a polynomial's term dict into one whose values are
-all numbers, with the degree of each symbolic parameter as one more key
-slot, so that its products multiply numbers and add keys; `fold_params`
-turns such a dict back.  The series sweeps compute on these dicts.
+all numbers, each key led by the degree of each symbolic parameter, b
+before a (with both symbolic, by the `Coeff` key itself), so that its
+products multiply numbers and add keys; `fold_params` strips that lead
+back into the values.  The series sweeps compute on these dicts.
+
+Each key slot has a power table, `_Powers`, and `mono_text` joins the
+entries of a key's present slots: `render_terms` writes a `Coeff` key
+over the two tables named b and a, `poly` a monomial over its slots'.
 
 `integral_point` gives the point (L*b, L^2*a) with integral coordinates
 at which the series sweeps check a rational point (b, a).
@@ -41,7 +46,9 @@ at which the series sweeps check a rational point (b, a).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import lcm
+from operator import getitem
 from typing import Iterable, Optional, Union
 
 RationalLike = Union[int, Fraction]
@@ -185,17 +192,27 @@ BETA = Coeff.param_term(1, 0)
 ALPHA = Coeff.param_term(0, 1)
 
 
-# (deg_b, deg_a) -> its text, "b^2*a", "" for (0, 0); filled as met
+class _Powers(dict):
+    """One key slot's power table: exponent -> the text of that power.  It
+    holds 1 -> the slot's name and writes any other exponent e, negative
+    ones too, as name^e at first use."""
+
+    __slots__ = ()
+
+    def __missing__(self, e: int) -> str:
+        text = self[e] = f"{self[1]}^{e}"
+        return text
+
+
+def mono_text(tables: tuple, key: tuple) -> str:
+    """Text of the key over the slots' power tables, "" for the empty
+    monomial."""
+    return "*".join(map(getitem, compress(tables, key), filter(None, key)))
+
+
+# b's and a's power tables; (deg_b, deg_a) -> its text, "b^2*a", filled as met
+_PARAM_POWERS = (_Powers({1: "b"}), _Powers({1: "a"}))
 _PARAM_TEXT: dict = {}
-
-
-def _param_text(deg_b: int, deg_a: int) -> str:
-    factors = []
-    if deg_b:
-        factors.append("b" if deg_b == 1 else f"b^{deg_b}")
-    if deg_a:
-        factors.append("a" if deg_a == 1 else f"a^{deg_a}")
-    return "*".join(factors)
 
 
 def render_terms(pairs: Iterable) -> str:
@@ -227,7 +244,7 @@ def render_terms(pairs: Iterable) -> str:
         for key, value in items:
             params = param_text.get(key)
             if params is None:
-                params = param_text[key] = _param_text(*key)
+                params = param_text[key] = mono_text(_PARAM_POWERS, key)
             num = value.numerator
             sign = "+ "
             if num < 0:
@@ -283,34 +300,32 @@ def symbolic_params(beta: Optional[RationalLike], alpha: Optional[RationalLike])
     return tuple(pos for pos, value in enumerate((beta, alpha)) if value is None)
 
 
-def spread_params(terms: dict, params: tuple, at: int) -> dict:
+def spread_params(terms: dict, params: tuple) -> dict:
     """The terms of a polynomial with each coefficient spread over its
-    parameter degrees: every key gets the degree of each parameter of
-    params inserted at position at, and every value is a number.  With no
-    params, terms itself."""
+    parameter degrees: every key is led by the degree of each parameter of
+    params, b before a, and every value is a number.  With no params,
+    terms itself."""
     if not params:
         return terms
+    lead = slice(params[0], params[-1] + 1)  # (0, 1): the Coeff key itself
     out = {}
     for key, coeff in terms.items():
-        head, tail = key[:at], key[at:]
         items = coeff._terms.items() if type(coeff) is Coeff else ((_CONST, coeff),)
         for degrees, value in items:
-            out[head + tuple([degrees[pos] for pos in params]) + tail] = value
+            out[degrees[lead] + key] = value
     return out
 
 
-def fold_params(terms: dict, params: tuple, at: int) -> dict:
-    """The inverse of spread_params: the degree slots at position at go
-    back into the values, a Coeff where b or a is left."""
+def fold_params(terms: dict, params: tuple) -> dict:
+    """The inverse of spread_params: the leading degree slots go back into
+    the values, a Coeff where b or a is left."""
     if not params:
         return terms
-    end = at + len(params)
+    width = len(params)
+    before, after = (0,) * params[0], (0,) * (1 - params[-1])
     grouped: dict = {}
     for key, value in terms.items():
-        degrees = [0, 0]
-        for pos, e in zip(params, key[at:end]):
-            degrees[pos] = e
-        grouped.setdefault(key[:at] + key[end:], {})[tuple(degrees)] = value
+        grouped.setdefault(key[width:], {})[before + key[:width] + after] = value
     return {key: _settle(values) for key, values in grouped.items()}
 
 

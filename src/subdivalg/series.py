@@ -52,18 +52,19 @@ Three coordinate systems appear here:
   walk, and one b.a side per monomial on the current path.
 
 Flat keys.  When b or a is symbolic, `ed_ba_sweep` and `a_image_rat` run
-on flat keys: a key gets one more exponent slot per parameter left
-symbolic (b before a), after its n q or t slots and, in a `TWSeries` key,
-before the w slot, and every value is a Python number.  A product then
+on flat keys: a key is led by one exponent slot per parameter left
+symbolic (b before a; with both symbolic, the `Coeff` key itself), before
+its q or t slots, and every value is a Python number.  A product then
 multiplies numbers and adds keys, in the same `_products` and
 `accumulate` as every other slot.  `flat` spreads the `Coeff` values of
 each factor, image or input over the slots once, on entry, and
 `ring.fold_params` folds a flat numerator back into `Coeff` values; no
-flat value leaves this module.  The slots are never negative, so neg_mass,
-the sign masks and the w mass, and with them every cut, read flat keys
-as they read the others.  A numeric run has no parameter slot and keeps
-the keys it always had: two zero slots would only make every key longer,
-which cost 16% on the integer a-kills-j sweeps.
+flat value leaves this module.  The slots are never negative, and w stays
+the last slot of a `TWSeries` key, so neg_mass, the sign masks and the w
+mass, and with them every cut, read flat keys as they read the others.  A
+numeric run has no parameter slot and keeps the keys it always had: two
+zero slots would only make every key longer, which cost 16% on the
+integer a-kills-j sweeps.
 
 Rational points.  Give x, q and t weight 1, b weight 1, a weight 2 and w
 weight -1.  The relation x[i,j]*x[j,k] - x[i,k]*(x[i,j] + x[j,k] + b) - a
@@ -143,9 +144,8 @@ def sign_masks(keys: Iterable) -> tuple:
 
 
 def flat(s: SparsePoly, params: tuple) -> SparsePoly:
-    """s of the same class on flat keys, the parameter slots after the n
-    q or t slots."""
-    return s._like(spread_params(s.terms, params, s.n)) if params else s
+    """s of the same class on flat keys, led by the parameter slots."""
+    return s._like(spread_params(s.terms, params)) if params else s
 
 
 class QPoly(SparsePoly):
@@ -264,35 +264,33 @@ def a_image_rat(
     polynomial maps to QRatFrac(0, {}).
 
     The sum runs on flat keys (see the module docstring): a parameter left
-    symbolic is one more variable of the map, whose image is its own
-    exponent slot, so every product multiplies numbers; the numerator is
-    folded back into Coeff values once, at the end."""
+    symbolic is one more variable of the map, ahead of the x variables,
+    whose image is its own exponent slot, so every product multiplies
+    numbers; the numerator is folded back into Coeff values at the end."""
     n = p.n
     params = symbolic_params(beta, alpha)
+    lead = len(params)
     minus_b, minus_a = -resolve_param(beta, BETA), -resolve_param(alpha, ALPHA)
     pairs = pair_list(n)
     width = len(pairs)
 
     def image(slot: int) -> QPoly:
-        # Slot pos < width is N of the variable at pos, slot width + pos is
-        # its binomial q[j] - q[i], and slot 2*width + s is the parameter
-        # params[s].
-        if slot >= 2 * width:
-            return flat(QPoly.constant(n, (BETA, ALPHA)[params[slot - 2 * width]]), params)
-        if slot >= width:
-            return flat(q_binomial(*pairs[slot - width], n), params)
-        i, j = pairs[slot]
+        # The slots: params, then N of each variable, then its binomial.
+        if slot < lead:
+            return flat(QPoly.constant(n, (BETA, ALPHA)[params[slot]]), params)
+        i, j = pairs[(slot - lead) % width]
+        if slot >= lead + width:
+            return flat(q_binomial(i, j, n), params)
         exponents = (q_exponent(n, {i: 1, j: 1}), q_exponent(n, {j: 1}), q_exponent(n, {}))
         return flat(QPoly(n, dict(zip(exponents, (-1, minus_b, minus_a)))), params)
 
     top = tuple(map(max, zip(*p.terms)))
-    # Each key followed by its missing exponents top - e, over 2*width
-    # slots, and then by its parameter degrees.
+    # Each key led by its parameter degrees and followed by top - key.
     lifted = {key + tuple(map(sub, top, key)): c for key, c in p.terms.items()}
-    lifted = spread_params(lifted, params, 2 * width)
+    lifted = spread_params(lifted, params)
     numerator = ring_map(image, flat(QPoly.one(n), params))(SparsePoly._raw(n, lifted))
     return QRatFrac(
-        QPoly._raw(n, fold_params(numerator.terms, params, n)),
+        QPoly._raw(n, fold_params(numerator.terms, params)),
         {pairs[pos]: e for pos, e in enumerate(top) if e},
     )
 
@@ -369,7 +367,7 @@ class _Truncated(SparsePoly):
     @classmethod
     def _held(cls, n: int, order: int, terms: dict):
         # internal: terms already pruned and cut at order; flat keys (see
-        # the module docstring) are wider than _width(n)
+        # the module docstring) are led by parameter slots past _width(n)
         s = cls._raw(n, terms)
         s.order = order
         return s
@@ -498,8 +496,8 @@ class TWSeries(_Truncated):
 def b_map(f: QTruncSeries) -> TWSeries:
     """Exponent vector -> t-monomial of its positive part times w^neg_mass.
 
-    On flat keys the parameter slots, never negative, are part of the
-    positive part, so they land before the w slot unchanged.  Distinct
+    On flat keys the leading parameter slots, never negative, are part of
+    the positive part, so they lead the image unchanged.  Distinct
     vectors can share an image (q[1]^-1 and q[2]^-1 both go to w), and
     accumulate merges them."""
 

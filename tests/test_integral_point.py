@@ -78,7 +78,7 @@ def inputs(beta, alpha, count: int, seed: int, n_range=(3, 6)) -> list:
 
 def numbers(values) -> list:
     """Each coefficient that is a number, and each value of each Coeff."""
-    return list(spread_params({(i,): c for i, c in enumerate(values)}, (0, 1), 0).values())
+    return list(spread_params({(i,): c for i, c in enumerate(values)}, (0, 1)).values())
 
 
 def integral(values) -> bool:
@@ -171,7 +171,7 @@ def test_rescaled_is_integral_and_unscaled_inverts_it(beta, alpha):
         assert q.terms.keys() == p.terms.keys() and integral(q.terms.values())
         top = max(map(sum, p.terms))
         # each value of q over the same value of p: K*L^(D-|m|)
-        spread_p, spread_q = (spread_params(s.terms, (0, 1), 0) for s in (p, q))
+        spread_p, spread_q = (spread_params(s.terms, (0, 1)) for s in (p, q))
         assert spread_q.keys() == spread_p.keys()
         [clear] = {
             Fraction(spread_q[key]) / spread_p[key] / scale ** (top - sum(key[2:]))

@@ -711,3 +711,100 @@ def test_constant_held_as_number_or_coeff_is_one_value():
     # the parser stores an integral product of its rationals as an int
     parsed = parse_poly("4/2*x[1,2] + 3/2*2/3*x[1,3] + 6/4*x[2,3]", 3)
     assert sorted(type(c).__name__ for c in parsed.terms.values()) == ["Fraction", "int", "int"]
+
+
+# Flat keys: `spread_params` leads each key with the degree of each
+# symbolic parameter, b before a, and `fold_params` strips that lead back
+# into the values.
+
+FLAT_PARAMS = [(0,), (1,), (0, 1)]
+flat_values = st.one_of(st.integers(-9, 9), rationals).filter(bool)
+
+
+@st.composite
+def flat_cases(draw):
+    """(params, n, p, q): two term dicts over Laurent keys of width n whose
+    Coeffs hold only the parameters of params."""
+    params = draw(st.sampled_from(FLAT_PARAMS))
+    degrees = st.integers(0, 3)
+    param_keys = st.tuples(*(degrees if pos in params else st.just(0) for pos in (0, 1)))
+    values = st.dictionaries(param_keys, flat_values, max_size=3).map(value_of)
+    n = draw(st.integers(1, 3))
+    keys = st.tuples(*[st.integers(-2, 2)] * n)
+    polys = st.dictionaries(keys, values.filter(lambda v: v != 0), max_size=4)
+    return params, n, draw(polys), draw(polys)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(flat_cases())
+def test_flat_keys_lead_with_the_parameter_degrees(case):
+    from subdivalg.ring import fold_params, spread_params
+    from subdivalg.series import QPoly
+
+    params, n, p, q = case
+    for terms in (p, q):
+        spread = spread_params(terms, params)
+        assert fold_params(spread, params) == terms
+        expected = {
+            tuple(degrees[pos] for pos in params) + key: value
+            for key, coeff in terms.items()
+            for degrees, value in reference(coeff).items()
+        }
+        assert spread == expected
+        assert all(type(value) is not Coeff for value in spread.values())
+    left, right = QPoly(n, p), QPoly(n, q)
+    flat_product = QPoly._raw(n, spread_params(left.terms, params)) * QPoly._raw(
+        n, spread_params(right.terms, params)
+    )
+    assert fold_params(flat_product.terms, params) == (left * right).terms
+
+
+def test_flat_keys_without_parameters_are_the_terms_themselves():
+    from subdivalg.ring import fold_params, spread_params
+
+    terms = {(1, 0): 2, (0, 1): Fraction(1, 3)}
+    assert spread_params(terms, ()) is terms and fold_params(terms, ()) is terms
+    # both parameters symbolic: the lead is the Coeff's own key
+    spread = spread_params({(1, 0): Coeff({(2, 1): 3, (0, 0): -1})}, (0, 1))
+    assert spread == {(2, 1, 1, 0): 3, (0, 0, 1, 0): -1}
+
+
+def reference_param_text(deg_b: int, deg_a: int) -> str:
+    """The text b^i*a^j was written as before the power tables wrote it."""
+    factors = []
+    if deg_b:
+        factors.append("b" if deg_b == 1 else f"b^{deg_b}")
+    if deg_a:
+        factors.append("a" if deg_a == 1 else f"a^{deg_a}")
+    return "*".join(factors)
+
+
+def test_parameter_text_is_written_from_the_power_tables():
+    """Every b^i*a^j, i and j up to 12, with sign, Fraction value and
+    monomial, reads as before the power tables wrote it; the literals were
+    printed by that writer.  Each is written twice, so a filled table
+    writes the same again."""
+    from subdivalg.ring import _PARAM_POWERS, mono_text, render_terms
+
+    literals = [
+        (Coeff({(12, 12): 1}), "", "b^12*a^12"),
+        (Coeff({(1, 0): -1}), "x[1,2]", "-b*x[1,2]"),
+        (Coeff({(0, 10): Fraction(-3, 7)}), "x[1,2]^2", "-3/7*a^10*x[1,2]^2"),
+        (Coeff({(2, 1): 5, (0, 12): -1, (0, 0): Fraction(1, 2)}), "", "5*b^2*a - a^12 + 1/2"),
+        (Coeff({(11, 0): Fraction(2, 3), (0, 1): -1}), "t[1]", "2/3*b^11*t[1] - a*t[1]"),
+    ]
+    for _ in range(2):
+        for coeff, mono, text in literals:
+            assert render_terms([(coeff, mono)]) == text
+        for i in range(13):
+            for j in range(13):
+                assert mono_text(_PARAM_POWERS, (i, j)) == reference_param_text(i, j)
+                if not i and not j:
+                    continue
+                params = reference_param_text(i, j)
+                for value, head in ((1, ""), (-1, "-"), (Fraction(-3, 7), "-3/7*"), (4, "4*")):
+                    coeff = Coeff({(i, j): value})
+                    assert str(coeff) == render_terms([(coeff, "")]) == head + params
+                    assert render_terms([(coeff, "x[1,2]^3")]) == f"{head}{params}*x[1,2]^3"
+    assert mono_text(_PARAM_POWERS, (2, 1)) == "b^2*a"
+    assert mono_text(_PARAM_POWERS, (0, 0)) == ""

@@ -244,3 +244,16 @@ def test_no_bare_assert():
         if isinstance(node, ast.Assert)
     ]
     assert asserts == []
+
+
+def test_only_ring_reads_the_coeff_layout():
+    """A `Coeff` keeps its {(deg_b, deg_a): value} dict in `_terms`, and only
+    `ring` reads it, so its layout is one module's business."""
+    readers = [
+        f"{module}.py:{node.lineno}"
+        for module, tree in MODULES.items()
+        if module != "ring"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "_terms"
+    ]
+    assert readers == []
