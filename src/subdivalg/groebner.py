@@ -86,7 +86,7 @@ def ideal_generator(
         raise ValueError(f"need 1 <= i < j < k <= n, got ({i},{j},{k}) with n={n}")
     path, fork, ik_jk, ik, one = relation_monomials(n)[(i, j, k)]
     b, a = resolve_param(beta, BETA), resolve_param(alpha, ALPHA)
-    terms = accumulate({path: 1, fork: -1, ik_jk: -1}, ((ik, b), (one, a)), negate=True)
+    terms = accumulate({path: 1, fork: -1, ik_jk: -1}, ((ik, -b), (one, -a)))
     return XPoly._raw(n, terms)
 
 
@@ -117,7 +117,7 @@ class GroebnerBasis:
     def element(self, triple: Triple) -> XPoly:
         """x[i,k]*x[i,j] - x[i,j]*x[j,k] + x[i,k]*x[j,k] + b*x[i,k] + a."""
         path, fork, ik_jk, ik, one = relation_monomials(self.n)[triple]
-        terms = accumulate({fork: 1, path: -1, ik_jk: 1}, zip((ik, one), self.params), negate=False)
+        terms = accumulate({fork: 1, path: -1, ik_jk: 1}, zip((ik, one), self.params))
         return XPoly._raw(self.n, terms)
 
 

@@ -237,7 +237,7 @@ class SparsePoly:
             if len(key) != width:
                 raise ValueError(f"exponent tuple {key} does not match n={n}")
         self.n = n
-        self.terms = accumulate({}, terms.items(), negate=False)
+        self.terms = accumulate({}, terms.items())
 
     @staticmethod
     def _width(n: int) -> int:
@@ -285,19 +285,19 @@ class SparsePoly:
         if type(other) is not type(self):
             return NotImplemented
         self._check_ambient(other)
-        return self._like(accumulate(dict(self.terms), other.terms.items(), negate=False))
+        return self._like(accumulate(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
         if type(other) is not type(self):
             return NotImplemented
         self._check_ambient(other)
-        return self._like(accumulate(dict(self.terms), other.terms.items(), negate=True))
+        return self._like(accumulate(dict(self.terms), ((m, -c) for m, c in other.terms.items())))
 
     def __mul__(self, other):
         if type(other) is not type(self):
             return NotImplemented
         self._check_ambient(other)
-        return self._like(accumulate({}, self._products(other), negate=False))
+        return self._like(accumulate({}, self._products(other)))
 
     def _products(self, other):
         """(m1 + m2, c1 * c2) for every pair of terms, before merging."""
@@ -310,12 +310,12 @@ class SparsePoly:
         if coeff == 1:
             return self
         products = ((m, coeff * c) for m, c in self.terms.items())
-        return self._like(accumulate({}, products, negate=False))
+        return self._like(accumulate({}, products))
 
     def mul_term(self, mono: tuple, coeff: CoeffLike):
         """Multiply by a single term coeff * mono."""
         products = ((mono_mul(m, mono), coeff * c) for m, c in self.terms.items())
-        return self._like(accumulate({}, products, negate=False))
+        return self._like(accumulate({}, products))
 
     def substitute(
         self,
@@ -416,7 +416,7 @@ def ring_map(image, one):
             terms = (monomial(key) if known is None else known).terms.items()
             if coeff != 1:
                 terms = ((m, coeff * c) for m, c in terms)
-            accumulate(out, terms, negate=False)
+            accumulate(out, terms)
         return one._like(out)
 
     return apply
@@ -489,7 +489,7 @@ def d_image(p: XPoly) -> TPoly:
                 texp[rows[pos]] += mono[pos]
             yield tuple(texp), coeff
 
-    return TPoly._raw(n, accumulate({}, images(), negate=False))
+    return TPoly._raw(n, accumulate({}, images()))
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +615,7 @@ def _parse_terms(text: str, n: int, family: str) -> dict:
             else:
                 raise PolyParseError("expected '+', '-', or end of input", sc.pos)
 
-    return accumulate({}, signed_terms(), negate=False)
+    return accumulate({}, signed_terms())
 
 
 def parse_poly(text: str, n: int) -> XPoly:

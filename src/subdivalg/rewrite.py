@@ -141,9 +141,9 @@ Strategy = Union[FirstByOrder, LastByOrder, RandomStrategy, ScriptStrategy]
 
 
 class TraceStep:
-    """One move of a game, the monomial and the triple, and `after`, the
-    polynomial the move leaves.  A step keeps its game's `_Moves` record
-    and its own index, and reads `after` from the record's replay."""
+    """One move of a game: its monomial and triple, and `after`, the
+    polynomial it leaves.  The first read of any step's `after` replays the
+    game from its `_Moves` record and keeps every state; `repr` reads none."""
 
     __slots__ = ("monomial", "triple", "_record", "_index")
 
@@ -155,7 +155,7 @@ class TraceStep:
         return self._record.states()[self._index]
 
     def __repr__(self) -> str:
-        return f"TraceStep({self.monomial!r}, {self.triple!r}, {self.after!r})"
+        return f"TraceStep({self.monomial!r}, {self.triple!r})"
 
 
 class _Moves:
@@ -247,7 +247,7 @@ def kernel_step(terms: dict, mono: Monomial, kernel: tuple, coeffs) -> Optional[
             out[slot] += change
         written.append(tuple(out))
     values = [coeff if c is None else coeff * c for c in coeffs]
-    accumulate(terms, zip(written, values), negate=False)
+    accumulate(terms, zip(written, values))
     return written
 
 
@@ -442,7 +442,7 @@ def random_terms(
                     exps[rng.randrange(slots)] += 1
             yield tuple(exps), rng.choice(COEFF_CHOICES)
 
-    return accumulate({}, draws(), negate=False)
+    return accumulate({}, draws())
 
 
 def random_xpoly(n: int, max_deg: int, max_terms: int, rng: random.Random) -> XPoly:

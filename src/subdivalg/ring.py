@@ -57,10 +57,10 @@ RationalLike = Union[int, Fraction]
 _CONST = (0, 0)
 
 
-def accumulate(out: dict, pairs: Iterable, *, negate: bool) -> dict:
-    """Add each (key, coeff) of pairs into out, or subtract it when negate,
-    dropping every key whose coefficient becomes zero and storing an
-    integral `Fraction` as its `int`; returns out."""
+def accumulate(out: dict, pairs: Iterable) -> dict:
+    """Add each (key, coeff) of pairs into out, dropping every key whose
+    coefficient becomes zero and storing an integral `Fraction` as its
+    `int`; returns out.  A caller subtracts by passing negated pairs."""
     get = out.get
     for key, coeff in pairs:
         old = get(key)
@@ -68,9 +68,9 @@ def accumulate(out: dict, pairs: Iterable, *, negate: bool) -> dict:
             if coeff:
                 if type(coeff) is Fraction and coeff.denominator == 1:
                     coeff = coeff.numerator
-                out[key] = -coeff if negate else coeff
+                out[key] = coeff
         else:
-            coeff = old - coeff if negate else old + coeff
+            coeff = old + coeff
             if coeff:
                 if type(coeff) is Fraction and coeff.denominator == 1:
                     coeff = coeff.numerator
@@ -88,7 +88,7 @@ class Coeff:
     def __init__(self, terms: Optional[dict] = None):
         items = terms.items() if terms else ()
         values = ((k, v if type(v) in (int, Fraction) else Fraction(v)) for k, v in items)
-        self._terms = accumulate({}, values, negate=False)
+        self._terms = accumulate({}, values)
         if self._terms.keys() <= {_CONST}:
             raise ValueError("a Coeff holds b or a; write a constant as its number")
 
@@ -113,18 +113,16 @@ class Coeff:
 
     def __add__(self, other) -> CoeffLike:
         if type(other) is Coeff:
-            return _settle(accumulate(dict(self._terms), other._terms.items(), negate=False))
+            return _settle(accumulate(dict(self._terms), other._terms.items()))
         if isinstance(other, (int, Fraction)):
-            return Coeff._raw(accumulate(dict(self._terms), ((_CONST, other),), negate=False))
+            return Coeff._raw(accumulate(dict(self._terms), ((_CONST, other),)))
         return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other) -> CoeffLike:
-        if type(other) is Coeff:
-            return _settle(accumulate(dict(self._terms), other._terms.items(), negate=True))
-        if isinstance(other, (int, Fraction)):
-            return Coeff._raw(accumulate(dict(self._terms), ((_CONST, other),), negate=True))
+        if type(other) is Coeff or isinstance(other, (int, Fraction)):
+            return self + -other
         return NotImplemented
 
     def __rsub__(self, other) -> "Coeff":
@@ -165,7 +163,7 @@ class Coeff:
             for (b1, a1), v1 in left.items()
             for (b2, a2), v2 in right.items()
         )
-        return Coeff._raw(accumulate({}, products, negate=False))
+        return Coeff._raw(accumulate({}, products))
 
     __rmul__ = __mul__
 
@@ -283,7 +281,7 @@ def substitute_coeff(
         ((deg_b * kept_b, deg_a * kept_a), value * b**deg_b * a**deg_a)
         for (deg_b, deg_a), value in coeff._terms.items()
     )
-    return _settle(accumulate({}, images, negate=False))
+    return _settle(accumulate({}, images))
 
 
 def fraction_values(coeff: CoeffLike) -> list:

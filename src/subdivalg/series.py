@@ -439,12 +439,12 @@ def factor_series(
 
     def summands():
         for k in range(order + 1):
-            yield q_exponent(n, {i: k + 1, j: -k}), 1
-            yield q_exponent(n, {i: k, j: -k}), beta_c
+            yield q_exponent(n, {i: k + 1, j: -k}), -1
+            yield q_exponent(n, {i: k, j: -k}), -beta_c
             if k + 1 <= order:
-                yield q_exponent(n, {i: k, j: -(k + 1)}), alpha_c
+                yield q_exponent(n, {i: k, j: -(k + 1)}), -alpha_c
 
-    return QTruncSeries(n, order, accumulate({}, summands(), negate=True))
+    return QTruncSeries(n, order, accumulate({}, summands()))
 
 
 def a_s_expand(
@@ -507,7 +507,7 @@ def b_map(f: QTruncSeries) -> TWSeries:
             yield pos + (sum(pos) - sum(exps),), coeff  # sum(pos) - sum(exps) == neg_mass(exps)
 
     # f is cut at its order, so no image is past it
-    return TWSeries._held(f.n, f.order, accumulate({}, images(), negate=False))
+    return TWSeries._held(f.n, f.order, accumulate({}, images()))
 
 
 def variable_series(

@@ -1,0 +1,151 @@
+"""The command line's byte-identity check: each row of DIGESTS runs one
+`subdivalg` command in a fresh interpreter under a time limit, and passes
+when the command exits 0 and the sha256 of its stdout is the recorded one.
+
+    PYTHONPATH=src python3 [-O] tests/cli_digests.py
+
+Under -O each command runs under -O too.  Every row runs, one line each
+with its seconds; a mismatch prints the actual digest, so a new row can be
+recorded from this script's own output.  The exit code is 1 if any row
+failed, timed out or exited non-zero.  The time limits catch a slow engine
+as well as a hung one, and a digest pins every byte a change must keep.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+PATH8 = "x[1,2]*x[2,3]*x[3,4]*x[4,5]*x[5,6]*x[6,7]*x[7,8]"
+PATH9 = PATH8 + "*x[8,9]"
+GAME7 = "x[1,2]*x[2,3]*x[3,4]*x[4,5]*x[5,6]*x[6,7]"
+FORK6 = "x[1,2]^2*x[1,3]^2*x[1,4]^2*x[1,5]^2*x[1,6]^2"
+FORK6_MIXED = FORK6 + " - 3*x[1,2]*x[1,3]*x[1,4]*x[2,5]*x[2,6]*x[3,4]"
+FORK6_FRACTIONS = "5/4*" + FORK6 + " - 7/3*b*x[1,2]*x[1,3]*x[1,4]*x[2,5]*x[2,6]*x[3,4]"
+ED_BA6 = "verify --n 6 ed-ba --max-degree 4 --w-order 4".split()
+A_KILLS_J7 = "verify --n 7 a-kills-j --samples 200".split()
+
+# (name, time limit in s, sha256 of stdout, argv after "subdivalg")
+DIGESTS = [
+    # The path game at n=8; digest from the engine that rescanned every term on each step.
+    ("path8", 120, "79def15c511a31315d97082ae253b39b40669f9fffa3ca3b67e78c25462d336a",
+     "reduce --n 8 --mode pathless".split() + [PATH8]),
+    # A fork-rich normal form at n=7; digest from the engine that built a polynomial per step.
+    ("forkless7", 30, "6724efca4957f9c9189a3b34930ceaa33eb5eb3f84f08e19b479f9e965e8325f",
+     "reduce --n 7 --mode forkless".split()
+     + ["x[1,2]^2*x[1,3]^2*x[1,4]^2*x[1,5]^2*x[1,6]^2*x[1,7]^2"]),
+    # The square e.d = b.a; digest from the sweep that expanded each monomial with Fractions.
+    ("edba6", 30, "1fb913eec4bb2d5eab52cb333d04643c6e5c725f806d648742f9dd25e7d8ff9c", ED_BA6),
+    # int/Fraction normalisation; digest from the arithmetic that re-normalised every result.
+    ("edba6rat", 30, "43e62d90c321d66b90f9ac787faf91476dc9ec44a637d7fc498bd45027c4ec94",
+     "verify --n 6 ed-ba --max-degree 3 --w-order 3 --beta 1/3 --alpha 2".split()),
+    # The integral point at the largest size; the output names no parameter: the symbolic digest.
+    ("edba6rat4", 30, "1fb913eec4bb2d5eab52cb333d04643c6e5c725f806d648742f9dd25e7d8ff9c",
+     ED_BA6 + "--beta 1/3 --alpha 2/5".split()),
+    # Trace and d-image text with a Fraction; digest from the formatter that built factor lists.
+    ("game7trace", 30, "05038ced1e59779dfc428cddf92af15a1ed241fbcd05087c6f9ba71e4cf0a3da",
+     "reduce --n 7 --mode pathless --strategy random --seed 3 --trace --d-image --beta 1/3".split()
+     + ["3/2*" + GAME7]),
+    # A sign slip in the specialised basis; digest from the basis built by polynomial arithmetic.
+    ("forkless6rat", 30, "b93a16aaeabf6e2b24123fb4988784cf8f8e5eaadb0eb6ae2006b2a44635a1bb",
+     "reduce --n 6 --mode forkless --beta 2/3 --alpha 3/2".split() + [FORK6_FRACTIONS]),
+    # Plain int coefficients print as Coeffs did; digest from the engine that wrapped every one.
+    ("game7int", 30, "8aa7980b854b0eb24c2e2257a6c45ab1ab6d8e2afc5910c99b777568560cfaf1",
+     "reduce --n 7 --mode pathless --strategy last --trace --d-image --beta -3 --alpha 2".split()
+     + ["2*" + GAME7 + " - 5*x[1,3]*x[3,5]*x[5,7]"]),
+    # Each of ~3,000 draws shows; digest from the engine that walked the reducible monomials.
+    ("random8trace", 60, "a5e8a3d3340ff751e8d038a5acb8777a65a645f5ce7dbf374904dde2e95f4a57",
+     "reduce --n 8 --mode pathless --strategy random --seed 1 --trace".split() + [PATH8]),
+    # A wrong step monomial or s-polynomial; digest from s-polynomials built by arithmetic.
+    ("groebner12rat", 60, "b44ade7621b4b21086899b1435b7697bd075600d82696b81266be444544d6ea7",
+     "verify --n 12 groebner --beta 1/3 --alpha -2".split()),
+    # Zero-coefficient terms that must drop at an overlap; the rational row's digest.
+    ("groebner12zero", 30, "b44ade7621b4b21086899b1435b7697bd075600d82696b81266be444544d6ea7",
+     "verify --n 12 groebner --beta 0 --alpha 0".split()),
+    # A step at b=a=0 writes coefficient 0; digest from the engine with one kernel per reduction.
+    ("game7zero", 30, "aa0b470e4045eacee4742d66859106e5121d132198429c47aa4f08c08320e363",
+     "reduce --n 7 --mode pathless --strategy random --seed 2 --trace --d-image".split()
+     + "--beta 0 --alpha 0".split() + [GAME7 + " + 2*x[1,3]*x[3,5]*x[5,7]"]),
+    # A step at b=a=0 writes coefficient 0; digest from the engine with one kernel per reduction.
+    ("forkless6zero", 30, "293321c038272c4576b0d20b8b54383eada10e59792a1f1d9870db98fc54d01a",
+     "reduce --n 6 --mode forkless --beta 0 --alpha 0".split() + [FORK6_MIXED]),
+    # The sign of -b in the shared tail; digest from the engine that negated each stored element.
+    ("forkless6int", 30, "0e763f073475106b2b24810edff176a4087c5b4d5e82b0df281fee3767386acf",
+     "reduce --n 6 --mode forkless --beta -3 --alpha 2".split() + [FORK6_MIXED]),
+    # The e left inverse; digest from the ring map that copied the running total per term.
+    ("einverse7rat", 30, "f321bdef19830ca697371eb970b2b0e2bf17a2656b18275e6f612a025e81150c",
+     "verify --n 7 e-inverse --samples 2000 --beta 1/3 --alpha -2".split()),
+    # A killing J; digest from the fraction sum that lifted the numerator on every add.
+    ("akillsj7rat", 30, "4ffd030252a13d77a06f6922d1ee3a5b59f9a5af95ad1bd57fcf46145108ca3e",
+     A_KILLS_J7 + "--beta 1/3 --alpha -2".split()),
+    # Flat keys, a number beside a symbol; the symbolic digest, checked against Coeff pairs.
+    ("edba6b", 30, "1fb913eec4bb2d5eab52cb333d04643c6e5c725f806d648742f9dd25e7d8ff9c",
+     ED_BA6 + "--beta 2".split()),
+    # Flat keys, both parameters symbolic; the rational row's digest, checked against Coeff pairs.
+    ("akillsj7", 30, "4ffd030252a13d77a06f6922d1ee3a5b59f9a5af95ad1bd57fcf46145108ca3e",
+     A_KILLS_J7),
+    # Flat keys led by the symbol b alone; the symbolic square's digest.
+    ("edba6a", 30, "1fb913eec4bb2d5eab52cb333d04643c6e5c725f806d648742f9dd25e7d8ff9c",
+     ED_BA6 + "--alpha 2".split()),
+    # Flat keys led by the symbol a alone; the symbolic killing J's digest.
+    ("akillsj7b", 30, "4ffd030252a13d77a06f6922d1ee3a5b59f9a5af95ad1bd57fcf46145108ca3e",
+     A_KILLS_J7 + "--beta 2".split()),
+    # Flat keys led by the symbol b alone; the symbolic killing J's digest.
+    ("akillsj7a", 30, "4ffd030252a13d77a06f6922d1ee3a5b59f9a5af95ad1bd57fcf46145108ca3e",
+     A_KILLS_J7 + "--alpha 2".split()),
+    # Merges that cancel b; digest from the arithmetic that kept such a sum as a constant Coeff.
+    ("game6cancel", 30, "c3d38d92905ff5b4c0a84c3e74fa28d0c4bb7ac6e613635d4278b65cca35504e",
+     "reduce --n 6 --mode pathless --strategy random --seed 2 --trace --d-image --alpha 2".split()
+     + ["x[1,2]*x[2,3]*x[3,4]*x[4,5]*x[5,6] + x[1,3]*x[3,4]*x[4,5]*x[5,6]"
+        " - b*x[1,3]*x[3,4]*x[4,5]*x[5,6] - a*x[1,3]*x[3,5]*x[5,6]"]),
+    # A rescaling factor per degree at L=15; digest from the engine that multiplied Fractions.
+    ("game7mixed", 30, "ab95955c45de6f89c0ff726beeb0eb4763d656a20b86748d40b389618fc18e45",
+     "reduce --n 7 --mode pathless --strategy random --seed 5 --trace --d-image --beta 1/3".split()
+     + ["--alpha=-2/5", "3/2*" + GAME7 + " - 5/4*x[1,3]*x[3,5]*x[5,7]"
+        " + 2/3*x[2,4]*x[4,6] - 7/2*x[1,2]*x[2,7]"]),
+    # Fractions cleared, one inside a Coeff; digest from the engine that multiplied Fractions.
+    ("forkless6sym", 30, "27aae4974ff186d6c85d80436471d46714f9bf541c062e816c95a57625bb3915",
+     "reduce --n 6 --mode forkless".split() + [FORK6_FRACTIONS]),
+    # 14,594 steps: a trace that keeps a polynomial per step does not fit in memory.
+    ("path9", 30, "1eb1e5a2ea49676f4e7103f8cb820eaa80328c42f1c51f4dfb52d6315f05e10e",
+     "reduce --n 9 --mode pathless".split() + [PATH9]),
+]
+
+
+def check(name: str, limit: int, digest: str, argv: list) -> tuple:
+    """Run one row; returns (passed, the row's report line)."""
+    optimize = ["-O"] if sys.flags.optimize else []
+    command = [sys.executable, *optimize, "-m", "subdivalg.cli", *argv]
+    start = time.perf_counter()
+    try:
+        done = subprocess.run(
+            command, env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, timeout=limit
+        )
+    except subprocess.TimeoutExpired:
+        return False, f"FAIL {name}: no exit within {limit} s"
+    head = f"{name} {time.perf_counter() - start:.2f} s"
+    if done.returncode:
+        error = done.stderr.decode(errors="replace").strip().rpartition("\n")[2]
+        return False, f"FAIL {head}: exit code {done.returncode} {error}"
+    actual = hashlib.sha256(done.stdout).hexdigest()
+    if actual != digest:
+        return False, f"FAIL {head}: sha256 {actual}"
+    return True, f"ok   {head}"
+
+
+def main() -> int:
+    failed = 0
+    for row in DIGESTS:
+        passed, line = check(*row)
+        print(line, flush=True)
+        failed += not passed
+    print(f"{len(DIGESTS) - failed} of {len(DIGESTS)} rows passed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

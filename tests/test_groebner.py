@@ -74,8 +74,8 @@ def spol(g1: XPoly, g2: XPoly) -> XPoly:
     s1 = mono_div(lcm, h1)
     s2 = mono_div(lcm, h2)
     terms = {tuple(map(add, m, s1)): c2 * c for m, c in g1.terms.items()}
-    shifted = ((tuple(map(add, m, s2)), c1 * c) for m, c in g2.terms.items())
-    return g1._like(accumulate(terms, shifted, negate=True))
+    shifted = ((tuple(map(add, m, s2)), -c1 * c) for m, c in g2.terms.items())
+    return g1._like(accumulate(terms, shifted))
 
 
 def test_generate_basis_shape():
@@ -122,7 +122,7 @@ def test_basis_matches_arithmetic_reference(beta, alpha):
             assert (mono_one(n) in relation.terms) == (alpha != 0)
             # The tail is head - element: the relation without its head term.
             coeffs = (1 if c is None else c for c in basis.tail)
-            assert accumulate({}, zip((path, *rest), coeffs), negate=False) == {
+            assert accumulate({}, zip((path, *rest), coeffs)) == {
                 m: c for m, c in expected.terms.items() if m != fork
             }
 

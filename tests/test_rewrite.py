@@ -8,7 +8,7 @@ import re
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
-from math import comb
+from math import comb, prod
 from types import SimpleNamespace
 
 import pytest
@@ -70,7 +70,7 @@ from subdivalg.rewrite import (
     strategy_suite,
     verify_t_unique,
 )
-from subdivalg.ring import ALPHA, BETA, Coeff, resolve_param
+from subdivalg.ring import ALPHA, BETA, Coeff, resolve_param, substitute_coeff
 
 
 def mono(n: int, *pairs) -> tuple:
@@ -547,6 +547,14 @@ def test_trace_after_replays_the_live_states():
     assert steps > 1000
 
 
+def test_trace_repr_shows_the_move_without_replaying():
+    p = parse_poly("x[1,2]*x[2,3]*x[3,4]*x[4,5]*x[5,6]", 6)
+    trace = reduce_pathless(p, RandomStrategy(5))[1]
+    texts = [repr(s) for s in trace]
+    assert len(trace) > 50 and trace[0]._record._states is None
+    assert texts == [f"TraceStep({s.monomial!r}, {s.triple!r})" for s in trace]
+
+
 def test_trace_is_freed_by_reference_counting():
     p = parse_poly(GAME_START, 4)
     enabled = gc.isenabled()
@@ -745,3 +753,30 @@ def test_path_game_counts_polygon_dissections(n, strategy):
     assert sums == {(d, n - 1 - d): dissections(n + 1, d - 1) for d in range(1, n)}
     if n == 8:
         assert [sums[d, 7 - d] for d in range(7, 0, -1)] == [429, 1287, 1485, 825, 225, 27, 1]
+
+
+CATALAN = [comb(2 * k, k) // (k + 1) for k in range(6)]
+
+
+@pytest.mark.parametrize("strategy", [FirstByOrder(), LastByOrder(), RandomStrategy(1)], ids=repr)
+@pytest.mark.parametrize("n", range(3, 7))
+def test_complete_graph_volumes_are_catalan_products(n, strategy):
+    """An oracle outside the engine (Zeilberger, "Proof of a conjecture of
+    Chan, Robbins, and Yuen", ETNA 9, 1999): play K_n, the product of all
+    x[i,j], at b = a = 0 and set every x to 1.  The sum is C_1*...*C_{n-1},
+    the volume of the Chan-Robbins-Yuen polytope, and every term has degree
+    n(n-1)/2.  At x = 1, b = -1, a = 0 every relation vanishes (1 = 1 + 1 - 1),
+    so every result sums to 1 there, played at that point or symbolically.
+    Random draws cost time linear in the reducible monomials, so the random
+    game at b = -1 and the symbolic games stop at n = 5."""
+    pairs = combinations(range(1, n + 1), 2)
+    k_n = XPoly.from_monomial(mono_from_pairs(n, dict.fromkeys(pairs, 1)))
+    result, _ = reduce_pathless(k_n, strategy, 0, 0)
+    assert sum(result.terms.values()) == prod(CATALAN[1:n])
+    assert {sum(m) for m in result.terms} == {n * (n - 1) // 2}
+    if n < 6 or not isinstance(strategy, RandomStrategy):
+        result, _ = reduce_pathless(k_n, strategy, -1, 0)
+        assert sum(result.terms.values()) == 1
+    if n < 6:
+        result, _ = reduce_pathless(k_n, strategy)
+        assert sum(substitute_coeff(c, -1, 0) for c in result.terms.values()) == 1

@@ -30,7 +30,7 @@ def xpolys(draw):
         lambda slots: tuple(slots.count(pos) for pos in range(width))
     )
     terms = draw(st.lists(st.tuples(monomials, st.sampled_from(COEFF_CHOICES)), max_size=5))
-    return XPoly(n, accumulate({}, terms, negate=False))
+    return XPoly(n, accumulate({}, terms))
 
 
 game_strategies = st.one_of(

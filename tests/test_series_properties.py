@@ -50,7 +50,7 @@ def qtrunc_pairs(draw):
 
     def series():
         terms = draw(st.lists(st.tuples(keys, coeffs), max_size=6))
-        return QTruncSeries(n, order, accumulate({}, terms, negate=False))
+        return QTruncSeries(n, order, accumulate({}, terms))
 
     return series(), series()
 
@@ -64,7 +64,7 @@ def tw_pairs(draw):
 
     def series():
         terms = draw(st.lists(st.tuples(keys, coeffs), max_size=6))
-        return TWSeries(n, order, accumulate({}, terms, negate=False))
+        return TWSeries(n, order, accumulate({}, terms))
 
     return series(), series()
 
