@@ -8,10 +8,12 @@ Three coordinate systems appear here:
       a_image_rat:  x[i,j]  ->  -(q[i]*q[j] + b*q[j] + a) / (q[j] - q[i])
 
   is a ring homomorphism that kills every defining relation, checked by
-  `verify_a_kills_j`.  `a_image_rat` sums a polynomial's terms over one
-  common denominator, so each term's numerator is lifted once.  Fractions
-  are never reduced; equality goes through cross multiplication, so every
-  comparison is exact.
+  `verify_a_kills_j`.  `a_map` sums a polynomial's terms over one common
+  denominator and maps the content that every lifted term shares once; a
+  sweep builds one `a_map` and applies it to each input, so each power
+  and each monomial image is built once per sweep (`a_image_rat` is the
+  one-input form).  Fractions are never reduced; equality goes through
+  cross multiplication, so every comparison is exact.
 
 * Truncated Laurent series (`QTruncSeries`): terms are kept while their
   negative mass (sum of the negated negative exponents) is at most the
@@ -51,7 +53,7 @@ Three coordinate systems appear here:
   its inputs.  `ed_ba_sweep` holds one e.d side per d-image for the whole
   walk, and one b.a side per monomial on the current path.
 
-Flat keys.  When b or a is symbolic, `ed_ba_sweep` and `a_image_rat` run
+Flat keys.  When b or a is symbolic, `ed_ba_sweep` and `a_map` run
 on flat keys: a key is led by one exponent slot per parameter left
 symbolic (b before a; with both symbolic, the `Coeff` key itself), before
 its q or t slots, and every value is a Python number.  A product then
@@ -250,24 +252,32 @@ class QRatFrac:
         return f"QRatFrac({self!s})"
 
 
-def a_image_rat(
-    p: XPoly,
+def a_map(
+    n: int,
     beta: Optional[RationalLike] = None,
     alpha: Optional[RationalLike] = None,
-) -> QRatFrac:
-    """Apply x[i,j] -> -(q[i]*q[j] + b*q[j] + a)/(q[j] - q[i]) to p.
+):
+    """The map x[i,j] -> -(q[i]*q[j] + b*q[j] + a)/(q[j] - q[i]) on XPolys
+    of ambient size n, built once and applied to each input; it returns a
+    QRatFrac.
 
-    The terms are summed over one common denominator, prod (q[j] - q[i])^top
+    An input p is summed over one common denominator, prod (q[j] - q[i])^top
     with top the largest exponent of x[i,j] in p.  A term with exponent e of
-    x[i,j] contributes its numerator N^e * (q[j] - q[i])^(top - e), N the
-    numerator of the image of x[i,j], so each term is lifted once.  The zero
-    polynomial maps to QRatFrac(0, {}).
+    x[i,j] contributes N^e * (q[j] - q[i])^(top - e), N the numerator of
+    the image of x[i,j]: the image of its lifted key under a `ring_map`
+    with one slot per N and one per binomial.  The lifted keys share their
+    per-slot minimum, common (0 on each binomial slot, as top - e is 0
+    where e is largest), so the numerator is image(common) times the sum
+    of each term's image(key - common): the content that every term shares
+    is mapped and multiplied in once, and not at all when that sum is 0.
+    The map's memos keep each power and monomial image for later inputs; a
+    multiple g*m of a relation g leaves g's own lifted keys once m's
+    content is taken out.  The zero polynomial maps to QRatFrac(0, {}).
 
     The sum runs on flat keys (see the module docstring): a parameter left
     symbolic is one more variable of the map, ahead of the x variables,
     whose image is its own exponent slot, so every product multiplies
     numbers; the numerator is folded back into Coeff values at the end."""
-    n = p.n
     params = symbolic_params(beta, alpha)
     lead = len(params)
     minus_b, minus_a = -resolve_param(beta, BETA), -resolve_param(alpha, ALPHA)
@@ -284,15 +294,36 @@ def a_image_rat(
         exponents = (q_exponent(n, {i: 1, j: 1}), q_exponent(n, {j: 1}), q_exponent(n, {}))
         return flat(QPoly(n, dict(zip(exponents, (-1, minus_b, minus_a)))), params)
 
-    top = tuple(map(max, zip(*p.terms)))
-    # Each key led by its parameter degrees and followed by top - key.
-    lifted = {key + tuple(map(sub, top, key)): c for key, c in p.terms.items()}
-    lifted = spread_params(lifted, params)
-    numerator = ring_map(image, flat(QPoly.one(n), params))(SparsePoly._raw(n, lifted))
-    return QRatFrac(
-        QPoly._raw(n, fold_params(numerator.terms, params)),
-        {pairs[pos]: e for pos, e in enumerate(top) if e},
-    )
+    numerator_of = ring_map(image, flat(QPoly.one(n), params))
+
+    def apply(p: XPoly) -> QRatFrac:
+        top = tuple(map(max, zip(*p.terms)))
+        # Each key led by its parameter degrees and followed by top - key.
+        lifted = {key + tuple(map(sub, top, key)): c for key, c in p.terms.items()}
+        lifted = spread_params(lifted, params)
+        common = tuple(map(min, zip(*lifted)))
+        shared = any(common)
+        if shared:
+            lifted = {tuple(map(sub, key, common)): c for key, c in lifted.items()}
+        numerator = numerator_of(SparsePoly._raw(n, lifted))
+        if shared and numerator.terms:
+            numerator = numerator_of(SparsePoly._raw(n, {common: 1})) * numerator
+        return QRatFrac(
+            QPoly._raw(n, fold_params(numerator.terms, params)),
+            {pairs[pos]: e for pos, e in enumerate(top) if e},
+        )
+
+    return apply
+
+
+def a_image_rat(
+    p: XPoly,
+    beta: Optional[RationalLike] = None,
+    alpha: Optional[RationalLike] = None,
+) -> QRatFrac:
+    """Apply x[i,j] -> -(q[i]*q[j] + b*q[j] + a)/(q[j] - q[i]) to p, on a
+    map built for p alone (see `a_map`)."""
+    return a_map(p.n, beta, alpha)(p)
 
 
 def verify_a_kills_j(
@@ -307,17 +338,19 @@ def verify_a_kills_j(
     The products come from one random.Random(seed) stream, so each failure
     carries the text of the polynomial that did not map to zero.  beta and
     alpha are substituted into each drawn coefficient, which can cancel
-    (b+1 at b=-1).  At a rational point each polynomial is mapped rescaled,
-    at the integral point (see the module docstring)."""
+    (b+1 at b=-1).  One `a_map` maps every polynomial, so its memos serve
+    them all; at a rational point each polynomial is mapped rescaled, at
+    the integral point (see the module docstring)."""
     report = Report(
         dict(n=n, samples=samples, seed=seed, beta=beta, alpha=alpha),
         {"generators": 0, "products": 0},
     )
     scale, beta_at, alpha_at = integral_point(beta, alpha)
+    fraction_of = a_map(n, beta_at, alpha_at)
     triples = list(combinations(range(1, n + 1), 3))
     for triple in triples:
         g = ideal_generator(*triple, n, beta, alpha)
-        if not a_image_rat(rescaled(g, scale), beta_at, alpha_at).is_zero():
+        if not fraction_of(rescaled(g, scale)).is_zero():
             report.failures.append(f"generator {triple}: {g}")
         report.counts["generators"] += 1
     rng = random.Random(seed)
@@ -327,7 +360,7 @@ def verify_a_kills_j(
         coeff = substitute_coeff(rng.choice(COEFF_CHOICES), beta, alpha)
         [mono] = random_xpoly(n, 3, 1, rng).terms  # one term: COEFF_CHOICES has no 0
         product = g.mul_term(mono, coeff)
-        if not a_image_rat(rescaled(product, scale), beta_at, alpha_at).is_zero():
+        if not fraction_of(rescaled(product, scale)).is_zero():
             report.failures.append(f"product {index} over generator {triple}: {product}")
         report.counts["products"] += 1
     return report

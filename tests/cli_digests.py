@@ -110,6 +110,12 @@ DIGESTS = [
     # Fractions cleared, one inside a Coeff; digest from the engine that multiplied Fractions.
     ("forkless6sym", 30, "27aae4974ff186d6c85d80436471d46714f9bf541c062e816c95a57625bb3915",
      "reduce --n 6 --mode forkless".split() + [FORK6_FRACTIONS]),
+    # 2,120 fraction images on one map at n=10; digest from the map built anew for each image.
+    ("akillsj10", 30, "2f5a74fb556613787f5ce5986f8b5affda37c7e9d03b9d9f0a3d3202dd9fc575",
+     "verify --n 10 a-kills-j --samples 2000 --seed 2".split()),
+    # Shared content at the integral point; digest from the map built anew for each image.
+    ("akillsj7rat2000", 30, "1577087f17dc3e7c4da736bb23f003da46ca396bf5b63ec8e0f91630e3b87f97",
+     "verify --n 7 a-kills-j --samples 2000 --seed 4 --beta 1/3 --alpha 2/5".split()),
     # 14,594 steps: a trace that keeps a polynomial per step does not fit in memory.
     ("path9", 30, "1eb1e5a2ea49676f4e7103f8cb820eaa80328c42f1c51f4dfb52d6315f05e10e",
      "reduce --n 9 --mode pathless".split() + [PATH9]),

@@ -483,18 +483,24 @@ def test_verify_e_inverse_failures_at_a_rational_point_carry_the_input(capsys, m
     assert out[-1] == "verify e-inverse: FAIL"
 
 
-def test_verify_a_kills_j_failures_at_a_rational_point_carry_the_polynomial(capsys, monkeypatch):
-    """The sweep maps each polynomial rescaled at the integral point; its
-    failure lines print the polynomial drawn at (b, a)."""
+def broken_a_map(monkeypatch):
+    """Make the sweep's fraction map add 1 to every image it returns."""
     from subdivalg import series
     from subdivalg.series import QPoly, QRatFrac
 
-    original = series.a_image_rat
-    monkeypatch.setattr(
-        series,
-        "a_image_rat",
-        lambda p, beta=None, alpha=None: original(p, beta, alpha) + QRatFrac(QPoly.one(p.n)),
-    )
+    real_a_map = series.a_map
+
+    def a_map(n, beta=None, alpha=None):
+        fraction_of = real_a_map(n, beta, alpha)
+        return lambda p: fraction_of(p) + QRatFrac(QPoly.one(p.n))
+
+    monkeypatch.setattr(series, "a_map", a_map)
+
+
+def test_verify_a_kills_j_failures_at_a_rational_point_carry_the_polynomial(capsys, monkeypatch):
+    """The sweep maps each polynomial rescaled at the integral point; its
+    failure lines print the polynomial drawn at (b, a)."""
+    broken_a_map(monkeypatch)
     code, out, _ = run(
         capsys, "verify", "--n", "3", "a-kills-j", "--samples", "3", "--seed", "4", *RATIONAL
     )
@@ -588,14 +594,9 @@ def test_verify_t_unique_failures_replay(capsys, monkeypatch):
 
 def test_verify_a_kills_j_failures_carry_the_polynomial(capsys, monkeypatch):
     from subdivalg import series
-    from subdivalg.series import QPoly, QRatFrac
 
-    original = series.a_image_rat
-    monkeypatch.setattr(
-        series,
-        "a_image_rat",
-        lambda p, beta=None, alpha=None: original(p, beta, alpha) + QRatFrac(QPoly.one(p.n)),
-    )
+    original = series.a_map(3)  # built before the map is broken
+    broken_a_map(monkeypatch)
     code, out, _ = run(capsys, "verify", "--n", "3", "a-kills-j", "--samples", "3", "--seed", "4")
     assert code == 1
     assert out[:2] == ["seed: 4", "generators checked: 1, random products checked: 3"]

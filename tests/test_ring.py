@@ -509,14 +509,18 @@ def test_numeric_parameters_leave_no_coeff(beta, alpha, monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    def e_map(*args):
-        real = real_e_map(*args)
-        return lambda p: drawn.append(p) or real(p)
+    def recording_map(name):
+        real_map = getattr(series, name)
+
+        def built(*args):
+            real = real_map(*args)
+            return lambda p: drawn.append(p) or real(p)
+
+        monkeypatch.setattr(series, name, built)
 
     recording(rewrite, "reduce_pathless")
-    recording(series, "a_image_rat")
-    real_e_map = series.e_map
-    monkeypatch.setattr(series, "e_map", e_map)
+    recording_map("a_map")
+    recording_map("e_map")
     assert rewrite.verify_t_unique(5, 6, 2, 1, beta=beta, alpha=alpha).ok
     assert series.verify_a_kills_j(5, 12, 1, beta, alpha).ok
     assert series.verify_e_left_inverse(5, 12, 1, beta=beta, alpha=alpha).ok

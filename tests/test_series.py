@@ -143,24 +143,68 @@ IMAGE_PARAMS = PARAMS + ((None, 3), (2, None))
 
 @pytest.mark.parametrize("beta, alpha", IMAGE_PARAMS)
 def test_a_image_matches_sum_of_term_images(beta, alpha):
-    """One common denominator gives the numerator and denominator that
-    adding the term images one by one gives, as dicts."""
+    """One common denominator, with the content that every term shares
+    mapped once, gives the numerator and denominator that adding the term
+    images one by one gives, as dicts."""
     rng = random.Random(derive_seed(37, IMAGE_PARAMS.index((beta, alpha))))
     inputs = [XPoly(3), XPoly.constant(3, Fraction(-5, 2))]
-    # A relation and a multiple of it: their terms' images cancel.
+    # A relation and multiples of it: their terms' images cancel.  The
+    # monomials share none of g's variables x[1,2], x[1,4], x[2,4], or
+    # some of them, and the constant is a parameter factor.
     g = ideal_generator(1, 2, 4, 4, beta, alpha)
-    inputs += [g, g * XPoly.variable(1, 2, 4) * XPoly.variable(2, 3, 4)]
+    disjoint = XPoly(4, {mono(4, (1, 3), (1, 3), (3, 4)): 2})
+    overlap = XPoly(4, {mono(4, (1, 2), (1, 2), (2, 4), (3, 4)): -1})
+    factor = XPoly.constant(4, ALPHA * BETA + ALPHA).substitute(beta, alpha)
+    inputs += [g, g * XPoly.variable(1, 2, 4) * XPoly.variable(2, 3, 4), g * disjoint, g * overlap]
+    # Polynomials off the ideal times the same monomials and constant, a
+    # single term and a constant.
+    for m in (disjoint, overlap, factor):
+        inputs += [random_xpoly(4, 2, 3, rng).substitute(beta, alpha) * m for _ in range(4)]
+    inputs += [XPoly(4, {mono(4, (1, 3), (2, 4), (2, 4)): BETA + 1}).substitute(beta, alpha), factor]
     for n in range(2, 6):
         inputs += [random_xpoly(n, 3, 4, rng).substitute(beta, alpha) for _ in range(12)]
+    shared = 0
     for p in inputs:
         f, expected = a_image_rat(p, beta, alpha), summed_a_image(p, beta, alpha)
         assert f.numerator.terms == expected.numerator.terms, str(p)
         assert f.denominator == expected.denominator, str(p)
+        shared += bool(f.numerator.terms) and any(map(min, zip(*p.terms)))
+    assert shared >= 8
     zero = a_image_rat(inputs[0], beta, alpha)
     assert (zero.numerator.terms, zero.denominator) == ({}, {})
-    for relation in inputs[2:4]:
+    for relation in inputs[2:6]:
         f = a_image_rat(relation, beta, alpha)
         assert f.is_zero() and f.denominator
+
+
+def test_a_kills_j_sweep_builds_one_map_and_each_image_once(monkeypatch):
+    """Each sweep builds one fraction map, at the integral point, and that
+    map builds each slot's image at most once for all the polynomials it
+    maps.  A second sweep builds a map of its own: nothing outlives a
+    sweep."""
+    maps, images = [], []
+    real_a_map, real_ring_map = series.a_map, series.ring_map
+
+    def a_map(*args):
+        maps.append(args)
+        return real_a_map(*args)
+
+    def ring_map(image, one):
+        sweep = len(maps)
+        return real_ring_map(lambda slot: images.append((sweep, slot)) or image(slot), one)
+
+    monkeypatch.setattr(series, "a_map", a_map)
+    monkeypatch.setattr(series, "ring_map", ring_map)
+    n, width = 6, 15
+    for beta, alpha in ((None, None), (Fraction(1, 3), Fraction(2, 5)), (3, -2)):
+        first = len(maps)
+        for _ in range(2):
+            assert verify_a_kills_j(n, 60, 3, beta, alpha).ok
+        assert maps[first:] == [(n, *integral_point(beta, alpha)[1:])] * 2
+        built = [[slot for sweep, slot in images if sweep == first + k] for k in (1, 2)]
+        assert len(set(built[0])) == len(built[0]) > width
+        assert sorted(built[0]) == sorted(built[1])
+        assert max(built[0]) < 2 * width + (2 if beta is None else 0)
 
 
 def test_verify_a_kills_j():
@@ -551,12 +595,12 @@ def test_rational_sweeps_multiply_ints_and_report_as_the_fraction_route(
     seen, points = [], []
     with monkeypatch.context() as patch:
         real_eq, real_b_map = series.TWSeries.__eq__, series.b_map
-        real_image, real_e_map = series.a_image_rat, series.e_map
+        real_a_map, real_e_map = series.a_map, series.e_map
 
-        def recorded_image(p, b=None, a=None):
-            seen.append(p)
+        def recorded_a_map(n, b=None, a=None):
             points.append((b, a))
-            return real_image(p, b, a)
+            fraction_of = real_a_map(n, b, a)
+            return lambda p: seen.append(p) or fraction_of(p)
 
         def recorded_e_map(*args):
             points.append(args[2:])
@@ -565,7 +609,7 @@ def test_rational_sweeps_multiply_ints_and_report_as_the_fraction_route(
 
         patch.setattr(series.TWSeries, "__eq__", lambda s, t: seen.extend((s, t)) or real_eq(s, t))
         patch.setattr(series, "b_map", lambda f: seen.append(f) or real_b_map(f))
-        patch.setattr(series, "a_image_rat", recorded_image)
+        patch.setattr(series, "a_map", recorded_a_map)
         patch.setattr(series, "e_map", recorded_e_map)
         reports = [
             ed_ba_sweep(n, max_degree, order, beta, alpha),
