@@ -26,7 +26,11 @@ kernel, which `kernel_step`, the one writer of a step's monomials, runs.
 `RuleSet` memoises the triples of each monomial.  It owns one copy of the
 input's terms and keeps the reducible monomials sorted, updated from the
 written monomials only, as in the in-place division of Monagan & Pearce
-(CASC 2007), with a sorted list in place of their heap.  A game's trace
+(CASC 2007), with a sorted list in place of their heap.  The strategy is
+resolved once, before the first step, and an unknown one raises TypeError.
+The rewritten monomial leaves the list at the index the strategy picked it
+from (only a script step bisects for it), and the triple counts a random
+draw reads are kept under RandomStrategy only.  A game's trace
 keeps its moves, not a polynomial per step: `TraceStep.after` is replayed
 from the input on the first read, so printing the moves builds none.
 
@@ -298,42 +302,59 @@ def rewrite(
 ) -> Iterator[tuple]:
     """Rewrite p until no monomial has a triple, yielding (monomial, triple,
     terms) per step.  rules[m] lists the triples of m in lex order.
-    step(terms, m, t) rewrites the term dict there in place and returns
-    every monomial besides m whose coefficient it changed, or raises
-    RewriteError before changing anything.
+    step(terms, m, t) rewrites the term dict there in place, removing m's
+    term, and returns every other monomial whose coefficient it changed, or
+    raises RewriteError before changing anything.
+
+    The strategy is resolved once, before the first step; one that is none
+    of the four strategy classes raises TypeError.  The rewritten monomial
+    leaves the sorted reducible list at the index it was picked from (the
+    end under first, 0 under last, the draw's rank under random); only a
+    script step bisects for it.  The written monomials are bisected in or
+    out.  The triple count per reducible monomial, which a random draw
+    reads, is kept under RandomStrategy only.
 
     The engine rewrites its own copy of p's terms, so p never changes; the
     yielded terms are that live copy, which the next step changes again, so
     a caller that keeps a state copies it.  `reduce_pathless` keeps none:
     it records the moves and copies the last state only.
     """
+    first = isinstance(strategy, FirstByOrder)
+    last = isinstance(strategy, LastByOrder)
     rng = random.Random(strategy.seed) if isinstance(strategy, RandomStrategy) else None
     script = strategy.steps if isinstance(strategy, ScriptStrategy) else None
+    if not (first or last or rng is not None or script is not None):
+        raise TypeError(f"unknown strategy {strategy!r}")
     terms = dict(p.terms)
     reducible = sorted(m for m in terms if rules[m])
     # The triple count of each reducible monomial, which RandomStrategy draws by.
-    counts = [len(rules[m]) for m in reducible]
+    counts = None if rng is None else [len(rules[m]) for m in reducible]
     for count in itertools.count(1):
-        if script is not None and count <= len(script):
-            mono, triple = script[count - 1]
-        else:
-            if not reducible:
+        if script is not None:
+            if count > len(script):
+                if reducible:
+                    raise RewriteError(f"script exhausted before the {name} finished")
                 return
-            if script is not None:
-                raise RewriteError(f"script exhausted before the {name} finished")
-            if isinstance(strategy, FirstByOrder):
-                mono = reducible[-1]
-                triple = rules[mono][0]
-            elif isinstance(strategy, LastByOrder):
-                mono = reducible[0]
-                triple = rules[mono][-1]
-            else:
-                # Index into the (monomial, triple) pairs listed by descending monomial.
-                ends = list(itertools.accumulate(reversed(counts)))
-                index = rng.randrange(ends[-1])
-                rank = bisect_right(ends, index)
-                mono = reducible[-1 - rank]
-                triple = rules[mono][index - ends[rank - 1] if rank else index]
+            mono, triple = script[count - 1]
+            at = None
+        elif not reducible:
+            return
+        elif first:
+            at = -1
+            mono = reducible[-1]
+            triple = rules[mono][0]
+        elif last:
+            at = 0
+            mono = reducible[0]
+            triple = rules[mono][-1]
+        else:
+            # Index into the (monomial, triple) pairs listed by descending monomial.
+            ends = list(itertools.accumulate(reversed(counts)))
+            index = rng.randrange(ends[-1])
+            rank = bisect_right(ends, index)
+            at = -1 - rank
+            mono = reducible[at]
+            triple = rules[mono][index - ends[rank - 1] if rank else index]
         if count > max_steps:
             raise ResourceLimitError(f"{name} did not terminate within {max_steps} steps")
         try:
@@ -342,7 +363,13 @@ def rewrite(
             if script is None:
                 raise
             raise RewriteError(f"script step {count} does not apply: {exc}") from None
-        for m in (mono, *written):
+        if at is None:
+            # A step that applied found mono present with a triple: it is listed.
+            at = bisect_left(reducible, mono)
+        del reducible[at]
+        if counts is not None:
+            del counts[at]
+        for m in written:
             present = m in terms
             # A listed monomial has triples, found while it was present.
             if rules[m] if present else rules.get(m):
@@ -350,10 +377,12 @@ def rewrite(
                 listed = at < len(reducible) and reducible[at] == m
                 if present and not listed:
                     reducible.insert(at, m)
-                    counts.insert(at, len(rules[m]))
+                    if counts is not None:
+                        counts.insert(at, len(rules[m]))
                 elif listed and not present:
                     del reducible[at]
-                    del counts[at]
+                    if counts is not None:
+                        del counts[at]
         yield mono, triple, terms
 
 

@@ -63,6 +63,9 @@ DIGESTS = [
     # A wrong step monomial or s-polynomial; digest from s-polynomials built by arithmetic.
     ("groebner12rat", 60, "b44ade7621b4b21086899b1435b7697bd075600d82696b81266be444544d6ea7",
      "verify --n 12 groebner --beta 1/3 --alpha -2".split()),
+    # Both symbols left, so every overlap reduces through Coeff; the rational row's digest.
+    ("groebner12sym", 30, "b44ade7621b4b21086899b1435b7697bd075600d82696b81266be444544d6ea7",
+     "verify --n 12 groebner".split()),
     # Zero-coefficient terms that must drop at an overlap; the rational row's digest.
     ("groebner12zero", 30, "b44ade7621b4b21086899b1435b7697bd075600d82696b81266be444544d6ea7",
      "verify --n 12 groebner --beta 0 --alpha 0".split()),

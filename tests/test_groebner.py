@@ -472,6 +472,46 @@ def test_buchberger_spolys_match_elements(monkeypatch, beta, alpha):
             assert s.is_zero() == (t1 == t2)
 
 
+def test_overlap_table_is_built_once_per_n(monkeypatch):
+    """The check's table at n lists the overlaps, each with the lcm of its
+    heads, and is built once.  Its fork-triple memo is filled by the first
+    pass of checks at n and only read by later ones, at any point, and a
+    normal form outside a check leaves it alone."""
+    for n in range(2, 8):
+        pairs, _ = groebner._overlap_table(n)
+        heads = {triple: monos[1] for triple, monos in relation_monomials(n).items()}
+        assert [(t1, t2) for t1, t2, _ in pairs] == overlapping_heads(n)
+        assert [lcm for _, _, lcm in pairs] == [
+            tuple(map(max, heads[t1], heads[t2])) for t1, t2 in overlapping_heads(n)
+        ]
+        assert groebner._overlap_table(n) is groebner._overlap_table(n)
+    _, memo = groebner._overlap_table(6)
+    found = []
+
+    def counted(m):
+        found.append(m)
+        return groebner._fork_triples(m)
+
+    monkeypatch.setattr(memo, "find", counted)
+    memo.clear()
+    points = ((None, None), (3, -2), (Fraction(1, 3), 2), (0, 0))
+    for beta, alpha in points:
+        assert buchberger_check(generate_basis(6, beta, alpha))
+    size = len(memo)
+    assert len(found) == size > 0
+    found.clear()
+    assert buchberger_check(generate_basis(6))
+    assert found == []
+    for beta, alpha in points:
+        assert buchberger_check(generate_basis(6, beta, alpha))
+    assert found == [] and len(memo) == size
+    basis = generate_basis(6)
+    p = fork_rich(6, random.Random(59)) + XPoly.from_monomial(mono(6, (1, 2), (1, 3), (1, 4), (5, 6)))
+    assert normal_form(p, basis) != p
+    assert len(basis.rules) > 0 and basis.rules is not memo
+    assert found == [] and len(memo) == size
+
+
 def test_reused_basis_gives_fresh_normal_forms():
     """A basis keeps step kernels and fork triples across normal forms; one
     reused for every earlier normal form gives the same result as a fresh

@@ -547,6 +547,62 @@ def test_trace_after_replays_the_live_states():
     assert steps > 1000
 
 
+def live_moves(p, name, triples_of, step, strategy) -> tuple:
+    """(moves, final): each move of the engine as (the state it starts from,
+    monomial, triple), read from the live terms, and the state it ends on."""
+    moves, before = [], dict(p.terms)
+    for mono, triple, terms in rewrite(p, name, RuleSet(triples_of), step, strategy):
+        moves.append((before, mono, triple))
+        before = dict(terms)
+    return moves, before
+
+
+def test_first_and_last_picks_match_brute_force():
+    """Under first every move rewrites the largest present monomial that has
+    a triple, by its lex-first triple; under last the smallest, by its
+    lex-last triple; and no triple is left at the end.  Both reductions,
+    every replay point, random inputs at n <= 6 with a path and a fork
+    multiplied in so that most take several steps."""
+    rng = random.Random(53)
+    inputs = []
+    for t in range(24):
+        n = 3 + t % 4
+        i, j, k = sorted(rng.sample(range(1, n + 1), 3))
+        q = random_xpoly(n, 3, 4, rng)
+        fork, path = (mono_from_pairs(n, {pair: 1, (i, j): 1}) for pair in ((i, k), (j, k)))
+        inputs.append(q * XPoly.from_monomial(fork) + q * XPoly.from_monomial(path))
+    moves_seen = 0
+    for (beta, alpha), p in itertools.product(REPLAY_PARAMS, inputs):
+        p = p.substitute(beta, alpha)
+        b, a = resolve_param(beta, BETA), resolve_param(alpha, ALPHA)
+        basis = generate_basis(p.n, beta, alpha)
+        rules = (
+            ("pathless game", find_path_triples, partial(pathless_step, beta=b, alpha=a)),
+            ("normal form", _fork_triples, partial(reduce_step, basis=basis)),
+        )
+        for name, triples_of, step in rules:
+            for strategy, pick, end in ((FirstByOrder(), max, 0), (LastByOrder(), min, -1)):
+                moves, final = live_moves(p, name, triples_of, step, strategy)
+                for before, mono, triple in moves:
+                    expected = pick(m for m in before if triples_of(m))
+                    assert (mono, triple) == (expected, triples_of(expected)[end])
+                assert not any(triples_of(m) for m in final)
+                moves_seen += len(moves)
+    assert moves_seen > 2000, moves_seen
+
+
+@pytest.mark.parametrize("strategy", ["first", object(), None], ids=["str", "object", "None"])
+def test_unknown_strategy_raises_before_any_step(strategy):
+    """A strategy that is none of the four classes is refused by name, by
+    both reductions, whether or not the input has anything to rewrite."""
+    basis = generate_basis(4)
+    for text in ("x[1,2]*x[2,3] + x[1,2]*x[1,3]", "x[1,4] + 3"):
+        p = parse_poly(text, 4)
+        for reduce in (partial(reduce_pathless, p, strategy), partial(normal_form, p, basis, strategy)):
+            with pytest.raises(TypeError, match=re.escape(f"unknown strategy {strategy!r}")):
+                reduce()
+
+
 def test_trace_repr_shows_the_move_without_replaying():
     p = parse_poly("x[1,2]*x[2,3]*x[3,4]*x[4,5]*x[5,6]", 6)
     trace = reduce_pathless(p, RandomStrategy(5))[1]
