@@ -21,6 +21,7 @@ has generating function prod_{j=0}^{n-2} (1 + j*t) / (1-t)^(n-1), which
 from __future__ import annotations
 
 import random
+from functools import cache
 from itertools import combinations, permutations
 from math import comb
 from typing import NamedTuple, Optional
@@ -107,13 +108,7 @@ def verify_symmetry(
 
     # Each ordering's J is built once per sweep; j_generator is looked up
     # at each miss, so a run-time replacement of it is still called.
-    built: dict = {}
-
-    def relation(*ordering) -> XPoly:
-        found = built.get(ordering)
-        if found is None:
-            found = built[ordering] = j_generator(*ordering, n, beta, alpha)
-        return found
+    relation = cache(lambda *ordering: j_generator(*ordering, n, beta, alpha))
 
     for i, j, k in triples:
         if relation(i, j, k) != ideal_generator(i, j, k, n, beta, alpha):

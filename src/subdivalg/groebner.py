@@ -30,21 +30,22 @@ of {1..4} into {1..n} keeps the term order (lex on row-major slots) and
 takes relations to relations, so `verify --n 4 groebner` covers every n.
 Nothing of the overlaps depends on b or a: one table per n, cached like
 `relation_monomials(n)`, lists the pairs, each with the lcm of its heads,
-and holds the fork-triple memo the s-polynomials' normal forms reduce
-through.  The first check at n in a process builds it and fills the memo,
-to 707 monomials at n=7 and 2,410 at n=9 when b and a are nonzero, so a
-one-shot `verify` scans as much as before and every later check at n
-scans nothing.  A normal form outside a check keeps its basis's own memo.
+and holds the fork-triple memo the check's reductions run on.  The first
+check at n in a process builds it and fills the memo, to 707 monomials at
+n=7 and 2,410 at n=9 when b and a are nonzero, so a one-shot `verify`
+scans as much as before and every later check at n scans nothing.  The
+check reduces with the rewrite engine directly, on the table's memo and
+by `reduce_step` on the basis; a normal form keeps its basis's own memo.
 
 Rational points.  Each element is homogeneous of weight 2 when x and b
 weigh 1 and a weighs 2, so a basis step at (L*b, L^2*a) on the
 `poly.rescaled` input makes the move it makes at (b, a), as a game step
-does (see `rewrite`).  A basis at a rational point holds its `twin`, the
-basis at the integral point of `ring.integral_point`, where every step
-multiplies ints.  `normal_form` reduces the rescaled input on the twin and
-divides the result back with `poly.unscaled`.  `buchberger_check` writes
-and reduces every s-polynomial on the twin, where each is the one at
-(b, a) rescaled, and its report still names (b, a).
+does (see `rewrite`).  A basis keeps (b, a) as its `params`, which
+`element` and the check's report read, and steps at the integral point of
+`ring.integral_point`: its `tail` holds -L*b and -L^2*a, ints when both
+are numbers.  `normal_form` reduces the rescaled input and divides the
+result back with `poly.unscaled`; `buchberger_check` writes and reduces
+every s-polynomial there, where each is the one at (b, a) rescaled.
 """
 
 from __future__ import annotations
@@ -99,13 +100,12 @@ def ideal_generator(
 
 class GroebnerBasis:
     """The monic basis at n and the resolved `params` (b, a), one element
-    per triple of `relation_monomials(n)`.  `kernels` holds each triple's
-    step kernel, `tail` the coefficients of x[i,j]*x[j,k], x[i,k]*x[j,k],
-    x[i,k] and 1 in head - element, None for 1; `rules`, the fork-triple
-    memo of every normal form on the basis, holds nothing of it.  At a
-    rational point `twin` is the basis at the integral point (L*b, L^2*a),
-    L = `scale`, on which its normal forms run, and the two share `rules`;
-    it is None where L = 1."""
+    per triple of `relation_monomials(n)`.  A step runs at the integral
+    point (L*b, L^2*a), L = `scale` (1 where a symbol is left): `kernels`
+    holds each triple's step kernel and `tail` the coefficients there of
+    x[i,j]*x[j,k], x[i,k]*x[j,k], x[i,k] and 1 in head - element, None for
+    1.  `rules`, the fork-triple memo of every normal form on the basis,
+    holds nothing of it."""
 
     def __init__(
         self,
@@ -114,12 +114,11 @@ class GroebnerBasis:
         alpha: Optional[RationalLike] = None,
     ):
         self.n = n
-        self.params = b, a = resolve_param(beta, BETA), resolve_param(alpha, ALPHA)
-        self.tail = None, -1, -b, -a
-        self.kernels = _fork_kernels(n)
+        self.params = resolve_param(beta, BETA), resolve_param(alpha, ALPHA)
         self.scale, beta_at, alpha_at = integral_point(beta, alpha)
-        self.twin = None if self.scale == 1 else generate_basis(n, beta_at, alpha_at)
-        self.rules = RuleSet(_fork_triples) if self.twin is None else self.twin.rules
+        self.tail = None, -1, -resolve_param(beta_at, BETA), -resolve_param(alpha_at, ALPHA)
+        self.kernels = _fork_kernels(n)
+        self.rules = RuleSet(_fork_triples)
 
     def element(self, triple: Triple) -> XPoly:
         """x[i,k]*x[i,j] - x[i,j]*x[j,k] + x[i,k]*x[j,k] + b*x[i,k] + a."""
@@ -153,9 +152,10 @@ def _fork_kernels(n: int) -> dict:
 
 def reduce_step(terms: dict, mono: Monomial, triple: Triple, basis: GroebnerBasis) -> list:
     """One reduction terms - c*s*g in place at monomial mono, with c its
-    coefficient, g the basis element of triple and s = mono / head(g), by
-    the triple's kernel; returns the monomials it wrote.  A step that does
-    not apply raises RewriteError and changes nothing."""
+    coefficient, g the basis element of triple at the basis's integral
+    point and s = mono / head(g), by the triple's kernel; returns the
+    monomials it wrote.  A step that does not apply raises RewriteError
+    and changes nothing."""
     kernel = basis.kernels.get(triple)
     written = None if kernel is None else kernel_step(terms, mono, kernel, basis.tail)
     if written is None:
@@ -169,13 +169,13 @@ def normal_form(
     strategy: Strategy = FirstByOrder(),
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> XPoly:
-    """Reduce to the unique forkless representative: `rescaled(p, L)` on the
-    basis's twin at a rational point, divided back (module docstring)."""
+    """Reduce to the unique forkless representative: `rescaled(p, L)` on
+    the basis, divided back (module docstring)."""
     if p.n != basis.n:
         raise ValueError(f"ambient size mismatch: {p.n} vs {basis.n}")
-    scale, on = basis.scale, basis.twin or basis
+    scale = basis.scale
     # The step is looked up per step, so run-time wrappers of it see every call.
-    step = lambda terms, mono, triple: reduce_step(terms, mono, triple, on)  # noqa: E731
+    step = lambda terms, mono, triple: reduce_step(terms, mono, triple, basis)  # noqa: E731
     q = rescaled(p, scale)
     terms = None
     for _, _, terms in rewrite(q, "normal form", basis.rules, step, strategy, max_steps):
@@ -191,8 +191,8 @@ def _overlap_table(n: int) -> tuple:
     """The Buchberger check's table at n: (pairs, rules).  pairs lists each
     pair (t1, t2) of triples whose heads share a variable, in
     `combinations_with_replacement` order over `relation_monomials(n)`,
-    with the lcm of the two heads; rules is the fork-triple memo of the
-    s-polynomials' normal forms, filled by the first check at n and read by
+    with the lcm of the two heads; rules is the fork-triple memo the
+    check's reductions run on, filled by the first check at n and read by
     every later one.  The same at every (b, a)."""
     heads = {triple: monos[1] for triple, monos in relation_monomials(n).items()}
     groups = (compress(heads, column) for column in zip(*heads.values()))
@@ -205,13 +205,12 @@ def buchberger_check(basis: GroebnerBasis) -> Report:
     """Each s-polynomial of the C(n,3) + 3*C(n,4) pairs of triples whose
     heads share a variable, t2's step at the lcm of the heads minus t1's
     (Bergman), reduces to zero; each pair, in the order of the n's overlap
-    table, whose s-polynomial does not is one failure.  At a rational point
-    each s-polynomial is written and reduced on the basis's twin.  The
-    normal forms reduce through the table's fork-triple memo, which the
-    basis holds as its `rules` while the check runs, so a normal form
-    outside a check never reads or fills it.  The report's params name b
-    and a as the other sweeps do: a number as a Fraction, the symbol as
-    None."""
+    table, whose s-polynomial does not is one failure.  Each s-polynomial
+    is written with the basis's kernels and tail, so at a rational point
+    it is the one at (b, a) rescaled, and reduced by the rewrite engine on
+    the table's fork-triple memo with `reduce_step` on the basis.  The
+    report's params name b and a as the other sweeps do: a number as a
+    Fraction, the symbol as None."""
     n = basis.n
     pairs, memo = _overlap_table(n)
     b, a = basis.params
@@ -219,19 +218,17 @@ def buchberger_check(basis: GroebnerBasis) -> Report:
     params["beta"] = None if b is BETA else Fraction(b)
     params["alpha"] = None if a is ALPHA else Fraction(a)
     report = Report(params, {"pairs": len(pairs)})
-    on = basis.twin or basis
-    kernels, tail = on.kernels, on.tail
-    own, on.rules = on.rules, memo
-    try:
-        for t1, t2, lcm in pairs:
-            terms = {lcm: 1}
-            kernel_step(terms, lcm, kernels[t2], tail)
-            terms[lcm] = -1
-            kernel_step(terms, lcm, kernels[t1], tail)
-            if not normal_form(XPoly._raw(n, terms), on).is_zero():
-                report.failures.append(f"pair {t1} {t2}")
-    finally:
-        on.rules = own
+    kernels, tail = basis.kernels, basis.tail
+    step = lambda terms, mono, triple: reduce_step(terms, mono, triple, basis)  # noqa: E731
+    for t1, t2, lcm in pairs:
+        terms = {lcm: 1}
+        kernel_step(terms, lcm, kernels[t2], tail)
+        terms[lcm] = -1
+        kernel_step(terms, lcm, kernels[t1], tail)
+        for _, _, terms in rewrite(XPoly._raw(n, terms), "normal form", memo, step):
+            pass
+        if terms:
+            report.failures.append(f"pair {t1} {t2}")
     return report
 
 

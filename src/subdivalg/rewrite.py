@@ -316,8 +316,9 @@ def rewrite(
 
     The engine rewrites its own copy of p's terms, so p never changes; the
     yielded terms are that live copy, which the next step changes again, so
-    a caller that keeps a state copies it.  `reduce_pathless` keeps none:
-    it records the moves and copies the last state only.
+    a caller that keeps a state copies it.  The last state is final once
+    the generator returns: `reduce_pathless` and `groebner.normal_form`
+    take it as their result's terms without a copy.
     """
     first = isinstance(strategy, FirstByOrder)
     last = isinstance(strategy, LastByOrder)
@@ -414,7 +415,7 @@ def reduce_pathless(
     trace = [TraceStep(mono, triple, record, index) for index, (mono, triple) in enumerate(moves)]
     if not moves:
         return p, trace
-    result = XPoly._raw(p.n, dict(terms))
+    result = XPoly._raw(p.n, terms)
     # q is p when every factor is 1; unscaled would scan p again to find that
     return (result if q is p else unscaled(result, p, scale)), trace
 

@@ -113,6 +113,12 @@ DIGESTS = [
     # Fractions cleared, one inside a Coeff; digest from the engine that multiplied Fractions.
     ("forkless6sym", 30, "27aae4974ff186d6c85d80436471d46714f9bf541c062e816c95a57625bb3915",
      "reduce --n 6 --mode forkless".split() + [FORK6_FRACTIONS]),
+    # L = 1 with b a Fraction, which the tail keeps; digest from the basis with an integral twin.
+    ("forkless6half", 30, "909e10d6a854d2051d21848e2096519d7fa6da069a0ee28cbd01b28630bcfd15",
+     "reduce --n 6 --mode forkless --beta 1/2".split() + [FORK6_FRACTIONS]),
+    # L = 1 with a a Fraction, which the tail keeps; digest from the basis with an integral twin.
+    ("forkless6alpha", 30, "a147a01b8d539473ca4d350e9e194009432796f0b8ca88925be6c0d7db5accd7",
+     "reduce --n 6 --mode forkless --alpha 2/3".split() + [FORK6_FRACTIONS]),
     # 2,120 fraction images on one map at n=10; digest from the map built anew for each image.
     ("akillsj10", 30, "2f5a74fb556613787f5ce5986f8b5affda37c7e9d03b9d9f0a3d3202dd9fc575",
      "verify --n 10 a-kills-j --samples 2000 --seed 2".split()),

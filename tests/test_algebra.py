@@ -273,6 +273,7 @@ def test_recursive_walks_leave_no_reference_cycles():
         lambda: list(all_monomials(4, 3)),
         lambda: apply_perm((2, 1, 4, 3), j * j),
         lambda: ed_ba_sweep(5, 2, 2),
+        lambda: verify_symmetry(4, 0, 2),
     )
     enabled = gc.isenabled()
     gc.disable()

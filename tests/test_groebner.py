@@ -6,7 +6,7 @@ import re
 import weakref
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
-from math import comb, lcm
+from math import comb
 from operator import add, mul
 
 import pytest
@@ -33,6 +33,8 @@ from subdivalg.poly import (
     mono_mul,
     mono_one,
     parse_poly,
+    rescaled,
+    unscaled,
 )
 from subdivalg.rewrite import (
     FirstByOrder,
@@ -48,7 +50,7 @@ from subdivalg.rewrite import (
     reduce_pathless,
     relation_monomials,
 )
-from subdivalg.ring import ALPHA, BETA, resolve_param
+from subdivalg.ring import ALPHA, BETA, integral_point, resolve_param
 
 
 def mono(n: int, *pairs) -> tuple:
@@ -103,6 +105,13 @@ def reference_generator(i, j, k, n, beta, alpha):
     return x_ij * x_jk - x_ik * (x_ij + x_jk + b) - a
 
 
+def fraction_tail(basis: GroebnerBasis) -> tuple:
+    """The tail (None, -1, -b, -a) of head - element at the basis's
+    `params`, where its `tail` is the one at the integral point."""
+    b, a = basis.params
+    return None, -1, -b, -a
+
+
 @pytest.mark.parametrize("beta, alpha", PARAMS)
 def test_basis_matches_arithmetic_reference(beta, alpha):
     for n in range(3, 8):
@@ -120,8 +129,8 @@ def test_basis_matches_arithmetic_reference(beta, alpha):
             assert all(relation.terms.values()) and all(element.terms.values())
             assert (mono(n, (i, k)) in relation.terms) == (beta != 0)
             assert (mono_one(n) in relation.terms) == (alpha != 0)
-            # The tail is head - element: the relation without its head term.
-            coeffs = (1 if c is None else c for c in basis.tail)
+            # The tail at (b, a) is head - element: the relation without its head term.
+            coeffs = (1 if c is None else c for c in fraction_tail(basis))
             assert accumulate({}, zip((path, *rest), coeffs)) == {
                 m: c for m, c in expected.terms.items() if m != fork
             }
@@ -134,9 +143,11 @@ def fork_rich(n: int, rng: random.Random) -> XPoly:
 
 
 def check_steps_match_reference(p: XPoly, basis: GroebnerBasis) -> int:
-    """Every step that applies to p equals p - c*s*g built with XPoly
-    arithmetic, writes s times x[i,j]*x[j,k], x[i,k]*x[j,k], x[i,k] and 1
-    in that order, and names every monomial it changed; returns the count."""
+    """Every step that applies to q = rescaled(p, L), at the basis's
+    integral point, divides back to p - c*s*g built with XPoly arithmetic at
+    (b, a), writes s times x[i,j]*x[j,k], x[i,k]*x[j,k], x[i,k] and 1 in
+    that order, and names every monomial it changed; returns the count."""
+    q = rescaled(p, basis.scale)
     steps = 0
     for m, c in p.terms.items():
         for triple, (path, fork, *rest) in relation_monomials(basis.n).items():
@@ -144,13 +155,13 @@ def check_steps_match_reference(p: XPoly, basis: GroebnerBasis) -> int:
             if shift is None:
                 continue
             expected = p - basis.element(triple).mul_term(shift, c)
-            terms = dict(p.terms)
+            terms = dict(q.terms)
             written = reduce_step(terms, m, triple, basis)
             assert written == [mono_mul(shift, t) for t in (path, *rest)]
-            assert XPoly._raw(p.n, terms) == expected
+            assert unscaled(XPoly._raw(p.n, terms), p, basis.scale) == expected
             assert all(terms.values())
             changed = {
-                key for key in set(p.terms) | set(terms) if p.terms.get(key) != terms.get(key)
+                key for key in set(q.terms) | set(terms) if q.terms.get(key) != terms.get(key)
             }
             assert changed <= {m, *written}
             steps += 1
@@ -412,18 +423,27 @@ def test_buchberger_detects_perturbation(monkeypatch):
 
 
 def checked_pairs(monkeypatch, basis: GroebnerBasis) -> tuple:
-    """The pairs the Buchberger check names, the s-polynomials it reduces
-    and the basis each is reduced on, in order: every normal form is made
-    nonzero, so that every pair is a failure."""
+    """The pairs the Buchberger check names, the s-polynomials it reduces,
+    in order, and the basis of each step it takes: each reduction runs on
+    the table's memo and is then made to end on a nonzero state, so that
+    every pair is a failure."""
     reduced, bases = [], []
+    real_rewrite, real_step = groebner.rewrite, groebner.reduce_step
+    _, memo = groebner._overlap_table(basis.n)
 
-    def recorded(p, basis):
+    def recorded(p, name, rules, step, *rest):
+        assert rules is memo and not rest
         reduced.append(p)
-        bases.append(basis)
-        return XPoly.constant(p.n, 1)
+        yield from real_rewrite(p, name, rules, step)
+        yield None, None, {mono_one(p.n): 1}
+
+    def stepped(terms, mono, triple, on):
+        bases.append(on)
+        return real_step(terms, mono, triple, on)
 
     with monkeypatch.context() as patch:
-        patch.setattr(groebner, "normal_form", recorded)
+        patch.setattr(groebner, "rewrite", recorded)
+        patch.setattr(groebner, "reduce_step", stepped)
         report = buchberger_check(basis)
     assert report.counts["pairs"] == len(report.failures) == len(reduced)
     return report.failures, reduced, bases
@@ -449,27 +469,28 @@ def test_buchberger_pairs_are_the_overlaps(monkeypatch):
 @pytest.mark.parametrize("beta, alpha", PARAMS)
 def test_buchberger_spolys_match_elements(monkeypatch, beta, alpha):
     """The check writes each s-polynomial with the step kernels, never from
-    the elements; it must still be spol of two elements of the basis it is
-    reduced on, which is the basis at the integral point (L*b, L^2*a), and
-    spol of those elements scaled by 2 and 3 (head coefficients 2 and 3) is
-    6 times it."""
-    scale = 1 if beta is None or alpha is None else lcm(beta.denominator, alpha.denominator)
-    twin = (scale * beta, scale * scale * alpha) if scale > 1 else None
+    the elements; it must still be spol of two elements at the point the
+    basis steps at, the integral point (L*b, L^2*a), and each of its steps
+    is on the basis; spol of those elements scaled by 2 and 3 (head
+    coefficients 2 and 3) is 6 times it."""
+    _, beta_at, alpha_at = integral_point(beta, alpha)
+    steps = 0
     for n in range(3, 8):
         basis = generate_basis(n, beta, alpha)
         pairs, reduced, bases = checked_pairs(monkeypatch, basis)
         expected = overlapping_heads(n)
         assert pairs == [f"pair {t1} {t2}" for t1, t2 in expected]
-        on = bases[0]
-        assert all(other is on for other in bases)
-        assert (on is basis) == (twin is None)
-        assert on.params == (twin or basis.params)
+        assert all(on is basis for on in bases)
+        steps += len(bases)
+        at = generate_basis(n, beta_at, alpha_at)
+        assert at.scale == 1 and at.tail == basis.tail
         for (t1, t2), s in zip(expected, reduced):
-            g1, g2 = on.element(t1), on.element(t2)
+            g1, g2 = at.element(t1), at.element(t2)
             assert s.terms == spol(g1, g2).terms
             assert spol(g1.scale(2), g2.scale(3)) == s.scale(6)
             assert all(s.terms.values())
             assert s.is_zero() == (t1 == t2)
+    assert steps > 0
 
 
 def test_overlap_table_is_built_once_per_n(monkeypatch):
@@ -530,18 +551,20 @@ def test_reused_basis_gives_fresh_normal_forms():
 
 @pytest.mark.parametrize("beta, alpha", PARAMS)
 def test_one_relation_two_readings(beta, alpha):
-    """Both reductions read the relation g = ideal_generator(i, j, k): a game
+    """Both reductions read the relation g = ideal_generator(i, j, k) at the
+    point a basis steps at, the integral point (L*b, L^2*a): a game
     step takes c*r*x[i,j]*x[j,k] to c*r*(x[i,j]*x[j,k] - g), and a basis step
     takes c*r*x[i,k]*x[i,j] to c*r*(x[i,k]*x[i,j] + g).  Each returns the
     monomials it wrote in its kernel's order: all four of the other terms,
     with coefficient 0 where b or a is 0."""
-    b, a = resolve_param(beta, BETA), resolve_param(alpha, ALPHA)
+    _, beta_at, alpha_at = integral_point(beta, alpha)
+    b, a = resolve_param(beta_at, BETA), resolve_param(alpha_at, ALPHA)
     checked = 0
     for n in range(3, 7):
         basis = generate_basis(n, beta, alpha)
         cofactors = (mono_one(n), mono(n, (1, n)), mono(n, (1, 2), (2, 3), (n - 1, n)))
         for triple, (path, fork, ik_jk, ik, one) in relation_monomials(n).items():
-            g = ideal_generator(*triple, n, beta, alpha)
+            g = ideal_generator(*triple, n, beta_at, alpha_at)
             for r in cofactors:
                 c = (BETA + 1, 2, Fraction(3, 2))[checked % 3]
                 rg = g.mul_term(r, c)

@@ -17,19 +17,14 @@ import pytest
 
 from conftest import drop_constant_term
 from subdivalg import groebner, rewrite
-from subdivalg.groebner import (
-    _fork_triples,
-    buchberger_check,
-    generate_basis,
-    normal_form,
-    reduce_step,
-)
+from subdivalg.groebner import _fork_triples, buchberger_check, generate_basis, normal_form
 from subdivalg.poly import XPoly, d_image, parse_poly, rescaled, unscaled
 from subdivalg.rewrite import (
     FirstByOrder,
     LastByOrder,
     RandomStrategy,
     Report,
+    RewriteError,
     RuleSet,
     derive_seed,
     find_path_triples,
@@ -110,9 +105,18 @@ def fraction_game(p: XPoly, strategy, beta, alpha) -> tuple:
     return XPoly._raw(p.n, dict(terms)), moves
 
 
+def fraction_step(basis):
+    """A basis step at (b, a) itself: the step kernels with the tail
+    (None, -1, -b, -a) of the basis's `params`."""
+    kernels = groebner._fork_kernels(basis.n)
+    b, a = basis.params
+    tail = None, -1, -b, -a
+    return lambda terms, mono, triple: rewrite.kernel_step(terms, mono, kernels[triple], tail)
+
+
 def fraction_normal_form(p: XPoly, basis, strategy=FirstByOrder()) -> tuple:
-    """(normal form, moves) by `reduce_step` on the basis at (b, a)."""
-    step = lambda terms, mono, triple: reduce_step(terms, mono, triple, basis)  # noqa: E731
+    """(normal form, moves) by basis steps at (b, a)."""
+    step = fraction_step(basis)
     terms, moves = p.terms, []
     for mono, triple, terms in rewrite.rewrite(
         p, "normal form", RuleSet(_fork_triples), step, strategy
@@ -123,16 +127,17 @@ def fraction_normal_form(p: XPoly, basis, strategy=FirstByOrder()) -> tuple:
 
 def fraction_spolys(basis) -> list:
     """(pair, s-polynomial) of every pair the Buchberger check walks, each
-    written by the step kernels on the basis at (b, a)."""
+    written by basis steps at (b, a)."""
     heads = {triple: monos[1] for triple, monos in relation_monomials(basis.n).items()}
+    step = fraction_step(basis)
     out = []
     for t1, t2 in combinations_with_replacement(heads, 2):
         if any(map(min, heads[t1], heads[t2])):
             lcm = tuple(map(max, heads[t1], heads[t2]))
             terms = {lcm: 1}
-            rewrite.kernel_step(terms, lcm, basis.kernels[t2], basis.tail)
+            step(terms, lcm, t2)
             terms[lcm] = -1
-            rewrite.kernel_step(terms, lcm, basis.kernels[t1], basis.tail)
+            step(terms, lcm, t1)
             out.append(((t1, t2), XPoly._raw(basis.n, terms)))
     return out
 
@@ -220,9 +225,9 @@ def test_game_at_the_integral_point_makes_the_fraction_route_moves(beta, alpha, 
 def test_normal_form_at_the_integral_point_makes_the_fraction_route_moves(
     beta, alpha, monkeypatch
 ):
-    """`normal_form` reduces on the basis's integral twin, where each step
-    sees only ints where L > 1 or no number is left, and gives the normal
-    form and the moves of `reduce_step` on the basis at (b, a)."""
+    """`normal_form` reduces on the basis, whose steps run at the integral
+    point and see only ints where L > 1 or no number is left, and gives
+    the normal form and the moves of basis steps at (b, a)."""
     point = POINTS.index((beta, alpha))
     steps = 0
     for index, p in enumerate(inputs(beta, alpha, 25, derive_seed(37, point), (4, 6))):
@@ -236,7 +241,7 @@ def test_normal_form_at_the_integral_point_makes_the_fraction_route_moves(
             assert result == expected
             assert [move for move, _, _ in seen] == moves
             for _, terms, (on,) in seen:
-                assert on is (basis.twin or basis)
+                assert on is basis
                 assert (beta, alpha) in ONE_SYMBOL or integral(terms.values())
             steps += len(moves)
     assert steps >= 50
@@ -247,26 +252,27 @@ def test_buchberger_check_on_the_twin_reports_as_the_fraction_route(
     beta, alpha, monkeypatch
 ):
     """The check at a rational point writes and reduces every s-polynomial
-    on the twin, where each step sees only ints: each is the s-polynomial
-    at (b, a) rescaled by L = lcm(den b, den a), and the Report names
-    (b, a) as the route at (b, a) does.  With the constant term of the
-    (1, 2, 3) step dropped, both routes fail the same pairs."""
+    at the integral point, on the basis, where each step sees only ints:
+    each is the s-polynomial at (b, a) rescaled by L = lcm(den b, den a),
+    and the Report names (b, a) as the route at (b, a) does.  With the
+    constant term of the (1, 2, 3) step dropped, both routes fail the same
+    pairs."""
     scale = weight_scale(beta, alpha)
     for n in (4, 5):
         basis = generate_basis(n, beta, alpha)
         seen, reduced = [], []
-        real_normal_form = groebner.normal_form
+        real_rewrite = groebner.rewrite
         with monkeypatch.context() as patch:
             watched(patch, groebner, "reduce_step", seen)
             patch.setattr(
-                groebner, "normal_form", lambda p, on: reduced.append(p) or real_normal_form(p, on)
+                groebner, "rewrite", lambda p, *rest: reduced.append(p) or real_rewrite(p, *rest)
             )
             report = buchberger_check(basis)
         assert report == fraction_buchberger(basis) and report.ok
-        # each s-polynomial on the twin is the one at (b, a), rescaled
+        # each s-polynomial at the integral point is the one at (b, a), rescaled
         spolys = [s for _, s in fraction_spolys(basis)]
         assert reduced == ([rescaled(s, scale) for s in spolys] if scale > 1 else spolys)
-        assert seen and all(on is (basis.twin or basis) for _, _, (on,) in seen)
+        assert seen and all(on is basis for _, _, (on,) in seen)
         if (beta, alpha) not in ONE_SYMBOL:
             assert all(integral(terms.values()) for _, terms, _ in seen)
         with monkeypatch.context() as patch:
@@ -275,6 +281,44 @@ def test_buchberger_check_on_the_twin_reports_as_the_fraction_route(
             report = buchberger_check(broken)
             assert report == fraction_buchberger(broken)
         assert report.ok == (alpha == 0)
+
+
+@pytest.mark.parametrize(
+    "beta, alpha", [(Fraction(1, 3), Fraction(2, 5)), (Fraction(3, 2), Fraction(-1, 3))]
+)
+def test_one_basis_per_rational_point(beta, alpha, monkeypatch):
+    """A basis at a rational point is one object, with (b, a) as its params
+    and the integral tail (-L*b, -L^2*a) as ints, and the Buchberger check
+    leaves its rules alone, even when a step fails partway."""
+    made = []
+
+    class Counted(groebner.GroebnerBasis):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(groebner, "GroebnerBasis", Counted)
+        basis = generate_basis(5, beta, alpha)
+    assert made == [basis] and not hasattr(basis, "twin")
+    scale = weight_scale(beta, alpha)
+    assert basis.scale == scale > 1 and basis.params == (beta, alpha)
+    assert basis.tail[2:] == (-scale * beta, -scale * scale * alpha)
+    assert all(type(c) is int for c in basis.tail[1:])
+    rules = basis.rules
+    calls = count()
+    real_step = groebner.reduce_step
+
+    def failing(terms, mono, triple, on):
+        if next(calls) == 20:
+            raise RewriteError("stop")
+        return real_step(terms, mono, triple, on)
+
+    monkeypatch.setattr(groebner, "reduce_step", failing)
+    with pytest.raises(RewriteError, match="^stop$"):
+        buchberger_check(basis)
+    assert next(calls) > 20
+    assert basis.rules is rules and len(rules) == 0
 
 
 def every_other_doubled(d_image_of):
