@@ -37,15 +37,12 @@ scans as much as before and every later check at n scans nothing.  The
 check reduces with the rewrite engine directly, on the table's memo and
 by `reduce_step` on the basis; a normal form keeps its basis's own memo.
 
-Rational points.  Each element is homogeneous of weight 2 when x and b
-weigh 1 and a weighs 2, so a basis step at (L*b, L^2*a) on the
-`poly.rescaled` input makes the move it makes at (b, a), as a game step
-does (see `rewrite`).  A basis keeps (b, a) as its `params`, which
-`element` and the check's report read, and steps at the integral point of
+Rational points.  A basis keeps (b, a) as its `params`, which `element`
+and the check's report read, and steps at the integral point of
 `ring.integral_point`: its `tail` holds -L*b and -L^2*a, ints when both
-are numbers.  `normal_form` reduces the rescaled input and divides the
-result back with `poly.unscaled`; `buchberger_check` writes and reduces
-every s-polynomial there, where each is the one at (b, a) rescaled.
+are numbers.  `normal_form` reduces the `poly.rescaled` input and divides
+the result back; `buchberger_check` writes and reduces every s-polynomial
+there, where each is the one at (b, a) rescaled (see `poly.rescaled`).
 """
 
 from __future__ import annotations
@@ -170,20 +167,18 @@ def normal_form(
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> XPoly:
     """Reduce to the unique forkless representative: `rescaled(p, L)` on
-    the basis, divided back (module docstring)."""
+    the basis, divided back."""
     if p.n != basis.n:
         raise ValueError(f"ambient size mismatch: {p.n} vs {basis.n}")
-    scale = basis.scale
     # The step is looked up per step, so run-time wrappers of it see every call.
     step = lambda terms, mono, triple: reduce_step(terms, mono, triple, basis)  # noqa: E731
-    q = rescaled(p, scale)
+    q, factors = rescaled(p, basis.scale)
     terms = None
     for _, _, terms in rewrite(q, "normal form", basis.rules, step, strategy, max_steps):
         pass
     if terms is None:
         return p
-    result = XPoly._raw(p.n, terms)
-    return result if q is p else unscaled(result, p, scale)
+    return unscaled(XPoly._raw(p.n, terms), factors)
 
 
 @lru_cache(maxsize=None)

@@ -26,10 +26,8 @@ integral value as an `int`, so each value has one form and `==` is ring
 equality.  Instances are immutable by convention; operations always
 build new values.
 
-`rescaled(p, L)` is K*L^D*p(x/L), with every number and every `Coeff`
-value an int, and `unscaled` divides a result back: the series sweeps and
-both reductions use the pair to work at the integral point (L*b, L^2*a)
-for a rational point (b, a) (see `rewrite`).
+`rescaled` carries a polynomial to the integral point of a rational
+point, and `unscaled` divides a result back by the factors it applied.
 
 Text form (used by the parser, the formatter, and the CLI):
 
@@ -422,9 +420,22 @@ def ring_map(image, one):
     return apply
 
 
-def _weight_factors(p: SparsePoly, scale: int) -> Optional[list]:
-    """Per degree d up to D, the largest degree of p, the factor K*L^(D-d)
-    of `rescaled(p, scale)`, L = scale; None when every factor is 1."""
+def rescaled(p: SparsePoly, scale: int) -> tuple:
+    """(q, factors): q = K*L^D*p(x/L) for L = scale, D the largest degree
+    of p and K > 0 the least that makes every number and every Coeff value
+    an int, so a term c*m becomes c*K*L^(D-|m|); factors[d] = K*L^(D-d).
+    (p, None) when L = 1 and every value is an int, so that every factor is
+    1.  `unscaled(r, factors)` divides back.
+
+    The relation x[i,j]*x[j,k] - x[i,k]*(x[i,j] + x[j,k] + b) - a is
+    homogeneous of weight 2 when x and b weigh 1 and a weighs 2.  So a step
+    of either reduction at the integral point (L*b, L^2*a) of
+    `ring.integral_point` on q makes the move it makes at (b, a) on p: every
+    term it writes has the factor of its degree, and terms merge and cancel
+    alike, since a monomial has one degree.  L is the lcm of the
+    denominators, so every step multiplies ints; where a symbol is left,
+    L = 1 and K alone clears p's denominators.  `d_image` keeps each term's
+    degree, so `unscaled` divides a d-image back too."""
     # (degree, value) of each number, and each Coeff value, that is not an int
     others = [
         (sum(key), value)
@@ -433,34 +444,24 @@ def _weight_factors(p: SparsePoly, scale: int) -> Optional[list]:
         for value in fraction_values(c)
     ]
     if scale == 1 and not others:
-        return None
+        return p, None
     top = max(map(sum, p.terms), default=0)
     # the part of each denominator that L^(D-d) leaves
     clear = lcm(*[c.denominator // gcd(c.denominator, scale ** (top - d)) for d, c in others])
-    return [clear * scale ** (top - degree) for degree in range(top + 1)]
-
-
-def rescaled(p: SparsePoly, scale: int) -> SparsePoly:
-    """K*L^D*p(x/L) for L = scale, D the largest degree of p and K > 0 the
-    least that makes every number and every Coeff value an int: a term c*m
-    becomes c*K*L^(D-|m|).  K applies at L = 1 too; p itself when every
-    factor is 1.  `unscaled` is the inverse."""
-    factors = _weight_factors(p, scale)
-    if factors is None:
-        return p
+    factors = [clear * scale ** (top - degree) for degree in range(top + 1)]
     terms = {}
     for key, c in p.terms.items():
         factor = factors[sum(key)]
         # the factor is a multiple of a Fraction's denominator
         terms[key] = c.numerator * (factor // c.denominator) if type(c) is Fraction else c * factor
-    return p._like(terms)
+    return p._like(terms), factors
 
 
-def unscaled(r: SparsePoly, p: SparsePoly, scale: int) -> SparsePoly:
-    """The inverse of `rescaled(p, scale)` on r, a value of p's class, or
-    its d-image, with no degree above p's: each term of degree d divided by
-    K*L^(D-d)."""
-    factors = _weight_factors(p, scale) if r.terms else None
+def unscaled(r: SparsePoly, factors: Optional[list]) -> SparsePoly:
+    """The inverse of the `rescaled` call that gave factors, on r, a value
+    of its input's class or its d-image, with no degree above the input's:
+    each term of degree d divided by factors[d]; r itself when factors is
+    None."""
     if factors is None:
         return r
     inverses = [Fraction(1, factor) for factor in factors]

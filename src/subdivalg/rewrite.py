@@ -34,16 +34,10 @@ draw reads are kept under RandomStrategy only.  A game's trace
 keeps its moves, not a polynomial per step: `TraceStep.after` is replayed
 from the input on the first read, so printing the moves builds none.
 
-Rational points.  The rule above is homogeneous of weight 2 when x and b
-weigh 1 and a weighs 2.  So a step at (L*b, L^2*a) on K*L^D*p(x/L), the
-`poly.rescaled` input, makes the move it makes at (b, a) on p: a term c*m
-stands as c*K*L^(D-|m|), every term a step writes has the factor of its
-degree, and terms merge and cancel alike, since a monomial has one
-degree.  `reduce_pathless` plays at the integral point of
-`ring.integral_point`, L the lcm of the denominators, where every step
-multiplies ints, and `poly.unscaled` divides its result back.  Where a
-symbol is left, L = 1 and K alone clears the input's denominators.  The
-trace keeps p and (b, a), so its `after` replays at (b, a).
+Rational points.  `reduce_pathless` plays at the integral point (L*b,
+L^2*a) of `ring.integral_point` on the `poly.rescaled` input, where every
+step multiplies ints, and divides its result back (see `poly.rescaled`).
+The trace keeps p and (b, a), so its `after` replays at (b, a).
 """
 
 from __future__ import annotations
@@ -396,18 +390,17 @@ def reduce_pathless(
     """Play the game to a pathless polynomial; returns (result, trace).
 
     The game is played on `rescaled(p, L)` at the integral point (L*b,
-    L^2*a) of `integral_point` and its result divided back (module
-    docstring).  The trace keeps the moves only: each step's `after` is
-    replayed from p at (b, a) on the first read of any of them, so a caller
-    that prints the moves and the result never builds a polynomial per
-    step."""
+    L^2*a) of `integral_point` and its result divided back.  The trace
+    keeps the moves only: each step's `after` is replayed from p at (b, a)
+    on the first read of any of them, so a caller that prints the moves and
+    the result never builds a polynomial per step."""
     scale, beta_at, alpha_at = integral_point(beta, alpha)
     b_at, a_at = resolve_param(beta_at, BETA), resolve_param(alpha_at, ALPHA)
     # The callees are looked up at each call, so run-time wrappers see every call.
     step = lambda terms, mono, triple: pathless_step(terms, mono, triple, b_at, a_at)  # noqa: E731
     record = _Moves(p, (None, None, resolve_param(beta, BETA), resolve_param(alpha, ALPHA)))
     moves = record.moves
-    q = rescaled(p, scale)
+    q, factors = rescaled(p, scale)
     terms = None
     game = rewrite(q, "pathless game", RuleSet(find_path_triples), step, strategy)
     for mono, triple, terms in game:
@@ -415,9 +408,7 @@ def reduce_pathless(
     trace = [TraceStep(mono, triple, record, index) for index, (mono, triple) in enumerate(moves)]
     if not moves:
         return p, trace
-    result = XPoly._raw(p.n, terms)
-    # q is p when every factor is 1; unscaled would scan p again to find that
-    return (result if q is p else unscaled(result, p, scale)), trace
+    return unscaled(XPoly._raw(p.n, terms), factors), trace
 
 
 def format_trace(trace: list) -> str:
@@ -547,9 +538,8 @@ def verify_t_unique(
     then substitutes beta and alpha into it, so a drawn term can cancel
     (b+1 at b=-1) and leave fewer terms.  Each strategy plays on
     `rescaled(p, L)` at the integral point (L*b, L^2*a), as
-    `reduce_pathless` does, and the d-images are compared there: `d_image`
-    keeps each term's degree, so `unscaled` divides an image back as it
-    divides a result, and only a failure line needs that."""
+    `reduce_pathless` does, and the d-images are compared there; only a
+    failure line divides its two images back by the trial's factors."""
     if strategies < 2:
         raise ValueError(TOO_FEW_STRATEGIES)
     report = Report(
@@ -561,7 +551,7 @@ def verify_t_unique(
     for trial in range(trials):
         trial_seed = derive_seed(seed, trial)
         p = random_xpoly(n, max_deg, max_terms, random.Random(trial_seed)).substitute(beta, alpha)
-        q = rescaled(p, scale)
+        q, factors = rescaled(p, scale)
         images = []
         for strat in strategy_suite(strategies, seed, trial):
             result, _ = reduce_pathless(q, strat, beta_at, alpha_at)
@@ -569,7 +559,7 @@ def verify_t_unique(
         report.counts["inputs"] += 1
         for idx in range(1, len(images)):
             if images[idx] != images[0]:
-                first, other = (unscaled(image, p, scale) for image in (images[0], images[idx]))
+                first, other = (unscaled(image, factors) for image in (images[0], images[idx]))
                 report.failures.append(
                     f"trial {trial} seed {trial_seed} input {p}; "
                     f"strategy 0 image {first}; strategy {idx} image {other}"

@@ -40,7 +40,8 @@ entries of a key's present slots: `render_terms` writes a `Coeff` key
 over the two tables named b and a, `poly` a monomial over its slots'.
 
 `integral_point` gives the point (L*b, L^2*a) with integral coordinates
-at which the series sweeps check a rational point (b, a).
+at which both reductions, the Buchberger check and the series sweeps work
+for a rational point (b, a) (see `poly.rescaled`).
 """
 
 from __future__ import annotations

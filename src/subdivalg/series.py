@@ -68,25 +68,21 @@ numeric run has no parameter slot and keeps the keys it always had: two
 zero slots would only make every key longer, which cost 16% on the
 integer a-kills-j sweeps.
 
-Rational points.  Give x, q and t weight 1, b weight 1, a weight 2 and w
-weight -1.  The relation x[i,j]*x[j,k] - x[i,k]*(x[i,j] + x[j,k] + b) - a
-is homogeneous, and every map here keeps weight: each factor, variable
-image and fraction image has the weight of its variable, and `b_map`
-keeps it.  So putting L*b for b and L^2*a for a multiplies each
-coefficient of a key by L to the weight of its parameters, and a check
-at a rational point (b, a) holds exactly when it holds at the integral
-point (B, A) = (L*b, L^2*a) of `ring.integral_point`, where every product
-multiplies ints.  `ed_ba_sweep` builds its factors and images at (B, A):
-both sides of a monomial scale alike, key by key.  The other two sweeps
-also take each input p as `poly.rescaled(p, L)`, the helper both
-reductions use too: K*L^D*p(x/L) with D the largest degree of p and K > 0
-the least that makes it integral, which alone clears p's denominators
-where a symbol is left and L = 1.  Its
-fraction image at (B, A) is K*L^D times that of p at (b, a) with
-q -> q/L, so it is zero exactly when that is.  The e map at order 0 and
-the g map at (B, A), applied to p(t/L), give their images of p at (b, a)
-with t -> t/L, so g.e fixes the rescaled input exactly when it fixes p.
-Reports, counts and failure lines are those of (b, a).
+Rational points.  With x, b and a weighed as at `poly.rescaled`, q and t
+weighing 1 and w weighing -1, every map here keeps weight: each factor,
+variable image and fraction image has the weight of its variable, and
+`b_map` keeps it.  So putting L*b for b and L^2*a for a multiplies each
+coefficient of a key by L to the weight of its parameters, and a check at
+(b, a) holds exactly when it holds at the integral point (B, A) =
+(L*b, L^2*a) of `ring.integral_point`, where every product multiplies
+ints.  `ed_ba_sweep` builds its factors and images at (B, A): both sides
+of a monomial scale alike, key by key.  The other two sweeps take each
+input p rescaled, K*L^D*p(x/L).  Its fraction image at (B, A) is K*L^D
+times that of p at (b, a) with q -> q/L, so it is zero exactly when that
+is.  The e map at order 0 and the g map at (B, A), applied to p(t/L),
+give their images of p at (b, a) with t -> t/L, so g.e fixes the
+rescaled input exactly when it fixes p.  Reports, counts and failure
+lines are those of (b, a).
 """
 
 from __future__ import annotations
@@ -350,7 +346,7 @@ def verify_a_kills_j(
     triples = list(combinations(range(1, n + 1), 3))
     for triple in triples:
         g = ideal_generator(*triple, n, beta, alpha)
-        if not fraction_of(rescaled(g, scale)).is_zero():
+        if not fraction_of(rescaled(g, scale)[0]).is_zero():
             report.failures.append(f"generator {triple}: {g}")
         report.counts["generators"] += 1
     rng = random.Random(seed)
@@ -360,7 +356,7 @@ def verify_a_kills_j(
         coeff = substitute_coeff(rng.choice(COEFF_CHOICES), beta, alpha)
         [mono] = random_xpoly(n, 3, 1, rng).terms  # one term: COEFF_CHOICES has no 0
         product = g.mul_term(mono, coeff)
-        if not fraction_of(rescaled(product, scale)).is_zero():
+        if not fraction_of(rescaled(product, scale)[0]).is_zero():
             report.failures.append(f"product {index} over generator {triple}: {product}")
         report.counts["products"] += 1
     return report
@@ -702,7 +698,7 @@ def verify_e_left_inverse(
     for index in range(samples):
         sample_seed = derive_seed(seed, index)
         p = random_tpoly(n, max_deg, max_terms, random.Random(sample_seed)).substitute(beta, alpha)
-        q = rescaled(p, scale)
+        q = rescaled(p, scale)[0]
         if g_of(e_of(q).coeffs[0]) != q:
             report.failures.append(f"sample {index} seed {sample_seed} input {p}")
         report.counts["inputs"] += 1

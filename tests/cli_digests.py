@@ -1,22 +1,28 @@
 """The command line's byte-identity check: each row of DIGESTS runs one
 `subdivalg` command in a fresh interpreter under a time limit, and passes
 when the command exits 0 and the sha256 of its stdout is the recorded one.
+Then a random pathless game at n=11 is replayed from its own trace (see
+`check_replay`).
 
     PYTHONPATH=src python3 [-O] tests/cli_digests.py
 
 Under -O each command runs under -O too.  Every row runs, one line each
 with its seconds; a mismatch prints the actual digest, so a new row can be
-recorded from this script's own output.  The exit code is 1 if any row
-failed, timed out or exited non-zero.  The time limits catch a slow engine
-as well as a hung one, and a digest pins every byte a change must keep.
+recorded from this script's own output.  The exit code is 1 if any row or
+the replay failed, timed out or exited non-zero.  The time limits catch a
+slow engine as well as a hung one, and a digest pins every byte a change
+must keep.
 """
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
+from typing import Optional
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -131,25 +137,85 @@ DIGESTS = [
 ]
 
 
-def check(name: str, limit: int, digest: str, argv: list) -> tuple:
-    """Run one row; returns (passed, the row's report line)."""
+# The replayed game: two-digit indices and an exponent >= 10 in its trace.
+GAME11 = "reduce --n 11 --mode pathless --trace --d-image --beta 1/3 --alpha 2".split()
+GAME11_INPUT = "2*x[1,2]^10*x[2,10]*x[10,11] - b*x[3,10]^2*x[10,11] + 1/2*x[4,9]*x[9,11]*x[1,4]"
+GAME11_RANDOM = GAME11 + "--strategy random --seed 4".split() + [GAME11_INPUT]
+# The random game's stdout; digest from the engine that scanned a rational input twice.
+GAME11_DIGEST = "dced1ef584ddef2947b06f45952a9da5e9a5cdcc2697dce8166719884b7d41b7"
+
+
+def run(argv: list, limit: int) -> tuple:
+    """Run `subdivalg argv` under limit seconds: (stdout, None) when it
+    exits 0, else (None, why not)."""
     optimize = ["-O"] if sys.flags.optimize else []
     command = [sys.executable, *optimize, "-m", "subdivalg.cli", *argv]
-    start = time.perf_counter()
     try:
         done = subprocess.run(
             command, env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, timeout=limit
         )
     except subprocess.TimeoutExpired:
-        return False, f"FAIL {name}: no exit within {limit} s"
-    head = f"{name} {time.perf_counter() - start:.2f} s"
+        return None, f"no exit within {limit} s"
     if done.returncode:
         error = done.stderr.decode(errors="replace").strip().rpartition("\n")[2]
-        return False, f"FAIL {head}: exit code {done.returncode} {error}"
-    actual = hashlib.sha256(done.stdout).hexdigest()
-    if actual != digest:
-        return False, f"FAIL {head}: sha256 {actual}"
-    return True, f"ok   {head}"
+        return None, f"exit code {done.returncode} {error}"
+    return done.stdout, None
+
+
+def digest_error(out: bytes, digest: str) -> Optional[str]:
+    actual = hashlib.sha256(out).hexdigest()
+    return None if actual == digest else f"sha256 {actual}"
+
+
+def report(name: str, start: float, error: Optional[str]) -> tuple:
+    head = f"{name} {time.perf_counter() - start:.2f} s"
+    return error is None, (f"ok   {head}" if error is None else f"FAIL {head}: {error}")
+
+
+def check(name: str, limit: int, digest: str, argv: list) -> tuple:
+    """Run one row; returns (passed, the row's report line)."""
+    start = time.perf_counter()
+    out, error = run(argv, limit)
+    return report(name, start, error or digest_error(out, digest))
+
+
+def split_trace(out: bytes) -> tuple:
+    """(script, expected) of a game's stdout: its m= lines, and the text a
+    replay of them prints, every line but the seed line."""
+    lines = out.decode().splitlines(keepends=True)
+    script = "".join(line for line in lines if line.startswith("m="))
+    return script, "".join(line for line in lines if not line.startswith("seed: ")).encode()
+
+
+def replay_error(script: str, expected: bytes) -> Optional[str]:
+    """Why GAME11 replayed from script with --strategy script does not
+    print expected; None when it does."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "game11.script"
+        path.write_text(script, encoding="utf-8")
+        argv = GAME11 + ["--strategy", "script", "--script-file", str(path), GAME11_INPUT]
+        out, error = run(argv, 30)
+    if error is None and out != expected:
+        error = "the replay's stdout differs from the game's without its seed line"
+    return error
+
+
+def check_replay() -> tuple:
+    """The random game at n=11 prints the recorded digest, its trace holds
+    a two-digit index and an exponent >= 10, and its m= lines, fed back as
+    a script, print the same text once the seed line is dropped, so a
+    trace reader that misreads such a line fails it.  Returns (passed,
+    report line)."""
+    start = time.perf_counter()
+    out, error = run(GAME11_RANDOM, 30)
+    error = error or digest_error(out, GAME11_DIGEST)
+    if error is None:
+        script, expected = split_trace(out)
+        if not re.search(r"x\[[0-9]*,1[01]\]", script) or not re.search(r"\^1[0-9]", script):
+            error = "the trace has no two-digit index or no exponent >= 10"
+        else:
+            error = replay_error(script, expected)
+    return report("replay11", start, error)
 
 
 def main() -> int:
@@ -158,8 +224,10 @@ def main() -> int:
         passed, line = check(*row)
         print(line, flush=True)
         failed += not passed
-    print(f"{len(DIGESTS) - failed} of {len(DIGESTS)} rows passed")
-    return 1 if failed else 0
+    print(f"{len(DIGESTS) - failed} of {len(DIGESTS)} rows passed", flush=True)
+    passed, line = check_replay()
+    print(line)
+    return 1 if failed or not passed else 0
 
 
 if __name__ == "__main__":

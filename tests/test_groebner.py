@@ -147,7 +147,7 @@ def check_steps_match_reference(p: XPoly, basis: GroebnerBasis) -> int:
     integral point, divides back to p - c*s*g built with XPoly arithmetic at
     (b, a), writes s times x[i,j]*x[j,k], x[i,k]*x[j,k], x[i,k] and 1 in
     that order, and names every monomial it changed; returns the count."""
-    q = rescaled(p, basis.scale)
+    q, factors = rescaled(p, basis.scale)
     steps = 0
     for m, c in p.terms.items():
         for triple, (path, fork, *rest) in relation_monomials(basis.n).items():
@@ -158,7 +158,7 @@ def check_steps_match_reference(p: XPoly, basis: GroebnerBasis) -> int:
             terms = dict(q.terms)
             written = reduce_step(terms, m, triple, basis)
             assert written == [mono_mul(shift, t) for t in (path, *rest)]
-            assert unscaled(XPoly._raw(p.n, terms), p, basis.scale) == expected
+            assert unscaled(XPoly._raw(p.n, terms), factors) == expected
             assert all(terms.values())
             changed = {
                 key for key in set(q.terms) | set(terms) if q.terms.get(key) != terms.get(key)

@@ -16,7 +16,7 @@ from math import lcm
 import pytest
 
 from conftest import drop_constant_term
-from subdivalg import groebner, rewrite
+from subdivalg import groebner, poly, rewrite
 from subdivalg.groebner import _fork_triples, buchberger_check, generate_basis, normal_form
 from subdivalg.poly import XPoly, d_image, parse_poly, rescaled, unscaled
 from subdivalg.rewrite import (
@@ -167,12 +167,13 @@ def weight_scale(beta, alpha) -> int:
 @pytest.mark.parametrize("beta, alpha", POINTS)
 def test_rescaled_is_integral_and_unscaled_inverts_it(beta, alpha):
     """q = K*L^D*p(x/L) holds ints only, in numbers and in Coeff values,
-    K the least that does it, applied at L = 1 too; `unscaled` divides
-    each term back by K*L^(D-deg)."""
+    K the least that does it, applied at L = 1 too; the factors returned
+    beside q are K*L^(D-d) per degree d, None where L = 1 and nothing is
+    cleared, and `unscaled` divides each term back by them."""
     scale = integral_point(beta, alpha)[0]
     assert (scale > 1) == ((beta, alpha) in RATIONAL_POINTS)
     for p in inputs(beta, alpha, 40, 11):
-        q = rescaled(p, scale)
+        q, factors = rescaled(p, scale)
         assert q.terms.keys() == p.terms.keys() and integral(q.terms.values())
         top = max(map(sum, p.terms))
         # each value of q over the same value of p: K*L^(D-|m|)
@@ -187,12 +188,39 @@ def test_rescaled_is_integral_and_unscaled_inverts_it(beta, alpha):
         for prime in (2, 3, 5, 7):
             if clear % prime == 0:
                 assert any(v % prime for v in numbers(q.terms.values()))
-        assert unscaled(q, p, scale) == p
+        expected = [clear * scale ** (top - d) for d in range(top + 1)]
+        assert factors == (None if scale == clear == 1 else expected)
+        assert (q is p) == (factors is None)
+        assert unscaled(q, factors) == p
     # An integral input at L = 1 is its own rescaling; Coeff values count.
     p = parse_poly("2*x[1,2]*x[2,3] - 3*b*x[1,3] + a", 3)
-    assert rescaled(p, 1) is p and unscaled(p, p, 1) is p
+    q, factors = rescaled(p, 1)
+    assert q is p and factors is None and unscaled(p, factors) is p
     half = parse_poly("1/2*b*x[1,2]*x[2,3] + a", 3)
-    assert rescaled(half, 1) == parse_poly("b*x[1,2]*x[2,3] + 2*a", 3)
+    assert rescaled(half, 1) == (parse_poly("b*x[1,2]*x[2,3] + 2*a", 3), [2, 2, 2])
+
+
+def test_a_reduction_reads_its_inputs_values_once(monkeypatch):
+    """At (1/3, 2/5), `reduce_pathless` and `normal_form` each read the
+    non-int values of an input with k non-int coefficients k times: the
+    way back divides by the factors `rescaled` returned, with no second
+    scan of the input."""
+    beta, alpha = Fraction(1, 3), Fraction(2, 5)
+    example = parse_poly("3/2*x[1,2]*x[2,3]*x[3,4] - 5/4*x[1,3]*x[3,4] + 2*x[1,2]^2*x[1,3]", 4)
+    calls = []
+    real = poly.fraction_values
+    monkeypatch.setattr(poly, "fraction_values", lambda c: calls.append(c) or real(c))
+    for p in [example] + inputs(beta, alpha, 12, 17):
+        k = sum(type(c) is not int for c in p.terms.values())
+        basis = generate_basis(p.n, beta, alpha)
+        for reduce in (
+            lambda: reduce_pathless(p, FirstByOrder(), beta, alpha),
+            lambda: normal_form(p, basis),
+        ):
+            calls.clear()
+            reduce()
+            assert len(calls) == k, p
+    assert sum(type(c) is not int for c in example.terms.values()) == 2
 
 
 @pytest.mark.parametrize("beta, alpha", POINTS)
@@ -271,7 +299,7 @@ def test_buchberger_check_on_the_twin_reports_as_the_fraction_route(
         assert report == fraction_buchberger(basis) and report.ok
         # each s-polynomial at the integral point is the one at (b, a), rescaled
         spolys = [s for _, s in fraction_spolys(basis)]
-        assert reduced == ([rescaled(s, scale) for s in spolys] if scale > 1 else spolys)
+        assert reduced == ([rescaled(s, scale)[0] for s in spolys] if scale > 1 else spolys)
         assert seen and all(on is basis for _, _, (on,) in seen)
         if (beta, alpha) not in ONE_SYMBOL:
             assert all(integral(terms.values()) for _, terms, _ in seen)

@@ -537,8 +537,9 @@ def test_integral_point_scales_each_coefficient_by_its_weight(beta, alpha):
             image = a_image_rat(p, beta, alpha)
             if image.is_zero():  # p is in the ideal
                 continue
-            clear, top = rescale_constant(p, rescaled(p, scale), scale)
-            big = a_image_rat(rescaled(p, scale), big_b, big_a)
+            q = rescaled(p, scale)[0]
+            clear, top = rescale_constant(p, q, scale)
+            big = a_image_rat(q, big_b, big_a)
             assert big.denominator == image.denominator
             width = top + sum(image.denominator.values())
             scaled_alike(
@@ -549,9 +550,10 @@ def test_integral_point_scales_each_coefficient_by_its_weight(beta, alpha):
             p = random_tpoly(n, 3, 4, rng).substitute(beta, alpha)
             if not p.terms:
                 continue
-            clear, top = rescale_constant(p, rescaled(p, scale), scale)
+            q = rescaled(p, scale)[0]
+            clear, top = rescale_constant(p, q, scale)
             small = series.e_map(n, 0, beta_c, alpha_c)(p).coeffs[0]
-            big = series.e_map(n, 0, big_b, big_a)(rescaled(p, scale)).coeffs[0]
+            big = series.e_map(n, 0, big_b, big_a)(q).coeffs[0]
             factor = lambda key: clear * Fraction(scale) ** (top - sum(key))
             scaled_alike(small, big, factor)
             scaled_alike(series.g_map(n, beta_c)(small), series.g_map(n, big_b)(big), factor)
