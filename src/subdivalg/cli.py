@@ -33,7 +33,7 @@ from typing import Optional
 
 from .algebra import count_forkless, enumerate_forkless, gf_coeffs, verify_symmetry
 from .groebner import buchberger_check, generate_basis, normal_form
-from .poly import PolyParseError, d_image, format_monomial, parse_poly
+from .poly import PolyParseError, d_image, format_monomial, parse_poly, rescaled
 from .rewrite import (
     FirstByOrder,
     LastByOrder,
@@ -45,6 +45,7 @@ from .rewrite import (
     reduce_pathless,
     verify_t_unique,
 )
+from .ring import integral_point
 from .series import ed_ba_sweep, verify_a_kills_j, verify_e_left_inverse
 
 
@@ -140,13 +141,18 @@ def cmd_reduce(args) -> int:
     if args.script_file is not None and args.mode == "pathless" and args.strategy != "script":
         raise ValueError(f"reduce {chosen} does not read --script-file")
     p = parse_poly(args.poly, args.n).substitute(args.beta, args.alpha)
+    # Either reduction runs on the rescaled input at the integral point, where
+    # its own rescale is a no-op, and makes the moves it makes on p.  The
+    # result stays there, so its d-image merges ints, and both are divided
+    # back by the factors only as they are written.
+    scale, beta_at, alpha_at = integral_point(args.beta, args.alpha)
+    q, factors = rescaled(p, scale)
     payload: dict = {"command": "reduce", "mode": args.mode, "n": args.n}
     lines: list = []
     if args.mode == "forkless":
         if args.strategy or args.script_file or args.trace:
             raise ValueError("--strategy, --script-file, and --trace apply to pathless mode only")
-        basis = generate_basis(args.n, args.beta, args.alpha)
-        result = normal_form(p, basis)
+        result = normal_form(q, generate_basis(args.n, beta_at, alpha_at))
         trace = None
     else:
         strategy_name = args.strategy or "first"
@@ -164,15 +170,15 @@ def cmd_reduce(args) -> int:
                 raise ValueError("--strategy script needs --script-file")
             with open(args.script_file, encoding="utf-8") as handle:
                 strategy = parse_script(handle.read(), args.n)
-        result, trace = reduce_pathless(p, strategy, args.beta, args.alpha)
+        result, trace = reduce_pathless(q, strategy, beta_at, alpha_at)
     if args.trace and trace is not None:
         payload["trace"] = format_trace(trace).splitlines()
         lines.extend(payload["trace"])
-    text = str(result)
+    text = result.text(factors)
     payload["result"] = text
     lines.append(text)
     if args.with_d_image:
-        image = str(d_image(result))
+        image = d_image(result).text(factors)
         payload["d_image"] = image
         lines.append(f"d-image: {image}")
     _emit(args, payload, lines)
@@ -301,8 +307,10 @@ def cmd_basis(args) -> int:
 
 
 def cmd_d_image(args) -> int:
-    p = parse_poly(args.poly, args.n).substitute(args.beta, args.alpha)
-    image = str(d_image(p))
+    # d_image keeps each term's degree: the image of the cleared input,
+    # written divided by the factors that cleared it.
+    q, factors = rescaled(parse_poly(args.poly, args.n).substitute(args.beta, args.alpha), 1)
+    image = d_image(q).text(factors)
     _emit(args, {"command": "d-image", "n": args.n, "result": image}, [image])
     return 0
 

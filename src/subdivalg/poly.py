@@ -27,7 +27,11 @@ equality.  Instances are immutable by convention; operations always
 build new values.
 
 `rescaled` carries a polynomial to the integral point of a rational
-point, and `unscaled` divides a result back by the factors it applied.
+point and returns the factors it applied.  There are two ways back: the
+value route, `unscaled`, divides a result back into a polynomial, and the
+text route, `text(factors)`, writes each coefficient divided by its
+factor with no polynomial built, so a result that is only printed, and
+its d-image, stay at the integral point.
 
 Text form (used by the parser, the formatter, and the CLI):
 
@@ -38,9 +42,10 @@ Text form (used by the parser, the formatter, and the CLI):
     rat    := uint | uint '/' uint
 
 Whitespace is insignificant.  x-variables and t-variables never mix in
-one polynomial.  The formatter emits one grammar term per
-(rational, b-power, a-power, monomial) combination, monomials in
-descending term order, so parse(format(p)) == p.
+one polynomial.  The formatter, `SparsePoly.text` (which `str` calls with
+no factors), emits one grammar term per (rational, b-power, a-power,
+monomial) combination, monomials in descending term order, so
+parse(format(p)) == p.
 
 Each key slot has a power table from `ring`, `variable_names(letter, n)`:
 exponent -> the text of that power, "x[1,2]" at 1 and "x[1,2]^e" (Laurent
@@ -328,10 +333,19 @@ class SparsePoly:
             {m: s for m, c in self.terms.items() if (s := substitute_coeff(c, beta, alpha))}
         )
 
-    def __str__(self) -> str:
+    def text(self, factors: Optional[list] = None) -> str:
+        """The text of `unscaled(self, factors)`, written without building
+        it: each coefficient of a term of degree d is divided by factors[d]
+        as it is written.  With factors None, str(self)."""
         tables = variable_names(self._letter, self.n)
         terms = self.terms
-        return render_terms((terms[m], mono_text(tables, m)) for m in sorted(terms, reverse=True))
+        return render_terms(
+            (terms[m], mono_text(tables, m), factors[sum(m)] if factors else 1)
+            for m in sorted(terms, reverse=True)
+        )
+
+    def __str__(self) -> str:
+        return self.text()
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(n={self.n}, {self!s})"
@@ -425,7 +439,8 @@ def rescaled(p: SparsePoly, scale: int) -> tuple:
     of p and K > 0 the least that makes every number and every Coeff value
     an int, so a term c*m becomes c*K*L^(D-|m|); factors[d] = K*L^(D-d).
     (p, None) when L = 1 and every value is an int, so that every factor is
-    1.  `unscaled(r, factors)` divides back.
+    1.  `unscaled(r, factors)` divides back to a polynomial, and
+    `r.text(factors)` writes the text of that polynomial without it.
 
     The relation x[i,j]*x[j,k] - x[i,k]*(x[i,j] + x[j,k] + b) - a is
     homogeneous of weight 2 when x and b weigh 1 and a weighs 2.  So a step
@@ -435,7 +450,7 @@ def rescaled(p: SparsePoly, scale: int) -> tuple:
     alike, since a monomial has one degree.  L is the lcm of the
     denominators, so every step multiplies ints; where a symbol is left,
     L = 1 and K alone clears p's denominators.  `d_image` keeps each term's
-    degree, so `unscaled` divides a d-image back too."""
+    degree, so the factors divide a d-image back too."""
     # (degree, value) of each number, and each Coeff value, that is not an int
     others = [
         (sum(key), value)
@@ -461,7 +476,8 @@ def unscaled(r: SparsePoly, factors: Optional[list]) -> SparsePoly:
     """The inverse of the `rescaled` call that gave factors, on r, a value
     of its input's class or its d-image, with no degree above the input's:
     each term of degree d divided by factors[d]; r itself when factors is
-    None."""
+    None.  This is the value route, for a caller that keeps computing;
+    `r.text(factors)` is the text of the result, built without it."""
     if factors is None:
         return r
     inverses = [Fraction(1, factor) for factor in factors]

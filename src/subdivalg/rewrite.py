@@ -539,7 +539,7 @@ def verify_t_unique(
     (b+1 at b=-1) and leave fewer terms.  Each strategy plays on
     `rescaled(p, L)` at the integral point (L*b, L^2*a), as
     `reduce_pathless` does, and the d-images are compared there; only a
-    failure line divides its two images back by the trial's factors."""
+    failure line writes its two images divided by the trial's factors."""
     if strategies < 2:
         raise ValueError(TOO_FEW_STRATEGIES)
     report = Report(
@@ -559,9 +559,8 @@ def verify_t_unique(
         report.counts["inputs"] += 1
         for idx in range(1, len(images)):
             if images[idx] != images[0]:
-                first, other = (unscaled(image, factors) for image in (images[0], images[idx]))
                 report.failures.append(
-                    f"trial {trial} seed {trial_seed} input {p}; "
-                    f"strategy 0 image {first}; strategy {idx} image {other}"
+                    f"trial {trial} seed {trial_seed} input {p}; strategy 0 image "
+                    f"{images[0].text(factors)}; strategy {idx} image {images[idx].text(factors)}"
                 )
     return report

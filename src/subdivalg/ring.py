@@ -38,6 +38,10 @@ back into the values.  The series sweeps compute on these dicts.
 Each key slot has a power table, `_Powers`, and `mono_text` joins the
 entries of a key's present slots: `render_terms` writes a `Coeff` key
 over the two tables named b and a, `poly` a monomial over its slots'.
+`render_terms` writes every value, a number or a `Coeff` value, by one
+branch as numerator and denominator, divided by its term's divisor as it
+is written; so a result kept at the integral point is written as the
+value it stands for (see `poly.SparsePoly.text`).
 
 `integral_point` gives the point (L*b, L^2*a) with integral coordinates
 at which both reductions, the Buchberger check and the series sweeps work
@@ -48,7 +52,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress
-from math import lcm
+from math import gcd, lcm
 from operator import getitem
 from typing import Iterable, Optional, Union
 
@@ -169,7 +173,7 @@ class Coeff:
     __rmul__ = __mul__
 
     def __str__(self) -> str:
-        return render_terms([(self, "")])
+        return render_terms([(self, "", 1)])
 
     def __repr__(self) -> str:
         return f"Coeff({self!s})"
@@ -214,52 +218,49 @@ _PARAM_POWERS = (_Powers({1: "b"}), _Powers({1: "a"}))
 _PARAM_TEXT: dict = {}
 
 
-def render_terms(pairs: Iterable) -> str:
-    """Canonical text of a sum of (coefficient, monomial text) pairs, where
-    the text of the empty monomial is "" and a coefficient is a Coeff or a
-    number.
+def render_terms(terms: Iterable) -> str:
+    """Canonical text of a sum of (coefficient, monomial text, divisor)
+    triples, where the text of the empty monomial is "" and a coefficient,
+    a Coeff or a number, is written divided by its int divisor > 0.
 
     One summand per (rational, b-power, a-power) of each coefficient, in
-    the order of pairs and then of descending parameter degrees; "0" for
-    an empty sum.  A number is one summand, written without the parameter
-    text of a `Coeff` value.  Each summand is written with its sign, "+ "
-    or "- ", and the first sign is settled once the sum is joined.
+    the order of terms and then of descending parameter degrees; "0" for
+    an empty sum.  A number is read as the one value of the empty
+    parameter key, so every value is written by one branch: its numerator
+    and denominator, divided by the divisor with one gcd and no Fraction
+    built.  Each summand is written with its sign, "+ " or "- ", and the
+    first sign is settled once the sum is joined.
     """
     parts = []
     param_text = _PARAM_TEXT
-    for coeff, mono in pairs:
-        if type(coeff) is not Coeff:
-            sign = "+ "
-            if coeff < 0:
-                sign, coeff = "- ", -coeff
-            if coeff == 1:
-                parts.append(sign + (mono or "1"))
-            else:
-                parts.append(f"{sign}{coeff}*{mono}" if mono else f"{sign}{coeff}")
-            continue
-        items = coeff._terms.items()
-        if len(items) > 1:
-            items = sorted(items, reverse=True)
-        for key, value in items:
+    for coeff, mono, divisor in terms:
+        if type(coeff) is Coeff:
+            items = coeff._terms.items()
+            if len(items) > 1:
+                items = sorted(items, reverse=True)
+        else:
+            items = ((_CONST, coeff),)
+        for key, num in items:
             params = param_text.get(key)
             if params is None:
                 params = param_text[key] = mono_text(_PARAM_POWERS, key)
-            num = value.numerator
+            if type(num) is int:
+                den = 1
+            else:
+                num, den = num.numerator, num.denominator
+            if divisor != 1:
+                common = gcd(num, divisor)
+                num, den = num // common, den * (divisor // common)
             sign = "+ "
             if num < 0:
                 sign, num = "- ", -num
-            den = value.denominator
+            tail = f"{params}*{mono}" if params and mono else params or mono
             if den != 1:
-                text = f"{num}/{den}"
-            elif num != 1 or not (params or mono):
-                text = str(num)
+                parts.append(f"{sign}{num}/{den}*{tail}" if tail else f"{sign}{num}/{den}")
+            elif num != 1:
+                parts.append(f"{sign}{num}*{tail}" if tail else f"{sign}{num}")
             else:
-                text = ""
-            if params:
-                text = f"{text}*{params}" if text else params
-            if mono:
-                text = f"{text}*{mono}" if text else mono
-            parts.append(sign + text)
+                parts.append(sign + (tail or "1"))
     if not parts:
         return "0"
     text = " ".join(parts)

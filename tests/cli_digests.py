@@ -32,6 +32,10 @@ GAME7 = "x[1,2]*x[2,3]*x[3,4]*x[4,5]*x[5,6]*x[6,7]"
 FORK6 = "x[1,2]^2*x[1,3]^2*x[1,4]^2*x[1,5]^2*x[1,6]^2"
 FORK6_MIXED = FORK6 + " - 3*x[1,2]*x[1,3]*x[1,4]*x[2,5]*x[2,6]*x[3,4]"
 FORK6_FRACTIONS = "5/4*" + FORK6 + " - 7/3*b*x[1,2]*x[1,3]*x[1,4]*x[2,5]*x[2,6]*x[3,4]"
+D_IMAGE6_FRACTIONS = (
+    FORK6_FRACTIONS + " + 3/2*a*x[2,3]*x[2,4] - 1/2*x[2,4]^2 + 5/2*a*x[3,5] - 3*b*x[4,6]"
+    " + 2/3*x[2,5] - 2/3*x[2,6] - 1/6"
+)
 ED_BA6 = "verify --n 6 ed-ba --max-degree 4 --w-order 4".split()
 A_KILLS_J7 = "verify --n 7 a-kills-j --samples 200".split()
 
@@ -134,6 +138,13 @@ DIGESTS = [
     # 14,594 steps: a trace that keeps a polynomial per step does not fit in memory.
     ("path9", 30, "1eb1e5a2ea49676f4e7103f8cb820eaa80328c42f1c51f4dfb52d6315f05e10e",
      "reduce --n 9 --mode pathless".split() + [PATH9]),
+    # Values that merge, cancel and reach 1; digest from the d-image merged over Fractions.
+    ("dimage6rat", 30, "56edd92e231da67de74102deccf9c2a75699bdd4bbfa270538bf3e51d094f0c1",
+     "d-image --n 6 --beta 1/3 --alpha 2/5".split() + [D_IMAGE6_FRACTIONS]),
+    # Both texts at L = 15 in JSON; digest from the result divided back before it was written.
+    ("forkless6ratjson", 30, "1031608f9533d18344c5a67f6b0e93760b5fe5c09abde9f802d05ba3459d869b",
+     "reduce --n 6 --mode forkless --json --d-image --beta 1/3 --alpha 2/5".split()
+     + [FORK6_FRACTIONS]),
 ]
 
 

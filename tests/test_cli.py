@@ -103,18 +103,19 @@ def test_reduce_script_with_trace_and_d_image(capsys, tmp_path):
 
 def test_reduce_formats_each_result_once(capsys, monkeypatch):
     """`reduce --d-image` turns one XPoly and one TPoly into text, in both
-    output formats, and forkless mode likewise."""
+    output formats, and forkless mode likewise: each through the writer
+    `text`, which `str` calls too."""
     from subdivalg.poly import XPoly
 
     formatted = []
     for cls in (XPoly, TPoly):
-        original = cls.__str__
+        original = cls.text
 
-        def counted(self, original=original):
+        def counted(self, factors=None, original=original):
             formatted.append(type(self).__name__)
-            return original(self)
+            return original(self, factors)
 
-        monkeypatch.setattr(cls, "__str__", counted)
+        monkeypatch.setattr(cls, "text", counted)
     pathless = ["--mode", "pathless", "--strategy", "random", "--beta", "1/3"]
     for options in (pathless, [*pathless, "--json"], [*pathless, "--trace"], ["--mode", "forkless"]):
         formatted.clear()
@@ -124,6 +125,46 @@ def test_reduce_formats_each_result_once(capsys, monkeypatch):
         )
         assert code == 0 and out
         assert sorted(formatted) == ["TPoly", "XPoly"], options
+
+
+def test_rational_reduce_writes_from_the_integral_point(capsys, monkeypatch):
+    """At (1/3, 2/5) `reduce --d-image` divides nothing back before it
+    writes, in either mode, with or without --json: the only `unscaled`
+    calls are the reductions' own at the integral point, whose factors are
+    None.  Its result and d-image are the texts of the library's reduction
+    at (b, a), which divides back by `unscaled`."""
+    from subdivalg import groebner, poly, rewrite
+
+    beta, alpha = Fraction(1, 3), Fraction(2, 5)
+    text = "3/2*x[1,2]*x[2,3]*x[3,4] - 5/4*a*x[1,3]*x[1,2] + 2/3*b*x[1,4]*x[2,4] - 7"
+    p = parse_poly(text, 4).substitute(beta, alpha)
+    expected = {
+        "pathless": rewrite.reduce_pathless(p, rewrite.RandomStrategy(3), beta, alpha)[0],
+        "forkless": normal_form(p, generate_basis(4, beta, alpha)),
+    }
+    calls = []
+    for module in (poly, rewrite, groebner):
+        real = module.unscaled
+
+        def counted(r, factors, real=real):
+            if factors is not None:
+                calls.append(factors)
+            return real(r, factors)
+
+        monkeypatch.setattr(module, "unscaled", counted)
+    for mode, options in (("pathless", ["--strategy", "random", "--seed", "3"]), ("forkless", [])):
+        result = expected[mode]
+        assert any(type(c) is not int for c in result.terms.values())
+        for as_json in (False, True):
+            code, out, _ = run(
+                capsys, "reduce", "--n", "4", "--mode", mode, *options, "--d-image",
+                "--beta", "1/3", "--alpha", "2/5", *(["--json"] if as_json else []), text,
+            )
+            assert code == 0 and calls == [], (mode, as_json)
+            if as_json:
+                payload = json.loads(out[0])
+                out = [payload["result"], "d-image: " + payload["d_image"]]
+            assert out[-2:] == [str(result), f"d-image: {poly.d_image(result)}"], (mode, as_json)
 
 
 # Alternating commands, with argparse errors (exit 2), --help (exit 0), a

@@ -31,12 +31,14 @@ from subdivalg.poly import (
     parse_monomial,
     parse_poly,
     parse_tpoly,
+    rescaled,
     ring_map,
+    unscaled,
     variable_names,
     weight_pathless,
 )
-from subdivalg.rewrite import random_xpoly
-from subdivalg.ring import ALPHA, BETA
+from subdivalg.rewrite import FirstByOrder, random_xpoly, reduce_pathless
+from subdivalg.ring import ALPHA, BETA, Coeff
 from subdivalg.series import QPoly, QTruncSeries
 
 
@@ -422,6 +424,61 @@ def test_parse_round_trip_property(p, q):
     assert parse_tpoly(str(q), q.n) == q
     assert str(parse_poly(str(p), p.n)) == str(p)
     assert str(parse_tpoly(str(q), q.n)) == str(q)
+
+
+# Factors as `rescaled` returns them: K*L^(D-d), with L 1, 3 or 15.
+FACTOR_CHOICES = (1, 2, 3, 6, 9, 15, 36, 225, 8100)
+
+
+@st.composite
+def factored_polys(draw, cls):
+    """(r, factors): r as sparse_polys draws it, factors one choice per
+    degree of r.  A term may be swapped for +-factors[d], or that times one
+    b^i*a^j, so that it is +-1 or +-b^i*a^j once divided."""
+    r = draw(sparse_polys(cls))
+    top = max(map(sum, r.terms), default=0)
+    factors = draw(st.lists(st.sampled_from(FACTOR_CHOICES), min_size=top + 1, max_size=top + 1))
+    terms = {}
+    for key, coeff in r.terms.items():
+        swap = draw(st.sampled_from(("kept", "unit", "param")))
+        sign = draw(st.sampled_from((1, -1)))
+        if swap == "unit":
+            coeff = sign * factors[sum(key)]
+        elif swap == "param":
+            degrees = draw(st.sampled_from(((1, 0), (0, 1), (2, 1))))
+            coeff = Coeff({degrees: sign * factors[sum(key)]})
+        terms[key] = coeff
+    return cls(r.n, terms), factors
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(factored_polys(XPoly), factored_polys(TPoly))
+def test_text_with_factors_is_the_text_of_the_unscaled_value(x, t):
+    """`text(factors)` writes `unscaled(r, factors)` without building it,
+    over int, Fraction and Coeff values, the constant term and the zero
+    polynomial; with no factors it is str."""
+    for r, factors in (x, t):
+        assert r.text(factors) == str(unscaled(r, factors))
+        assert r.text() == r.text(None) == str(r)
+
+
+def test_text_with_factors_edge_cases():
+    """Values that become +-1, a Coeff holding Fractions at L = 1 (b a
+    Fraction, a left), the constant term and the zero polynomial."""
+    one = parse_poly("-6*x[1,2]*x[2,3] + 36*b*x[1,3] - 9*a + 1350", 3)
+    assert one.text([225, 15, 6]) == "-x[1,2]*x[2,3] + 12/5*b*x[1,3] - 1/25*a + 6"
+    assert XPoly(3).text([2, 2, 2]) == str(XPoly(3)) == "0"
+    assert TPoly.constant(2, -4).text([8]) == "-1/2"
+    beta = Fraction(1, 3)
+    p = parse_poly("a*x[1,2]*x[2,3] - 5/4*x[1,3]", 3).substitute(beta, None)
+    q, factors = rescaled(p, 1)
+    assert factors == [4, 4, 4]
+    r = reduce_pathless(q, FirstByOrder(), beta, None)[0]
+    values = [v for c in r.terms.values() if type(c) is Coeff for v in c._terms.values()]
+    assert any(type(v) is Fraction for v in values)
+    expected = str(reduce_pathless(p, FirstByOrder(), beta, None)[0])
+    assert r.text(factors) == str(unscaled(r, factors)) == expected
+    assert d_image(r).text(factors) == str(d_image(unscaled(r, factors)))
 
 
 def test_parse_overlong_integer_raises_parse_error():
