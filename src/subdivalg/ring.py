@@ -273,12 +273,14 @@ def substitute_coeff(
     """A term coefficient with numeric values for b and/or a (None keeps the
     symbol): a number stays as it is, and a `Coeff` left constant becomes
     its number, 0 when it vanishes.  With both None a `Coeff` comes back as
-    it is."""
+    it is.  An integral b or a, an int or an integral Fraction, is used as
+    its int, so an int value times its powers multiplies ints."""
     if type(coeff) is not Coeff or (beta is None and alpha is None):
         return coeff
     # a symbol kept stands at the power 1**deg and keeps its degree
     kept_b, kept_a = beta is None, alpha is None
-    b, a = Fraction(1 if kept_b else beta), Fraction(1 if kept_a else alpha)
+    b = 1 if kept_b else resolve_param(beta, BETA)
+    a = 1 if kept_a else resolve_param(alpha, ALPHA)
     images = (
         ((deg_b * kept_b, deg_a * kept_a), value * b**deg_b * a**deg_a)
         for (deg_b, deg_a), value in coeff._terms.items()

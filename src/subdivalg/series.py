@@ -34,11 +34,13 @@ Three coordinate systems appear here:
   by (t[1..n] exponents..., w exponent) and kept while the w exponent is
   at most W.  Both truncated classes share one base that cuts a key by a
   single hook, its mass: neg_mass for `QTruncSeries`, the power of w
-  here.  A product groups each operand's terms by mass and visits the
-  groups in ascending mass, so the pairs past the order are cut a group at
-  a time.  Powers of w always add; negative masses add unless a slot is
-  positive in one operand and negative in the other (their sign masks
-  clash), and only then is each pair's key checked on its own.  `b_map`
+  here.  A product visits each operand's terms grouped by mass, in
+  ascending mass, so the pairs past the order are cut a group at a time.
+  Powers of w always add; negative masses add unless a slot is positive in
+  one operand and negative in the other (their sign masks clash), and only
+  then is each pair's key checked on its own.  Each value builds its mass
+  groups and sign masks once, on first read, and keeps them, so a factor,
+  image power or right side reused in many products is grouped once.  `b_map`
   sends a q-exponent vector to the t-monomial of its positive part times
   w^(negative mass); `e_image` substitutes
 
@@ -374,9 +376,15 @@ class _Truncated(SparsePoly):
     when `_masses_add` holds for the two operands (the masses sum exactly),
     every pair is cut and so is every heavier group of the right operand;
     otherwise each pair's key is checked before its coefficients are
-    multiplied."""
+    multiplied.
 
-    __slots__ = ("order",)
+    A value is immutable by convention, so it builds its mass groups, and a
+    QTruncSeries its sign masks, at most once, on first read, and keeps
+    them in `_groups` and `_masks`: an operand reused in many products, as a
+    sweep's cached factors and each parent's right side are, is grouped
+    once.  `__init__` and `_held` leave both empty."""
+
+    __slots__ = ("order", "_groups", "_masks")
 
     def __init__(self, n: int, order: int, terms: Optional[dict] = None):
         if order < 0:
@@ -384,6 +392,7 @@ class _Truncated(SparsePoly):
         super().__init__(n, terms)
         self.terms = {k: c for k, c in self.terms.items() if self._mass(k) <= order}
         self.order = order
+        self._groups = self._masks = None
 
     @classmethod
     def constant(cls, n: int, order: int, coeff: CoeffLike):
@@ -399,6 +408,7 @@ class _Truncated(SparsePoly):
         # the module docstring) are led by parameter slots past _width(n)
         s = cls._raw(n, terms)
         s.order = order
+        s._groups = s._masks = None
         return s
 
     def _like(self, terms: dict):
@@ -419,12 +429,16 @@ class _Truncated(SparsePoly):
         return True
 
     def _mass_groups(self) -> list:
-        """[(mass, [(key, coeff), ...]), ...] in ascending mass."""
-        groups: dict = {}
-        mass = self._mass
-        for item in self.terms.items():
-            groups.setdefault(mass(item[0]), []).append(item)
-        return sorted(groups.items())
+        """[(mass, [(key, coeff), ...]), ...] in ascending mass, built on
+        first read and kept."""
+        kept = self._groups
+        if kept is None:
+            groups: dict = {}
+            mass = self._mass
+            for item in self.terms.items():
+                groups.setdefault(mass(item[0]), []).append(item)
+            kept = self._groups = sorted(groups.items())
+        return kept
 
     def _products(self, other):
         mass, order = self._mass, self.order
@@ -455,9 +469,16 @@ class QTruncSeries(_Truncated):
     def _masses_add(self, other) -> bool:
         # neg_mass adds unless some slot is positive in one operand and
         # negative in the other; then it is only subadditive.
-        pos1, neg1 = sign_masks(self.terms)
-        pos2, neg2 = sign_masks(other.terms)
+        pos1, neg1 = self._sign_masks()
+        pos2, neg2 = other._sign_masks()
         return not (pos1 & neg2 or neg1 & pos2)
+
+    def _sign_masks(self) -> tuple:
+        """sign_masks of the keys, built on first read and kept."""
+        kept = self._masks
+        if kept is None:
+            kept = self._masks = sign_masks(self.terms)
+        return kept
 
 
 def factor_series(

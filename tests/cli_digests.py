@@ -92,6 +92,12 @@ DIGESTS = [
     # The e left inverse; digest from the ring map that copied the running total per term.
     ("einverse7rat", 30, "f321bdef19830ca697371eb970b2b0e2bf17a2656b18275e6f612a025e81150c",
      "verify --n 7 e-inverse --samples 2000 --beta 1/3 --alpha -2".split()),
+    # Ints substituted at an integer point; the rational row's digest, from Fraction powers.
+    ("einverse7int", 30, "f321bdef19830ca697371eb970b2b0e2bf17a2656b18275e6f612a025e81150c",
+     "verify --n 7 e-inverse --samples 2000 --beta 3 --alpha -2".split()),
+    # Kept mass groups at an integer point; the symbolic digest, from series grouped per product.
+    ("edba6int", 30, "1fb913eec4bb2d5eab52cb333d04643c6e5c725f806d648742f9dd25e7d8ff9c",
+     ED_BA6 + "--beta -3 --alpha 2".split()),
     # A killing J; digest from the fraction sum that lifted the numerator on every add.
     ("akillsj7rat", 30, "4ffd030252a13d77a06f6922d1ee3a5b59f9a5af95ad1bd57fcf46145108ca3e",
      A_KILLS_J7 + "--beta 1/3 --alpha -2".split()),

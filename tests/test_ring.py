@@ -7,7 +7,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from subdivalg.ring import ALPHA, BETA, Coeff, resolve_param, substitute_coeff
+from subdivalg.ring import (
+    ALPHA,
+    BETA,
+    Coeff,
+    _settle,
+    accumulate,
+    resolve_param,
+    substitute_coeff,
+)
 
 rationals = st.fractions(
     min_value=Fraction(-100), max_value=Fraction(100), max_denominator=100
@@ -399,6 +407,76 @@ def test_substitute_coeff_at_both_parameters_is_a_number():
     cases = (BETA - 2 * ALPHA, BETA * ALPHA + 3, Fraction(1, 3) * BETA, Fraction(1, 3))
     assert [type(substitute_coeff(c, 2, 3)) for c in cases] == [int, int, Fraction, Fraction]
     assert substitute_coeff(BETA - 2, 2, 0) == 0
+
+
+def fraction_route_substitute(coeff, beta, alpha):
+    """substitute_coeff as it was before an integral b or a was used as its
+    int: every value multiplied by Fraction powers of b and a."""
+    if type(coeff) is not Coeff or (beta is None and alpha is None):
+        return coeff
+    kept_b, kept_a = beta is None, alpha is None
+    b, a = Fraction(1 if kept_b else beta), Fraction(1 if kept_a else alpha)
+    images = (
+        ((deg_b * kept_b, deg_a * kept_a), value * b**deg_b * a**deg_a)
+        for (deg_b, deg_a), value in coeff._terms.items()
+    )
+    return _settle(accumulate({}, images))
+
+
+def typed(value):
+    """A value with the type of each number it stores, so that 2 and
+    Fraction(2) differ."""
+    if type(value) is Coeff:
+        return {key: (type(v), v) for key, v in value._terms.items()}
+    return type(value), value
+
+
+int_points = st.integers(-3, 3)
+integral_fraction_points = st.integers(-3, 3).map(Fraction)
+rational_points = st.fractions(-3, 3, max_denominator=4).filter(lambda v: v.denominator != 1)
+numeric_points = st.one_of(int_points, integral_fraction_points, rational_points)
+substitution_points = st.one_of(
+    st.tuples(numeric_points, numeric_points),
+    st.tuples(st.none(), numeric_points),
+    st.tuples(numeric_points, st.none()),
+)
+
+
+term_numbers = mixed_values.filter(bool).map(lambda v: value_of({(0, 0): v}))
+term_values = st.one_of(mixed_coeffs, term_numbers)
+square_less_a = BETA * BETA - 3 * ALPHA + 2
+
+
+@settings(derandomize=True, max_examples=300)
+@given(st.lists(term_values, min_size=1, max_size=4), substitution_points)
+@example(values=[square_less_a, Fraction(1, 2) * BETA * ALPHA], point=(3, -2))
+@example(values=[square_less_a, Fraction(1, 2) * BETA * ALPHA], point=(Fraction(3), Fraction(-2)))
+@example(values=[square_less_a, Fraction(2, 3) * BETA], point=(Fraction(1, 3), -2))
+@example(values=[BETA * ALPHA + ALPHA, Fraction(3, 2) * BETA * BETA], point=(None, Fraction(2)))
+@example(values=[BETA * ALPHA + BETA - 2, BETA + 1], point=(-1, None))
+def test_substitution_at_integral_points_matches_the_fraction_route(values, point):
+    """At int, integral-Fraction, rational and half-symbolic points, every
+    substituted value equals the Fraction route's, stored in the same types:
+    each integral value an int.  The same through XPoly.substitute."""
+    from subdivalg.poly import XPoly
+
+    beta, alpha = point
+    for value in values:
+        result = substitute_coeff(value, beta, alpha)
+        expected = fraction_route_substitute(value, beta, alpha)
+        assert typed(result) == typed(expected)
+        assert_normalised(result)
+    keys = [(k, 0, 3 - k) for k in range(len(values))]  # x[1,2]^k * x[2,3]^(3-k) at n=3
+    p = XPoly(3, dict(zip(keys, values)))
+    substituted = p.substitute(beta, alpha)
+    expected = {
+        m: s for m, c in p.terms.items() if (s := fraction_route_substitute(c, beta, alpha))
+    }
+    assert {m: typed(c) for m, c in substituted.terms.items()} == {
+        m: typed(c) for m, c in expected.items()
+    }
+    for c in substituted.terms.values():
+        assert_normalised(c)
 
 
 def test_symbolic_runs_on_integral_input_store_no_fraction():

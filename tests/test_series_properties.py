@@ -1,6 +1,7 @@
 """Property: a truncated product, which visits the terms by mass groups and
 cuts whole groups past the order, equals the product that multiplies every
-pair of terms and keeps the key when its own mass is at most the order."""
+pair of terms and keeps the key when its own mass is at most the order.
+The mass groups and sign masks a value keeps are those of its terms."""
 
 import pytest
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from subdivalg.poly import accumulate  # noqa: E402
 from subdivalg.rewrite import COEFF_CHOICES  # noqa: E402
-from subdivalg.series import QTruncSeries, TWSeries, neg_mass  # noqa: E402
+from subdivalg.series import QTruncSeries, TWSeries, flat, neg_mass  # noqa: E402
 
 
 def per_pair_product(f, g, mass) -> dict:
@@ -102,3 +103,100 @@ def test_clashing_pair_past_the_mass_sum_is_kept():
     h = QTruncSeries(2, 1, {(0, -1): 1})
     assert f._masses_add(h)
     assert (f * h).terms == {}
+
+
+def regrouped(s) -> list:
+    """The mass groups of s recomputed from its terms: [(mass, {key: coeff})]
+    in ascending mass."""
+    groups: dict = {}
+    for key, c in s.terms.items():
+        groups.setdefault(s._mass(key), {})[key] = c
+    return sorted(groups.items())
+
+
+def masks_of(s) -> tuple:
+    """(positive, negative) bitmasks of the slots some key of s has positive,
+    or negative, recomputed from its terms."""
+    width = len(next(iter(s.terms), ()))
+
+    def bits(test) -> int:
+        return sum(1 << slot for slot in range(width) if any(test(k[slot]) for k in s.terms))
+
+    return bits(lambda e: e > 0), bits(lambda e: e < 0)
+
+
+def assert_grading_kept(s, masks: bool):
+    """s keeps its mass groups, and its sign masks when masks, and both are
+    those of its terms; a second read returns the kept object."""
+    assert s._groups is not None
+    assert [(mass, dict(group)) for mass, group in s._groups] == regrouped(s)
+    assert s._mass_groups() is s._groups
+    if masks:
+        assert s._masks == masks_of(s)
+        assert s._sign_masks() is s._masks
+    else:
+        assert s._masks is None
+
+
+def assert_products_keep_grading(f, g, mass, masks: bool):
+    """f and g reused on both sides: every product equals the per-pair
+    reference, before and after the operands keep their grading."""
+    for left, right in ((f, g), (g, f), (f, f), (g, g), (f, g)):
+        assert (left * right).terms == per_pair_product(left, right, mass)
+        assert_grading_kept(left, masks)
+        assert_grading_kept(right, masks)
+
+
+def fresh_values(f, g) -> list:
+    """Values built from f and g by a sum, a difference, a negation, flat
+    and _held: each starts with no grading kept."""
+    held = type(f)._held(f.n, f.order, dict(f.terms))
+    values = [f + g, f - g, -f, flat(f, (0, 1)), flat(g, (1,)), held]
+    for value in values:
+        assert value._groups is None and value._masks is None
+    return values
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(qtrunc_pairs())
+def test_qtrunc_kept_grading_is_that_of_the_terms(pair):
+    f, g = pair
+    assert f._groups is None and f._masks is None
+    assert_products_keep_grading(f, g, neg_mass, masks=True)
+    assert f._masses_add(g) == (not clash(f, g))
+    for value in fresh_values(f, g):
+        # a flat value is led by parameter slots, so it multiplies its like
+        assert_products_keep_grading(value, value, neg_mass, masks=True)
+        assert_products_keep_grading(value, -value, neg_mass, masks=True)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(tw_pairs())
+def test_tw_kept_grading_is_that_of_the_terms(pair):
+    f, g = pair
+    w_power = lambda key: key[-1]  # noqa: E731
+    assert_products_keep_grading(f, g, w_power, masks=False)
+    for value in fresh_values(f, g):
+        assert_products_keep_grading(value, -value, w_power, masks=False)
+
+
+def test_kept_grading_with_clashing_masks_and_at_order_zero():
+    # q[1]^-1 against q[1]*q[2]^-1: slot 0 clashes, so the pair is checked
+    # on its own, and the kept masks must say so on every later product.
+    f = QTruncSeries(2, 1, {(-1, 0): 1, (0, 0): 2})
+    g = QTruncSeries(2, 1, {(1, -1): 3, (0, 0): 1})
+    assert_products_keep_grading(f, g, neg_mass, masks=True)
+    assert f._masks == (0, 1) and g._masks == (1, 2)
+    assert not f._masses_add(g) and not g._masses_add(f)
+    assert (f * g).terms == {(0, -1): 3, (-1, 0): 1, (1, -1): 6, (0, 0): 2}
+    # At order 0 every key with a negative slot is cut: one group of mass 0.
+    zero = QTruncSeries(2, 0, {(-1, 0): 1, (1, 0): 2, (0, 0): 5, (1, -1): 3})
+    assert zero.terms == {(1, 0): 2, (0, 0): 5}
+    assert_products_keep_grading(zero, QTruncSeries(2, 0, {(0, 2): -1}), neg_mass, masks=True)
+    assert zero._groups == [(0, [((1, 0), 2), ((0, 0), 5)])]
+    tw = TWSeries(2, 0, {(1, 0, 0): 1, (0, 1, 1): 4})
+    assert_products_keep_grading(tw, TWSeries.one(2, 0), lambda key: key[-1], masks=False)
+    assert tw._groups == [(0, [((1, 0, 0), 1)])]
+    # An empty series keeps an empty grading.
+    empty = QTruncSeries(2, 1)
+    assert (empty * f).terms == {} and empty._groups == [] and empty._masks == (0, 0)
