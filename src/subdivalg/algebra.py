@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional
 from .groebner import generate_basis, ideal_generator, ideal_member
 from .poly import XPoly, num_vars, pair_list, ring_map, var_position
 from .rewrite import Report
-from .ring import ALPHA, BETA, RationalLike, resolve_param
+from .ring import RationalLike, resolve
 
 Permutation = tuple  # images (sigma(1), ..., sigma(n)), 1-based
 
@@ -50,7 +50,7 @@ def x_general(
         raise ValueError("x[i,i] is not defined")
     if i < j:
         return XPoly.variable(i, j, n)
-    beta_c = resolve_param(beta, BETA)
+    beta_c, _ = resolve(beta, None)
     return -XPoly.variable(j, i, n) - XPoly.constant(n, beta_c)
 
 
@@ -65,8 +65,7 @@ def j_generator(
     """The symmetric relation J(i,j,k); any order of distinct indices."""
     if len({i, j, k}) != 3:
         raise ValueError("indices must be pairwise distinct")
-    beta_c = resolve_param(beta, BETA)
-    alpha_c = resolve_param(alpha, ALPHA)
+    beta_c, alpha_c = resolve(beta, alpha)
     x_ij = x_general(i, j, n, beta)
     x_jk = x_general(j, k, n, beta)
     x_ki = x_general(k, i, n, beta)

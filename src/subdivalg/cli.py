@@ -134,46 +134,48 @@ def _emit(args, payload: dict, text_lines: list) -> None:
         print("\n".join(text_lines))
 
 
+# The strategies of `reduce --strategy` that read no flag of their own.
+ORDER_STRATEGIES = {"first": FirstByOrder(), "last": LastByOrder()}
+
+
 def cmd_reduce(args) -> int:
-    chosen = f"--strategy {args.strategy or 'first'}" if args.mode == "pathless" else "--mode forkless"
+    pathless = args.mode == "pathless"
+    name = args.strategy or "first"
+    chosen = f"--strategy {name}" if pathless else "--mode forkless"
     if args.seed is not None and (args.mode, args.strategy) != ("pathless", "random"):
         raise ValueError(f"reduce {chosen} does not read --seed")
-    if args.script_file is not None and args.mode == "pathless" and args.strategy != "script":
+    if not pathless and (args.strategy or args.script_file or args.trace):
+        raise ValueError("--strategy, --script-file, and --trace apply to pathless mode only")
+    if pathless and args.script_file is not None and name != "script":
         raise ValueError(f"reduce {chosen} does not read --script-file")
+    if name == "script" and not args.script_file:
+        raise ValueError("--strategy script needs --script-file")
     p = parse_poly(args.poly, args.n).substitute(args.beta, args.alpha)
-    # Either reduction runs on the rescaled input at the integral point, where
-    # its own rescale is a no-op, and makes the moves it makes on p.  The
-    # result stays there, so its d-image merges ints, and both are divided
-    # back by the factors only as they are written.
+    # Either reduction runs on the rescaled input at the integral point and
+    # makes the moves it makes on p.  The result stays there, so its d-image
+    # merges ints, and both are divided back by the factors only as they
+    # are written.
     scale, beta_at, alpha_at = integral_point(args.beta, args.alpha)
     q, factors = rescaled(p, scale)
     payload: dict = {"command": "reduce", "mode": args.mode, "n": args.n}
     lines: list = []
-    if args.mode == "forkless":
-        if args.strategy or args.script_file or args.trace:
-            raise ValueError("--strategy, --script-file, and --trace apply to pathless mode only")
+    if not pathless:
         result = normal_form(q, generate_basis(args.n, beta_at, alpha_at))
-        trace = None
     else:
-        strategy_name = args.strategy or "first"
-        if strategy_name == "first":
-            strategy = FirstByOrder()
-        elif strategy_name == "last":
-            strategy = LastByOrder()
-        elif strategy_name == "random":
+        if name == "random":
             seed = 0 if args.seed is None else args.seed
             strategy = RandomStrategy(seed)
             payload["seed"] = seed
             lines.append(f"seed: {seed}")
-        else:
-            if not args.script_file:
-                raise ValueError("--strategy script needs --script-file")
+        elif name == "script":
             with open(args.script_file, encoding="utf-8") as handle:
                 strategy = parse_script(handle.read(), args.n)
+        else:
+            strategy = ORDER_STRATEGIES[name]
         result, trace = reduce_pathless(q, strategy, beta_at, alpha_at)
-    if args.trace and trace is not None:
-        payload["trace"] = format_trace(trace).splitlines()
-        lines.extend(payload["trace"])
+        if args.trace:
+            payload["trace"] = format_trace(trace).splitlines()
+            lines.extend(payload["trace"])
     text = result.text(factors)
     payload["result"] = text
     lines.append(text)

@@ -74,7 +74,7 @@ from .rewrite import (
     relation_monomials,
     rewrite,
 )
-from .ring import ALPHA, BETA, RationalLike, integral_point, resolve_param
+from .ring import ALPHA, BETA, RationalLike, integral_point, resolve
 
 
 def ideal_generator(
@@ -90,7 +90,7 @@ def ideal_generator(
     if not (1 <= i < j < k <= n):
         raise ValueError(f"need 1 <= i < j < k <= n, got ({i},{j},{k}) with n={n}")
     path, fork, ik_jk, ik, one = relation_monomials(n)[(i, j, k)]
-    b, a = resolve_param(beta, BETA), resolve_param(alpha, ALPHA)
+    b, a = resolve(beta, alpha)
     terms = accumulate({path: 1, fork: -1, ik_jk: -1}, ((ik, -b), (one, -a)))
     return XPoly._raw(n, terms)
 
@@ -111,9 +111,10 @@ class GroebnerBasis:
         alpha: Optional[RationalLike] = None,
     ):
         self.n = n
-        self.params = resolve_param(beta, BETA), resolve_param(alpha, ALPHA)
+        self.params = resolve(beta, alpha)
         self.scale, beta_at, alpha_at = integral_point(beta, alpha)
-        self.tail = None, -1, -resolve_param(beta_at, BETA), -resolve_param(alpha_at, ALPHA)
+        b_at, a_at = resolve(beta_at, alpha_at)
+        self.tail = None, -1, -b_at, -a_at
         self.kernels = _fork_kernels(n)
         self.rules = RuleSet(_fork_triples)
 

@@ -475,22 +475,14 @@ def rescaled(p: SparsePoly, scale: int) -> tuple:
 def unscaled(r: SparsePoly, factors: Optional[list]) -> SparsePoly:
     """The inverse of the `rescaled` call that gave factors, on r, a value
     of its input's class or its d-image, with no degree above the input's:
-    each term of degree d divided by factors[d]; r itself when factors is
+    each term of degree d times 1/factors[d], in one `accumulate` pass,
+    which stores an integral quotient as its int; r itself when factors is
     None.  This is the value route, for a caller that keeps computing;
     `r.text(factors)` is the text of the result, built without it."""
     if factors is None:
         return r
     inverses = [Fraction(1, factor) for factor in factors]
-    terms = {}
-    for key, c in r.terms.items():
-        degree = sum(key)
-        if type(c) is int:
-            quotient, rest = divmod(c, factors[degree])
-            terms[key] = Fraction(c, factors[degree]) if rest else quotient
-        else:
-            c *= inverses[degree]
-            terms[key] = c.numerator if type(c) is Fraction and c.denominator == 1 else c
-    return r._like(terms)
+    return r._like(accumulate({}, ((key, c * inverses[sum(key)]) for key, c in r.terms.items())))
 
 
 def d_image(p: XPoly) -> TPoly:

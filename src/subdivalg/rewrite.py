@@ -34,10 +34,11 @@ draw reads are kept under RandomStrategy only.  A game's trace
 keeps its moves, not a polynomial per step: `TraceStep.after` is replayed
 from the input on the first read, so printing the moves builds none.
 
-Rational points.  `reduce_pathless` plays at the integral point (L*b,
-L^2*a) of `ring.integral_point` on the `poly.rescaled` input, where every
-step multiplies ints, and divides its result back (see `poly.rescaled`).
-The trace keeps p and (b, a), so its `after` replays at (b, a).
+Rational points.  `reduce_pathless` plays at the point it is given, and
+its trace replays there.  The callers that want ints, `subdivalg reduce`
+and `verify_t_unique`, play on the `poly.rescaled` input at the integral
+point (L*b, L^2*a) of `ring.integral_point`, where the game makes the
+moves it makes at (b, a) (see `poly.rescaled`).
 """
 
 from __future__ import annotations
@@ -62,11 +63,10 @@ from .poly import (
     read_monomial,
     rescaled,
     slot_partners,
-    unscaled,
     variable_names,
     weight_pathless,
 )
-from .ring import ALPHA, BETA, CoeffLike, RationalLike, integral_point, resolve_param
+from .ring import ALPHA, BETA, CoeffLike, RationalLike, integral_point, resolve
 
 
 DEFAULT_MAX_STEPS = 500_000
@@ -387,28 +387,27 @@ def reduce_pathless(
     beta: Optional[RationalLike] = None,
     alpha: Optional[RationalLike] = None,
 ) -> tuple:
-    """Play the game to a pathless polynomial; returns (result, trace).
-
-    The game is played on `rescaled(p, L)` at the integral point (L*b,
-    L^2*a) of `integral_point` and its result divided back.  The trace
-    keeps the moves only: each step's `after` is replayed from p at (b, a)
-    on the first read of any of them, so a caller that prints the moves and
-    the result never builds a polynomial per step."""
-    scale, beta_at, alpha_at = integral_point(beta, alpha)
-    b_at, a_at = resolve_param(beta_at, BETA), resolve_param(alpha_at, ALPHA)
-    # The callees are looked up at each call, so run-time wrappers see every call.
-    step = lambda terms, mono, triple: pathless_step(terms, mono, triple, b_at, a_at)  # noqa: E731
-    record = _Moves(p, (None, None, resolve_param(beta, BETA), resolve_param(alpha, ALPHA)))
+    """Play the game to a pathless polynomial at (b, a) as given; returns
+    (result, trace).  The trace keeps the moves only: each step's `after`
+    is replayed from p at the same (b, a) on the first read of any of
+    them, so a caller that prints the moves and the result never builds a
+    polynomial per step.  At a rational point every step multiplies
+    Fractions; a caller that wants ints plays on `poly.rescaled(p, L)` at
+    the integral point (L*b, L^2*a) of `ring.integral_point`, as
+    `subdivalg reduce` and `verify_t_unique` do."""
+    b, a = resolve(beta, alpha)
+    # The callee is looked up at each call, so run-time wrappers see every call.
+    step = lambda terms, mono, triple: pathless_step(terms, mono, triple, b, a)  # noqa: E731
+    record = _Moves(p, (None, None, b, a))
     moves = record.moves
-    q, factors = rescaled(p, scale)
     terms = None
-    game = rewrite(q, "pathless game", RuleSet(find_path_triples), step, strategy)
+    game = rewrite(p, "pathless game", RuleSet(find_path_triples), step, strategy)
     for mono, triple, terms in game:
         moves.append((mono, triple))
     trace = [TraceStep(mono, triple, record, index) for index, (mono, triple) in enumerate(moves)]
     if not moves:
         return p, trace
-    return unscaled(XPoly._raw(p.n, terms), factors), trace
+    return XPoly._raw(p.n, terms), trace
 
 
 def format_trace(trace: list) -> str:
@@ -537,9 +536,9 @@ def verify_t_unique(
     Trial `trial` draws its input from random.Random(derive_seed(seed, trial)),
     then substitutes beta and alpha into it, so a drawn term can cancel
     (b+1 at b=-1) and leave fewer terms.  Each strategy plays on
-    `rescaled(p, L)` at the integral point (L*b, L^2*a), as
-    `reduce_pathless` does, and the d-images are compared there; only a
-    failure line writes its two images divided by the trial's factors."""
+    `rescaled(p, L)` at the integral point (L*b, L^2*a), as `subdivalg
+    reduce` does, and the d-images are compared there; only a failure line
+    writes its two images divided by the trial's factors."""
     if strategies < 2:
         raise ValueError(TOO_FEW_STRATEGIES)
     report = Report(

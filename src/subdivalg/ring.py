@@ -44,8 +44,10 @@ is written; so a result kept at the integral point is written as the
 value it stands for (see `poly.SparsePoly.text`).
 
 `integral_point` gives the point (L*b, L^2*a) with integral coordinates
-at which both reductions, the Buchberger check and the series sweeps work
-for a rational point (b, a) (see `poly.rescaled`).
+at which the normal form, the Buchberger check, the series sweeps and the
+game's callers `subdivalg reduce` and `verify_t_unique` work for a
+rational point (b, a) (see `poly.rescaled`).  `resolve` turns the pair
+(b, a) into coefficients, the symbol where a value is None.
 """
 
 from __future__ import annotations
@@ -279,8 +281,7 @@ def substitute_coeff(
         return coeff
     # a symbol kept stands at the power 1**deg and keeps its degree
     kept_b, kept_a = beta is None, alpha is None
-    b = 1 if kept_b else resolve_param(beta, BETA)
-    a = 1 if kept_a else resolve_param(alpha, ALPHA)
+    b, a = resolve(1 if kept_b else beta, 1 if kept_a else alpha)
     images = (
         ((deg_b * kept_b, deg_a * kept_a), value * b**deg_b * a**deg_a)
         for (deg_b, deg_a), value in coeff._terms.items()
@@ -341,14 +342,14 @@ def integral_point(beta: Optional[RationalLike], alpha: Optional[RationalLike]) 
     return scale, (scale * beta).numerator, (scale * scale * alpha).numerator
 
 
-def resolve_param(value: Optional[RationalLike], symbolic: Coeff) -> CoeffLike:
-    """Turn an optional numeric parameter into a coefficient.
-
-    None keeps the generic symbol (b or a); a number specializes to
-    itself, an integral Fraction to its int.
-    """
-    if value is None:
-        return symbolic
-    if type(value) is not int and value.denominator == 1:
-        return value.numerator
-    return value
+def resolve(beta: Optional[RationalLike], alpha: Optional[RationalLike]) -> tuple:
+    """(b, a) as coefficients: None keeps the symbol of its position, b or
+    a, and a number specializes to itself, an integral Fraction to its
+    int."""
+    b = BETA if beta is None else beta
+    a = ALPHA if alpha is None else alpha
+    if type(b) is Fraction and b.denominator == 1:
+        b = b.numerator
+    if type(a) is Fraction and a.denominator == 1:
+        a = a.numerator
+    return b, a

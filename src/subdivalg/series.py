@@ -119,7 +119,7 @@ from .ring import (
     RationalLike,
     fold_params,
     integral_point,
-    resolve_param,
+    resolve,
     spread_params,
     substitute_coeff,
     symbolic_params,
@@ -278,7 +278,7 @@ def a_map(
     numbers; the numerator is folded back into Coeff values at the end."""
     params = symbolic_params(beta, alpha)
     lead = len(params)
-    minus_b, minus_a = -resolve_param(beta, BETA), -resolve_param(alpha, ALPHA)
+    b, a = resolve(beta, alpha)
     pairs = pair_list(n)
     width = len(pairs)
 
@@ -290,7 +290,7 @@ def a_map(
         if slot >= lead + width:
             return flat(q_binomial(i, j, n), params)
         exponents = (q_exponent(n, {i: 1, j: 1}), q_exponent(n, {j: 1}), q_exponent(n, {}))
-        return flat(QPoly(n, dict(zip(exponents, (-1, minus_b, minus_a)))), params)
+        return flat(QPoly(n, dict(zip(exponents, (-1, -b, -a)))), params)
 
     numerator_of = ring_map(image, flat(QPoly.one(n), params))
 
@@ -395,12 +395,8 @@ class _Truncated(SparsePoly):
         self._groups = self._masks = None
 
     @classmethod
-    def constant(cls, n: int, order: int, coeff: CoeffLike):
-        return cls(n, order, {(0,) * cls._width(n): coeff})
-
-    @classmethod
     def one(cls, n: int, order: int):
-        return cls.constant(n, order, 1)
+        return cls(n, order, {(0,) * cls._width(n): 1})
 
     @classmethod
     def _held(cls, n: int, order: int, terms: dict):
@@ -513,8 +509,7 @@ def a_s_expand(
     if not is_pathless(m):
         raise ValueError(f"{format_monomial(m)} is not pathless")
     n = ambient_size(len(m))
-    beta_c = resolve_param(beta, BETA)
-    alpha_c = resolve_param(alpha, ALPHA)
+    beta_c, alpha_c = resolve(beta, alpha)
     pairs = pair_list(n)
     return ring_map(
         lambda pos: factor_series(*pairs[pos], n, order, beta_c, alpha_c),
@@ -595,7 +590,7 @@ def e_image(
 
     The input may use t[1..n-1] only; t[n] has no image.
     """
-    return e_map(p.n, order, resolve_param(beta, BETA), resolve_param(alpha, ALPHA))(p)
+    return e_map(p.n, order, *resolve(beta, alpha))(p)
 
 
 def verify_ed_eq_ba(
@@ -647,7 +642,7 @@ def ed_ba_sweep(
     n = ambient_size(width)  # as verify_ed_eq_ba reads it off a monomial
     pairs = pair_list(n)
     _, beta_at, alpha_at = integral_point(beta, alpha)
-    beta_c, alpha_c = resolve_param(beta_at, BETA), resolve_param(alpha_at, ALPHA)
+    beta_c, alpha_c = resolve(beta_at, alpha_at)
     params = symbolic_params(beta, alpha)
     row = cache(lambda i: flat(variable_series(i - 1, n, w_order, beta_c, alpha_c), params))
     factor = cache(lambda pos: flat(factor_series(*pairs[pos], n, w_order, beta_c, alpha_c), params))
@@ -713,8 +708,8 @@ def verify_e_left_inverse(
         {"inputs": 0},
     )
     scale, beta_at, alpha_at = integral_point(beta, alpha)
-    beta_c = resolve_param(beta_at, BETA)
-    e_of = e_map(n, 0, beta_c, resolve_param(alpha_at, ALPHA))
+    beta_c, alpha_c = resolve(beta_at, alpha_at)
+    e_of = e_map(n, 0, beta_c, alpha_c)
     g_of = g_map(n, beta_c)
     for index in range(samples):
         sample_seed = derive_seed(seed, index)

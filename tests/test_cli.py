@@ -130,9 +130,10 @@ def test_reduce_formats_each_result_once(capsys, monkeypatch):
 def test_rational_reduce_writes_from_the_integral_point(capsys, monkeypatch):
     """At (1/3, 2/5) `reduce --d-image` divides nothing back before it
     writes, in either mode, with or without --json: the only `unscaled`
-    calls are the reductions' own at the integral point, whose factors are
-    None.  Its result and d-image are the texts of the library's reduction
-    at (b, a), which divides back by `unscaled`."""
+    calls are the normal form's own at the integral point, whose factors
+    are None, and the game steps on ints only.  Its result and d-image are
+    the texts of the library's reductions at (b, a): the game played there
+    on Fractions, and the normal form divided back by `unscaled`."""
     from subdivalg import groebner, poly, rewrite
 
     beta, alpha = Fraction(1, 3), Fraction(2, 5)
@@ -142,8 +143,9 @@ def test_rational_reduce_writes_from_the_integral_point(capsys, monkeypatch):
         "pathless": rewrite.reduce_pathless(p, rewrite.RandomStrategy(3), beta, alpha)[0],
         "forkless": normal_form(p, generate_basis(4, beta, alpha)),
     }
+    assert not hasattr(rewrite, "unscaled")
     calls = []
-    for module in (poly, rewrite, groebner):
+    for module in (poly, groebner):
         real = module.unscaled
 
         def counted(r, factors, real=real):
@@ -152,15 +154,26 @@ def test_rational_reduce_writes_from_the_integral_point(capsys, monkeypatch):
             return real(r, factors)
 
         monkeypatch.setattr(module, "unscaled", counted)
+    # Each game step: whether its terms are ints and its point is (5, 90).
+    stepped = []
+    real_step = rewrite.pathless_step
+
+    def step(terms, *rest):
+        stepped.append(all(type(c) is int for c in terms.values()) and rest[2:] == (5, 90))
+        return real_step(terms, *rest)
+
+    monkeypatch.setattr(rewrite, "pathless_step", step)
     for mode, options in (("pathless", ["--strategy", "random", "--seed", "3"]), ("forkless", [])):
         result = expected[mode]
         assert any(type(c) is not int for c in result.terms.values())
         for as_json in (False, True):
+            stepped.clear()
             code, out, _ = run(
                 capsys, "reduce", "--n", "4", "--mode", mode, *options, "--d-image",
                 "--beta", "1/3", "--alpha", "2/5", *(["--json"] if as_json else []), text,
             )
             assert code == 0 and calls == [], (mode, as_json)
+            assert all(stepped) and bool(stepped) == (mode == "pathless"), (mode, as_json)
             if as_json:
                 payload = json.loads(out[0])
                 out = [payload["result"], "d-image: " + payload["d_image"]]

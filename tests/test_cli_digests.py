@@ -25,6 +25,10 @@ def test_workflow_runs_the_table_and_no_digest_step():
     assert "sha256sum" not in text
     # the replay is the runner's: no step feeds a script back by hand
     assert "--script-file" not in text
+    # the stdlib-only runner also runs on the newer Pythons, with nothing installed
+    digests = text[text.index("\n  digests:"):]
+    assert '["3.12", "3.13"]' in digests and '["", "-O"]' in digests
+    assert "pip install" not in digests and digests.count("tests/cli_digests.py") == 1
 
 
 def test_a_row_passes_and_fails_on_one_changed_digest_character():

@@ -50,7 +50,7 @@ from subdivalg.rewrite import (
     reduce_pathless,
     relation_monomials,
 )
-from subdivalg.ring import ALPHA, BETA, integral_point, resolve_param
+from subdivalg.ring import BETA, integral_point, resolve
 
 
 def mono(n: int, *pairs) -> tuple:
@@ -100,8 +100,7 @@ PARAMS = ((None, None), (3, -2), (Fraction(2, 3), Fraction(-3, 2)), (0, None), (
 def reference_generator(i, j, k, n, beta, alpha):
     """The relation built with XPoly arithmetic."""
     x_ij, x_jk, x_ik = (XPoly.variable(*pair, n) for pair in ((i, j), (j, k), (i, k)))
-    b = XPoly.constant(n, resolve_param(beta, BETA))
-    a = XPoly.constant(n, resolve_param(alpha, ALPHA))
+    b, a = (XPoly.constant(n, c) for c in resolve(beta, alpha))
     return x_ij * x_jk - x_ik * (x_ij + x_jk + b) - a
 
 
@@ -558,7 +557,7 @@ def test_one_relation_two_readings(beta, alpha):
     monomials it wrote in its kernel's order: all four of the other terms,
     with coefficient 0 where b or a is 0."""
     _, beta_at, alpha_at = integral_point(beta, alpha)
-    b, a = resolve_param(beta_at, BETA), resolve_param(alpha_at, ALPHA)
+    b, a = resolve(beta_at, alpha_at)
     checked = 0
     for n in range(3, 7):
         basis = generate_basis(n, beta, alpha)

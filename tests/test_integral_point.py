@@ -1,11 +1,15 @@
-"""Both reductions at a rational point run at the integral point.
+"""Reductions at a rational point run at the integral point.
 
 The relation x[i,j]*x[j,k] - x[i,k]*(x[i,j] + x[j,k] + b) - a is
 homogeneous when x and b weigh 1 and a weighs 2.  So the game, the normal
 form and the Buchberger check at (b, a) make the same moves at
 (L*b, L^2*a) on `rescaled(p, L)`, and their results divide back term by
-term.  Here the engines are checked against the route that steps at (b, a)
-itself, and symbolic runs against numeric ones by specialising b and a.
+term.  The normal form and the Buchberger check rescale on their own;
+`reduce_pathless` plays at the point it is given, and its callers that
+want ints, `subdivalg reduce` and `verify_t_unique`, rescale for it.  Here
+the engines and the callers' route are checked against the route that
+steps at (b, a) itself, and symbolic runs against numeric ones by
+specialising b and a.
 """
 
 import random
@@ -35,7 +39,7 @@ from subdivalg.rewrite import (
     strategy_suite,
     verify_t_unique,
 )
-from subdivalg.ring import ALPHA, BETA, integral_point, resolve_param, spread_params
+from subdivalg.ring import ALPHA, BETA, integral_point, resolve, spread_params
 
 # The rational points of the series sweeps' oracle, each coordinate in turn
 # zero, integral and not.
@@ -95,7 +99,7 @@ def watched(monkeypatch, module, name: str, seen: list):
 
 def fraction_game(p: XPoly, strategy, beta, alpha) -> tuple:
     """(result, moves) of the game stepped at (b, a) itself."""
-    b, a = resolve_param(beta, BETA), resolve_param(alpha, ALPHA)
+    b, a = resolve(beta, alpha)
     step = lambda terms, mono, triple: pathless_step(terms, mono, triple, b, a)  # noqa: E731
     terms, moves = p.terms, []
     for mono, triple, terms in rewrite.rewrite(
@@ -169,7 +173,8 @@ def test_rescaled_is_integral_and_unscaled_inverts_it(beta, alpha):
     """q = K*L^D*p(x/L) holds ints only, in numbers and in Coeff values,
     K the least that does it, applied at L = 1 too; the factors returned
     beside q are K*L^(D-d) per degree d, None where L = 1 and nothing is
-    cleared, and `unscaled` divides each term back by them."""
+    cleared, and `unscaled` divides each term back by them, each value an
+    int where it is integral."""
     scale = integral_point(beta, alpha)[0]
     assert (scale > 1) == ((beta, alpha) in RATIONAL_POINTS)
     for p in inputs(beta, alpha, 40, 11):
@@ -191,7 +196,13 @@ def test_rescaled_is_integral_and_unscaled_inverts_it(beta, alpha):
         expected = [clear * scale ** (top - d) for d in range(top + 1)]
         assert factors == (None if scale == clear == 1 else expected)
         assert (q is p) == (factors is None)
-        assert unscaled(q, factors) == p
+        back = unscaled(q, factors)
+        assert back == p
+        # one form per value: an integral quotient comes back as its int
+        spread_back = spread_params(back.terms, (0, 1))
+        assert {k: type(v) for k, v in spread_back.items()} == {
+            k: type(v) for k, v in spread_p.items()
+        }
     # An integral input at L = 1 is its own rescaling; Coeff values count.
     p = parse_poly("2*x[1,2]*x[2,3] - 3*b*x[1,3] + a", 3)
     q, factors = rescaled(p, 1)
@@ -201,10 +212,10 @@ def test_rescaled_is_integral_and_unscaled_inverts_it(beta, alpha):
 
 
 def test_a_reduction_reads_its_inputs_values_once(monkeypatch):
-    """At (1/3, 2/5), `reduce_pathless` and `normal_form` each read the
-    non-int values of an input with k non-int coefficients k times: the
-    way back divides by the factors `rescaled` returned, with no second
-    scan of the input."""
+    """At (1/3, 2/5), `normal_form` reads the non-int values of an input
+    with k non-int coefficients k times: the way back divides by the
+    factors `rescaled` returned, with no second scan of the input.
+    `reduce_pathless` plays at the point it is given and reads none."""
     beta, alpha = Fraction(1, 3), Fraction(2, 5)
     example = parse_poly("3/2*x[1,2]*x[2,3]*x[3,4] - 5/4*x[1,3]*x[3,4] + 2*x[1,2]^2*x[1,3]", 4)
     calls = []
@@ -213,38 +224,52 @@ def test_a_reduction_reads_its_inputs_values_once(monkeypatch):
     for p in [example] + inputs(beta, alpha, 12, 17):
         k = sum(type(c) is not int for c in p.terms.values())
         basis = generate_basis(p.n, beta, alpha)
-        for reduce in (
-            lambda: reduce_pathless(p, FirstByOrder(), beta, alpha),
-            lambda: normal_form(p, basis),
+        for reduce, reads in (
+            (lambda: reduce_pathless(p, FirstByOrder(), beta, alpha), 0),
+            (lambda: normal_form(p, basis), k),
         ):
             calls.clear()
             reduce()
-            assert len(calls) == k, p
+            assert len(calls) == reads, p
     assert sum(type(c) is not int for c in example.terms.values()) == 2
 
 
 @pytest.mark.parametrize("beta, alpha", POINTS)
 def test_game_at_the_integral_point_makes_the_fraction_route_moves(beta, alpha, monkeypatch):
-    """Under first, last and random, `reduce_pathless` gives the result and
-    the moves of the game stepped at (b, a); each step it takes sees only
-    ints where L > 1 or no number is left, and the trace replays at (b, a)."""
+    """The route `subdivalg reduce` takes: under first, last and random,
+    `reduce_pathless` on `rescaled(p, L)` at (L*b, L^2*a) makes the moves
+    of the game stepped at (b, a), each of its steps sees only ints where
+    L > 1 or no number is left, its trace replays at the integral point,
+    and `unscaled` of its result is the result of `reduce_pathless` at
+    (b, a).  That game steps at (b, a) as given, makes the same moves and
+    replays its trace there."""
     point = POINTS.index((beta, alpha))
+    scale, beta_at, alpha_at = integral_point(beta, alpha)
     steps = 0
     for index, p in enumerate(inputs(beta, alpha, 25, derive_seed(29, point))):
+        q, factors = rescaled(p, scale)
         for strategy in strategies(derive_seed(31, point, index)):
             seen: list = []
+            direct_seen: list = []
             with monkeypatch.context() as patch:
                 watched(patch, rewrite, "pathless_step", seen)
-                result, trace = reduce_pathless(p, strategy, beta, alpha)
+                result, trace = reduce_pathless(q, strategy, beta_at, alpha_at)
+            with monkeypatch.context() as patch:
+                watched(patch, rewrite, "pathless_step", direct_seen)
+                direct, direct_trace = reduce_pathless(p, strategy, beta, alpha)
             expected, moves = fraction_game(p, strategy, beta, alpha)
-            assert result == expected
             assert [(step.monomial, step.triple) for step in trace] == moves
             assert [move for move, _, _ in seen] == moves
-            if moves:
-                assert trace[-1].after == expected
             if (beta, alpha) not in ONE_SYMBOL:
                 for _, terms, params in seen:
                     assert integral(terms.values()) and integral(params)
+            assert unscaled(result, factors) == direct == expected
+            assert [(step.monomial, step.triple) for step in direct_trace] == moves
+            assert [move for move, _, _ in direct_seen] == moves
+            assert all(params == resolve(beta, alpha) for _, _, params in direct_seen)
+            if moves:
+                assert trace[-1].after == result
+                assert direct_trace[-1].after == expected
             steps += len(moves)
     assert steps >= 100
 

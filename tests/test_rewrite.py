@@ -70,7 +70,7 @@ from subdivalg.rewrite import (
     strategy_suite,
     verify_t_unique,
 )
-from subdivalg.ring import ALPHA, BETA, Coeff, resolve_param, substitute_coeff
+from subdivalg.ring import BETA, Coeff, resolve, substitute_coeff
 
 
 def mono(n: int, *pairs) -> tuple:
@@ -241,7 +241,7 @@ def test_step_matches_arithmetic_reference(beta, alpha):
     step against the relation's replacement built with XPoly arithmetic,
     on term dicts that already hold some of the written monomials, so that
     merging and cancellation are covered too."""
-    b, a = resolve_param(beta, BETA), resolve_param(alpha, ALPHA)
+    b, a = resolve(beta, alpha)
     checked = 0
     for n in range(3, 6):
         x = partial(XPoly.variable, n=n)
@@ -517,7 +517,8 @@ REPLAY_PARAMS = ((None, None), (2, 3), (Fraction(1, 3), -2), (0, 0))
 
 def live_states(p, strategy, beta, alpha) -> list:
     """Copies of the states the engine yields in the game reduce_pathless plays."""
-    step = partial(pathless_step, beta=resolve_param(beta, BETA), alpha=resolve_param(alpha, ALPHA))
+    b, a = resolve(beta, alpha)
+    step = partial(pathless_step, beta=b, alpha=a)
     game = rewrite(p, "pathless game", RuleSet(find_path_triples), step, strategy)
     return [XPoly._raw(p.n, dict(terms)) for _, _, terms in game]
 
@@ -574,7 +575,7 @@ def test_first_and_last_picks_match_brute_force():
     moves_seen = 0
     for (beta, alpha), p in itertools.product(REPLAY_PARAMS, inputs):
         p = p.substitute(beta, alpha)
-        b, a = resolve_param(beta, BETA), resolve_param(alpha, ALPHA)
+        b, a = resolve(beta, alpha)
         basis = generate_basis(p.n, beta, alpha)
         rules = (
             ("pathless game", find_path_triples, partial(pathless_step, beta=b, alpha=a)),

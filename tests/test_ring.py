@@ -13,7 +13,7 @@ from subdivalg.ring import (
     Coeff,
     _settle,
     accumulate,
-    resolve_param,
+    resolve,
     substitute_coeff,
 )
 
@@ -183,10 +183,11 @@ def test_param_term_rejects_negative_exponents():
         raise AssertionError("expected ValueError")
 
 
-def test_resolve_param():
-    assert resolve_param(None, BETA) == BETA
-    assert resolve_param(3, BETA) == 3
-    assert resolve_param(Fraction(1, 2), ALPHA) == Fraction(1, 2)
+def test_resolve():
+    assert resolve(None, None) == (BETA, ALPHA)
+    assert resolve(3, None) == (3, ALPHA)
+    assert resolve(None, Fraction(1, 2)) == (BETA, Fraction(1, 2))
+    assert resolve(Fraction(1, 2), -2) == (Fraction(1, 2), -2)
 
 
 def test_rendering():
@@ -286,13 +287,17 @@ def test_general_product_normalises_and_prunes():
     assert type(product._terms[(1, 0)]) is int
 
 
-def test_resolve_param_returns_the_number():
+def test_resolve_returns_the_number():
     third = Fraction(1, 3)
-    assert resolve_param(third, BETA) is third
-    assert type(resolve_param(2, BETA)) is int and resolve_param(2, BETA) == 2
-    two = resolve_param(Fraction(4, 2), BETA)
-    assert type(two) is int and two == 2
-    assert resolve_param(None, ALPHA) is ALPHA
+    b, a = resolve(third, third)
+    assert b is third and a is third
+    b, a = resolve(2, Fraction(4, 2))
+    assert type(b) is int and b == 2
+    assert type(a) is int and a == 2
+    b, a = resolve(Fraction(-6, 3), None)
+    assert type(b) is int and b == -2 and a is ALPHA
+    b, a = resolve(None, 0)
+    assert b is BETA and type(a) is int and a == 0
 
 
 # Storage: a value is an int when integral and a Fraction otherwise, and

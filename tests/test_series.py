@@ -31,7 +31,7 @@ from subdivalg.rewrite import (
     random_xpoly,
     reduce_pathless,
 )
-from subdivalg.ring import ALPHA, BETA, Coeff, integral_point, resolve_param
+from subdivalg.ring import ALPHA, BETA, Coeff, integral_point, resolve
 from subdivalg.series import (
     QPoly,
     QRatFrac,
@@ -121,7 +121,7 @@ def summed_a_image(p, beta, alpha) -> QRatFrac:
     """The fraction image of p as the sum, by QRatFrac.__add__, of each
     term's image, a product of one QRatFrac per variable."""
     n = p.n
-    beta_c, alpha_c = resolve_param(beta, BETA), resolve_param(alpha, ALPHA)
+    beta_c, alpha_c = resolve(beta, alpha)
     images = []
     for i, j in pair_list(n):
         numerator = {q_exponent(n, {i: 1, j: 1}): -1, q_exponent(n, {j: 1}): -beta_c}
@@ -513,7 +513,7 @@ def test_integral_point_scales_each_coefficient_by_its_weight(beta, alpha):
     `rescaled`."""
     scale, big_b, big_a = integral_point(beta, alpha)
     assert scale > 1 and type(big_b) is int and type(big_a) is int
-    beta_c, alpha_c = resolve_param(beta, BETA), resolve_param(alpha, ALPHA)
+    beta_c, alpha_c = resolve(beta, alpha)
     order = 2
     for n in range(2, 6):
         for degree in range(4):
@@ -632,7 +632,7 @@ def test_rational_sweeps_multiply_ints_and_report_as_the_fraction_route(
                 ed_ba.append(format_monomial(m))
     draws = a_kills_j_draws(n, samples, seed, beta, alpha)
     inverse = []
-    g_of = series.g_map(n, resolve_param(beta, BETA))
+    g_of = series.g_map(n, resolve(beta, alpha)[0])
     for index in range(samples):
         sample_seed = derive_seed(seed, index)
         p = random_tpoly(n, 3, 4, random.Random(sample_seed)).substitute(beta, alpha)
@@ -689,11 +689,11 @@ def test_maps_reused_across_inputs():
     gives for each input what a map built for it alone gives."""
     rng = random.Random(67)
     for beta, alpha in ((None, None), (2, Fraction(-1, 3))):
-        beta_c, alpha_c = resolve_param(beta, BETA), resolve_param(alpha, ALPHA)
+        beta_c, alpha_c = resolve(beta, alpha)
         for n in (2, 3, 4):
             inputs = [random_tpoly(n, 3, 4, rng) for _ in range(12)]
             # e_image builds a fresh map for each input, and so does this g.
-            fresh = [series.g_map(n, resolve_param(beta, BETA))(p) for p in inputs]
+            fresh = [series.g_map(n, resolve(beta, alpha)[0])(p) for p in inputs]
             cases = [(partial(series.g_map, n, beta_c), fresh)]
             for order in range(4):
                 fresh = [e_image(p, order, beta, alpha) for p in inputs]
@@ -763,14 +763,17 @@ def test_twseries_pruning():
 
 @pytest.mark.parametrize("cls", [QTruncSeries, TWSeries])
 def test_truncated_constant(cls):
-    two = cls.constant(2, 1, 2)
+    def constant(coeff):
+        return cls(2, 1, {(0,) * cls._width(2): coeff})
+
+    two = constant(2)
     assert two.order == 1
     assert repr(two).startswith(f"{cls.__name__}(n=2, order=1, ")
     assert two * cls.one(2, 1) == two
-    assert two * two == cls.constant(2, 1, 4)
-    assert cls.constant(2, 1, Fraction(2, 2)) == cls.one(2, 1)
-    assert cls.constant(2, 1, 0) == cls(2, 1)
-    assert cls.constant(2, 1, 0).is_zero()
+    assert two * two == constant(4)
+    assert constant(Fraction(2, 2)) == cls.one(2, 1)
+    assert constant(0) == cls(2, 1)
+    assert constant(0).is_zero()
 
 
 def dense_mul(x: list, y: list) -> list:
